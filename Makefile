@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke route-crash-smoke scale-smoke bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke bench-obs-overhead clean
 
 all: build
 
@@ -27,7 +27,7 @@ fmt-check:
 # End-to-end observability smoke test: run a small experiment with the
 # trace/metrics exporters on and make sure the artifacts appear and are
 # non-trivial. The test suite validates the JSON itself (test/test_obs.ml).
-smoke: build obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke route-crash-smoke scale-smoke
+smoke: build obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke
 	dune exec $(BENCH) -- f1 --scale small \
 	  --trace /tmp/dpa_trace.json --metrics /tmp/dpa_metrics.json --profile
 	@test -s /tmp/dpa_trace.json && test -s /tmp/dpa_metrics.json \
@@ -50,33 +50,23 @@ obs-smoke: build
 	  /tmp/dpa_events.jsonl /tmp/dpa_obs.txt
 	@echo "obs-smoke: streamed events exceed the ring with zero drops; skew table consistent"
 
-# Chaos smoke test: the a11 sweep and the a13 crash matrix at reduced
-# scale with a fixed fault seed. Every row (including 10% drop, the heavy
-# preset, and the crash-restart schedules) must report results
-# bit-identical to the fault-free reference; any divergence prints
-# DIVERGED and fails the target. The a13 summary line must also show that
-# crash-restarts actually executed.
-chaos-smoke: build
-	dune exec $(BENCH) -- a11 --scale small --bodies 512 | tee /tmp/dpa_chaos.txt
-	@! grep -q DIVERGED /tmp/dpa_chaos.txt \
-	  && grep -cq bit-identical /tmp/dpa_chaos.txt \
-	  && echo "chaos-smoke: forces bit-identical under all fault plans"
-	dune exec $(BENCH) -- a13 --scale small --bodies 512 | tee /tmp/dpa_crash.txt
-	@! grep -q DIVERGED /tmp/dpa_crash.txt \
-	  && grep -q "a13 summary" /tmp/dpa_crash.txt \
-	  && ! grep -q "a13 summary: 0 crash-restarts" /tmp/dpa_crash.txt \
-	  && grep -q "0 schedule(s) diverged" /tmp/dpa_crash.txt \
-	  && echo "chaos-smoke: crash-restart schedules reproduce fault-free results bit for bit"
+# The fault matrices (a11-a15) exit 1 when any cell diverges from its
+# fault-free reference or a declared witness is zero (no crash-restarts,
+# corruptions, truncated WAL records, route-crash re-issues, or no strict
+# ratio improvement), naming the failing cell or witness on stderr; a16
+# exits 1 when its allocation gate fails. The smoke targets below rely on
+# those exit statuses instead of grepping the printed tables.
 
-# Adaptive-control smoke test: the a12 sweep at reduced scale. Both RTO
-# rows must report forces bit-identical to the fault-free reference, and
-# the adaptive strip controller must actually run (the auto row exists).
+# Chaos smoke test: the a11 fault sweep and the a13 crash matrix at
+# reduced scale.
+chaos-smoke: build
+	dune exec $(BENCH) -- a11 --scale small --bodies 512
+	dune exec $(BENCH) -- a13 --scale small --bodies 512
+
+# Adaptive-control smoke test: the a12 sweep at reduced scale — the
+# static and auto strip rows of a12a, and both RTO rows of a12b.
 adaptive-smoke: build
-	dune exec $(BENCH) -- a12 --scale small --bodies 512 | tee /tmp/dpa_adaptive.txt
-	@! grep -q DIVERGED /tmp/dpa_adaptive.txt \
-	  && grep -cq bit-identical /tmp/dpa_adaptive.txt \
-	  && grep -q "^auto" /tmp/dpa_adaptive.txt \
-	  && echo "adaptive-smoke: auto strip ran; forces bit-identical under both RTO policies"
+	dune exec $(BENCH) -- a12 --scale small --bodies 512
 
 # Causal-tracing smoke test: the BH sweep under the heavy fault preset
 # plus two crash windows, with --critical-path on, so every decomposition
@@ -99,21 +89,13 @@ critpath-smoke: build
 	  /tmp/dpa_cp_events.jsonl /tmp/dpa_cp.txt
 	@echo "critpath-smoke: causal edges resolve; path decomposition exact; comm ratio >= 1"
 
-# End-to-end integrity smoke test: the a14 matrix at reduced scale. Wire
-# corruption must actually fire (nonzero corruptions dropped) and torn
-# WAL tails must actually be cut and recovered, with every schedule
-# still bit-identical to the fault-free reference. Then a BH run under
-# the full fault cocktail streams its events so obs_check can validate
-# the per-phase integrity tables (per-node rows summing to the "=" line,
-# no negative counters) alongside the usual stream invariants.
+# End-to-end integrity smoke test: the a14 matrix at reduced scale. Then
+# a BH run under the full fault cocktail streams its events so obs_check
+# can validate the per-phase integrity tables (per-node rows summing to
+# the "=" line, no negative counters) alongside the usual stream
+# invariants.
 integrity-smoke: build
-	dune exec $(BENCH) -- a14 --scale small --bodies 512 | tee /tmp/dpa_integrity.txt
-	@! grep -q DIVERGED /tmp/dpa_integrity.txt \
-	  && grep -q "a14 summary" /tmp/dpa_integrity.txt \
-	  && ! grep -q "a14 summary: 0 corruptions" /tmp/dpa_integrity.txt \
-	  && ! grep -q "0 wal records truncated" /tmp/dpa_integrity.txt \
-	  && grep -q "0 schedule(s) diverged" /tmp/dpa_integrity.txt \
-	  && echo "integrity-smoke: corruption fenced and torn tails recovered bit for bit"
+	dune exec $(BENCH) -- a14 --scale small --bodies 512
 	dune exec $(BENCH) -- t2 --scale small --bodies 512 \
 	  --faults heavy,crashes=2,corrupt=0.05,torn-wal=1 \
 	  --events /tmp/dpa_integ_events.jsonl --profile | tee /tmp/dpa_integ.txt
@@ -124,44 +106,23 @@ integrity-smoke: build
 
 # Communication-optimality smoke test: the a15 matrix at reduced scale.
 # Tree-routed aggregation and Morton repartitioning must both strictly
-# lower the measured-volume / optimality-bound ratio of their workload
-# (improved=yes in the summary line), with every cell — including the
-# fault schedules — bit-identical to the flat/static reference.
+# lower their workload's measured-volume / optimality-bound ratio, the
+# routed crash cells must execute origin-custody re-issues, and every
+# cell must stay bit-identical to the flat/static reference.
 optimality-smoke: build
-	dune exec $(BENCH) -- a15 --scale small --bodies 512 | tee /tmp/dpa_optimality.txt
-	@! grep -q DIVERGED /tmp/dpa_optimality.txt \
-	  && grep -q "a15 summary" /tmp/dpa_optimality.txt \
-	  && grep -q "improved=yes" /tmp/dpa_optimality.txt \
-	  && grep -q "0 cell(s) diverged" /tmp/dpa_optimality.txt \
-	  && echo "optimality-smoke: routed + repartitioned ratios strictly improved, results bit-identical"
-
-# Route-crash smoke test: the routed fan-in cells of the a15 matrix under
-# crash-restart schedules. The origin-anchored end-to-end ack must keep
-# every crashed routed cell bit-identical to the flat fault-free
-# reference (zero divergence), and the custody machinery must actually
-# fire: the summary's route-crash re-issue count has to be non-zero, or
-# the crash windows never hit a batch in flight.
-route-crash-smoke: build
-	dune exec $(BENCH) -- a15 --scale small --bodies 512 | tee /tmp/dpa_route_crash.txt
-	@! grep -q DIVERGED /tmp/dpa_route_crash.txt \
-	  && grep -q "0 cell(s) diverged" /tmp/dpa_route_crash.txt \
-	  && grep -Eq " [1-9][0-9]* route-crash re-issue" /tmp/dpa_route_crash.txt \
-	  && echo "route-crash-smoke: routed crash cells bit-identical with live origin re-issues"
+	dune exec $(BENCH) -- a15 --scale small --bodies 512
 
 # Flat-heap scale smoke test: the a16 sweep at reduced scale. The
 # allocation gate must pass (every boxed-baseline config re-run on the
 # flat heap clears the committed words-per-body-step reduction
-# threshold), and bin/scale_check must accept the JSON artifact — field
-# presence, reduction-factor arithmetic, non-negative counters — and
-# then re-measure the strip hot path directly, failing if a phase of
-# local reads allocates beyond the per-poll-quantum simulator residue
-# (docs/PERFORMANCE.md). The committed BENCH_scale.json is the same
+# threshold, or a16 exits 1), and bin/scale_check must accept the JSON
+# artifact — field presence, reduction-factor arithmetic, non-negative
+# counters — and then re-measure the strip hot path directly, failing if
+# a phase of local reads allocates beyond the per-poll-quantum simulator
+# residue (docs/PERFORMANCE.md). The committed BENCH_scale.json is the same
 # artifact produced by `a16 --scale full`.
 scale-smoke: build
-	dune exec $(BENCH) -- a16 --scale small --json /tmp/dpa_scale.json \
-	  | tee /tmp/dpa_scale.txt
-	@grep -q "a16 summary: gate=ok" /tmp/dpa_scale.txt \
-	  && echo "scale-smoke: allocation gate passed on all boxed-baseline configs"
+	dune exec $(BENCH) -- a16 --scale small --json /tmp/dpa_scale.json
 	dune exec bin/scale_check.exe -- /tmp/dpa_scale.json
 	@echo "scale-smoke: artifact valid; strip hot path allocation-free"
 

@@ -126,6 +126,12 @@ let obs_term =
     const combine $ trace $ metrics $ events $ critpath $ profile $ cats
     $ spans_only $ sample_ns $ ring)
 
+let open_or_die path =
+  try (path, open_out path)
+  with Sys_error e ->
+    prerr_endline ("dpa_bench: " ^ e);
+    exit 1
+
 let with_obs obs f conf =
   (if obs.ring <= 0 then begin
      prerr_endline "dpa_bench: --ring must be positive";
@@ -138,12 +144,6 @@ let with_obs obs f conf =
   else begin
     (* Open every output file before the (possibly long) run so a bad path
        fails immediately rather than after the experiment finishes. *)
-    let open_or_die path =
-      try (path, open_out path)
-      with Sys_error e ->
-        prerr_endline ("dpa_bench: " ^ e);
-        exit 1
-    in
     let trace_out = Option.map open_or_die obs.trace in
     let metrics_out = Option.map open_or_die obs.metrics in
     let events_out = Option.map open_or_die obs.events in
@@ -359,6 +359,35 @@ let conf_term =
     const combine $ scale $ procs $ bodies $ particles $ strip $ rto
     $ repartition $ agg_route)
 
+(* Gate failures: diverged matrix cells, matrix witnesses that do not
+   hold, a failed a16 allocation gate. The process exits 1 after the run
+   when any were recorded, so every requested export is still written. *)
+let failures = ref []
+let fail msgs = failures := !failures @ msgs
+
+(* [--json FILE], shared by a15 and a16. *)
+let json_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:
+          "Also write the results as JSON (the committed BENCH_*.json \
+           artifacts are this output at $(b,--scale full)).")
+
+(* Open the [--json] file before the run so a bad path fails
+   immediately; [f] runs the experiment and returns the JSON to write. *)
+let with_json json what f =
+  let out = Option.map open_or_die json in
+  let v = f () in
+  Option.iter
+    (fun (path, oc) ->
+      output_string oc (Dpa_obs.Json.to_string v);
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "wrote %s to %s\n" what path)
+    out
+
 let run_t1 conf = Experiment.print_thread_stats (Experiment.thread_stats conf)
 
 let run_t2 conf =
@@ -429,63 +458,48 @@ let run_a9 conf =
 
 let run_a10 conf = Experiment.print_hotspot (Experiment.hotspot conf)
 
-let run_a11 conf =
-  Experiment.print_chaos_sweep ~procs:conf.Runconf.breakdown_procs
-    (Experiment.chaos_sweep conf)
+(* Run, print and check one fault matrix; returns its JSON. *)
+let run_matrix m =
+  let cells = Matrix.run m in
+  Matrix.print m cells;
+  fail (Matrix.failures m cells);
+  Matrix.json m cells
+
+let run_a11 conf = ignore (run_matrix (Experiment.chaos_sweep conf))
 
 let run_a12 conf =
   Experiment.print_adaptive_strip_sweep ~procs:conf.Runconf.breakdown_procs
     (Experiment.adaptive_strip_sweep conf);
-  Experiment.print_adaptive_rto_sweep ~procs:conf.Runconf.breakdown_procs
-    ~spec:"heavy"
-    (Experiment.adaptive_rto_sweep conf)
+  ignore (run_matrix (Experiment.adaptive_rto_sweep conf))
 
-let run_a13 conf = Experiment.print_crash_matrix (Experiment.crash_matrix conf)
+let run_a13 conf = ignore (run_matrix (Experiment.crash_matrix conf))
+let run_a14 conf = ignore (run_matrix (Experiment.integrity_matrix conf))
 
-let run_a14 conf =
-  Experiment.print_integrity_matrix (Experiment.integrity_matrix conf)
+let run_a15 ?json conf =
+  with_json json "optimality matrix" (fun () ->
+      run_matrix (Experiment.optimality_matrix conf))
 
-let run_a15 ?(json = None) conf =
-  (* Open the output before the run so a bad path fails immediately. *)
-  let json_out =
-    Option.map
-      (fun path ->
-        try (path, open_out path)
-        with Sys_error e ->
-          prerr_endline ("dpa_bench: " ^ e);
-          exit 1)
-      json
-  in
-  let rows = Experiment.optimality_matrix conf in
-  Experiment.print_optimality_matrix rows;
-  match json_out with
-  | None -> ()
-  | Some (path, oc) ->
-    output_string oc (Dpa_obs.Json.to_string (Experiment.optimality_json rows));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote optimality matrix to %s\n" path
-
-let run_a16 ?(json = None) conf =
-  (* Open the output before the run so a bad path fails immediately. *)
-  let json_out =
-    Option.map
-      (fun path ->
-        try (path, open_out path)
-        with Sys_error e ->
-          prerr_endline ("dpa_bench: " ^ e);
-          exit 1)
-      json
-  in
-  let rows = (Experiment.scale_gate conf, Experiment.scale_sweep conf) in
-  Experiment.print_scale_sweep rows;
-  match json_out with
-  | None -> ()
-  | Some (path, oc) ->
-    output_string oc (Dpa_obs.Json.to_string (Experiment.scale_json rows));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote scale sweep to %s\n" path
+let run_a16 ?json conf =
+  with_json json "scale sweep" (fun () ->
+      let ((gate, _) as rows) =
+        (Experiment.scale_gate conf, Experiment.scale_sweep conf)
+      in
+      Experiment.print_scale_sweep rows;
+      fail
+        (List.filter_map
+           (fun (r : Experiment.scale_gate_row) ->
+             if Experiment.sg_reduction r >= Experiment.scale_gate_threshold
+             then None
+             else
+               Some
+                 (Printf.sprintf
+                    "a16: allocation gate failed at %d nodes, %d bodies: \
+                     %.2fx reduction, threshold %.1fx"
+                    r.Experiment.sg_nodes r.Experiment.sg_bodies
+                    (Experiment.sg_reduction r)
+                    Experiment.scale_gate_threshold))
+           gate);
+      Experiment.scale_json rows)
 
 let run_timeline ?(csv = None) conf =
   let nnodes = conf.Runconf.breakdown_procs in
@@ -581,6 +595,13 @@ let cmd name doc f =
       const (fun fo obs conf -> with_faults fo (with_obs obs f) conf)
       $ fault_term $ obs_term $ conf_term)
 
+let json_cmd name doc f =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (fun json fo obs conf ->
+          with_faults fo (with_obs obs (f ?json)) conf)
+      $ json_term $ fault_term $ obs_term $ conf_term)
+
 let () =
   let default =
     Term.(
@@ -593,9 +614,9 @@ let () =
         "Reproduce the evaluation of 'Dynamic Pointer Alignment' (PPoPP \
          1997) on the simulated machine."
   in
-  exit
-    (Cmd.eval
-       (Cmd.group ~default info
+  let code =
+    Cmd.eval
+      (Cmd.group ~default info
           [
             cmd "t1" "Static/dynamic thread statistics table" run_t1;
             cmd "t2" "Barnes-Hut execution-time table" run_t2;
@@ -621,40 +642,15 @@ let () =
               "End-to-end integrity matrix: wire corruption and torn WAL \
                writes across workloads"
               run_a14;
-            (let json =
-               Arg.(
-                 value
-                 & opt (some string) None
-                 & info [ "json" ] ~docv:"FILE"
-                     ~doc:"Also write the matrix as JSON.")
-             in
-             Cmd.v
-               (Cmd.info "a15"
-                  ~doc:
-                    "Communication-optimality matrix: tree-routed \
-                     aggregation and Morton repartitioning vs the \
-                     flat/static baseline")
-               Term.(
-                 const (fun json fo obs conf ->
-                     with_faults fo (with_obs obs (run_a15 ~json)) conf)
-                 $ json $ fault_term $ obs_term $ conf_term));
-            (let json =
-               Arg.(
-                 value
-                 & opt (some string) None
-                 & info [ "json" ] ~docv:"FILE"
-                     ~doc:"Also write the sweep as JSON (BENCH_scale.json).")
-             in
-             Cmd.v
-               (Cmd.info "a16"
-                  ~doc:
-                    "Flat-heap scale sweep: the allocation gate against the \
-                     boxed-heap baseline, then distributed BH force phases \
-                     up to a million bodies on 256 nodes (--scale full)")
-               Term.(
-                 const (fun json fo obs conf ->
-                     with_faults fo (with_obs obs (run_a16 ~json)) conf)
-                 $ json $ fault_term $ obs_term $ conf_term));
+            json_cmd "a15"
+              "Communication-optimality matrix: tree-routed aggregation and \
+               Morton repartitioning vs the flat/static baseline"
+              run_a15;
+            json_cmd "a16"
+              "Flat-heap scale sweep: the allocation gate against the \
+               boxed-heap baseline, then distributed BH force phases up to \
+               a million bodies on 256 nodes (--scale full)"
+              run_a16;
             (let csv =
                Arg.(
                  value
@@ -672,4 +668,7 @@ let () =
             cmd "calibrate" "Compare modelled sequential times to the paper"
               run_calibrate;
             cmd "all" "Run every experiment" run_all;
-          ]))
+          ])
+  in
+  List.iter (fun m -> prerr_endline ("dpa_bench: " ^ m)) !failures;
+  exit (if code = 0 && !failures <> [] then 1 else code)

@@ -905,132 +905,74 @@ let print_hotspot points =
 
 (* -------------------------------------------------------------------- A11 *)
 
-type chaos_point = {
-  ch_spec : string;
-  ch_time_s : float;
-  ch_goodput : float;
-  ch_retransmits : int;
-  ch_rt_retries : int;
-  ch_drops : int;
-  ch_dups_suppressed : int;
-  ch_forces_ok : bool;
-}
+(* Workload runners of the fault matrices (A11-A15): each runs one phase
+   under the plan the driver hands it and returns the result the cell is
+   checked on. *)
 
-let default_chaos_specs =
-  [ "off"; "drop=0.01"; "drop=0.05"; "drop=0.10"; "heavy" ]
+let matrix_config = "dpa"
 
-(* Drive one BH force phase by hand (as the timeline command does) so the
-   engine — and with it the transport counters and the fault plan — stays
-   in reach after the phase completes. The headline check rides in the last
-   column: every faulted run must produce bit-identical accelerations to
-   the fault-free reference. *)
-let chaos_sweep ?(specs = default_chaos_specs) ?(fault_seed = 0x5EED)
-    (conf : Runconf.t) =
+let bh_force ?adaptive_rto (conf : Runconf.t) plan =
   let procs = conf.Runconf.breakdown_procs in
-  let params = Dpa_bh.Bh_force.default_params in
-  let run faults =
-    let bodies = Dpa_bh.Plummer.generate ~n:conf.Runconf.bh_bodies ~seed:17 in
-    let octree = Dpa_bh.Octree.build bodies in
-    let tree = Dpa_bh.Bh_global.distribute octree ~nnodes:procs in
-    let machine = Machine.make ~nodes:procs ?faults ~fault_seed () in
-    let saved = Dpa_obs.Sink.global () in
-    (* If the enclosing run streams events ([--events]), make everything
-       emitted so far durable before handing control to a fault-injected
-       engine: a crash mid-sweep must not lose already-captured lines.
-       The sweep's own events go to a private sink and are never
-       streamed. *)
-    (match saved with
-    | Some s -> Dpa_obs.Sink.flush_writer s
-    | None -> ());
-    let sink = Dpa_obs.Sink.create () in
-    Dpa_obs.Sink.set_global (Some sink);
-    let engine = Engine.create machine in
-    Dpa_obs.Sink.set_global saved;
-    (* The sweep owns its fault plans: a process-global [--faults] default
-       must not leak into the reference (or the "off" row) via
-       [Engine.create]'s fallback. *)
-    if faults = None then Engine.set_fault engine None;
-    let r =
-      Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies ~params
-        (dpa_variant conf ~strip:conf.Runconf.bh_strip)
-    in
-    (r, engine, sink)
+  let bodies = Dpa_bh.Plummer.generate ~n:conf.Runconf.bh_bodies ~seed:17 in
+  let octree = Dpa_bh.Octree.build bodies in
+  let tree = Dpa_bh.Bh_global.distribute octree ~nnodes:procs in
+  let engine = Matrix.engine ?adaptive_rto ~nodes:procs plan in
+  let r =
+    Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
+      ~params:Dpa_bh.Bh_force.default_params
+      (dpa_variant conf ~strip:conf.Runconf.bh_strip)
   in
-  let reference, _, _ = run None in
-  List.map
-    (fun spec_str ->
-      let faults =
-        if spec_str = "off" then None
-        else
-          match Fault.spec_of_string spec_str with
-          | Ok s -> Some s
-          | Error msg -> invalid_arg ("chaos_sweep: " ^ msg)
-      in
-      let r, engine, sink = run faults in
-      let m = Engine.machine engine in
-      let bytes_sent =
-        Array.fold_left
-          (fun acc (n : Node.t) -> acc + n.Node.bytes_sent)
-          0 (Engine.nodes engine)
-      in
-      let retransmit_bytes, retransmits, acks, dups =
-        match Dpa_msg.Am.stats engine with
-        | None -> (0, 0, 0, 0)
-        | Some s ->
-          ( s.Dpa_msg.Am.retransmit_bytes,
-            s.Dpa_msg.Am.retransmits,
-            s.Dpa_msg.Am.acks,
-            s.Dpa_msg.Am.dups_suppressed )
-      in
-      let reg = Dpa_obs.Sink.metrics sink in
-      let counter name =
-        Dpa_obs.Metrics.counter_value (Dpa_obs.Metrics.counter reg name)
-      in
-      let overhead =
-        retransmit_bytes + (acks * m.Machine.msg_header_bytes)
-      in
-      {
-        ch_spec = spec_str;
-        ch_time_s = Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown;
-        ch_goodput =
-          (if bytes_sent = 0 then 1.
-           else float_of_int (bytes_sent - overhead) /. float_of_int bytes_sent);
-        ch_retransmits = retransmits;
-        ch_rt_retries = counter "retries.bh-force";
-        ch_drops = counter "fault.drops" + counter "fault.outage_drops";
-        ch_dups_suppressed = dups;
-        ch_forces_ok = r.Dpa_bh.Bh_run.accs = reference.Dpa_bh.Bh_run.accs;
-      })
-    specs
+  {
+    Matrix.result = r.Dpa_bh.Bh_run.accs;
+    engine;
+    time_s = Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown;
+    stats = Option.get r.Dpa_bh.Bh_run.dpa_stats;
+    extra = [];
+  }
 
-let print_chaos_sweep ~procs points =
-  Printf.printf
-    "A11: chaos sweep — BH force phase under injected faults (%d nodes)\n"
-    procs;
-  let t =
-    Table.make
-      ~header:
+let bh_force_name (conf : Runconf.t) =
+  Printf.sprintf "BH force (%d nodes)" conf.Runconf.breakdown_procs
+
+(* The fraction of sent bytes that were not protocol overhead. *)
+let goodput c =
+  let sent = Matrix.counter c "bytes_sent" in
+  if sent = 0 then 1.
+  else
+    float_of_int (sent - Matrix.counter c "overhead_bytes")
+    /. float_of_int sent
+
+let chaos_sweep (conf : Runconf.t) =
+  let specs = [ "off"; "drop=0.01"; "drop=0.05"; "drop=0.10"; "heavy" ] in
+  {
+    Matrix.name = "a11";
+    title =
+      Printf.sprintf
+        "A11: chaos sweep — BH force phase under injected faults (%d nodes)"
+        conf.Runconf.breakdown_procs;
+    seed = 0x5EED;
+    workloads =
+      [
+        Matrix.workload (bh_force_name conf)
+          [ (matrix_config, List.map (fun s -> Matrix.fixed s s) specs) ]
+          (fun ~config:_ -> bh_force conf);
+      ];
+    columns =
+      Matrix.
         [
-          "FAULTS"; "TIME(s)"; "GOODPUT%"; "RETRANS"; "RT RETRIES"; "DROPS";
-          "DUPS SUPPR"; "FORCES";
-        ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.ch_spec;
-          Table.sec p.ch_time_s;
-          Printf.sprintf "%.1f" (100. *. p.ch_goodput);
-          string_of_int p.ch_retransmits;
-          string_of_int p.ch_rt_retries;
-          string_of_int p.ch_drops;
-          string_of_int p.ch_dups_suppressed;
-          (if p.ch_forces_ok then "bit-identical" else "DIVERGED");
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+          schedule "FAULTS";
+          time;
+          metric "GOODPUT%" "goodput"
+            (fun g -> Printf.sprintf "%.1f" (100. *. g))
+            goodput;
+          count "RETRANS" "retransmits";
+          count "RT RETRIES" "rt_retries";
+          count "DROPS" "drops";
+          count "DUPS SUPPR" "dups_suppressed";
+          result "FORCES";
+        ];
+    summary = None;
+    witnesses = [];
+  }
 
 (* -------------------------------------------------------------------- A12 *)
 
@@ -1106,105 +1048,41 @@ let print_adaptive_strip_sweep ~procs points =
   Table.print t;
   print_newline ()
 
-type adaptive_rto_point = {
-  rp_mode : string;
-  rp_time_s : float;
-  rp_retransmits : int;
-  rp_rt_retries : int;
-  rp_forces_ok : bool;
-}
-
 (* Same phase, same fault plan and seed, with only the timeout policy
    varied. The interesting column is RT RETRIES: the constant wheel base
    undershoots an injected NIC outage and re-issues requests the
    transport was already recovering; the estimator learns outage-scale
-   round trips and backs the wheel off, while forces stay bit-identical
-   to the fault-free reference either way. *)
-let adaptive_rto_sweep ?(spec = "heavy") ?(fault_seed = 0x5EED)
-    (conf : Runconf.t) =
-  let procs = conf.Runconf.breakdown_procs in
-  let params = Dpa_bh.Bh_force.default_params in
-  let run ~adaptive faults =
-    let bodies = Dpa_bh.Plummer.generate ~n:conf.Runconf.bh_bodies ~seed:17 in
-    let octree = Dpa_bh.Octree.build bodies in
-    let tree = Dpa_bh.Bh_global.distribute octree ~nnodes:procs in
-    let machine =
-      Machine.make ~nodes:procs ?faults ~fault_seed ~adaptive_rto:adaptive ()
-    in
-    let engine = Engine.create machine in
-    if faults = None then Engine.set_fault engine None;
-    let r =
-      Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies ~params
-        (dpa_variant conf ~strip:conf.Runconf.bh_strip)
-    in
-    (r, engine)
-  in
-  let reference, _ = run ~adaptive:false None in
-  let faults =
-    match Fault.spec_of_string spec with
-    | Ok s -> s
-    | Error msg -> invalid_arg ("adaptive_rto_sweep: " ^ msg)
-  in
-  List.map
-    (fun (name, adaptive) ->
-      let r, engine = run ~adaptive (Some faults) in
-      let retransmits =
-        match Dpa_msg.Am.stats engine with
-        | None -> 0
-        | Some s -> s.Dpa_msg.Am.retransmits
-      in
-      let s =
-        match r.Dpa_bh.Bh_run.dpa_stats with
-        | Some s -> s
-        | None -> assert false
-      in
-      {
-        rp_mode = name;
-        rp_time_s = Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown;
-        rp_retransmits = retransmits;
-        rp_rt_retries = s.Dpa.Dpa_stats.rt_retries;
-        rp_forces_ok = r.Dpa_bh.Bh_run.accs = reference.Dpa_bh.Bh_run.accs;
-      })
-    [ ("constant", false); ("adaptive", true) ]
-
-let print_adaptive_rto_sweep ~procs ~spec points =
-  Printf.printf
-    "A12b: constant vs adaptive retransmission timeout — BH force phase \
-     under %s faults (%d nodes)\n"
-    spec procs;
-  let t =
-    Table.make ~header:[ "RTO"; "TIME(s)"; "RETRANS"; "RT RETRIES"; "FORCES" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
+   round trips and backs the wheel off. *)
+let adaptive_rto_sweep (conf : Runconf.t) =
+  let heavy = [ Matrix.fixed "heavy" "heavy" ] in
+  {
+    Matrix.name = "a12b";
+    title =
+      Printf.sprintf
+        "A12b: constant vs adaptive retransmission timeout — BH force phase \
+         under heavy faults (%d nodes)"
+        conf.Runconf.breakdown_procs;
+    seed = 0x5EED;
+    workloads =
+      [
+        Matrix.workload (bh_force_name conf)
+          [ ("constant", heavy); ("adaptive", heavy) ]
+          (fun ~config -> bh_force ~adaptive_rto:(config = "adaptive") conf);
+      ];
+    columns =
+      Matrix.
         [
-          p.rp_mode;
-          Table.sec p.rp_time_s;
-          string_of_int p.rp_retransmits;
-          string_of_int p.rp_rt_retries;
-          (if p.rp_forces_ok then "bit-identical" else "DIVERGED");
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+          config "RTO";
+          time;
+          count "RETRANS" "retransmits";
+          count "RT RETRIES" "rt_retries";
+          result "FORCES";
+        ];
+    summary = None;
+    witnesses = [];
+  }
 
 (* -------------------------------------------------------------------- A13 *)
-
-type crash_cell = {
-  cc_schedule : string;
-  cc_time_s : float;
-  cc_retransmits : int;
-  cc_fenced : int;
-  cc_crashes : int;
-  cc_refetches : int;
-  cc_ok : bool;
-}
-
-type crash_row = {
-  cw_workload : string;
-  cw_cells : crash_cell list;
-}
 
 module Em3d_interp = Dpa_compiler.Interp.Make (Dpa.Runtime)
 
@@ -1215,45 +1093,13 @@ module Em3d_interp = Dpa_compiler.Interp.Make (Dpa.Runtime)
    sum stays far inside the 2^(53-36) exactness bound. *)
 let em3d_accum_grid = Dpa_util.Det.grid ~bits:36
 
-(* Shared chaos-matrix workload runners (A13 crash matrix, A14 integrity
-   matrix). Each runs one phase under an optional fault plan and returns
-   the phase result (the bit-identity witness), the engine (transport
-   counters), the elapsed sim seconds and the merged runtime stats.
-   Workload phase lengths differ by an order of magnitude, so matrix
-   cells that need a crash schedule derive it from the workload's own
-   fault-free duration (see [crash_matrix]). *)
-let chaos_workloads ~fault_seed (conf : Runconf.t) =
+(* The workloads A13 and A14 share, each under every schedule of [grid]. *)
+let chaos_workloads (conf : Runconf.t) grid =
   let procs = conf.Runconf.breakdown_procs in
-  let mk_engine ~nodes faults =
-    let machine = Machine.make ~nodes ?faults ~fault_seed () in
-    let engine = Engine.create machine in
-    (* As in [chaos_sweep]: a process-global [--faults] default must not
-       leak into the reference run via [Engine.create]'s fallback. *)
-    if faults = None then Engine.set_fault engine None;
-    engine
-  in
-  let bh faults =
-    let bodies = Dpa_bh.Plummer.generate ~n:conf.Runconf.bh_bodies ~seed:17 in
-    let octree = Dpa_bh.Octree.build bodies in
-    let tree = Dpa_bh.Bh_global.distribute octree ~nnodes:procs in
-    let engine = mk_engine ~nodes:procs faults in
-    let r =
-      Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
-        ~params:Dpa_bh.Bh_force.default_params
-        (dpa_variant conf ~strip:conf.Runconf.bh_strip)
-    in
-    let s =
-      match r.Dpa_bh.Bh_run.dpa_stats with Some s -> s | None -> assert false
-    in
-    ( `Bh r.Dpa_bh.Bh_run.accs,
-      engine,
-      Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown,
-      s )
-  in
-  let fmm faults =
-    (* Odd node count for the same reason as [upward_sweep]: power-of-two
-       Morton blocks keep every M2M local on a complete quadtree. *)
-    let nodes = max 3 (procs - 1) in
+  (* Odd node count for the same reason as [upward_sweep]: power-of-two
+     Morton blocks keep every M2M local on a complete quadtree. *)
+  let fmm_nodes = max 3 (procs - 1) in
+  let fmm plan =
     let params = fmm_params conf in
     let parts =
       Dpa_fmm.Particle2d.uniform ~n:conf.Runconf.fmm_particles ~seed:23
@@ -1261,17 +1107,12 @@ let chaos_workloads ~fault_seed (conf : Runconf.t) =
     let tree = Dpa_fmm.Quadtree.build parts in
     let global =
       Dpa_fmm.Fmm_global.distribute_empty ~p:params.Dpa_fmm.Fmm_force.p tree
-        ~nnodes:nodes
+        ~nnodes:fmm_nodes
     in
-    let engine = mk_engine ~nodes faults in
+    let engine = Matrix.engine ~nodes:fmm_nodes plan in
     let r =
       Dpa_fmm.Fmm_upward.run ~engine ~global ~params
         (dpa_variant conf ~strip:conf.Runconf.fmm_strip)
-    in
-    let s =
-      match r.Dpa_fmm.Fmm_upward.dpa_stats with
-      | Some s -> s
-      | None -> assert false
     in
     let multipoles =
       (* Cells above level 2 have no multipole object (no well-separated
@@ -1285,12 +1126,15 @@ let chaos_workloads ~fault_seed (conf : Runconf.t) =
                 .Dpa_heap.Obj_repr.floats)
         global.Dpa_fmm.Fmm_global.mp_ptrs
     in
-    ( `Fmm multipoles,
-      engine,
-      Breakdown.elapsed_s r.Dpa_fmm.Fmm_upward.breakdown,
-      s )
+    {
+      Matrix.result = multipoles;
+      engine;
+      time_s = Breakdown.elapsed_s r.Dpa_fmm.Fmm_upward.breakdown;
+      stats = Option.get r.Dpa_fmm.Fmm_upward.dpa_stats;
+      extra = [];
+    }
   in
-  let em3d faults =
+  let em3d plan =
     let per_node = max 8 (conf.Runconf.bh_bodies / procs / 4) in
     let g =
       Dpa_compiler.Em3d.build ~nnodes:procs ~e_per_node:per_node
@@ -1302,7 +1146,7 @@ let chaos_workloads ~fault_seed (conf : Runconf.t) =
       Em3d_interp.compile ~accum_grid:em3d_accum_grid
         (Dpa_compiler.Em3d.update_program ~degree:20)
     in
-    let engine = mk_engine ~nodes:procs faults in
+    let engine = Matrix.engine ~nodes:procs plan in
     let per = Array.length g.Dpa_compiler.Em3d.e_nodes / procs in
     let items node =
       Array.init per (fun i ->
@@ -1313,141 +1157,87 @@ let chaos_workloads ~fault_seed (conf : Runconf.t) =
                   g.Dpa_compiler.Em3d.e_nodes.((node * per) + i);
               ])
     in
-    let b, s =
+    let b, stats =
       Dpa.Runtime.run_phase_labeled ~label:"em3d-ir" ~engine
         ~heaps:g.Dpa_compiler.Em3d.heaps
         ~config:(Dpa.Config.dpa ~strip_size:conf.Runconf.bh_strip ())
         ~items
     in
-    (`Em3d (Em3d_interp.accumulator c "sum"), engine, Breakdown.elapsed_s b, s)
+    {
+      Matrix.result = Em3d_interp.accumulator c "sum";
+      engine;
+      time_s = Breakdown.elapsed_s b;
+      stats;
+      extra = [];
+    }
   in
   [
-    (Printf.sprintf "BH force (%d nodes)" procs, bh);
-    (Printf.sprintf "FMM upward (%d nodes)" (max 3 (procs - 1)), fmm);
-    (Printf.sprintf "EM3D via compiler IR (%d nodes)" procs, em3d);
+    Matrix.workload (bh_force_name conf) grid (fun ~config:_ -> bh_force conf);
+    Matrix.workload
+      (Printf.sprintf "FMM upward (%d nodes)" fmm_nodes)
+      grid
+      (fun ~config:_ -> fmm);
+    Matrix.workload
+      (Printf.sprintf "EM3D via compiler IR (%d nodes)" procs)
+      grid
+      (fun ~config:_ -> em3d);
   ]
 
-(* Cross-workload crash matrix: one crash per node, drawn inside the
-   first half of the reference duration, with a restart delay of an
-   eighth of it — long enough that peers retransmit into the fence,
-   short enough that the phase completes. The last column is the point
-   of the table: results must be bit-identical to the fault-free
-   reference under every schedule, including the ones that lose whole
-   nodes mid-phase. *)
-let crash_matrix ?(fault_seed = 0xC4A5) (conf : Runconf.t) =
-  let cells run =
-    let ref_res, ref_engine, ref_time, ref_stats = run None in
-    let am_counters engine =
-      match Dpa_msg.Am.stats engine with
-      | None -> (0, 0)
-      | Some s -> (s.Dpa_msg.Am.retransmits, s.Dpa_msg.Am.fenced)
-    in
-    let mk label (engine, time_s, (stats : Dpa.Dpa_stats.t)) ~ok =
-      let retransmits, fenced = am_counters engine in
-      {
-        cc_schedule = label;
-        cc_time_s = time_s;
-        cc_retransmits = retransmits;
-        cc_fenced = fenced;
-        cc_crashes = stats.Dpa.Dpa_stats.crashes;
-        cc_refetches = stats.Dpa.Dpa_stats.crash_refetches;
-        cc_ok = ok;
-      }
-    in
-    let elapsed = Engine.elapsed ref_engine in
-    let crash_knobs =
-      Printf.sprintf "crashes=1,crash-ns=%d,horizon-ns=%d"
-        (max 1_000 (elapsed / 8))
-        (max 1_000 (elapsed / 2))
-    in
-    let faulted label spec_str =
-      let faults =
-        match Fault.spec_of_string spec_str with
-        | Ok s -> s
-        | Error msg -> invalid_arg ("crash_matrix: " ^ msg)
-      in
-      let res, engine, time_s, stats = run (Some faults) in
-      mk label (engine, time_s, stats) ~ok:(res = ref_res)
-    in
+(* Reads re-fetch through the alignment path after a restart, updates are
+   journaled exactly-once, and the reductions are grid-snapped so arrival
+   order cannot perturb them — so even schedules that lose whole nodes
+   mid-phase must reproduce the reference bit for bit. *)
+let crash_matrix (conf : Runconf.t) =
+  let grid =
     [
-      mk "off" (ref_engine, ref_time, ref_stats) ~ok:true;
-      faulted "drop+dup+delay" "drop=0.05,dup=0.02,delay=0.10";
-      faulted "crash" crash_knobs;
-      faulted "heavy+crash"
-        (Printf.sprintf "heavy,outage-ns=%d,%s"
-           (max 1_000 (elapsed / 8))
-           crash_knobs);
+      ( matrix_config,
+        Matrix.
+          [
+            fixed "off" "off";
+            fixed "drop+dup+delay" "drop=0.05,dup=0.02,delay=0.10";
+            crashing "crash" "";
+            derived "heavy+crash" (fun e ->
+                Printf.sprintf "heavy,outage-ns=%d,%s" (crash_ns e)
+                  (crash_knobs e));
+          ] );
     ]
   in
-  List.map
-    (fun (label, run) -> { cw_workload = label; cw_cells = cells run })
-    (chaos_workloads ~fault_seed conf)
-
-let print_crash_matrix rows =
-  print_endline
-    "A13: crash-restart chaos matrix — every schedule must reproduce the \
-     fault-free result bit for bit";
-  List.iter
-    (fun row ->
-      Printf.printf "%s\n" row.cw_workload;
-      let t =
-        Table.make
-          ~header:
-            [
-              "SCHEDULE"; "TIME(s)"; "RETRANS"; "FENCED"; "CRASHES";
-              "REFETCHED"; "RESULT";
-            ]
-      in
-      List.iter
-        (fun c ->
-          Table.add_row t
-            [
-              c.cc_schedule;
-              Table.sec c.cc_time_s;
-              string_of_int c.cc_retransmits;
-              string_of_int c.cc_fenced;
-              string_of_int c.cc_crashes;
-              string_of_int c.cc_refetches;
-              (if c.cc_ok then "bit-identical" else "DIVERGED");
-            ])
-        row.cw_cells;
-      Table.print t;
-      print_newline ())
-    rows;
-  (* A machine-checkable summary line: the chaos-smoke target asserts that
-     crashes actually happened and nothing diverged. *)
-  let total f = List.fold_left (fun a r -> List.fold_left f a r.cw_cells) 0 rows in
-  Printf.printf "a13 summary: %d crash-restarts executed, %d schedule(s) diverged\n\n"
-    (total (fun a c -> a + c.cc_crashes))
-    (total (fun a c -> a + if c.cc_ok then 0 else 1))
+  {
+    Matrix.name = "a13";
+    title =
+      "A13: crash-restart chaos matrix — every schedule must reproduce the \
+       fault-free result bit for bit";
+    seed = 0xC4A5;
+    workloads = chaos_workloads conf grid;
+    columns =
+      Matrix.
+        [
+          schedule "SCHEDULE";
+          time;
+          count "RETRANS" "retransmits";
+          count "FENCED" "fenced";
+          count "CRASHES" "crashes";
+          count "REFETCHED" "crash_refetches";
+          result "RESULT";
+        ];
+    summary =
+      Some
+        (fun cells ->
+          Printf.sprintf
+            "a13 summary: %d crash-restarts executed, %d schedule(s) diverged"
+            (Matrix.total "crashes" cells)
+            (Matrix.diverged cells));
+    witnesses =
+      [ ("crash-restarts executed", Matrix.nonzero "crashes") ];
+  }
 
 (* -------------------------------------------------------------------- A14 *)
 
-type integrity_cell = {
-  ic_schedule : string;
-  ic_time_s : float;
-  ic_retransmits : int;
-  ic_corrupt : int;
-  ic_crashes : int;
-  ic_wal_truncated : int;
-  ic_wal_repaired : int;
-  ic_ok : bool;
-}
-
-type integrity_row = {
-  iw_workload : string;
-  iw_cells : integrity_cell list;
-}
-
-(* Cross-workload integrity matrix: the corruption and torn-write fault
-   classes, alone and stacked on the heavy preset plus a crash schedule
-   derived from the reference duration (the [crash_matrix] recipe). A
-   corrupted copy is fenced at the NIC by its checksum and recovered by
+(* A corrupted copy is fenced at the NIC by its checksum and recovered by
    retransmission; a torn WAL tail is truncated by the restart scan and
-   repaired from the doublewrite slot — so the last column must read
-   bit-identical in every cell, with the CORRUPT / WAL TRUNC / REPAIR
-   columns proving the fault classes actually executed. *)
-let integrity_matrix ?(fault_seed = 0x14C5) (conf : Runconf.t) =
+   repaired from the doublewrite slot. The CORRUPT / WAL TRUNC / REPAIR
+   columns prove the fault classes actually executed. *)
+let integrity_matrix (conf : Runconf.t) =
   (* A fourth, accumulate-heavy workload: the shared trio barely exercises
      the durable logs (BH and EM3D accumulate host-side; FMM's remote M2M
      contributions cluster at the top of the upward pass, after the crash
@@ -1456,184 +1246,158 @@ let integrity_matrix ?(fault_seed = 0x14C5) (conf : Runconf.t) =
      first strip, so a mid-phase crash tears real Batch/Applied records —
      the WAL TRUNC and REPAIR columns of this row witness the recovery
      path end to end. *)
-  let accum_reduce =
-    let procs = conf.Runconf.breakdown_procs in
-    let run faults =
-      let heaps = Dpa_heap.Heap.cluster ~nnodes:procs in
-      let counters =
-        Array.init (2 * procs) (fun i ->
-            Dpa_heap.Heap.alloc
-              heaps.(i mod procs)
-              ~floats:(Array.make 2 0.) ~ptrs:[||])
-      in
-      let nctr = Array.length counters in
-      let items node =
-        Array.init 64 (fun i ->
-            fun ctx ->
-              Dpa.Runtime.charge ctx 2_000;
-              Dpa.Runtime.accumulate ctx
-                counters.((node + (3 * i)) mod nctr)
-                ~idx:(i mod 2)
-                (float_of_int ((node * 64) + i + 1)))
-      in
-      let machine = Machine.make ~nodes:procs ?faults ~fault_seed () in
-      let engine = Engine.create machine in
-      if faults = None then Engine.set_fault engine None;
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"accum-reduce" ~engine ~heaps
-          ~config:(Dpa.Config.dpa ~strip_size:8 ())
-          ~items
-      in
-      let vals =
+  let procs = conf.Runconf.breakdown_procs in
+  let accum_reduce plan =
+    let heaps = Dpa_heap.Heap.cluster ~nnodes:procs in
+    let counters =
+      Array.init (2 * procs) (fun i ->
+          Dpa_heap.Heap.alloc
+            heaps.(i mod procs)
+            ~floats:(Array.make 2 0.) ~ptrs:[||])
+    in
+    let nctr = Array.length counters in
+    let items node =
+      Array.init 64 (fun i ->
+          fun ctx ->
+            Dpa.Runtime.charge ctx 2_000;
+            Dpa.Runtime.accumulate ctx
+              counters.((node + (3 * i)) mod nctr)
+              ~idx:(i mod 2)
+              (float_of_int ((node * 64) + i + 1)))
+    in
+    let engine = Matrix.engine ~nodes:procs plan in
+    let b, stats =
+      Dpa.Runtime.run_phase_labeled ~label:"accum-reduce" ~engine ~heaps
+        ~config:(Dpa.Config.dpa ~strip_size:8 ())
+        ~items
+    in
+    {
+      Matrix.result =
         Array.map
           (fun p ->
             Array.copy (Dpa_heap.Heap.deref heaps p).Dpa_heap.Obj_repr.floats)
-          counters
-      in
-      (`Accum vals, engine, Breakdown.elapsed_s b, s)
-    in
-    (Printf.sprintf "Accumulate reduction (%d nodes)" procs, run)
+          counters;
+      engine;
+      time_s = Breakdown.elapsed_s b;
+      stats;
+      extra = [];
+    }
   in
-  let cells run =
-    let ref_res, ref_engine, ref_time, ref_stats = run None in
-    let am_counters engine =
-      match Dpa_msg.Am.stats engine with
-      | None -> (0, 0)
-      | Some s -> (s.Dpa_msg.Am.retransmits, s.Dpa_msg.Am.corrupt_dropped)
-    in
-    let mk label (engine, time_s, (stats : Dpa.Dpa_stats.t)) ~ok =
-      let retransmits, corrupt = am_counters engine in
-      {
-        ic_schedule = label;
-        ic_time_s = time_s;
-        ic_retransmits = retransmits;
-        ic_corrupt = corrupt;
-        ic_crashes = stats.Dpa.Dpa_stats.crashes;
-        ic_wal_truncated = stats.Dpa.Dpa_stats.wal_truncated;
-        ic_wal_repaired = stats.Dpa.Dpa_stats.wal_repaired;
-        ic_ok = ok;
-      }
-    in
-    let elapsed = Engine.elapsed ref_engine in
-    let crash_knobs =
-      Printf.sprintf "crashes=1,crash-ns=%d,horizon-ns=%d"
-        (max 1_000 (elapsed / 8))
-        (max 1_000 (elapsed / 2))
-    in
-    let faulted label spec_str =
-      let faults =
-        match Fault.spec_of_string spec_str with
-        | Ok s -> s
-        | Error msg -> invalid_arg ("integrity_matrix: " ^ msg)
-      in
-      let res, engine, time_s, stats = run (Some faults) in
-      mk label (engine, time_s, stats) ~ok:(res = ref_res)
-    in
+  let grid =
     [
-      mk "off" (ref_engine, ref_time, ref_stats) ~ok:true;
-      faulted "corrupt" "corrupt=0.05";
-      faulted "torn-wal" (Printf.sprintf "torn-wal=1,%s" crash_knobs);
-      faulted "heavy+corrupt+crash"
-        (Printf.sprintf "heavy,corrupt=0.02,torn-wal=1,%s" crash_knobs);
+      ( matrix_config,
+        Matrix.
+          [
+            fixed "off" "off";
+            fixed "corrupt" "corrupt=0.05";
+            crashing "torn-wal" "torn-wal=1";
+            crashing "heavy+corrupt+crash" "heavy,corrupt=0.02,torn-wal=1";
+          ] );
     ]
   in
-  List.map
-    (fun (label, run) -> { iw_workload = label; iw_cells = cells run })
-    (chaos_workloads ~fault_seed conf @ [ accum_reduce ])
-
-let print_integrity_matrix rows =
-  print_endline
-    "A14: end-to-end integrity matrix — corruption is fenced by checksums, \
-     torn WAL tails repair from the doublewrite slot";
-  List.iter
-    (fun row ->
-      Printf.printf "%s\n" row.iw_workload;
-      let t =
-        Table.make
-          ~header:
-            [
-              "SCHEDULE"; "TIME(s)"; "RETRANS"; "CORRUPT"; "CRASHES";
-              "WAL TRUNC"; "REPAIR"; "RESULT";
-            ]
-      in
-      List.iter
-        (fun c ->
-          Table.add_row t
-            [
-              c.ic_schedule;
-              Table.sec c.ic_time_s;
-              string_of_int c.ic_retransmits;
-              string_of_int c.ic_corrupt;
-              string_of_int c.ic_crashes;
-              string_of_int c.ic_wal_truncated;
-              string_of_int c.ic_wal_repaired;
-              (if c.ic_ok then "bit-identical" else "DIVERGED");
-            ])
-        row.iw_cells;
-      Table.print t;
-      print_newline ())
-    rows;
-  (* A machine-checkable summary line: the integrity-smoke target asserts
-     that corruptions actually executed and nothing diverged. *)
-  let total f =
-    List.fold_left (fun a r -> List.fold_left f a r.iw_cells) 0 rows
-  in
-  Printf.printf
-    "a14 summary: %d corruptions dropped, %d wal records truncated, %d \
-     schedule(s) diverged\n\n"
-    (total (fun a c -> a + c.ic_corrupt))
-    (total (fun a c -> a + c.ic_wal_truncated))
-    (total (fun a c -> a + if c.ic_ok then 0 else 1))
+  {
+    Matrix.name = "a14";
+    title =
+      "A14: end-to-end integrity matrix — corruption is fenced by checksums, \
+       torn WAL tails repair from the doublewrite slot";
+    seed = 0x14C5;
+    workloads =
+      chaos_workloads conf grid
+      @ [
+          Matrix.workload
+            (Printf.sprintf "Accumulate reduction (%d nodes)" procs)
+            grid
+            (fun ~config:_ -> accum_reduce);
+        ];
+    columns =
+      Matrix.
+        [
+          schedule "SCHEDULE";
+          time;
+          count "RETRANS" "retransmits";
+          count "CORRUPT" "corrupt_dropped";
+          count "CRASHES" "crashes";
+          count "WAL TRUNC" "wal_truncated";
+          count "REPAIR" "wal_repaired";
+          result "RESULT";
+        ];
+    summary =
+      Some
+        (fun cells ->
+          Printf.sprintf
+            "a14 summary: %d corruptions dropped, %d wal records truncated, \
+             %d schedule(s) diverged"
+            (Matrix.total "corrupt_dropped" cells)
+            (Matrix.total "wal_truncated" cells)
+            (Matrix.diverged cells));
+    witnesses =
+      [
+        ("corruptions dropped", Matrix.nonzero "corrupt_dropped");
+        ("WAL records truncated", Matrix.nonzero "wal_truncated");
+      ];
+  }
 
 (* -------------------------------------------------------------------- A15 *)
 
-type optimality_cell = {
-  oc_config : string;
-  oc_schedule : string;
-  oc_time_s : float;
-  oc_msgs : int;
-  oc_actual : int;
-  oc_bound : int;
-  oc_reissues : int;  (* end-to-end batch re-issues executed under custody *)
-  oc_ok : bool;
-}
-
-type optimality_row = {
-  ow_workload : string;
-  ow_cells : optimality_cell list;
-}
-
-let oc_ratio c =
-  if c.oc_bound = 0 then Float.nan
-  else float_of_int c.oc_actual /. float_of_int c.oc_bound
-
-(* Every a15 run gets a private sink carrying a causal log, so the
+(* Attach a private sink carrying a causal log to an a15 engine, so the
    per-phase optimality meters ([opt_actual] / [opt_bound]) attached to the
-   analyzed phase windows stay in reach after the run — without touching an
-   enclosing [--events] stream. The matrix owns its fault plans: a
-   process-global [--faults] default must not leak into the reference
-   cells via [Engine.create]'s fallback. *)
-let causal_engine ~procs ~fault_seed faults =
-  let machine = Machine.make ~nodes:procs ?faults ~fault_seed () in
-  let engine = Engine.create machine in
+   analyzed phase windows stay in reach after the run — without touching
+   an enclosing [--events] stream. *)
+let causal_log engine =
   let sink = Dpa_obs.Sink.create () in
   let c = Dpa_obs.Causal.create () in
   Dpa_obs.Sink.set_causal sink (Some c);
   Engine.set_sink engine (Some sink);
-  if faults = None then Engine.set_fault engine None;
-  (engine, c)
+  c
 
-(* The opt meters of the phases named [label], in execution order. *)
-let opt_instances c label =
+(* The [(opt_actual, opt_bound)] counters of the phases named [label], in
+   execution order. *)
+let opt_meters c label =
   List.filter_map
     (fun (i : Dpa_obs.Causal.instance) ->
       if i.Dpa_obs.Causal.i_label = label then
-        Some (i.Dpa_obs.Causal.i_opt_actual, i.Dpa_obs.Causal.i_opt_bound)
+        Some
+          [
+            ("opt_actual", i.Dpa_obs.Causal.i_opt_actual);
+            ("opt_bound", i.Dpa_obs.Causal.i_opt_bound);
+          ]
       else None)
     (Dpa_obs.Causal.results c)
 
-(* Communication-optimality matrix. Two workloads whose measured gap the
-   tentpole optimizations close:
+let ratio c =
+  let bound = Matrix.counter c "opt_bound" in
+  if bound = 0 then Float.nan
+  else float_of_int (Matrix.counter c "opt_actual") /. float_of_int bound
+
+(* Each optimization's fault-free cell against its baseline's: the pairs
+   the headline ratio improvement is read from. *)
+let headlines cells =
+  List.filter_map
+    (fun (base, opt) ->
+      let off config =
+        List.find_opt
+          (fun (c : Matrix.cell) -> c.config = config && c.schedule = "off")
+          cells
+      in
+      match (off base, off opt) with
+      | Some b, Some o -> Some (b, o)
+      | _ -> None)
+    [ ("flat", "routed"); ("static", "repartitioned") ]
+
+let improved cells =
+  let pairs = headlines cells in
+  pairs <> [] && List.for_all (fun (b, o) -> ratio o < ratio b) pairs
+
+(* Re-issues executed by routed cells under a crash schedule; zero means
+   the crash windows never tested the custody recovery path. *)
+let route_crash_reissues cells =
+  Matrix.total "reissues"
+    (List.filter
+       (fun (c : Matrix.cell) ->
+         c.config = "routed" && String.ends_with ~suffix:"crash" c.schedule)
+       cells)
+
+(* Two workloads whose measured gap the optimizations close:
 
    - a fan-in reduction (every counter owned by node 0, many strips per
      node) run flat and with tree-routed aggregation: the phase-long hold
@@ -1650,316 +1414,167 @@ let opt_instances c label =
    schedules: parked relay batches are volatile, but every routed batch
    stays under its origin's custody (WAL + end-to-end ack from the final
    owner) until applied, so a crash only costs a straight-line re-issue
-   that the owner journal dedups — the REISSUES column counts those, and
-   the route-crash-smoke gate asserts they actually happened. One node of
-   the fan-in (node 4, the binomial-tree relay for origins 5 and 6)
-   computes 8x longer than the rest so routed batches reliably sit parked
-   at a live relay inside the crash horizon. *)
-let optimality_matrix ?(fault_seed = 0x0A15) (conf : Runconf.t) =
-  let heavy =
-    match Fault.spec_of_string "heavy" with
-    | Ok s -> s
-    | Error msg -> invalid_arg ("optimality_matrix: " ^ msg)
-  in
-  let fanin =
-    let procs = conf.Runconf.breakdown_procs in
-    let run ~route faults =
-      let heaps = Dpa_heap.Heap.cluster ~nnodes:procs in
-      let counters =
-        Array.init 4 (fun _ ->
-            Dpa_heap.Heap.alloc heaps.(0) ~floats:(Array.make 2 0.) ~ptrs:[||])
-      in
-      let items node =
-        Array.init 32 (fun i ->
-            fun ctx ->
-              Dpa.Runtime.charge ctx (if node = 4 then 16_000 else 2_000);
-              Dpa.Runtime.accumulate ctx
-                counters.((node + i) mod 4)
-                ~idx:(i mod 2)
-                (float_of_int ((node * 32) + i + 1)))
-      in
-      let engine, c = causal_engine ~procs ~fault_seed faults in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fanin-reduce" ~engine ~heaps
-          ~config:(Dpa.Config.dpa ~strip_size:4 ~route ())
-          ~items
-      in
-      let vals =
+   that the owner journal dedups — the REISSUES column counts those. One
+   node of the fan-in (node 4, the binomial-tree relay for origins 5 and
+   6) computes 8x longer than the rest so routed batches reliably sit
+   parked at a live relay inside the crash horizon. *)
+let optimality_matrix (conf : Runconf.t) =
+  let procs = conf.Runconf.breakdown_procs in
+  let nbodies = conf.Runconf.bh_bodies in
+  let fanin ~config plan =
+    let heaps = Dpa_heap.Heap.cluster ~nnodes:procs in
+    let counters =
+      Array.init 4 (fun _ ->
+          Dpa_heap.Heap.alloc heaps.(0) ~floats:(Array.make 2 0.) ~ptrs:[||])
+    in
+    let items node =
+      Array.init 32 (fun i ->
+          fun ctx ->
+            Dpa.Runtime.charge ctx (if node = 4 then 16_000 else 2_000);
+            Dpa.Runtime.accumulate ctx
+              counters.((node + i) mod 4)
+              ~idx:(i mod 2)
+              (float_of_int ((node * 32) + i + 1)))
+    in
+    let engine = Matrix.engine ~nodes:procs plan in
+    let c = causal_log engine in
+    let route =
+      if config = "routed" then Dpa.Config.All_dsts else Dpa.Config.Off
+    in
+    let b, stats =
+      Dpa.Runtime.run_phase_labeled ~label:"fanin-reduce" ~engine ~heaps
+        ~config:(Dpa.Config.dpa ~strip_size:4 ~route ())
+        ~items
+    in
+    let opt =
+      match opt_meters c "fanin-reduce" with
+      | [ m ] -> m
+      | l -> invalid_arg (Printf.sprintf "a15: %d fanin phases" (List.length l))
+    in
+    {
+      Matrix.result =
         Array.map
           (fun p ->
             Array.copy (Dpa_heap.Heap.deref heaps p).Dpa_heap.Obj_repr.floats)
-          counters
-      in
-      let actual, bound =
-        match opt_instances c "fanin-reduce" with
-        | [ ab ] -> ab
-        | l -> invalid_arg (Printf.sprintf "a15: %d fanin phases" (List.length l))
-      in
-      ( vals,
-        Breakdown.elapsed_s b,
-        s.Dpa.Dpa_stats.update_msgs,
-        (actual, bound),
-        s.Dpa.Dpa_stats.routed_reissues + s.Dpa.Dpa_stats.upd_reissues,
-        engine )
-    in
-    let reference, _, _, _, _, ref_engine = run ~route:Dpa.Config.Off None in
-    let elapsed = Engine.elapsed ref_engine in
-    let crash_knobs =
-      Printf.sprintf "crashes=1,crash-ns=%d,horizon-ns=%d"
-        (max 1_000 (elapsed / 8))
-        (max 1_000 (elapsed / 2))
-    in
-    let crash_of str =
-      match Fault.spec_of_string str with
-      | Ok s -> s
-      | Error msg -> invalid_arg ("optimality_matrix: " ^ msg)
-    in
-    let crash = crash_of crash_knobs in
-    let heavy_crash = crash_of ("heavy," ^ crash_knobs) in
-    let cell config route schedule faults =
-      let vals, time_s, msgs, (actual, bound), reissues, _ =
-        run ~route faults
-      in
-      {
-        oc_config = config;
-        oc_schedule = schedule;
-        oc_time_s = time_s;
-        oc_msgs = msgs;
-        oc_actual = actual;
-        oc_bound = bound;
-        oc_reissues = reissues;
-        oc_ok = vals = reference;
-      }
-    in
-    {
-      ow_workload =
-        Printf.sprintf "Fan-in reduction (%d nodes, all counters on node 0)"
-          procs;
-      ow_cells =
-        [
-          cell "flat" Dpa.Config.Off "off" None;
-          cell "flat" Dpa.Config.Off "heavy" (Some heavy);
-          cell "routed" Dpa.Config.All_dsts "off" None;
-          cell "routed" Dpa.Config.All_dsts "heavy" (Some heavy);
-          cell "routed" Dpa.Config.All_dsts "crash" (Some crash);
-          cell "routed" Dpa.Config.All_dsts "heavy+crash" (Some heavy_crash);
-        ];
+          counters;
+      engine;
+      time_s = Breakdown.elapsed_s b;
+      stats;
+      extra = ("msgs", stats.Dpa.Dpa_stats.update_msgs) :: opt;
     }
   in
-  let bh =
-    let procs = conf.Runconf.breakdown_procs in
+  (* Two steps driven by hand so the engine and the causal log stay in
+     reach: step 1 always uses the static block partition; step 2 is the
+     one repartitioning re-cuts. *)
+  let bh_steps ~config plan =
     let params = Dpa_bh.Bh_force.default_params in
-    let nbodies = conf.Runconf.bh_bodies in
-    (* Two steps driven by hand (the [chaos_sweep] recipe) so the engine
-       and the causal log stay in reach: step 1 always uses the static
-       block partition; step 2 is the one repartitioning re-cuts. *)
-    let run ~repartition faults =
-      let bodies = Dpa_bh.Plummer.generate ~n:nbodies ~seed:17 in
-      let engine, c = causal_engine ~procs ~fault_seed faults in
-      let work = if repartition then Some (Array.make nbodies 0) else None in
-      let prev = ref None in
-      let time_s = ref 0. in
-      let msgs = ref 0 in
-      let reissues = ref 0 in
-      for _step = 1 to 2 do
-        let octree = Dpa_bh.Octree.build bodies in
-        (match work with
-        | Some w -> Array.fill w 0 (Array.length w) 0
-        | None -> ());
-        let tree =
-          Dpa_bh.Bh_global.distribute ?weights:!prev octree ~nnodes:procs
-        in
-        let r =
-          Dpa_bh.Bh_run.force_phase ?work ~engine ~tree ~bodies ~params
-            (dpa_variant conf ~strip:conf.Runconf.bh_strip)
-        in
-        (match work with
-        | Some w -> prev := Some (Array.copy w)
-        | None -> ());
-        time_s := !time_s +. Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown;
-        (match r.Dpa_bh.Bh_run.dpa_stats with
-        | Some s ->
-          msgs := s.Dpa.Dpa_stats.request_msgs;
-          reissues :=
-            !reissues + s.Dpa.Dpa_stats.upd_reissues
-            + s.Dpa.Dpa_stats.routed_reissues
-        | None -> ());
-        Array.iteri
-          (fun bid acc -> bodies.(bid).Dpa_bh.Body.acc <- acc)
-          r.Dpa_bh.Bh_run.accs;
-        Dpa_bh.Body.advance bodies ~dt:0.025
-      done;
-      let step2 =
-        match opt_instances c "bh-force" with
-        | [ _; ab ] -> ab
-        | l -> invalid_arg (Printf.sprintf "a15: %d bh phases" (List.length l))
-      in
-      (bodies, !time_s, !msgs, step2, !reissues, engine)
+    let bodies = Dpa_bh.Plummer.generate ~n:nbodies ~seed:17 in
+    let engine = Matrix.engine ~nodes:procs plan in
+    let c = causal_log engine in
+    let work =
+      if config = "repartitioned" then Some (Array.make nbodies 0) else None
     in
-    let reference, _, _, _, _, ref_engine = run ~repartition:false None in
-    let elapsed = Engine.elapsed ref_engine in
-    let crash =
-      match
-        Fault.spec_of_string
-          (Printf.sprintf "heavy,crashes=1,crash-ns=%d,horizon-ns=%d"
-             (max 1_000 (elapsed / 8))
-             (max 1_000 (elapsed / 2)))
-      with
-      | Ok s -> s
-      | Error msg -> invalid_arg ("optimality_matrix: " ^ msg)
-    in
-    let cell config repartition schedule faults =
-      let bodies, time_s, msgs, (actual, bound), reissues, _ =
-        run ~repartition faults
+    let prev = ref None in
+    let time_s = ref 0. in
+    let stats = ref [] in
+    for _step = 1 to 2 do
+      let octree = Dpa_bh.Octree.build bodies in
+      (match work with
+      | Some w -> Array.fill w 0 (Array.length w) 0
+      | None -> ());
+      let tree =
+        Dpa_bh.Bh_global.distribute ?weights:!prev octree ~nnodes:procs
       in
-      {
-        oc_config = config;
-        oc_schedule = schedule;
-        oc_time_s = time_s;
-        oc_msgs = msgs;
-        oc_actual = actual;
-        oc_bound = bound;
-        oc_reissues = reissues;
-        oc_ok = bodies = reference;
-      }
+      let r =
+        Dpa_bh.Bh_run.force_phase ?work ~engine ~tree ~bodies ~params
+          (dpa_variant conf ~strip:conf.Runconf.bh_strip)
+      in
+      (match work with
+      | Some w -> prev := Some (Array.copy w)
+      | None -> ());
+      time_s := !time_s +. Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown;
+      stats := Option.get r.Dpa_bh.Bh_run.dpa_stats :: !stats;
+      Array.iteri
+        (fun bid acc -> bodies.(bid).Dpa_bh.Body.acc <- acc)
+        r.Dpa_bh.Bh_run.accs;
+      Dpa_bh.Body.advance bodies ~dt:0.025
+    done;
+    let step2 = List.hd !stats in
+    let opt =
+      match opt_meters c "bh-force" with
+      | [ _; m ] -> m
+      | l -> invalid_arg (Printf.sprintf "a15: %d bh phases" (List.length l))
     in
     {
-      ow_workload =
-        Printf.sprintf "BH step 2 of 2 (%d bodies, %d nodes)" nbodies procs;
-      ow_cells =
-        [
-          cell "static" false "off" None;
-          cell "static" false "heavy" (Some heavy);
-          cell "static" false "heavy+crash" (Some crash);
-          cell "repartitioned" true "off" None;
-          cell "repartitioned" true "heavy" (Some heavy);
-          cell "repartitioned" true "heavy+crash" (Some crash);
-        ];
+      Matrix.result = bodies;
+      engine;
+      time_s = !time_s;
+      stats = Dpa.Dpa_stats.merge !stats;
+      extra = ("msgs", step2.Dpa.Dpa_stats.request_msgs) :: opt;
     }
   in
-  [ fanin; bh ]
-
-(* The flat/static "off" cell and the routed/repartitioned "off" cell of a
-   row — the pair the headline ratio improvement is read from. *)
-let optimality_headline row =
-  let off config =
-    List.find_opt
-      (fun c -> c.oc_config = config && c.oc_schedule = "off")
-      row.ow_cells
-  in
-  match row.ow_cells with
-  | [] -> None
-  | first :: _ -> (
-    match (off first.oc_config, off "routed", off "repartitioned") with
-    | Some base, Some opt, None | Some base, None, Some opt -> Some (base, opt)
-    | _ -> None)
-
-let print_optimality_matrix rows =
-  print_endline
-    "A15: communication-optimality matrix — tree-routed aggregation and \
-     Morton repartitioning vs the flat/static baseline";
-  List.iter
-    (fun row ->
-      Printf.printf "%s\n" row.ow_workload;
-      let t =
-        Table.make
-          ~header:
-            [
-              "CONFIG"; "SCHEDULE"; "TIME(s)"; "MSGS"; "ACTUAL(B)";
-              "BOUND(B)"; "RATIO"; "REISSUES"; "RESULT";
-            ]
-      in
-      List.iter
-        (fun c ->
-          Table.add_row t
-            [
-              c.oc_config;
-              c.oc_schedule;
-              Table.sec c.oc_time_s;
-              string_of_int c.oc_msgs;
-              string_of_int c.oc_actual;
-              string_of_int c.oc_bound;
-              Printf.sprintf "%.3f" (oc_ratio c);
-              string_of_int c.oc_reissues;
-              (if c.oc_ok then "bit-identical" else "DIVERGED");
-            ])
-        row.ow_cells;
-      Table.print t;
-      print_newline ())
-    rows;
-  (* A machine-checkable summary line: the optimality-smoke target asserts
-     that both optimizations strictly improved the measured ratio and that
-     nothing diverged. *)
-  let pairs = List.filter_map optimality_headline rows in
-  let improved =
-    pairs <> [] && List.for_all (fun (b, o) -> oc_ratio o < oc_ratio b) pairs
-  in
-  let diverged =
-    List.fold_left
-      (fun a r ->
-        List.fold_left (fun a c -> a + if c.oc_ok then 0 else 1) a r.ow_cells)
-      0 rows
-  in
-  (* Custody check for the route-crash-smoke gate: re-issues executed by
-     routed cells running under a crash schedule. Zero here means the
-     crash windows never actually tested the recovery path. *)
-  let route_crash_reissues =
-    List.fold_left
-      (fun a r ->
-        List.fold_left
-          (fun a c ->
-            if
-              c.oc_config = "routed"
-              && String.length c.oc_schedule >= 5
-              && String.sub c.oc_schedule (String.length c.oc_schedule - 5) 5
-                 = "crash"
-            then a + c.oc_reissues
-            else a)
-          a r.ow_cells)
-      0 rows
-  in
-  Printf.printf
-    "a15 summary: %s, improved=%s, %d route-crash re-issue(s), %d cell(s) \
-     diverged\n\n"
-    (String.concat ", "
-       (List.map
-          (fun (b, o) ->
-            Printf.sprintf "%s %.3f -> %s %.3f" b.oc_config (oc_ratio b)
-              o.oc_config (oc_ratio o))
-          pairs))
-    (if improved then "yes" else "no")
-    route_crash_reissues diverged
-
-let optimality_json rows =
-  Dpa_obs.Json.Obj
-    [
-      ( "rows",
-        Dpa_obs.Json.List
-          (List.map
-             (fun row ->
-               Dpa_obs.Json.Obj
-                 [
-                   ("workload", Dpa_obs.Json.Str row.ow_workload);
-                   ( "cells",
-                     Dpa_obs.Json.List
-                       (List.map
-                          (fun c ->
-                            Dpa_obs.Json.Obj
-                              [
-                                ("config", Dpa_obs.Json.Str c.oc_config);
-                                ("schedule", Dpa_obs.Json.Str c.oc_schedule);
-                                ("time_s", Dpa_obs.Json.Float c.oc_time_s);
-                                ("msgs", Dpa_obs.Json.Int c.oc_msgs);
-                                ("opt_actual", Dpa_obs.Json.Int c.oc_actual);
-                                ("opt_bound", Dpa_obs.Json.Int c.oc_bound);
-                                ("ratio", Dpa_obs.Json.Float (oc_ratio c));
-                                ("reissues", Dpa_obs.Json.Int c.oc_reissues);
-                                ("bit_identical", Dpa_obs.Json.Bool c.oc_ok);
-                              ])
-                          row.ow_cells) );
-                 ])
-             rows) );
-    ]
+  let off = Matrix.fixed "off" "off" and heavy = Matrix.fixed "heavy" "heavy" in
+  let bh_schedules = [ off; heavy; Matrix.crashing "heavy+crash" "heavy" ] in
+  {
+    Matrix.name = "a15";
+    title =
+      "A15: communication-optimality matrix — tree-routed aggregation and \
+       Morton repartitioning vs the flat/static baseline";
+    seed = 0x0A15;
+    workloads =
+      [
+        Matrix.workload
+          (Printf.sprintf "Fan-in reduction (%d nodes, all counters on node 0)"
+             procs)
+          [
+            ("flat", [ off; heavy ]);
+            ( "routed",
+              [
+                off;
+                heavy;
+                Matrix.crashing "crash" "";
+                Matrix.crashing "heavy+crash" "heavy";
+              ] );
+          ]
+          fanin;
+        Matrix.workload
+          (Printf.sprintf "BH step 2 of 2 (%d bodies, %d nodes)" nbodies procs)
+          [ ("static", bh_schedules); ("repartitioned", bh_schedules) ]
+          bh_steps;
+      ];
+    columns =
+      Matrix.
+        [
+          config "CONFIG";
+          schedule "SCHEDULE";
+          time;
+          count "MSGS" "msgs";
+          count "ACTUAL(B)" "opt_actual";
+          count "BOUND(B)" "opt_bound";
+          metric "RATIO" "ratio" (Printf.sprintf "%.3f") ratio;
+          count "REISSUES" "reissues";
+          result "RESULT";
+        ];
+    summary =
+      Some
+        (fun cells ->
+          Printf.sprintf
+            "a15 summary: %s, improved=%s, %d route-crash re-issue(s), %d \
+             cell(s) diverged"
+            (String.concat ", "
+               (List.map
+                  (fun ((b : Matrix.cell), (o : Matrix.cell)) ->
+                    Printf.sprintf "%s %.3f -> %s %.3f" b.config (ratio b)
+                      o.config (ratio o))
+                  (headlines cells)))
+            (if improved cells then "yes" else "no")
+            (route_crash_reissues cells) (Matrix.diverged cells));
+    witnesses =
+      [
+        ("routed and repartitioned ratios improved", improved);
+        ("route-crash re-issues", fun cells -> route_crash_reissues cells > 0);
+      ];
+  }
 
 (* ------------------------------------------------------------------- A16 *)
 

@@ -202,32 +202,6 @@ val hotspot : Runconf.t -> hotspot_point list
 
 val print_hotspot : hotspot_point list -> unit
 
-type chaos_point = {
-  ch_spec : string;
-  ch_time_s : float;
-  ch_goodput : float;
-      (** fraction of sent bytes that were not protocol overhead
-          (retransmissions and acks) *)
-  ch_retransmits : int;  (** transport-level timeout re-sends *)
-  ch_rt_retries : int;  (** runtime-level end-to-end request re-issues *)
-  ch_drops : int;  (** messages eaten by the plan (drops + outage drops) *)
-  ch_dups_suppressed : int;  (** duplicate copies discarded by dedup *)
-  ch_forces_ok : bool;
-      (** accelerations bit-identical to the fault-free reference run *)
-}
-
-val default_chaos_specs : string list
-
-val chaos_sweep :
-  ?specs:string list -> ?fault_seed:int -> Runconf.t -> chaos_point list
-(** A11: the BH force phase under a sweep of fault plans (specs in
-    {!Dpa_sim.Fault.spec_of_string} syntax, or ["off"]), on the breakdown
-    node count. Tables goodput and time-to-completion against fault rate
-    and certifies that every faulted run computes bit-identical forces —
-    the reliable-delivery protocol's headline correctness claim. *)
-
-val print_chaos_sweep : procs:int -> chaos_point list -> unit
-
 type adaptive_strip_point = {
   as_mode : string;  (** static strip size, or ["auto"] *)
   as_time_s : float;
@@ -247,147 +221,62 @@ val adaptive_strip_sweep :
 
 val print_adaptive_strip_sweep : procs:int -> adaptive_strip_point list -> unit
 
-type adaptive_rto_point = {
-  rp_mode : string;  (** ["constant"] or ["adaptive"] *)
-  rp_time_s : float;
-  rp_retransmits : int;  (** transport-level timeout re-sends *)
-  rp_rt_retries : int;  (** runtime-level end-to-end request re-issues *)
-  rp_forces_ok : bool;
-      (** accelerations bit-identical to the fault-free reference run *)
-}
+(** The fault matrices A11–A15. Each is a {!Matrix.t} declaration: run it with {!Matrix.run}, print it
+    with {!Matrix.print} and check it with {!Matrix.failures}. Every cell
+    is one {!Matrix.cell}: a workload × configuration × schedule with its
+    modelled time, an ordered counter map and [bit_identical] — its result
+    equal to the workload's fault-free reference run (the first
+    configuration under no plan). Single-configuration matrices label it
+    ["dpa"]. Counters are the standard set documented on {!Matrix.cell};
+    A15 adds [msgs], [opt_actual] and [opt_bound]. A crash schedule draws
+    one crash per node from the reference run's duration
+    ({!Matrix.crash_knobs}), so every crash lands mid-phase. *)
 
-val adaptive_rto_sweep :
-  ?spec:string -> ?fault_seed:int -> Runconf.t -> adaptive_rto_point list
-(** A12b: the BH force phase under one fault plan (default ["heavy"]),
-    with the end-to-end timeout wheel on its constant worst-case base vs
-    the transport's round-trip estimator
-    ({!Dpa_sim.Machine.adaptive_rto}). Correctness is unchanged either
-    way — the columns show how many spurious re-issues the estimator
-    avoids. *)
+val chaos_sweep : Runconf.t -> Matrix.t
+(** A11: the BH force phase on the breakdown node count under a sweep of
+    fault plans (off, 1/5/10% drop, the heavy preset): goodput,
+    retransmits, runtime re-issues, drops and suppressed duplicates — and
+    bit-identical forces under every plan, the reliable-delivery
+    protocol's headline correctness claim. *)
 
-val print_adaptive_rto_sweep :
-  procs:int -> spec:string -> adaptive_rto_point list -> unit
+val adaptive_rto_sweep : Runconf.t -> Matrix.t
+(** A12b: the BH force phase under the heavy plan, with the end-to-end
+    timeout wheel on its constant worst-case base (config ["constant"])
+    vs the transport's round-trip estimator (["adaptive"],
+    {!Dpa_sim.Machine.adaptive_rto}). Correctness is unchanged either way;
+    RT RETRIES shows how many spurious re-issues the estimator avoids. *)
 
-type crash_cell = {
-  cc_schedule : string;  (** schedule label (["off"], ["crash"], ...) *)
-  cc_time_s : float;
-  cc_retransmits : int;  (** transport-level timeout re-sends *)
-  cc_fenced : int;  (** stale-incarnation deliveries rejected *)
-  cc_crashes : int;  (** crash-restarts executed *)
-  cc_refetches : int;  (** orphaned requests re-issued at restarts *)
-  cc_ok : bool;
-      (** results bit-identical to the fault-free reference run *)
-}
+val crash_matrix : Runconf.t -> Matrix.t
+(** A13: the BH force phase, the FMM upward-pass reduction and the
+    compiler-driven EM3D kernel, each fault-free, under
+    drop+dup+delay, under one crash-restart per node, and under
+    heavy+crash. Reads re-fetch through the alignment path after a
+    restart, updates are journaled exactly-once, and the reductions are
+    grid-snapped, so every cell must be bit-identical (DESIGN.md §13).
+    Witness: crash-restarts executed. *)
 
-type crash_row = {
-  cw_workload : string;
-  cw_cells : crash_cell list;
-}
+val integrity_matrix : Runconf.t -> Matrix.t
+(** A14: the A13 workloads plus an accumulate-heavy reduction, each
+    fault-free, under wire corruption ([corrupt=0.05]: CRC-32 frames
+    fenced at the NIC, recovered by retransmission), under torn WAL
+    writes on a crash schedule ([torn-wal=1]: the restart scan truncates
+    the damaged tail and repairs it from the doublewrite slot), and all of
+    it stacked on the heavy preset. Witnesses: corruptions dropped and
+    WAL records truncated (DESIGN.md §13). *)
 
-val crash_matrix : ?fault_seed:int -> Runconf.t -> crash_row list
-(** A13: the cross-workload crash matrix — the BH force phase, the FMM
-    upward-pass reduction and the compiler-driven EM3D kernel, each under
-    a fault-free reference, a drop+dup+delay schedule, a crash-restart
-    schedule (one crash per node, derived from the workload's own
-    fault-free duration so every crash lands mid-phase), and a combined
-    heavy+crash schedule. Certifies that every schedule reproduces the
-    reference result bit for bit: reads re-fetch through the alignment
-    path after a restart, updates are journaled exactly-once, and the
-    reductions are grid-snapped so arrival order cannot perturb them (see
-    DESIGN.md §13). *)
-
-val print_crash_matrix : crash_row list -> unit
-
-type integrity_cell = {
-  ic_schedule : string;  (** schedule label (["off"], ["corrupt"], ...) *)
-  ic_time_s : float;
-  ic_retransmits : int;  (** transport-level timeout re-sends *)
-  ic_corrupt : int;
-      (** checksum-failed copies fenced (counted and dropped) at the NIC *)
-  ic_crashes : int;  (** crash-restarts executed *)
-  ic_wal_truncated : int;
-      (** damaged WAL tail records cut by restart integrity scans *)
-  ic_wal_repaired : int;
-      (** truncated tails restored from the doublewrite slot *)
-  ic_ok : bool;
-      (** results bit-identical to the fault-free reference run *)
-}
-
-type integrity_row = {
-  iw_workload : string;
-  iw_cells : integrity_cell list;
-}
-
-val integrity_matrix : ?fault_seed:int -> Runconf.t -> integrity_row list
-(** A14: the cross-workload end-to-end integrity matrix — the same three
-    workloads as {!crash_matrix}, each under a fault-free reference, a
-    wire-corruption schedule ([corrupt=0.05]: every copy's CRC-32 frame
-    risks a seeded bit-flip, fenced at the NIC and recovered by
-    retransmission), a torn-write schedule ([torn-wal=1] on a derived
-    crash schedule: every crash damages a durable-log tail, which the
-    restart scan truncates and repairs from the doublewrite slot), and
-    all of it stacked on the heavy preset. Certifies that every schedule
-    reproduces the reference result bit for bit, and that the fault
-    classes actually executed (the corrupt / truncated columns are the
-    smoke target's witness — see DESIGN.md §13). *)
-
-val print_integrity_matrix : integrity_row list -> unit
-
-type optimality_cell = {
-  oc_config : string;
-      (** workload configuration (["flat"] / ["routed"], ["static"] /
-          ["repartitioned"]) *)
-  oc_schedule : string;  (** fault schedule (["off"], ["heavy"], ...) *)
-  oc_time_s : float;
-  oc_msgs : int;
-      (** aggregated messages: update messages for the fan-in workload,
-          step-2 request messages for Barnes-Hut *)
-  oc_actual : int;  (** measured phase communication volume, bytes *)
-  oc_bound : int;
-      (** the phase's communication-optimality bound: every remote object
-          footprint and update entry once (DESIGN.md §14) *)
-  oc_reissues : int;
-      (** end-to-end batch re-issues executed by the custody protocol
-          (straight-line replays after crash wipes or timeouts); the
-          route-crash-smoke gate asserts these are non-zero on routed
-          crash cells *)
-  oc_ok : bool;
-      (** results bit-identical to the flat/static fault-free reference *)
-}
-
-type optimality_row = {
-  ow_workload : string;
-  ow_cells : optimality_cell list;
-}
-
-val oc_ratio : optimality_cell -> float
-(** [oc_actual / oc_bound]; [nan] when the bound is zero. *)
-
-val optimality_matrix : ?fault_seed:int -> Runconf.t -> optimality_row list
-(** A15: the communication-optimality matrix behind the tentpole
-    optimizations. A fan-in reduction (every counter owned by node 0) run
-    flat and with tree-routed aggregation ({!Dpa.Config.All_dsts}), and a
-    two-step Barnes-Hut run statically partitioned vs Morton-repartitioned
-    from measured per-body work — each under fault-free, heavy, and
-    crash-bearing schedules (the routed fan-in adds dedicated crash and
-    heavy+crash cells exercising the origin-custody recovery path). Every
-    cell carries the measured volume, the optimality bound, their ratio,
-    the custody re-issue count, and a bit-identity check against the
-    flat/static fault-free reference: both optimizations must strictly
-    lower the measured ratio while changing no result bit, and the
-    route-crash-smoke target additionally requires a non-zero re-issue
-    total on the routed crash cells (see DESIGN.md §15). *)
-
-val optimality_headline : optimality_row -> (optimality_cell * optimality_cell) option
-(** The (baseline, optimized) fault-free cell pair the row's headline
-    ratio improvement is read from; [None] if the row lacks either. *)
-
-val print_optimality_matrix : optimality_row list -> unit
-(** Prints the per-workload tables plus the machine-checkable
-    ["a15 summary:"] line the optimality-smoke target greps. *)
-
-val optimality_json : optimality_row list -> Dpa_obs.Json.t
-(** The matrix as JSON (the [BENCH_comm_optimality.json] artifact). *)
+val optimality_matrix : Runconf.t -> Matrix.t
+(** A15: a fan-in reduction (every counter owned by node 0) run ["flat"]
+    and ["routed"] through the binomial tree ({!Dpa.Config.All_dsts}), and
+    a two-step Barnes-Hut run ["static"] vs ["repartitioned"] by measured
+    per-body work — under fault-free, heavy and crash-bearing schedules.
+    MSGS counts update messages on the fan-in, step-2 request messages on
+    Barnes-Hut; ACTUAL and BOUND are the phase's measured communication
+    volume and its optimality bound (DESIGN.md §14). On the BH row, TIME
+    and REISSUES cover both steps while MSGS, ACTUAL and BOUND are step 2
+    only. Witnesses: both optimizations strictly lower the fault-free
+    ratio, and the routed crash cells execute custody re-issues
+    (DESIGN.md §15). {!Matrix.json} of it is the
+    [BENCH_comm_optimality.json] artifact. *)
 
 type scale_gate_row = {
   sg_nodes : int;
@@ -427,8 +316,7 @@ val scale_sweep : Runconf.t -> scale_row list
     collections and bytes moved on the simulated wire. *)
 
 val print_scale_sweep : scale_gate_row list * scale_row list -> unit
-(** Prints both tables plus the machine-checkable ["a16 summary:"] line
-    the scale-smoke target greps. *)
+(** Prints both tables plus the ["a16 summary:"] line. *)
 
 val scale_json : scale_gate_row list * scale_row list -> Dpa_obs.Json.t
 (** The sweep as JSON (the [BENCH_scale.json] artifact). *)

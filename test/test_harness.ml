@@ -206,6 +206,54 @@ let test_hotspot () =
   Alcotest.(check bool) "serialization hurts pipeline more than dpa" true
     (t "DPA, serialized ingress" <= t "Pipeline, serialized ingress" +. 1e-9)
 
+(* The fault matrices at small scale with 512 bodies: every cell
+   bit-identical to its fault-free reference and every witness holding. *)
+let matrix_test (name, declare) =
+  Alcotest.test_case name `Quick (fun () ->
+      let m = declare { Runconf.small with Runconf.bh_bodies = 512 } in
+      let cells = Matrix.run m in
+      Alcotest.(check bool) "has cells" true (cells <> []);
+      Alcotest.(check (list string)) "no failures" [] (Matrix.failures m cells))
+
+(* A faulted run whose result differs from the reference must be reported
+   by matrix, workload, config and schedule; a witness that does not hold
+   is reported by name. *)
+let test_matrix_divergence () =
+  let w =
+    Matrix.workload "toy"
+      [ ("cfg", [ Matrix.fixed "off" "off"; Matrix.fixed "lossy" "drop=0.5" ]) ]
+      (fun ~config:_ plan ->
+        let engine = Matrix.engine ~nodes:2 plan in
+        {
+          Matrix.result = Option.is_none (Dpa_sim.Engine.fault engine);
+          engine;
+          time_s = 0.;
+          stats = Dpa.Dpa_stats.create ();
+          extra = [];
+        })
+  in
+  let m =
+    {
+      Matrix.name = "toy-matrix";
+      title = "toy";
+      seed = 1;
+      workloads = [ w ];
+      columns = Matrix.[ schedule "SCHEDULE"; result "RESULT" ];
+      summary = None;
+      witnesses = [ ("crashes", Matrix.nonzero "crashes") ];
+    }
+  in
+  let cells = Matrix.run m in
+  Alcotest.(check (list bool)) "off identical, lossy diverged" [ true; false ]
+    (List.map (fun (c : Matrix.cell) -> c.bit_identical) cells);
+  Alcotest.(check (list string)) "failures"
+    [
+      "toy-matrix: workload \"toy\", config \"cfg\", schedule \"lossy\" \
+       diverged from the fault-free reference";
+      "toy-matrix: witness failed: crashes";
+    ]
+    (Matrix.failures m cells)
+
 let suites =
   [
     ( "harness.table",
@@ -239,4 +287,18 @@ let suites =
         Alcotest.test_case "afmm sweep" `Quick test_afmm_sweep;
         Alcotest.test_case "hotspot" `Quick test_hotspot;
       ] );
+    ( "harness.matrix",
+      List.map matrix_test
+        Experiment.
+          [
+            ("a11 chaos sweep", chaos_sweep);
+            ("a12b adaptive rto", adaptive_rto_sweep);
+            ("a13 crash matrix", crash_matrix);
+            ("a14 integrity matrix", integrity_matrix);
+            ("a15 optimality matrix", optimality_matrix);
+          ]
+      @ [
+          Alcotest.test_case "divergence names the cell" `Quick
+            test_matrix_divergence;
+        ] );
   ]

@@ -117,9 +117,10 @@ optimality-smoke: build
 # flat heap clears the committed words-per-body-step reduction
 # threshold, or a16 exits 1), and bin/scale_check must accept the JSON
 # artifact — field presence, reduction-factor arithmetic, non-negative
-# counters — and then re-measure the strip hot path directly, failing if
-# a phase of local reads allocates beyond the per-poll-quantum simulator
-# residue (docs/PERFORMANCE.md). The committed BENCH_scale.json is the same
+# counters — and then re-measure the hot path directly, failing if a
+# phase of local reads, or one of remote reads that merge onto in-flight
+# fetches, allocates beyond the per-poll-quantum simulator residue
+# (docs/PERFORMANCE.md §4). The committed BENCH_scale.json is the same
 # artifact produced by `a16 --scale full`.
 scale-smoke: build
 	dune exec $(BENCH) -- a16 --scale small --json /tmp/dpa_scale.json

@@ -3,8 +3,9 @@
    carries the measured and baseline words-per-body-step, its reduction
    factor is arithmetically consistent and clears the committed threshold,
    and every scale row reports non-negative wall/allocation/GC/wire
-   numbers — and then asserts the flat heap's hot-path contract directly:
-   a strip-mined phase of local reads must not allocate per read
+   numbers — and then asserts the runtime's hot-path contract directly:
+   a strip-mined phase of local reads, and one of remote reads that almost
+   all merge onto in-flight fetches, must not allocate per read
    (docs/PERFORMANCE.md).
 
    Usage: scale_check BENCH_scale.json *)
@@ -97,40 +98,48 @@ let check_json path =
 
 (* ---- hot-path allocation contract -------------------------------------- *)
 
-(* A phase of purely local reads exercises the strip hot path — spawn,
-   ready-ring dispatch, continuation — with no wire traffic. On the flat
-   heap the data path allocates nothing per read (the boxed heap paid a
-   record copy-out each time, >= 10 words); what remains is the
-   discrete-event simulator posting one event record per poll quantum,
-   a couple of words amortized over the handful of dispatches each
-   quantum admits. The bound leaves room for that and nothing more. *)
-let check_hot_path () =
-  let nnodes = 1 and nobjs = 4096 in
-  let heaps = Dpa_heap.Heap.cluster ~nnodes in
-  let ptrs =
-    Array.init nobjs (fun slot ->
-        Dpa_heap.Heap.alloc heaps.(0)
-          ~floats:[| float_of_int slot |]
-          ~ptrs:[||])
-  in
-  let nitems = 512 and reads = 64 in
-  (* The harness must not allocate per read either: the accumulator is a
-     float array (a [float ref] boxes on every [:=]) and the continuation
-     closure is hoisted out of the read loop. *)
+(* Words allocated per read by the second of two runs of [run] (the first
+   warms module initialisation and grows the runtime's arrays). *)
+let words_per_read ~reads run =
+  ignore (run ());
+  let w0 = Gc.allocated_bytes () in
+  let s = run () in
+  let w1 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity s);
+  (w1 -. w0) /. 8. /. float_of_int reads
+
+let gate ~what ~bound ~reads per_read =
+  if per_read > bound then
+    fail
+      "%s allocates %.2f words per read (bound %.2f): the allocation-free \
+       contract is broken"
+      what per_read bound;
+  Printf.printf
+    "scale_check: %s allocates %.2f words per read (bound %.2f) over %d reads\n"
+    what per_read bound reads
+
+(* The harness must not allocate per read either: the accumulator is a
+   float array (a [float ref] boxes on every [:=]), the field is loaded
+   straight from the float pool (a float returned by a non-inlined call is
+   boxed) and the continuation closure is hoisted out of the read loop. *)
+let phase ~nnodes ~heaps ~nitems ~reads ~target =
   let acc = Array.make 1 0. in
   let k ctx view =
     Dpa.Runtime.charge ctx 100;
+    let h = (Dpa.Runtime.heaps ctx).(Dpa_heap.Gptr.node view) in
     acc.(0) <-
-      acc.(0) +. Dpa_heap.Heap.view_float (Dpa.Runtime.heaps ctx) view 0
+      acc.(0)
+      +. Bigarray.Array1.get
+           (Dpa_heap.Heap.float_pool h)
+           (Dpa_heap.Heap.float_base h view)
   in
-  let run () =
+  fun () ->
     let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:nnodes) in
-    let items _node =
+    let items node =
       Array.init nitems (fun item ->
           fun ctx ->
             for r = 0 to reads - 1 do
-              let h = (item * 104729) + (r * 1299721) in
-              Dpa.Runtime.read ctx ptrs.(h mod nobjs) k
+              Dpa.Runtime.read ctx (target ~node ~item ~r) k
             done)
     in
     ignore
@@ -138,28 +147,50 @@ let check_hot_path () =
          ~config:(Dpa.Config.dpa ~strip_size:16 ())
          ~items);
     acc.(0)
+
+let alloc_objects heaps ~node n =
+  Array.init n (fun slot ->
+      Dpa_heap.Heap.alloc heaps.(node) ~floats:[| float_of_int slot |] ~ptrs:[||])
+
+(* A phase of purely local reads exercises the strip hot path — spawn,
+   ready-ring dispatch, continuation — with no wire traffic. On the flat
+   heap the data path allocates nothing per read (the boxed heap paid a
+   record copy-out each time, >= 10 words); what remains is the closure
+   the scheduler posts once per poll quantum, amortized over the handful
+   of dispatches each quantum admits. *)
+let check_local_reads () =
+  let nobjs = 4096 and nitems = 512 and reads = 64 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes:1 in
+  let ptrs = alloc_objects heaps ~node:0 nobjs in
+  let run =
+    phase ~nnodes:1 ~heaps ~nitems ~reads ~target:(fun ~node:_ ~item ~r ->
+        ptrs.(((item * 104729) + (r * 1299721)) mod nobjs))
   in
-  ignore (run ());
-  (* warm: module init, first-phase growth *)
-  let w0 = Gc.allocated_bytes () in
-  let s = run () in
-  let w1 = Gc.allocated_bytes () in
-  ignore (Sys.opaque_identity s);
-  let total_reads = nitems * reads in
-  let per_read = (w1 -. w0) /. 8. /. float_of_int total_reads in
-  let bound = 4.0 in
-  if per_read > bound then
-    fail
-      "strip hot path allocates %.2f words per local read (bound %.1f): the \
-       allocation-free contract is broken"
-      per_read bound;
-  Printf.printf
-    "scale_check: strip hot path allocates %.2f words per local read (bound \
-     %.1f) over %d reads\n"
-    per_read bound total_reads
+  let total = nitems * reads in
+  gate ~what:"strip hot path (local reads)" ~bound:0.5 ~reads:total
+    (words_per_read ~reads:total run)
+
+(* Two nodes whose items each read a handful of objects on the other node.
+   A strip issues all its reads before any reply lands, so the first read
+   of each object takes a fresh token and every later one merges onto it
+   in M; the bulk reply then wakes the merged threads in order. Merges and
+   wakes allocate nothing; the residue is each fresh token's request and
+   reply traffic and the per-quantum closure, spread over the strip. *)
+let check_merged_remote_reads () =
+  let nnodes = 2 and nobjs = 8 and nitems = 512 and reads = 64 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes in
+  let ptrs = Array.init nnodes (fun node -> alloc_objects heaps ~node nobjs) in
+  let run =
+    phase ~nnodes ~heaps ~nitems ~reads ~target:(fun ~node ~item ~r ->
+        ptrs.(1 - node).((item + r) mod nobjs))
+  in
+  let total = nnodes * nitems * reads in
+  gate ~what:"merged remote reads" ~bound:1.0 ~reads:total
+    (words_per_read ~reads:total run)
 
 let () =
   (match Sys.argv with
   | [| _; path |] -> check_json path
   | _ -> fail "usage: scale_check BENCH_scale.json");
-  check_hot_path ()
+  check_local_reads ();
+  check_merged_remote_reads ()

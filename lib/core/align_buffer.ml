@@ -18,4 +18,6 @@ let add t ptr =
 
 let size t = Gptr.Tbl.length t.table
 let peak t = t.peak
-let clear t = Gptr.Tbl.reset t.table
+(* [clear], not [reset]: the table keeps its grown bucket array across
+   strip boundaries instead of shrinking and re-growing every strip. *)
+let clear t = Gptr.Tbl.clear t.table

@@ -575,27 +575,27 @@ and next_strip ctx =
    produce a second bulk reply for a token the first copy already
    resolved, and that copy must wake nothing (and must not repopulate the
    alignment buffer — its strip may be long gone). Fault-free, an unknown
-   token is still the hard protocol error it always was. *)
+   token is still the hard protocol error it always was. M hands the
+   woken threads straight to the ready ring. *)
 and deliver ctx reqs =
   List.iter
     (fun req ->
-      let resolved =
-        if ctx.rel then Pointer_map.take_opt ctx.map req.token
-        else Some (Pointer_map.take ctx.map req.token)
+      let ptr =
+        if ctx.rel then Pointer_map.take_or_nil ctx.map req.token ctx.ready
+        else Pointer_map.take ctx.map req.token ctx.ready
       in
-      match resolved with
-      | None -> (
+      if Gptr.is_nil ptr then (
         match ctx.obs with
         | None -> ()
         | Some o -> obs_instant o ctx.node ~name:"dup_wake")
-      | Some (ptr, ks) ->
+      else begin
         (match ctx.obs with
         | None -> ()
         | Some o ->
           obs_wait o ctx.node req.token;
           Gptr.Tbl.replace o.touched ptr (Heap.view_bytes ctx.heaps ptr));
-        if ctx.cfg.Config.reuse then Align_buffer.add ctx.buffer ptr;
-        List.iter (fun k -> Ready_ring.push ctx.ready ptr k) ks)
+        if ctx.cfg.Config.reuse then Align_buffer.add ctx.buffer ptr
+      end)
     reqs;
   let peak = Align_buffer.peak ctx.buffer in
   if peak > ctx.stats.Dpa_stats.align_peak then
@@ -1236,7 +1236,7 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
       cfg = config;
       stats = Dpa_stats.create ();
       ready = Ready_ring.create ~dummy:(fun _ _ -> ());
-      map = Pointer_map.create ();
+      map = Pointer_map.create ~node:node.Node.id ~dummy:(fun _ _ -> ());
       buffer = Align_buffer.create ();
       agg = dummy;
       updates = dummy_updates ();
@@ -1639,7 +1639,7 @@ let run_phase_labeled ~label ~engine ~heaps ~config ~items =
               pending=%d, map=%d, updates=%d, relay=%d, relay_cover=%d, \
               out_updates=%d)"
              (node_id ctx) ctx.finished ctx.pending
-             (Pointer_map.fold_outstanding ctx.map (fun _ _ acc -> acc + 1) 0)
+             (Pointer_map.outstanding ctx.map)
              (Update_buffer.pending ctx.updates)
              (Update_buffer.pending ctx.relay)
              (Hashtbl.length ctx.relay_cover)

@@ -153,8 +153,9 @@ let ring_events t =
 (* Spans are recorded at close (their [ts] is the open time), so neither
    the span list nor its concatenation with the ring is time-ordered.
    (ts, seq) is unique per event, so a plain sort both orders by time and
-   tie-breaks by emission order. *)
-let by_time (a : event) (b : event) = compare (a.ts, a.seq) (b.ts, b.seq)
+   tie-breaks by emission order. Integer comparisons: no key tuples. *)
+let by_time (a : event) (b : event) =
+  if a.ts <> b.ts then Int.compare a.ts b.ts else Int.compare a.seq b.seq
 
 let events t =
   List.sort by_time (Dpa_util.Dynarray.to_list t.spans @ ring_events t)

@@ -1,16 +1,19 @@
-type event = {
-  node : int;
-  action : unit -> unit;
-  advance : bool;  (* advance the node clock to the event time on pop *)
-  sampler : bool;  (* periodic-sampler tick: excluded from the live count *)
-}
+(* An event is its action plus one tag word stored beside it in the queue:
+   the target node in the high bits, then the advance flag (advance the
+   node clock to the event time on pop) and the sampler flag (periodic
+   sampler or background tick, excluded from the live count). Packing the
+   three there instead of in a record is what keeps posting and
+   dispatching free of per-event allocation beyond the action itself. *)
+let advance_bit = 2
+let sampler_bit = 1
+let node_shift = 2
 
 type ext = ..
 
 type t = {
   machine : Machine.t;
   nodes : Node.t array;
-  queue : event Event_queue.t;
+  queue : (unit -> unit) Event_queue.t;
   mutable events_processed : int;
   mutable sink : Dpa_obs.Sink.t option;
   mutable fault : Fault.t option;
@@ -65,10 +68,18 @@ let nodes t = t.nodes
 let node t i = t.nodes.(i)
 
 let enqueue t ~time ~node ~advance ~sampler action =
-  if node < 0 || node >= Array.length t.nodes then
-    invalid_arg "Engine.post: bad node id";
-  if not sampler then t.live <- t.live + 1;
-  Event_queue.add t.queue ~time { node; action; advance; sampler }
+  let nnodes = Array.length t.nodes in
+  if node < 0 || node >= nnodes then
+    invalid_arg
+      (Printf.sprintf "Engine.post: bad node id %d (machine has %d nodes)" node
+         nnodes);
+  let tag =
+    (node lsl node_shift)
+    lor (if advance then advance_bit else 0)
+    lor if sampler then sampler_bit else 0
+  in
+  Event_queue.add_tagged t.queue ~time ~tag action;
+  if not sampler then t.live <- t.live + 1
 
 let post t ~time ~node action =
   enqueue t ~time ~node ~advance:true ~sampler:false action
@@ -92,18 +103,18 @@ let live_events t = t.live
 let idle t = Event_queue.is_empty t.queue
 
 let run t =
-  let rec loop () =
-    match Event_queue.pop t.queue with
-    | None -> ()
-    | Some (time, ev) ->
-      let n = t.nodes.(ev.node) in
-      if ev.advance then Node.wait_until n time;
-      if not ev.sampler then t.live <- t.live - 1;
-      t.events_processed <- t.events_processed + 1;
-      ev.action ();
-      loop ()
-  in
-  loop ()
+  let q = t.queue in
+  while not (Event_queue.is_empty q) do
+    let time = Event_queue.min_time q
+    and tag = Event_queue.min_tag q
+    and action = Event_queue.min_payload q in
+    Event_queue.drop_min q;
+    if tag land advance_bit <> 0 then
+      Node.wait_until t.nodes.(tag lsr node_shift) time;
+    if tag land sampler_bit = 0 then t.live <- t.live - 1;
+    t.events_processed <- t.events_processed + 1;
+    action ()
+  done
 
 let events_processed t = t.events_processed
 

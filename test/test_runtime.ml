@@ -114,7 +114,7 @@ let test_dpa_rejects_nil () =
   Alcotest.(check bool) "nil read rejected" true !raised
 
 let test_pointer_map_reuse_merges () =
-  let m = Dpa.Pointer_map.create () in
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:0 in
   (match Dpa.Pointer_map.register m ~reuse:true p "a" with
   | `New_request _ -> ()
@@ -125,8 +125,21 @@ let test_pointer_map_reuse_merges () =
   Alcotest.(check int) "one token" 1 (Dpa.Pointer_map.outstanding m);
   Alcotest.(check int) "two waiters" 2 (Dpa.Pointer_map.waiters m)
 
+(* Pop every entry of a ready ring: the threads a take woke, in order. *)
+let drain_ring ring =
+  let rec go acc =
+    if Dpa.Ready_ring.is_empty ring then List.rev acc
+    else begin
+      let p = Dpa.Ready_ring.head_ptr ring and k = Dpa.Ready_ring.head_k ring in
+      Dpa.Ready_ring.drop ring;
+      go ((p, k) :: acc)
+    end
+  in
+  go []
+
 let test_pointer_map_take_order () =
-  let m = Dpa.Pointer_map.create () in
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:1 in
   let token =
     match Dpa.Pointer_map.register m ~reuse:true p "a" with
@@ -135,9 +148,13 @@ let test_pointer_map_take_order () =
   in
   ignore (Dpa.Pointer_map.register m ~reuse:true p "b");
   ignore (Dpa.Pointer_map.register m ~reuse:true p "c");
-  let ptr, ks = Dpa.Pointer_map.take m token in
+  let ptr = Dpa.Pointer_map.take m token ring in
   Alcotest.(check bool) "ptr matches" true (Dpa_heap.Gptr.equal p ptr);
-  Alcotest.(check (list string)) "registration order" [ "a"; "b"; "c" ] ks;
+  let woken = drain_ring ring in
+  Alcotest.(check (list string)) "registration order" [ "a"; "b"; "c" ]
+    (List.map snd woken);
+  Alcotest.(check bool) "woken on the pointer" true
+    (List.for_all (fun (q, _) -> Dpa_heap.Gptr.equal p q) woken);
   Alcotest.(check bool) "empty after take" true (Dpa.Pointer_map.is_empty m);
   (* A new registration after take must issue a fresh request. *)
   match Dpa.Pointer_map.register m ~reuse:true p "d" with
@@ -145,7 +162,7 @@ let test_pointer_map_take_order () =
   | `Merged -> Alcotest.fail "should re-request after take"
 
 let test_pointer_map_no_reuse_never_merges () =
-  let m = Dpa.Pointer_map.create () in
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:() in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:2 in
   for _ = 1 to 5 do
     match Dpa.Pointer_map.register m ~reuse:false p () with
@@ -154,12 +171,36 @@ let test_pointer_map_no_reuse_never_merges () =
   done;
   Alcotest.(check int) "five tokens" 5 (Dpa.Pointer_map.outstanding m)
 
+(* Fault-free, a reply for a token M does not hold is a protocol error:
+   the failure names the node and the token. The idempotent form yields
+   nil and wakes nothing. *)
+let test_pointer_map_unknown_token () =
+  let m = Dpa.Pointer_map.create ~node:3 ~dummy:"" in
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:4 in
+  let token =
+    match Dpa.Pointer_map.register m ~reuse:true p "a" with
+    | `New_request t -> t
+    | `Merged -> Alcotest.fail "unexpected merge"
+  in
+  ignore (Dpa.Pointer_map.take m token ring);
+  Alcotest.check_raises "stale token names node and token"
+    (Failure
+       (Printf.sprintf
+          "Pointer_map.take: node 3 got a reply for token %d, which is not \
+           outstanding (never issued or already consumed)"
+          token))
+    (fun () -> ignore (Dpa.Pointer_map.take m token ring));
+  Alcotest.(check bool) "idempotent take of a stale token" true
+    (Dpa_heap.Gptr.is_nil (Dpa.Pointer_map.take_or_nil m token ring));
+  Alcotest.(check int) "one wake only" 1 (Dpa.Ready_ring.length ring)
+
 let qcheck_pointer_map_one_request_per_pointer =
   QCheck.Test.make ~name:"M has at most one outstanding token per pointer"
     ~count:200
     QCheck.(small_list (pair (int_range 0 3) (int_range 0 5)))
     (fun regs ->
-      let m = Dpa.Pointer_map.create () in
+      let m = Dpa.Pointer_map.create ~node:0 ~dummy:() in
       let requests = Hashtbl.create 16 in
       List.iter
         (fun (node, slot) ->
@@ -175,6 +216,142 @@ let qcheck_pointer_map_one_request_per_pointer =
         )
         regs;
       true)
+
+(* The list-and-Hashtbl M the flat map replaced, kept as the reference
+   model: tokens, merge decisions, FIFO wake order and counts must agree
+   operation for operation. *)
+module Model = struct
+  open Dpa_heap
+
+  type 'k slot = { ptr : Gptr.t; mutable ks : 'k list (* reversed *); mutable count : int }
+
+  type 'k t = {
+    tokens : (int, 'k slot) Hashtbl.t;
+    by_ptr : int Gptr.Tbl.t;
+    mutable next_token : int;
+    mutable waiters : int;
+  }
+
+  let create () =
+    { tokens = Hashtbl.create 64; by_ptr = Gptr.Tbl.create 64; next_token = 0; waiters = 0 }
+
+  let fresh t ptr k =
+    let token = t.next_token in
+    t.next_token <- token + 1;
+    Hashtbl.replace t.tokens token { ptr; ks = [ k ]; count = 1 };
+    token
+
+  let register t ~reuse ptr k =
+    t.waiters <- t.waiters + 1;
+    if reuse then
+      match Gptr.Tbl.find_opt t.by_ptr ptr with
+      | Some token ->
+        let slot = Hashtbl.find t.tokens token in
+        slot.ks <- k :: slot.ks;
+        slot.count <- slot.count + 1;
+        `Merged
+      | None ->
+        let token = fresh t ptr k in
+        Gptr.Tbl.replace t.by_ptr ptr token;
+        `New_request token
+    else `New_request (fresh t ptr k)
+
+  let take_opt t token =
+    match Hashtbl.find_opt t.tokens token with
+    | None -> None
+    | Some slot ->
+      Hashtbl.remove t.tokens token;
+      (match Gptr.Tbl.find_opt t.by_ptr slot.ptr with
+      | Some tok when tok = token -> Gptr.Tbl.remove t.by_ptr slot.ptr
+      | Some _ | None -> ());
+      t.waiters <- t.waiters - slot.count;
+      Some (slot.ptr, List.rev slot.ks)
+
+  let find_ptr t token =
+    Option.map (fun slot -> slot.ptr) (Hashtbl.find_opt t.tokens token)
+
+  let outstanding_list t =
+    List.sort compare (Hashtbl.fold (fun tok slot acc -> (tok, slot.ptr) :: acc) t.tokens [])
+
+  let clear t =
+    Hashtbl.reset t.tokens;
+    Gptr.Tbl.reset t.by_ptr;
+    t.waiters <- 0
+end
+
+type pm_op = Register of int * bool | Take of int | Find of int | Fold | Clear
+
+let pm_op_print = function
+  | Register (p, r) -> Printf.sprintf "Register(%d,%b)" p r
+  | Take t -> Printf.sprintf "Take %d" t
+  | Find t -> Printf.sprintf "Find %d" t
+  | Fold -> "Fold"
+  | Clear -> "Clear"
+
+let pm_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun p r -> Register (p, r)) (int_range 0 7) bool);
+        (4, map (fun t -> Take t) (int_range 0 40));
+        (2, map (fun t -> Find t) (int_range 0 40));
+        (1, return Fold);
+        (1, return Clear);
+      ])
+
+(* [mode]: 0 = every registration reuses, 1 = none does, 2 = each
+   registration's own flag decides (mixed). *)
+let qcheck_pointer_map_model =
+  QCheck.Test.make ~name:"flat M matches the list-based reference model"
+    ~count:500
+    QCheck.(
+      pair (int_range 0 2)
+        (make
+           ~print:(fun l -> String.concat "; " (List.map pm_op_print l))
+           Gen.(list_size (int_range 0 120) pm_op_gen)))
+    (fun (mode, ops) ->
+      let m = Dpa.Pointer_map.create ~node:0 ~dummy:(-1) in
+      let model = Model.create () in
+      let ring = Dpa.Ready_ring.create ~dummy:(-1) in
+      let next_k = ref 0 in
+      let ptr_of p = Dpa_heap.Gptr.make ~node:(p mod 3) ~slot:(p / 3) in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Register (p, r) ->
+              let reuse = match mode with 0 -> true | 1 -> false | _ -> r in
+              let k = !next_k in
+              incr next_k;
+              Dpa.Pointer_map.register m ~reuse (ptr_of p) k
+              = Model.register model ~reuse (ptr_of p) k
+            | Take token -> (
+              let got = Dpa.Pointer_map.take_or_nil m token ring in
+              let woken = drain_ring ring in
+              match Model.take_opt model token with
+              | None -> Dpa_heap.Gptr.is_nil got && woken = []
+              | Some (ptr, ks) ->
+                Dpa_heap.Gptr.equal got ptr
+                && List.map snd woken = ks
+                && List.for_all (fun (q, _) -> Dpa_heap.Gptr.equal q ptr) woken)
+            | Find token ->
+              Dpa.Pointer_map.find_ptr m token = Model.find_ptr model token
+            | Fold ->
+              List.sort compare
+                (Dpa.Pointer_map.fold_outstanding m
+                   (fun tok p acc -> (tok, p) :: acc)
+                   [])
+              = Model.outstanding_list model
+            | Clear ->
+              Dpa.Pointer_map.clear m;
+              Model.clear model;
+              true
+          in
+          agree
+          && Dpa.Pointer_map.waiters m = model.Model.waiters
+          && Dpa.Pointer_map.outstanding m = Hashtbl.length model.Model.tokens
+          && Dpa.Pointer_map.is_empty m = (Hashtbl.length model.Model.tokens = 0))
+        ops)
 
 let test_align_buffer_strip_clear () =
   let d = Dpa.Align_buffer.create () in
@@ -193,7 +370,9 @@ let suites =
         Alcotest.test_case "take order" `Quick test_pointer_map_take_order;
         Alcotest.test_case "no-reuse never merges" `Quick
           test_pointer_map_no_reuse_never_merges;
+        Alcotest.test_case "unknown token" `Quick test_pointer_map_unknown_token;
         QCheck_alcotest.to_alcotest qcheck_pointer_map_one_request_per_pointer;
+        QCheck_alcotest.to_alcotest qcheck_pointer_map_model;
       ] );
     ( "core.align_buffer",
       [ Alcotest.test_case "strip clear" `Quick test_align_buffer_strip_clear ] );

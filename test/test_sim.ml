@@ -35,6 +35,68 @@ let qcheck_event_queue_sorted =
       let popped = drain [] in
       popped = List.sort compare times)
 
+(* Interleaved adds and pops against a list kept sorted by (time,
+   insertion): payloads and tags must come back with their keys, through
+   both the allocation-free accessors and [pop]. *)
+let qcheck_event_queue_model =
+  QCheck.Test.make
+    ~name:"event queue matches a (time, insertion) sorted model under interleaved add/pop"
+    ~count:300
+    QCheck.(list (option (int_range 0 20)))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] and n = ref 0 in
+      let insert key =
+        let rec go = function
+          | [] -> [ key ]
+          | k :: rest as l -> if compare key k < 0 then key :: l else k :: go rest
+        in
+        model := go !model
+      in
+      List.for_all
+        (function
+          | Some time ->
+            let i = !n in
+            incr n;
+            Event_queue.add_tagged q ~time ~tag:(3 * i) (string_of_int i);
+            insert (time, i);
+            Event_queue.length q = List.length !model
+          | None -> (
+            match !model with
+            | [] -> Event_queue.is_empty q && Event_queue.pop q = None
+            | (time, i) :: rest ->
+              model := rest;
+              Event_queue.peek_time q = Some time
+              && Event_queue.min_time q = time
+              && Event_queue.min_tag q = 3 * i
+              && Event_queue.min_payload q = string_of_int i
+              && Event_queue.pop q = Some (time, string_of_int i)))
+        ops)
+
+(* A popped payload must not stay reachable from the queue: neither from
+   the vacated root slot nor from spare capacity filled when it grew. *)
+let test_event_queue_releases_popped () =
+  let q = Event_queue.create () in
+  let w = Weak.create 3 in
+  let fill () =
+    for i = 0 to 2 do
+      let payload = Bytes.make 16 (Char.chr (65 + i)) in
+      Weak.set w i (Some payload);
+      Event_queue.add q ~time:i payload
+    done
+  in
+  fill ();
+  for _ = 0 to 2 do
+    ignore (Sys.opaque_identity (Event_queue.pop q))
+  done;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "payload %d collected" i) false
+      (Weak.check w i)
+  done;
+  (* The queue itself stays live across the collection. *)
+  Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
+
 let test_node_accounting () =
   let machine = Machine.t3d ~nodes:1 in
   let n = Node.create ~machine ~id:0 in
@@ -110,6 +172,9 @@ let suites =
         Alcotest.test_case "ordering" `Quick test_event_queue_order;
         Alcotest.test_case "fifo ties" `Quick test_event_queue_fifo_ties;
         QCheck_alcotest.to_alcotest qcheck_event_queue_sorted;
+        QCheck_alcotest.to_alcotest qcheck_event_queue_model;
+        Alcotest.test_case "releases popped payloads" `Quick
+          test_event_queue_releases_popped;
       ] );
     ( "sim.node",
       [ Alcotest.test_case "accounting" `Quick test_node_accounting ] );

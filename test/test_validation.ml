@@ -13,10 +13,15 @@ let test_machine_validation () =
 
 let test_engine_validation () =
   let engine = Engine.create (Machine.t3d ~nodes:2) in
-  expect_invalid "bad node" (fun () ->
-      Engine.post engine ~time:0 ~node:5 (fun () -> ()));
-  expect_invalid "negative time" (fun () ->
+  (* The messages name the offending value. *)
+  Alcotest.check_raises "bad node"
+    (Invalid_argument "Engine.post: bad node id 5 (machine has 2 nodes)")
+    (fun () -> Engine.post engine ~time:0 ~node:5 (fun () -> ()));
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Event_queue.add: negative time -1") (fun () ->
       Engine.post engine ~time:(-1) ~node:0 (fun () -> ()));
+  Alcotest.(check int) "rejected posts are not live" 0
+    (Engine.live_events engine);
   Engine.post engine ~time:0 ~node:0 (fun () -> ());
   expect_invalid "barrier with pending events" (fun () -> Engine.barrier engine)
 

@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke identity bench-obs-overhead clean
 
 all: build
 
@@ -126,6 +126,16 @@ scale-smoke: build
 	dune exec $(BENCH) -- a16 --scale small --json /tmp/dpa_scale.json
 	dune exec bin/scale_check.exe -- /tmp/dpa_scale.json
 	@echo "scale-smoke: artifact valid; strip hot path allocation-free"
+
+# Byte-identity check against another build, usually the parent commit's:
+# every command in scripts/identity.cmds runs through BASE and through this
+# tree's dpa_bench, and their stdout (plus any --json artifact) must be
+# cmp-identical. Exits 1 naming the first command that differs.
+#   make identity BASE=/path/to/parent/_build/default/bin/dpa_bench.exe
+identity: build
+	@test -n "$(BASE)" \
+	  || { echo "usage: make identity BASE=<parent dpa_bench.exe>"; exit 2; }
+	scripts/identity.sh $(BASE) _build/default/$(BENCH)
 
 # Observability-overhead benchmark: wall-clock time of t2 and f1 with
 # observability off, with event streaming only, and with causal tracing +

@@ -17,7 +17,9 @@ let show name program =
     (Partition.analyze_program program)
 
 module I = Interp.Make (Dpa.Runtime)
-module B = Interp.Make (Dpa_baselines.Blocking)
+(* Blocking remote reads: the caching runtime with no cache and no hash
+   charge. *)
+module B = Interp.Make (Dpa_baselines.Caching)
 
 let nnodes = 8
 let depth = 12 (* 4095-node binary tree *)
@@ -59,7 +61,8 @@ let () =
     else [||]
   in
   let b_blk, _ =
-    Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items
+    Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity:0 ~hash:false
+      ~items ()
   in
   Format.printf "tree_sum under blocking: %a@." Breakdown.pp b_blk;
   Format.printf "  sum = %.0f@." (B.accumulator cb "sum");

@@ -42,8 +42,9 @@ let () =
   Format.printf "  %a@." Dpa.Dpa_stats.pp stats;
   Format.printf "  total sum = %.0f@." (I.accumulator c "sum");
 
-  (* Same workload, blocking remote reads. *)
-  let module BI = Interp.Make (Dpa_baselines.Blocking) in
+  (* Same workload, blocking remote reads: the caching runtime with no
+     cache and no hash charge. *)
+  let module BI = Interp.Make (Dpa_baselines.Caching) in
   let heaps = Dpa_heap.Heap.cluster ~nnodes in
   let heads = build_lists heaps in
   let cb = BI.compile Programs.list_sum in
@@ -53,7 +54,10 @@ let () =
         let head = heads.((node * lists_per_node) + i) in
         BI.item cb ~entry:"sum_list" ~args:[ Value.Ptr head ])
   in
-  let b_blk, _ = Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items in
+  let b_blk, _ =
+    Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity:0 ~hash:false
+      ~items ()
+  in
   Format.printf "Blocking: %a@." Breakdown.pp b_blk;
   Format.printf "  total sum = %.0f@." (BI.accumulator cb "sum");
   Format.printf "DPA is %.1fx faster@."

@@ -132,13 +132,7 @@ and fetch ctx ptr k =
   let bytes = Dpa_msg.Am.request_bytes m ~nreqs:1 in
   let rel = Engine.fault ctx.engine <> None in
   let completed = ref false in
-  let rto0 =
-    8
-    * ((2 * (m.Machine.send_overhead_ns + m.Machine.recv_overhead_ns))
-      + Machine.transfer_ns m ~bytes
-      + Machine.transfer_ns m ~bytes:m.Machine.msg_header_bytes
-      + (4 * m.Machine.poll_quantum_ns))
-  in
+  let rto0 = 8 * Dpa_msg.Am.initial_rto m ~bytes in
   let rec attempt ~rto =
     Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:(Gptr.node ptr) ~bytes
       (fun owner ->

@@ -8,7 +8,7 @@
     no overlap, no aggregation, and no reordering.
 
     With [capacity = 0] and [hash:false] this degenerates to the naive
-    blocking-remote-read runtime ({!Blocking}). *)
+    blocking-remote-read runtime ([Variant.Blocking]). *)
 
 type ctx
 

@@ -7,48 +7,28 @@ type phase_result = {
   cache_stats : Dpa_baselines.Caching.stats option;
 }
 
-module Force_dpa = Bh_force.Make (Dpa.Runtime)
-module Force_caching = Bh_force.Make (Dpa_baselines.Caching)
-
 let force_phase ?work ~engine ~tree ~bodies ~params variant =
   let n = Array.length bodies in
   (* Flat (x, y, z)-interleaved accumulators keep the interaction loop
      allocation-free; the Vec3 array the callers consume is materialized
      once, at this edge. *)
   let accs = Array.make (3 * n) 0. in
-  let to_vec3 () =
-    Array.init n (fun i ->
-        Vec3.make accs.(3 * i) accs.((3 * i) + 1) accs.((3 * i) + 2))
+  let items (type c) (module A : Dpa.Access.S with type ctx = c) =
+    let module F = Bh_force.Make (A) in
+    F.items ?work ~params ~tree ~bodies ~accs
   in
-  let heaps = tree.Bh_global.heaps in
-  match variant with
-  | Dpa_baselines.Variant.Dpa config ->
-    let items = Force_dpa.items ?work ~params ~tree ~bodies ~accs in
-    let breakdown, stats =
-      Dpa.Runtime.run_phase_labeled ~label:"bh-force" ~engine ~heaps ~config
-        ~items
-    in
-    { breakdown; accs = to_vec3 (); dpa_stats = Some stats; cache_stats = None }
-  | Dpa_baselines.Variant.Prefetch { strip_size } ->
-    let items = Force_dpa.items ?work ~params ~tree ~bodies ~accs in
-    let breakdown, stats =
-      Dpa.Runtime.run_phase_labeled ~label:"bh-force-prefetch" ~engine ~heaps
-        ~config:(Dpa.Config.pipeline_only ~strip_size ())
-        ~items
-    in
-    { breakdown; accs = to_vec3 (); dpa_stats = Some stats; cache_stats = None }
-  | Dpa_baselines.Variant.Caching { capacity } ->
-    let items = Force_caching.items ?work ~params ~tree ~bodies ~accs in
-    let breakdown, stats =
-      Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ~items ()
-    in
-    { breakdown; accs = to_vec3 (); dpa_stats = None; cache_stats = Some stats }
-  | Dpa_baselines.Variant.Blocking ->
-    let items = Force_caching.items ?work ~params ~tree ~bodies ~accs in
-    let breakdown, stats =
-      Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items
-    in
-    { breakdown; accs = to_vec3 (); dpa_stats = None; cache_stats = Some stats }
+  let breakdown, stats =
+    Dpa_baselines.Variant.run_phase variant ~label:"bh-force" ~engine
+      ~heaps:tree.Bh_global.heaps { items }
+  in
+  {
+    breakdown;
+    accs =
+      Array.init n (fun i ->
+          Vec3.make accs.(3 * i) accs.((3 * i) + 1) accs.((3 * i) + 2));
+    dpa_stats = Dpa_baselines.Variant.dpa_stats stats;
+    cache_stats = Dpa_baselines.Variant.cache_stats stats;
+  }
 
 type sim_result = {
   total : Breakdown.t;

@@ -628,13 +628,7 @@ and deliver ctx reqs =
    duplicate reply that [deliver] discards. *)
 and rt_rto ctx ~bytes =
   let m = ctx.machine in
-  let const =
-    8
-    * ((2 * (m.Machine.send_overhead_ns + m.Machine.recv_overhead_ns))
-      + Machine.transfer_ns m ~bytes
-      + Machine.transfer_ns m ~bytes:m.Machine.msg_header_bytes
-      + (4 * m.Machine.poll_quantum_ns))
-  in
+  let const = 8 * Dpa_msg.Am.initial_rto m ~bytes in
   (* Under [adaptive_rto] the constant worst-case formula is only the
      floor: once the transport's estimator has seen full delivery round
      trips — retransmission recovery included — twice that estimate is a

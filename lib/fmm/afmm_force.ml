@@ -67,45 +67,20 @@ module Make (A : Dpa.Access.S) = struct
       global.Afmm_global.owner_leaves.(node)
 end
 
-module F_dpa = Make (Dpa.Runtime)
-module F_caching = Make (Dpa_baselines.Caching)
-
 let force_phase ~engine ~global ~params variant =
   let n = Array.length (Aquadtree.particles global.Afmm_global.tree) in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let heaps = global.Afmm_global.heaps in
-  let breakdown, stats =
-    match variant with
-    | Dpa_baselines.Variant.Dpa config ->
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"afmm-force" ~engine ~heaps
-          ~config
-          ~items:(F_dpa.items ~params ~global ~potential ~field)
-      in
-      (b, Some s)
-    | Dpa_baselines.Variant.Prefetch { strip_size } ->
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"afmm-force-prefetch" ~engine
-          ~heaps
-          ~config:(Dpa.Config.pipeline_only ~strip_size ())
-          ~items:(F_dpa.items ~params ~global ~potential ~field)
-      in
-      (b, Some s)
-    | Dpa_baselines.Variant.Caching { capacity } ->
-      let b, _ =
-        Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity
-          ~items:(F_caching.items ~params ~global ~potential ~field)
-          ()
-      in
-      (b, None)
-    | Dpa_baselines.Variant.Blocking ->
-      let b, _ =
-        Dpa_baselines.Blocking.run_phase ~engine ~heaps
-          ~items:(F_caching.items ~params ~global ~potential ~field)
-      in
-      (b, None)
+  let items (type c) (module A : Dpa.Access.S with type ctx = c) =
+    let module F = Make (A) in
+    F.items ~params ~global ~potential ~field
   in
-  (breakdown, { Fmm_seq.potential; field }, stats)
+  let breakdown, stats =
+    Dpa_baselines.Variant.run_phase variant ~label:"afmm-force" ~engine
+      ~heaps:global.Afmm_global.heaps { items }
+  in
+  ( breakdown,
+    { Fmm_seq.potential; field },
+    Dpa_baselines.Variant.dpa_stats stats )
 
 let run ?machine ?(params = Fmm_force.default_params) ?(leaf_cap = 8)
     ?(seed = 23) ?(distribution = `Uniform) ~nnodes ~nparticles variant =

@@ -4,46 +4,24 @@ type phase_result = {
   breakdown : Breakdown.t;
   result : Fmm_seq.result;
   dpa_stats : Dpa.Dpa_stats.t option;
-  cache_stats : Dpa_baselines.Caching.stats option;
 }
-
-module Force_dpa = Fmm_force.Make (Dpa.Runtime)
-module Force_caching = Fmm_force.Make (Dpa_baselines.Caching)
 
 let force_phase ~engine ~global ~params variant =
   let n = Array.length (Quadtree.particles global.Fmm_global.tree) in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let heaps = global.Fmm_global.heaps in
-  let breakdown, dpa_stats, cache_stats =
-    match variant with
-    | Dpa_baselines.Variant.Dpa config ->
-      let items = Force_dpa.items ~params ~global ~potential ~field in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-force" ~engine ~heaps ~config
-          ~items
-      in
-      (b, Some s, None)
-    | Dpa_baselines.Variant.Prefetch { strip_size } ->
-      let items = Force_dpa.items ~params ~global ~potential ~field in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-force-prefetch" ~engine
-          ~heaps
-          ~config:(Dpa.Config.pipeline_only ~strip_size ())
-          ~items
-      in
-      (b, Some s, None)
-    | Dpa_baselines.Variant.Caching { capacity } ->
-      let items = Force_caching.items ~params ~global ~potential ~field in
-      let b, s =
-        Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ~items ()
-      in
-      (b, None, Some s)
-    | Dpa_baselines.Variant.Blocking ->
-      let items = Force_caching.items ~params ~global ~potential ~field in
-      let b, s = Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items in
-      (b, None, Some s)
+  let items (type c) (module A : Dpa.Access.S with type ctx = c) =
+    let module F = Fmm_force.Make (A) in
+    F.items ~params ~global ~potential ~field
   in
-  { breakdown; result = { Fmm_seq.potential; field }; dpa_stats; cache_stats }
+  let breakdown, stats =
+    Dpa_baselines.Variant.run_phase variant ~label:"fmm-force" ~engine
+      ~heaps:global.Fmm_global.heaps { items }
+  in
+  {
+    breakdown;
+    result = { Fmm_seq.potential; field };
+    dpa_stats = Dpa_baselines.Variant.dpa_stats stats;
+  }
 
 type run_result = {
   phase : phase_result;

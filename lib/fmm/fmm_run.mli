@@ -7,8 +7,7 @@ open Dpa_sim
 type phase_result = {
   breakdown : Breakdown.t;
   result : Fmm_seq.result;
-  dpa_stats : Dpa.Dpa_stats.t option;
-  cache_stats : Dpa_baselines.Caching.stats option;
+  dpa_stats : Dpa.Dpa_stats.t option;  (** DPA and Prefetch variants only *)
 }
 
 val force_phase :

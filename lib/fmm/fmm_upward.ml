@@ -95,9 +95,6 @@ module Items (A : Dpa.Access.S) = struct
       owned_cells.(node)
 end
 
-module I_dpa = Items (Dpa.Runtime)
-module I_caching = Items (Dpa_baselines.Caching)
-
 let cells_by_owner tree ~nnodes ~level =
   let owned = Array.make nnodes [] in
   let side = 1 lsl level in
@@ -116,61 +113,42 @@ let run ?route ~engine ~global ~params variant =
   let tree = global.Fmm_global.tree in
   let nnodes = Array.length global.Fmm_global.heaps in
   let depth = Quadtree.depth tree in
+  (* The M2M phases are fan-in reductions (many children, one parent
+     owner); [route] overrides a DPA config's routing for them. Results
+     are bit-identical either way — the per-coefficient grids make the
+     merge order irrelevant. *)
+  let variant =
+    match (route, variant) with
+    | Some r, Dpa_baselines.Variant.Dpa config ->
+      Dpa_baselines.Variant.Dpa Dpa.Config.{ config with route = r }
+    | _ -> variant
+  in
   let total = ref None in
   let stats = ref [] in
-  let add_phase (b, s) =
+  let run_items items =
+    let b, s =
+      Dpa_baselines.Variant.run_phase variant ~label:"fmm-upward" ~engine
+        ~heaps:global.Fmm_global.heaps items
+    in
     (total := match !total with None -> Some b | Some t -> Some (Breakdown.add t b));
-    match s with Some s -> stats := s :: !stats | None -> ()
-  in
-  let run_items items_dpa items_caching =
-    match variant with
-    | Dpa_baselines.Variant.Dpa config ->
-      (* The M2M phases are fan-in reductions (many children, one parent
-         owner); [route] overrides the config's routing for them. Results
-         are bit-identical either way — the per-coefficient grids make the
-         merge order irrelevant. *)
-      let config =
-        match route with
-        | None -> config
-        | Some r -> Dpa.Config.{ config with route = r }
-      in
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-upward" ~engine
-          ~heaps:global.Fmm_global.heaps ~config ~items:items_dpa
-      in
-      add_phase (b, Some s)
-    | Dpa_baselines.Variant.Prefetch { strip_size } ->
-      let b, s =
-        Dpa.Runtime.run_phase_labeled ~label:"fmm-upward-prefetch" ~engine
-          ~heaps:global.Fmm_global.heaps
-          ~config:(Dpa.Config.pipeline_only ~strip_size ())
-          ~items:items_dpa
-      in
-      add_phase (b, Some s)
-    | Dpa_baselines.Variant.Caching { capacity } ->
-      let b, _ =
-        Dpa_baselines.Caching.run_phase ~engine ~heaps:global.Fmm_global.heaps
-          ~capacity ~items:items_caching ()
-      in
-      add_phase (b, None)
-    | Dpa_baselines.Variant.Blocking ->
-      let b, _ =
-        Dpa_baselines.Blocking.run_phase ~engine ~heaps:global.Fmm_global.heaps
-          ~items:items_caching
-      in
-      add_phase (b, None)
+    Option.iter (fun s -> stats := s :: !stats)
+      (Dpa_baselines.Variant.dpa_stats s)
   in
   (* P2M at the leaves. *)
-  run_items
-    (I_dpa.p2m_items ~params ~global)
-    (I_caching.p2m_items ~params ~global);
+  let items (type c) (module A : Dpa.Access.S with type ctx = c) =
+    let module I = Items (A) in
+    I.p2m_items ~params ~global
+  in
+  run_items { items };
   (* M2M, level by level (each phase is a barrier: parents are complete
      before they are shifted further up). *)
   for level = depth downto 3 do
     let owned_cells = cells_by_owner tree ~nnodes ~level in
-    run_items
-      (I_dpa.m2m_items ~params ~global ~owned_cells)
-      (I_caching.m2m_items ~params ~global ~owned_cells)
+    let items (type c) (module A : Dpa.Access.S with type ctx = c) =
+      let module I = Items (A) in
+      I.m2m_items ~params ~global ~owned_cells
+    in
+    run_items { items }
   done;
   {
     breakdown = Option.get !total;

@@ -139,7 +139,9 @@ let breakdown_variants (conf : Runconf.t) ~strip =
   in
   [
     ("Blocking (base)", Dpa_baselines.Variant.Blocking);
-    ("Caching", Dpa_baselines.Variant.Caching { capacity = 0 } (* set below *));
+    ( "Caching",
+      Dpa_baselines.Variant.Caching { capacity = conf.Runconf.cache_capacity }
+    );
     ( "Pipeline",
       Dpa_baselines.Variant.Dpa (Dpa.Config.pipeline_only ~strip_size:strip ()) );
     ( "Pipeline+agg",
@@ -148,17 +150,11 @@ let breakdown_variants (conf : Runconf.t) ~strip =
     (dpa_label, dpa_variant conf ~strip);
   ]
 
-let patch_cache conf variant =
-  match variant with
-  | Dpa_baselines.Variant.Caching _ ->
-    Dpa_baselines.Variant.Caching { capacity = conf.Runconf.cache_capacity }
-  | v -> v
-
 let bh_breakdown (conf : Runconf.t) =
   let procs = conf.Runconf.breakdown_procs in
   List.map
     (fun (name, variant) ->
-      let r = bh_run conf ~procs (patch_cache conf variant) in
+      let r = bh_run conf ~procs variant in
       {
         variant = name;
         breakdown = r.Dpa_bh.Bh_run.total;
@@ -170,7 +166,7 @@ let fmm_breakdown (conf : Runconf.t) =
   let procs = conf.Runconf.breakdown_procs in
   List.map
     (fun (name, variant) ->
-      let r = fmm_run conf ~procs (patch_cache conf variant) in
+      let r = fmm_run conf ~procs variant in
       let b = r.Dpa_fmm.Fmm_run.phase.Dpa_fmm.Fmm_run.breakdown in
       {
         variant = name;
@@ -548,14 +544,20 @@ type em3d_point = {
 let em3d_sweep (conf : Runconf.t) =
   let procs = conf.Runconf.breakdown_procs in
   let per_node = max 8 (conf.Runconf.bh_bodies / procs / 4) in
-  let run name f =
+  let run (name, variant) =
     (* The original EM3D defaults: degree 20, 10-40% remote dependencies. *)
     let g =
       Dpa_compiler.Em3d.build ~nnodes:procs ~e_per_node:per_node
         ~h_per_node:per_node ~degree:20 ~remote_frac:0.25 ~seed:29
     in
     let sum = ref 0. in
-    let b = f g (fun v -> sum := !sum +. v) in
+    let accum v = sum := !sum +. v in
+    let engine = Engine.create (Machine.t3d ~nodes:procs) in
+    let b, _ =
+      Dpa_baselines.Variant.run_phase variant ~label:"em3d" ~engine
+        ~heaps:g.Dpa_compiler.Em3d.heaps
+        { items = (fun a -> Dpa_compiler.Em3d.items a g ~accum) }
+    in
     {
       em3d_variant = name;
       em3d_time_s = Breakdown.elapsed_s b;
@@ -563,33 +565,15 @@ let em3d_sweep (conf : Runconf.t) =
       em3d_checksum = !sum;
     }
   in
-  [
-    run "DPA(50)" (fun g accum ->
-        let engine = Engine.create (Machine.t3d ~nodes:procs) in
-        fst
-          (Dpa.Runtime.run_phase_labeled ~label:"em3d" ~engine
-             ~heaps:g.Dpa_compiler.Em3d.heaps
-             ~config:(Dpa.Config.dpa ~strip_size:conf.Runconf.bh_strip ())
-             ~items:(Dpa_compiler.Em3d.items (module Dpa.Runtime) g ~accum)));
-    run "Caching" (fun g accum ->
-        let engine = Engine.create (Machine.t3d ~nodes:procs) in
-        fst
-          (Dpa_baselines.Caching.run_phase ~engine
-             ~heaps:g.Dpa_compiler.Em3d.heaps
-             ~capacity:conf.Runconf.cache_capacity
-             ~items:
-               (Dpa_compiler.Em3d.items (module Dpa_baselines.Caching) g ~accum)
-             ()));
-    run "Blocking" (fun g accum ->
-        let engine = Engine.create (Machine.t3d ~nodes:procs) in
-        fst
-          (Dpa_baselines.Blocking.run_phase ~engine
-             ~heaps:g.Dpa_compiler.Em3d.heaps
-             ~items:
-               (Dpa_compiler.Em3d.items
-                  (module Dpa_baselines.Blocking)
-                  g ~accum)));
-  ]
+  List.map run
+    [
+      ( "DPA(50)",
+        Dpa_baselines.Variant.dpa ~strip_size:conf.Runconf.bh_strip () );
+      ( "Caching",
+        Dpa_baselines.Variant.Caching { capacity = conf.Runconf.cache_capacity }
+      );
+      ("Blocking", Dpa_baselines.Variant.Blocking);
+    ]
 
 let print_em3d_sweep points =
   print_endline "A5: EM3D irregular-graph kernel (degree 20, 25% remote)";

@@ -132,6 +132,13 @@ val on_crash : Engine.t -> node:int -> int
     which is exactly what a retransmission decision needs. Retransmitted
     envelopes never feed the per-link filter (Karn's algorithm). *)
 
+val initial_rto : Machine.t -> bytes:int -> int
+(** The constant worst-case transport timeout for a [bytes]-byte message:
+    a fault-free round trip (injection overheads, the payload out, a
+    header-only ack back) plus four poll quanta of slack. The runtime's
+    end-to-end request timer and the caching baseline's fetch timer start
+    from eight times this. *)
+
 val link_rtt : Engine.t -> src:int -> dst:int -> Rtt.t option
 (** The (src, dst) link's ack round-trip estimator, once it has at least
     one sample. [None] without protocol state or samples. *)

@@ -1,36 +1,32 @@
 open Dpa_sim
+module V = Dpa_baselines.Variant
 
 let machine nodes = Machine.t3d ~nodes
 
-let run_caching ?(nnodes = 4) ?(nobjs = 32) ?(nitems = 20) ?(reads = 8)
-    ?(capacity = 64) () =
+(* One workload phase under [variant], dispatched by [Variant.run_phase]. *)
+let run_variant ?(nnodes = 4) ?(nobjs = 32) ?(nitems = 20) ?(reads = 8) variant
+    =
   let w = Workload.make ~nnodes ~nobjs in
   let engine = Engine.create (machine nnodes) in
   let sums = Array.make nnodes 0. in
-  let items =
-    Workload.items
-      (module Dpa_baselines.Caching)
-      w ~nitems ~reads ~work_ns:200 sums
-  in
+  let items a = Workload.items a w ~nitems ~reads ~work_ns:200 sums in
   let breakdown, stats =
-    Dpa_baselines.Caching.run_phase ~engine ~heaps:w.Workload.heaps ~capacity
-      ~items ()
+    V.run_phase variant ~label:"workload" ~engine ~heaps:w.Workload.heaps
+      { V.items }
   in
   (w, sums, breakdown, stats)
 
-let run_blocking ?(nnodes = 4) ?(nobjs = 32) ?(nitems = 20) ?(reads = 8) () =
-  let w = Workload.make ~nnodes ~nobjs in
-  let engine = Engine.create (machine nnodes) in
-  let sums = Array.make nnodes 0. in
-  let items =
-    Workload.items
-      (module Dpa_baselines.Blocking)
-      w ~nitems ~reads ~work_ns:200 sums
+let run_caching ?nnodes ?nobjs ?nitems ?reads ?(capacity = 64) () =
+  let w, sums, breakdown, stats =
+    run_variant ?nnodes ?nobjs ?nitems ?reads (V.Caching { capacity })
   in
-  let breakdown, stats =
-    Dpa_baselines.Blocking.run_phase ~engine ~heaps:w.Workload.heaps ~items
+  (w, sums, breakdown, Option.get (V.cache_stats stats))
+
+let run_blocking ?nnodes ?nobjs ?nitems ?reads () =
+  let w, sums, breakdown, stats =
+    run_variant ?nnodes ?nobjs ?nitems ?reads V.Blocking
   in
-  (w, sums, breakdown, stats)
+  (w, sums, breakdown, Option.get (V.cache_stats stats))
 
 let check_sums w sums ~nitems ~reads =
   Array.iteri
@@ -133,18 +129,66 @@ let test_dpa_beats_blocking () =
     (dpa_time < blocking_time)
 
 let test_prefetch_correct () =
-  let nnodes = 3 in
-  let w = Workload.make ~nnodes ~nobjs:16 in
-  let engine = Engine.create (machine nnodes) in
-  let sums = Array.make nnodes 0. in
-  let items =
-    Workload.items
-      (module Dpa_baselines.Prefetch)
-      w ~nitems:10 ~reads:5 ~work_ns:100 sums
+  let w, sums, _, _ =
+    run_variant ~nnodes:3 ~nobjs:16 ~nitems:10 ~reads:5
+      (V.Prefetch { strip_size = 50 })
   in
-  ignore
-    (Dpa_baselines.Prefetch.run_phase ~engine ~heaps:w.Workload.heaps ~items ());
   check_sums w sums ~nitems:10 ~reads:5
+
+(* [Variant.run_phase] is exactly the direct runtime call each constructor
+   stands for: the same breakdown, stats and sums, and the same phase label
+   in the observability sink. *)
+let test_dispatch_matches_direct () =
+  let nnodes = 3 and nitems = 12 and reads = 6 and label = "dispatch" in
+  let phase run =
+    let w = Workload.make ~nnodes ~nobjs:16 in
+    let engine = Engine.create (machine nnodes) in
+    let sink = Dpa_obs.Sink.create () in
+    Engine.set_sink engine (Some sink);
+    let sums = Array.make nnodes 0. in
+    let items a = Workload.items a w ~nitems ~reads ~work_ns:200 sums in
+    let breakdown, stats = run ~engine ~heaps:w.Workload.heaps { V.items } in
+    ((breakdown, stats, sums), List.map fst (Dpa_obs.Sink.meta sink))
+  in
+  let dpa ~label config ~engine ~heaps { V.items } =
+    let b, s =
+      Dpa.Runtime.run_phase_labeled ~label ~engine ~heaps ~config
+        ~items:(items (module Dpa.Runtime))
+    in
+    (b, V.Dpa_stats s)
+  in
+  let caching ~capacity ?hash () ~engine ~heaps { V.items } =
+    let b, s =
+      Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ?hash
+        ~items:(items (module Dpa_baselines.Caching))
+        ()
+    in
+    (b, V.Cache_stats s)
+  in
+  List.iter
+    (fun (variant, direct, key) ->
+      let name = V.name variant in
+      let got, got_keys = phase (V.run_phase variant ~label) in
+      let want, want_keys = phase direct in
+      Alcotest.(check bool) (name ^ ": breakdown, stats, sums") true
+        (got = want);
+      Alcotest.(check (list string)) (name ^ ": sink meta") want_keys got_keys;
+      Option.iter
+        (fun key ->
+          Alcotest.(check bool) (name ^ ": " ^ key) true
+            (List.mem key got_keys))
+        key)
+    [
+      ( V.dpa ~strip_size:4 (),
+        dpa ~label (Dpa.Config.dpa ~strip_size:4 ()),
+        Some "dpa_stats.dispatch" );
+      ( V.Prefetch { strip_size = 4 },
+        dpa ~label:"dispatch-prefetch"
+          (Dpa.Config.pipeline_only ~strip_size:4 ()),
+        Some "dpa_stats.dispatch-prefetch" );
+      (V.Caching { capacity = 8 }, caching ~capacity:8 (), None);
+      (V.Blocking, caching ~capacity:0 ~hash:false (), None);
+    ]
 
 let suites =
   [
@@ -159,5 +203,7 @@ let suites =
         Alcotest.test_case "runtimes agree" `Quick test_runtimes_agree;
         Alcotest.test_case "dpa beats blocking" `Quick test_dpa_beats_blocking;
         Alcotest.test_case "prefetch correct" `Quick test_prefetch_correct;
+        Alcotest.test_case "dispatch matches direct" `Quick
+          test_dispatch_matches_direct;
       ] );
   ]

@@ -41,28 +41,18 @@ let test_remote_frac_zero_is_local () =
         v.Dpa_heap.Obj_repr.ptrs)
     g.Em3d.e_nodes
 
+let run_em3d variant ~engine g ~accum =
+  Dpa_baselines.Variant.run_phase variant ~label:"em3d" ~engine
+    ~heaps:g.Em3d.heaps
+    { Dpa_baselines.Variant.items = (fun a -> Em3d.items a g ~accum) }
+
 let run_hand variant =
   let g = build () in
   let want = Em3d.reference_update g in
   let sum = ref 0. in
   let accum v = sum := !sum +. v in
   let engine = Engine.create (Machine.t3d ~nodes:4) in
-  (match variant with
-  | `Dpa ->
-    ignore
-      (Dpa.Runtime.run_phase ~engine ~heaps:g.Em3d.heaps
-         ~config:(Dpa.Config.dpa ~strip_size:8 ())
-         ~items:(Em3d.items (module Dpa.Runtime) g ~accum))
-  | `Caching ->
-    ignore
-      (Dpa_baselines.Caching.run_phase ~engine ~heaps:g.Em3d.heaps
-         ~capacity:64
-         ~items:(Em3d.items (module Dpa_baselines.Caching) g ~accum)
-         ())
-  | `Blocking ->
-    ignore
-      (Dpa_baselines.Blocking.run_phase ~engine ~heaps:g.Em3d.heaps
-         ~items:(Em3d.items (module Dpa_baselines.Blocking) g ~accum)));
+  ignore (run_em3d variant ~engine g ~accum);
   (want, !sum)
 
 let check_close name (want, got) =
@@ -70,9 +60,10 @@ let check_close name (want, got) =
     Alcotest.failf "%s: checksum %.12f vs reference %.12f" name got want
 
 let test_hand_items_match_reference () =
-  check_close "dpa" (run_hand `Dpa);
-  check_close "caching" (run_hand `Caching);
-  check_close "blocking" (run_hand `Blocking)
+  check_close "dpa" (run_hand (Dpa_baselines.Variant.dpa ~strip_size:8 ()));
+  check_close "caching"
+    (run_hand (Dpa_baselines.Variant.Caching { capacity = 64 }));
+  check_close "blocking" (run_hand Dpa_baselines.Variant.Blocking)
 
 let test_ir_program_partition () =
   let p = Em3d.update_program ~degree:3 in
@@ -111,21 +102,12 @@ let test_dpa_beats_blocking_em3d () =
     let g = build ~e_per_node:32 () in
     let engine = Engine.create (Machine.t3d ~nodes:4) in
     let accum _ = () in
-    let b =
-      match variant with
-      | `Dpa ->
-        fst
-          (Dpa.Runtime.run_phase ~engine ~heaps:g.Em3d.heaps
-             ~config:(Dpa.Config.dpa ~strip_size:16 ())
-             ~items:(Em3d.items (module Dpa.Runtime) g ~accum))
-      | `Blocking ->
-        fst
-          (Dpa_baselines.Blocking.run_phase ~engine ~heaps:g.Em3d.heaps
-             ~items:(Em3d.items (module Dpa_baselines.Blocking) g ~accum))
-    in
+    let b = fst (run_em3d variant ~engine g ~accum) in
     b.Breakdown.elapsed_ns
   in
-  Alcotest.(check bool) "dpa faster" true (time `Dpa < time `Blocking)
+  Alcotest.(check bool) "dpa faster" true
+    (time (Dpa_baselines.Variant.dpa ~strip_size:16 ())
+    < time Dpa_baselines.Variant.Blocking)
 
 let suites =
   [

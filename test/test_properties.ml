@@ -94,10 +94,12 @@ let qcheck_runtimes_equivalent =
       in
       let blocking =
         run_variant
-          (module Dpa_baselines.Blocking)
+          (module Dpa_baselines.Caching)
           (fun heaps items ->
             let engine = Engine.create (Machine.t3d ~nodes:nnodes) in
-            ignore (Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items))
+            ignore
+              (Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity:0
+                 ~hash:false ~items ()))
           spec
       in
       dpa = pipeline && dpa = caching && dpa = blocking)

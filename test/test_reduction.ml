@@ -276,10 +276,12 @@ let test_accumulate_caching () =
 let test_accumulate_blocking () =
   check_counters "blocking"
     (accumulate_phase
-       (module Dpa_baselines.Blocking)
+       (module Dpa_baselines.Caching)
        (fun heaps items ->
          let engine = Engine.create (machine 3) in
-         ignore (Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items)))
+         ignore
+           (Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity:0
+              ~hash:false ~items ())))
 
 let test_dpa_combining_reduces_messages () =
   let run config =

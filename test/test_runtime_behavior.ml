@@ -162,18 +162,20 @@ let test_caching_dfs_order () =
   let items _ =
     [|
       (fun ctx ->
-        Dpa_baselines.Blocking.read ctx parent (fun ctx view ->
-            let heaps = Dpa_baselines.Blocking.heaps ctx in
+        Dpa_baselines.Caching.read ctx parent (fun ctx view ->
+            let heaps = Dpa_baselines.Caching.heaps ctx in
             for i = 0 to Heap.view_nptrs heaps view - 1 do
               let child = Heap.view_ptr heaps view i in
-              Dpa_baselines.Blocking.read ctx child (fun ctx v ->
+              Dpa_baselines.Caching.read ctx child (fun ctx v ->
                   order :=
-                    Heap.view_float (Dpa_baselines.Blocking.heaps ctx) v 0
+                    Heap.view_float (Dpa_baselines.Caching.heaps ctx) v 0
                     :: !order)
             done));
     |]
   in
-  ignore (Dpa_baselines.Blocking.run_phase ~engine ~heaps ~items);
+  ignore
+    (Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity:0 ~hash:false
+       ~items ());
   (* LIFO stack: children pushed 1 then 2, resolved 2 then 1. *)
   Alcotest.(check (list (float 0.))) "dfs order" [ 1.; 2. ] !order
 

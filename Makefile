@@ -118,9 +118,10 @@ optimality-smoke: build
 # threshold, or a16 exits 1), and bin/scale_check must accept the JSON
 # artifact — field presence, reduction-factor arithmetic, non-negative
 # counters — and then re-measure the hot path directly, failing if a
-# phase of local reads, or one of remote reads that merge onto in-flight
-# fetches, allocates beyond the per-poll-quantum simulator residue
-# (docs/PERFORMANCE.md §4). The committed BENCH_scale.json is the same
+# phase of local reads (cheap threads, or threads that each spend a whole
+# poll quantum), or one of remote reads that merge onto in-flight
+# fetches, allocates more than 0.5 words per read (docs/PERFORMANCE.md
+# §4). The committed BENCH_scale.json is the same
 # artifact produced by `a16 --scale full`.
 scale-smoke: build
 	dune exec $(BENCH) -- a16 --scale small --json /tmp/dpa_scale.json

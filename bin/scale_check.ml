@@ -4,9 +4,10 @@
    factor is arithmetically consistent and clears the committed threshold,
    and every scale row reports non-negative wall/allocation/GC/wire
    numbers — and then asserts the runtime's hot-path contract directly:
-   a strip-mined phase of local reads, and one of remote reads that almost
-   all merge onto in-flight fetches, must not allocate per read
-   (docs/PERFORMANCE.md).
+   a strip-mined phase of local reads (with cheap threads, and with
+   threads that each spend a whole poll quantum), and one of remote reads
+   that almost all merge onto in-flight fetches, must not allocate per
+   read (docs/PERFORMANCE.md).
 
    Usage: scale_check BENCH_scale.json *)
 
@@ -121,11 +122,12 @@ let gate ~what ~bound ~reads per_read =
 (* The harness must not allocate per read either: the accumulator is a
    float array (a [float ref] boxes on every [:=]), the field is loaded
    straight from the float pool (a float returned by a non-inlined call is
-   boxed) and the continuation closure is hoisted out of the read loop. *)
-let phase ~nnodes ~heaps ~nitems ~reads ~target =
+   boxed) and the continuation closure is hoisted out of the read loop.
+   Each continuation charges [work] ns. *)
+let phase ~work ~nnodes ~heaps ~nitems ~reads ~target =
   let acc = Array.make 1 0. in
   let k ctx view =
-    Dpa.Runtime.charge ctx 100;
+    Dpa.Runtime.charge ctx work;
     let h = (Dpa.Runtime.heaps ctx).(Dpa_heap.Gptr.node view) in
     acc.(0) <-
       acc.(0)
@@ -155,42 +157,46 @@ let alloc_objects heaps ~node n =
 (* A phase of purely local reads exercises the strip hot path — spawn,
    ready-ring dispatch, continuation — with no wire traffic. On the flat
    heap the data path allocates nothing per read (the boxed heap paid a
-   record copy-out each time, >= 10 words); what remains is the closure
-   the scheduler posts once per poll quantum, amortized over the handful
-   of dispatches each quantum admits. *)
-let check_local_reads () =
+   record copy-out each time, >= 10 words), and every poll quantum posts
+   the same preallocated action. With [work] at one poll quantum each
+   dispatch ends its quantum and posts the next, so that variant gates
+   the per-quantum cost on its own. *)
+let check_local_reads ~what ~work =
   let nobjs = 4096 and nitems = 512 and reads = 64 in
   let heaps = Dpa_heap.Heap.cluster ~nnodes:1 in
   let ptrs = alloc_objects heaps ~node:0 nobjs in
   let run =
-    phase ~nnodes:1 ~heaps ~nitems ~reads ~target:(fun ~node:_ ~item ~r ->
+    phase ~work ~nnodes:1 ~heaps ~nitems ~reads
+      ~target:(fun ~node:_ ~item ~r ->
         ptrs.(((item * 104729) + (r * 1299721)) mod nobjs))
   in
   let total = nitems * reads in
-  gate ~what:"strip hot path (local reads)" ~bound:0.5 ~reads:total
-    (words_per_read ~reads:total run)
+  gate ~what ~bound:0.5 ~reads:total (words_per_read ~reads:total run)
 
 (* Two nodes whose items each read a handful of objects on the other node.
    A strip issues all its reads before any reply lands, so the first read
    of each object takes a fresh token and every later one merges onto it
-   in M; the bulk reply then wakes the merged threads in order. Merges and
-   wakes allocate nothing; the residue is each fresh token's request and
-   reply traffic and the per-quantum closure, spread over the strip. *)
+   in M; the bulk reply then wakes the merged threads as one chain entry
+   per token. Merges, wakes and chain dispatch allocate nothing; the
+   residue is each fresh token's request and reply traffic, spread over
+   the strip. *)
 let check_merged_remote_reads () =
   let nnodes = 2 and nobjs = 8 and nitems = 512 and reads = 64 in
   let heaps = Dpa_heap.Heap.cluster ~nnodes in
   let ptrs = Array.init nnodes (fun node -> alloc_objects heaps ~node nobjs) in
   let run =
-    phase ~nnodes ~heaps ~nitems ~reads ~target:(fun ~node ~item ~r ->
-        ptrs.(1 - node).((item + r) mod nobjs))
+    phase ~work:100 ~nnodes ~heaps ~nitems ~reads
+      ~target:(fun ~node ~item ~r -> ptrs.(1 - node).((item + r) mod nobjs))
   in
   let total = nnodes * nitems * reads in
-  gate ~what:"merged remote reads" ~bound:1.0 ~reads:total
+  gate ~what:"merged remote reads" ~bound:0.5 ~reads:total
     (words_per_read ~reads:total run)
 
 let () =
   (match Sys.argv with
   | [| _; path |] -> check_json path
   | _ -> fail "usage: scale_check BENCH_scale.json");
-  check_local_reads ();
+  check_local_reads ~what:"strip hot path (local reads)" ~work:100;
+  check_local_reads ~what:"quantum-bound local reads"
+    ~work:(Dpa_sim.Machine.t3d ~nodes:1).Dpa_sim.Machine.poll_quantum_ns;
   check_merged_remote_reads ()

@@ -5,19 +5,19 @@ open Dpa_heap
    membership set over pointers. Its size and peak still measure exactly
    what the paper's D does: how many distinct remote objects the strip
    holds at once. *)
-type t = { table : unit Gptr.Tbl.t; mutable peak : int }
+type t = { set : Index.t; mutable peak : int }
 
-let create () = { table = Gptr.Tbl.create 256; peak = 0 }
+let create () = { set = Index.create ~log2:8; peak = 0 }
 
-let mem t ptr = Gptr.Tbl.mem t.table ptr
+let mem t ptr = Index.mem t.set (ptr : Gptr.t :> int)
 
 let add t ptr =
-  Gptr.Tbl.replace t.table ptr ();
-  let n = Gptr.Tbl.length t.table in
+  Index.add t.set (ptr : Gptr.t :> int) 0;
+  let n = Index.size t.set in
   if n > t.peak then t.peak <- n
 
-let size t = Gptr.Tbl.length t.table
+let size t = Index.size t.set
 let peak t = t.peak
-(* [clear], not [reset]: the table keeps its grown bucket array across
-   strip boundaries instead of shrinking and re-growing every strip. *)
-let clear t = Gptr.Tbl.clear t.table
+(* The index keeps its grown bucket array across strip boundaries instead
+   of shrinking and re-growing every strip. *)
+let clear t = Index.clear t.set

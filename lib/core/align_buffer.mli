@@ -5,8 +5,9 @@
 
     Views alias the owner's flat store ({!Dpa_heap.Heap.view}), so the
     buffer holds membership, not payload: a hit means the strip already
-    fetched the object and the read needs no wire traffic. No allocation
-    on the lookup or insert path. *)
+    fetched the object and the read needs no wire traffic. The set is an
+    {!Index} keyed by the packed pointer, so a lookup, an insert and a
+    clear allocate nothing once it has grown to the strip's working set. *)
 
 type t
 

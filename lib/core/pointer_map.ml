@@ -8,94 +8,14 @@ open Dpa_heap
    have grown to the strip's working set, registering, merging and waking
    allocate nothing.
 
-   Two open-addressing indexes locate slots: by token (every outstanding
-   token) and by pointer (the merge target of each pointer, reuse mode
-   only). A merge is one by-pointer lookup plus an append to the slot's
-   FIFO waiter chain. *)
+   Two {!Index}es locate slots: by token (every outstanding token) and by
+   pointer (the merge target of each pointer, reuse mode only). A merge is
+   one by-pointer lookup plus an append to the slot's FIFO waiter chain.
 
-(* int -> int map over non-negative keys: linear probing with
-   backward-shift deletion, [-1] marking both an empty bucket and an
-   absent key, so a lookup neither allocates nor raises. Fibonacci
-   hashing takes the top bits of a 63-bit product, which spreads both
-   consecutive tokens and packed pointers (whose node bits sit above the
-   slot bits) over the whole table. *)
-module Index = struct
-  type t = {
-    mutable keys : int array;
-    mutable vals : int array;
-    mutable shift : int;  (* 63 - log2 (capacity) *)
-    mutable size : int;
-  }
-
-  let create ~log2 =
-    {
-      keys = Array.make (1 lsl log2) (-1);
-      vals = Array.make (1 lsl log2) 0;
-      shift = 63 - log2;
-      size = 0;
-    }
-
-  let[@inline] home t k = (k * 0x4F1BBCDCBFA53E0B) lsr t.shift
-
-  (* The bucket holding [k], or the empty bucket ending its probe run. *)
-  let rec probe keys mask k i =
-    let x = keys.(i) in
-    if x = k || x < 0 then i else probe keys mask k ((i + 1) land mask)
-
-  let find t k =
-    let i = probe t.keys (Array.length t.keys - 1) k (home t k) in
-    if t.keys.(i) = k then t.vals.(i) else -1
-
-  let rec add t k v =
-    let cap = Array.length t.keys in
-    if 2 * (t.size + 1) > cap then begin
-      let keys = t.keys and vals = t.vals in
-      t.keys <- Array.make (2 * cap) (-1);
-      t.vals <- Array.make (2 * cap) 0;
-      t.shift <- t.shift - 1;
-      t.size <- 0;
-      Array.iteri (fun i k' -> if k' >= 0 then add t k' vals.(i)) keys
-    end;
-    let i = probe t.keys (Array.length t.keys - 1) k (home t k) in
-    t.keys.(i) <- k;
-    t.vals.(i) <- v;
-    t.size <- t.size + 1
-
-  (* Backward-shift deletion: walk the probe run after the vacated bucket
-     and pull back every entry whose home is not cyclically in
-     (hole, j] — it would be unreachable past the new empty bucket. *)
-  let remove t k =
-    let mask = Array.length t.keys - 1 in
-    let i = probe t.keys mask k (home t k) in
-    if t.keys.(i) = k then begin
-      t.size <- t.size - 1;
-      let hole = ref i and j = ref ((i + 1) land mask) in
-      while t.keys.(!j) >= 0 do
-        let h = home t t.keys.(!j) in
-        let stays =
-          if !hole < !j then h > !hole && h <= !j else h > !hole || h <= !j
-        in
-        if not stays then begin
-          t.keys.(!hole) <- t.keys.(!j);
-          t.vals.(!hole) <- t.vals.(!j);
-          hole := !j
-        end;
-        j := (!j + 1) land mask
-      done;
-      t.keys.(!hole) <- -1
-    end
-
-  let fold t f acc =
-    let acc = ref acc in
-    Array.iteri (fun i k -> if k >= 0 then acc := f k t.vals.(i) !acc) t.keys;
-    !acc
-
-  let clear t =
-    if t.size > 0 then begin
-      Array.fill t.keys 0 (Array.length t.keys) (-1);
-      t.size <- 0
-    end
-end
+   A wake frees the slot at once but hands the waiter chain to the ready
+   ring as one entry (the tiling of the paper: threads using the same
+   object run together); the scheduler walks it with {!waiter} and
+   {!pop_waiter}, which free each cell as it is dispatched. *)
 
 type 'k t = {
   node : int;  (* owning node, named in protocol errors *)
@@ -197,6 +117,8 @@ let fresh t ~keyed ptr k =
   if keyed then Index.add t.by_ptr (ptr : Gptr.t :> int) s;
   token
 
+let merged = -1
+
 let register t ~reuse ptr k =
   t.waiters <- t.waiters + 1;
   if reuse then begin
@@ -206,32 +128,34 @@ let register t ~reuse ptr k =
       t.w_next.(t.s_tail.(s)) <- w;
       t.s_tail.(s) <- w;
       t.s_count.(s) <- t.s_count.(s) + 1;
-      `Merged
+      merged
     end
-    else `New_request (fresh t ~keyed:true ptr k)
+    else fresh t ~keyed:true ptr k
   end
-  else `New_request (fresh t ~keyed:false ptr k)
+  else fresh t ~keyed:false ptr k
 
-(* Consume slot [s] of [token]: its waiters go onto [ring] in registration
-   order and every cell returns to the free lists. *)
+(* Consume slot [s] of [token]: its waiter chain goes onto [ring] as one
+   entry and the slot returns to the free list. The cells stay allocated
+   until {!pop_waiter} dispatches them. *)
 let release t token s ring =
   Index.remove t.by_token token;
   let ptr = t.s_ptr.(s) in
   if t.s_keyed.(s) then Index.remove t.by_ptr (ptr : Gptr.t :> int);
   t.waiters <- t.waiters - t.s_count.(s);
-  let w = ref t.s_head.(s) in
-  while !w >= 0 do
-    let cell = !w in
-    w := t.w_next.(cell);
-    Ready_ring.push ring ptr t.w_k.(cell);
-    t.w_k.(cell) <- t.dummy;
-    t.w_next.(cell) <- t.w_free;
-    t.w_free <- cell
-  done;
+  Ready_ring.push_chain ring ptr t.s_head.(s);
   t.s_ptr.(s) <- Gptr.nil;
   t.s_head.(s) <- t.s_free;
   t.s_free <- s;
   ptr
+
+let waiter t cell = t.w_k.(cell)
+
+let pop_waiter t cell =
+  let next = t.w_next.(cell) in
+  t.w_k.(cell) <- t.dummy;
+  t.w_next.(cell) <- t.w_free;
+  t.w_free <- cell;
+  next
 
 let take t token ring =
   let s = Index.find t.by_token token in
@@ -247,6 +171,26 @@ let take_or_nil t token ring =
   let s = Index.find t.by_token token in
   if s < 0 then Gptr.nil else release t token s ring
 
+let reclaim t ~reuse ring =
+  for _ = 1 to Ready_ring.length ring do
+    let ptr = Ready_ring.head_ptr ring in
+    let cell = Ready_ring.head_cell ring in
+    let k = Ready_ring.head_k ring in
+    Ready_ring.drop ring;
+    if Gptr.node ptr = t.node then
+      if cell < 0 then Ready_ring.push ring ptr k
+      else Ready_ring.push_chain ring ptr cell
+    else if cell < 0 then ignore (register t ~reuse ptr k)
+    else begin
+      let cell = ref cell in
+      while !cell >= 0 do
+        let k = waiter t !cell in
+        cell := pop_waiter t !cell;
+        ignore (register t ~reuse ptr k)
+      done
+    end
+  done
+
 let find_ptr t token =
   let s = Index.find t.by_token token in
   if s < 0 then None else Some t.s_ptr.(s)
@@ -254,9 +198,9 @@ let find_ptr t token =
 let fold_outstanding t f acc =
   Index.fold t.by_token (fun token s acc -> f token t.s_ptr.(s) acc) acc
 
-let outstanding t = t.by_token.Index.size
+let outstanding t = Index.size t.by_token
 let waiters t = t.waiters
-let is_empty t = t.by_token.Index.size = 0
+let is_empty t = Index.size t.by_token = 0
 
 let clear t =
   Index.clear t.by_token;

@@ -9,8 +9,14 @@
 
     Tokens are issued in increasing order from 0 and never reused. The map
     is stored in recycled parallel arrays: once they have grown to the
-    working set, a merge, a fresh registration (apart from the
-    [`New_request] variant itself) and a wake allocate nothing. *)
+    working set, a registration, a merge, a wake and a dispatch allocate
+    nothing.
+
+    A wake keeps the woken threads in the map: it pushes one
+    {!Ready_ring} chain entry per token, naming the first waiter cell of
+    the token's chain. The scheduler walks the chain with {!waiter} and
+    {!pop_waiter}, in registration order, freeing each cell as it
+    dispatches it. *)
 
 type 'k t
 
@@ -19,23 +25,41 @@ val create : node:int -> dummy:'k -> 'k t
     vacated waiter cells so woken continuations are not retained by the
     map. *)
 
-val register :
-  'k t -> reuse:bool -> Dpa_heap.Gptr.t -> 'k -> [ `New_request of int | `Merged ]
-(** Record a thread waiting on a pointer. [`New_request token] means the
-    caller must issue a fetch carrying [token]; [`Merged] means one is
-    already in flight. *)
+val register : 'k t -> reuse:bool -> Dpa_heap.Gptr.t -> 'k -> int
+(** Record a thread waiting on a pointer. A token [>= 0] means the caller
+    must issue a fetch carrying it; [-1] means the thread merged onto a
+    fetch already in flight. *)
 
 val take : 'k t -> int -> 'k Ready_ring.t -> Dpa_heap.Gptr.t
-(** Consume a token on reply arrival: push its waiting threads onto the
-    ring, in registration order, and return the pointer. Raises [Failure]
-    naming the node and the token when the token is not outstanding — a
-    protocol error on a fault-free network. *)
+(** Consume a token on reply arrival: push its waiter chain onto the ring
+    as one chain entry and return the pointer. Raises [Failure] naming the
+    node and the token when the token is not outstanding — a protocol
+    error on a fault-free network. *)
 
 val take_or_nil : 'k t -> int -> 'k Ready_ring.t -> Dpa_heap.Gptr.t
 (** Like {!take}, but an unknown token pushes nothing and returns
     {!Dpa_heap.Gptr.nil} — the idempotent form the reliable message path
     uses: a token consumed by an earlier copy of a re-delivered bulk reply
     simply yields nothing to wake. *)
+
+val waiter : 'k t -> int -> 'k
+(** The continuation held by a woken waiter cell (a chain cursor). *)
+
+val pop_waiter : 'k t -> int -> int
+(** Free a woken waiter cell and return the next cell of its chain, or
+    [-1] at the end. Read the cell's {!waiter} first: the cell may be
+    reused by the next registration. *)
+
+val reclaim : 'k t -> reuse:bool -> 'k Ready_ring.t -> unit
+(** Crash recovery of the ready ring: the renamed copies of remote objects
+    die with the crash, so every thread ready on one must wait in the map
+    again. Walks each entry of the ring once, in order: an entry on a
+    pointer the map's node owns goes back onto the ring unchanged; a
+    remote single entry re-registers; a remote chain entry re-registers
+    its undispatched waiters one by one, in registration order — the
+    registrations the same threads would make as single entries. No
+    thread is lost or duplicated: threads in the ring plus {!waiters} is
+    unchanged. *)
 
 val find_ptr : 'k t -> int -> Dpa_heap.Gptr.t option
 (** The pointer a still-outstanding token is fetching, if any; used by the
@@ -59,5 +83,7 @@ val waiters : 'k t -> int
 val is_empty : 'k t -> bool
 
 val clear : 'k t -> unit
-(** Drop every outstanding token and waiter. Tokens issued later continue
-    the sequence, so a token from before the clear stays unknown. *)
+(** Drop every outstanding token and waiter, and every woken chain not yet
+    dispatched: chain entries pushed before the clear must be discarded
+    with it. Tokens issued later continue the sequence, so a token from
+    before the clear stays unknown. *)

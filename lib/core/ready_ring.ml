@@ -1,21 +1,32 @@
 open Dpa_heap
 
 (* The scheduler's ready queue, flattened: a circular buffer of parallel
-   (pointer, continuation) arrays. Pushing a ready thread writes two
-   pre-sized slots — no queue cell, no tuple — which keeps the per-access
-   dispatch path of {!Runtime} allocation-free. Capacity doubles on
-   demand and is retained across strips (the working set bounds it). *)
+   (pointer, continuation, chain cursor) arrays. Pushing a ready thread
+   writes pre-sized slots — no queue cell, no tuple — which keeps the
+   per-access dispatch path of {!Runtime} allocation-free. A chain entry
+   writes only its pointer and cursor: its continuation slot keeps the
+   dummy every vacant slot holds, so a wake stores no closure here.
+   Capacity doubles on demand and is retained across strips (the working
+   set bounds it). *)
 
 type 'k t = {
   mutable ptrs : Gptr.t array;
   mutable ks : 'k array;
+  mutable cells : int array;  (* first undispatched waiter cell, or -1 *)
   mutable head : int;  (* index of the next entry to pop *)
   mutable len : int;
   dummy : 'k;  (* fills vacated slots so popped closures are not retained *)
 }
 
 let create ~dummy =
-  { ptrs = Array.make 64 Gptr.nil; ks = Array.make 64 dummy; head = 0; len = 0; dummy }
+  {
+    ptrs = Array.make 64 Gptr.nil;
+    ks = Array.make 64 dummy;
+    cells = Array.make 64 (-1);
+    head = 0;
+    len = 0;
+    dummy;
+  }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -23,35 +34,61 @@ let is_empty t = t.len = 0
 let grow t =
   let cap = Array.length t.ptrs in
   let ncap = cap * 2 in
-  let ptrs = Array.make ncap Gptr.nil and ks = Array.make ncap t.dummy in
+  let ptrs = Array.make ncap Gptr.nil
+  and ks = Array.make ncap t.dummy
+  and cells = Array.make ncap (-1) in
   for i = 0 to t.len - 1 do
     let j = (t.head + i) land (cap - 1) in
     ptrs.(i) <- t.ptrs.(j);
-    ks.(i) <- t.ks.(j)
+    ks.(i) <- t.ks.(j);
+    cells.(i) <- t.cells.(j)
   done;
   t.ptrs <- ptrs;
   t.ks <- ks;
+  t.cells <- cells;
   t.head <- 0
 
-let push t ptr k =
-  let cap = Array.length t.ptrs in
-  if t.len = cap then grow t;
+(* The tail slot, grown into if full. Vacant slots hold [nil], the dummy
+   and [-1]. *)
+let tail t =
+  if t.len = Array.length t.ptrs then grow t;
   let i = (t.head + t.len) land (Array.length t.ptrs - 1) in
+  t.len <- t.len + 1;
+  i
+
+let push t ptr k =
+  let i = tail t in
   t.ptrs.(i) <- ptr;
-  t.ks.(i) <- k;
-  t.len <- t.len + 1
+  t.ks.(i) <- k
+
+let push_chain t ptr cell =
+  let i = tail t in
+  t.ptrs.(i) <- ptr;
+  t.cells.(i) <- cell
+
+let check t what = if t.len = 0 then invalid_arg ("Ready_ring." ^ what ^ ": empty")
 
 let head_ptr t =
-  if t.len = 0 then invalid_arg "Ready_ring.head_ptr: empty";
+  check t "head_ptr";
   t.ptrs.(t.head)
 
 let head_k t =
-  if t.len = 0 then invalid_arg "Ready_ring.head_k: empty";
+  check t "head_k";
   t.ks.(t.head)
 
+let head_cell t =
+  check t "head_cell";
+  t.cells.(t.head)
+
+let set_head_cell t cell =
+  check t "set_head_cell";
+  t.cells.(t.head) <- cell
+
 let drop t =
-  if t.len = 0 then invalid_arg "Ready_ring.drop: empty";
-  t.ks.(t.head) <- t.dummy;
+  check t "drop";
+  (* A chain entry's slot already holds the dummy: skip the barrier. *)
+  if t.ks.(t.head) != t.dummy then t.ks.(t.head) <- t.dummy;
   t.ptrs.(t.head) <- Gptr.nil;
+  t.cells.(t.head) <- -1;
   t.head <- (t.head + 1) land (Array.length t.ptrs - 1);
   t.len <- t.len - 1

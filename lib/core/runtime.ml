@@ -62,10 +62,11 @@ type ctx = {
   cfg : Config.t;
   stats : Dpa_stats.t;
   ready : k Ready_ring.t;
-      (* flat (pointer, continuation) ring — the view IS the pointer
-         ({!Heap.view}), so dispatch allocates nothing. A crash must
-         re-register remote entries (the renamed copy is volatile) while
-         local entries re-run against the durable heap. *)
+      (* flat ring of single threads (local reads, D hits) and woken
+         waiter chains of M — the view IS the pointer ({!Heap.view}), so
+         dispatch allocates nothing. A crash must re-register remote
+         entries (the renamed copy is volatile) while local entries re-run
+         against the durable heap. *)
   map : k Pointer_map.t;
   buffer : Align_buffer.t;
   mutable agg : request Dpa_msg.Aggregator.t;
@@ -96,6 +97,9 @@ type ctx = {
          [run_phase_labeled]; empty while routing is off. *)
   mutable pending : int;  (* threads suspended in M or queued in [ready] *)
   mutable scheduled : bool;
+  mutable quantum : unit -> unit;
+      (* the poll-quantum event action, built once by [make_ctx]: posting
+         it allocates no closure *)
   mutable items : (ctx -> unit) array;
   mutable next_item : int;
   mutable finished : bool;
@@ -452,9 +456,7 @@ let split_batch max_batch entries =
 let rec ensure_scheduled ctx =
   if not ctx.scheduled then begin
     ctx.scheduled <- true;
-    Engine.post_now ctx.engine ~node:ctx.node (fun () ->
-        ctx.scheduled <- false;
-        run_quantum ctx)
+    Engine.post_now ctx.engine ~node:ctx.node ctx.quantum
   end
 
 (* Run ready threads for at most one poll quantum, then decide: keep going
@@ -493,35 +495,7 @@ and run_quantum ctx =
       Some (o, c, aid, primary)
     | _ -> None
   in
-  let rec loop () =
-    if Ready_ring.is_empty ctx.ready then after_drain ()
-    else if ctx.node.Node.clock - start >= quantum then ensure_scheduled ctx
-    else begin
-      let ptr = Ready_ring.head_ptr ctx.ready in
-      let k = Ready_ring.head_k ctx.ready in
-      Ready_ring.drop ctx.ready;
-      Node.charge_comm ctx.node ctx.machine.Machine.dispatch_overhead_ns;
-      ctx.pending <- ctx.pending - 1;
-      k ctx ptr;
-      loop ()
-    end
-  and after_drain () =
-    if ctx.pending > 0 then begin
-      (* Out of ready threads: push buffered requests onto the wire and
-         wait. Replies re-enter through [deliver]. *)
-      if Dpa_msg.Aggregator.pending ctx.agg > 0 then
-        Dpa_msg.Aggregator.flush_all ctx.agg
-    end
-    else begin
-      (* Strip boundary: outstanding accumulations leave with the strip —
-         except routed destinations, whose entries keep combining until
-         the finish-time routing flush. *)
-      if Update_buffer.pending ctx.updates > 0 then
-        Update_buffer.flush_if ctx.updates (fun d -> not (route_on ctx d));
-      next_strip ctx
-    end
-  in
-  loop ();
+  drain ctx start quantum;
   match act with
   | None -> ()
   | Some (o, c, aid, primary) ->
@@ -530,6 +504,53 @@ and run_quantum ctx =
       ~seg:Dpa_obs.Causal.Compute ctx.node ~ts:start
       ~dur:(ctx.node.Node.clock - start);
     o.last_act <- aid
+
+(* Dispatch ready threads one at a time until the ring empties or the
+   quantum opened at [start] is spent. A chain entry (a token's woken
+   waiters, still in M) is walked in registration order, one thread per
+   iteration, so the dispatch charge and the quantum check stay per
+   thread; a chain cut by the quantum keeps its cursor at the ring head. *)
+and drain ctx start quantum =
+  if Ready_ring.is_empty ctx.ready then after_drain ctx
+  else if ctx.node.Node.clock - start >= quantum then ensure_scheduled ctx
+  else begin
+    let ptr = Ready_ring.head_ptr ctx.ready in
+    let cell = Ready_ring.head_cell ctx.ready in
+    let k =
+      if cell < 0 then begin
+        let k = Ready_ring.head_k ctx.ready in
+        Ready_ring.drop ctx.ready;
+        k
+      end
+      else begin
+        let k = Pointer_map.waiter ctx.map cell in
+        let next = Pointer_map.pop_waiter ctx.map cell in
+        if next < 0 then Ready_ring.drop ctx.ready
+        else Ready_ring.set_head_cell ctx.ready next;
+        k
+      end
+    in
+    Node.charge_comm ctx.node ctx.machine.Machine.dispatch_overhead_ns;
+    ctx.pending <- ctx.pending - 1;
+    k ctx ptr;
+    drain ctx start quantum
+  end
+
+and after_drain ctx =
+  if ctx.pending > 0 then begin
+    (* Out of ready threads: push buffered requests onto the wire and
+       wait. Replies re-enter through [deliver]. *)
+    if Dpa_msg.Aggregator.pending ctx.agg > 0 then
+      Dpa_msg.Aggregator.flush_all ctx.agg
+  end
+  else begin
+    (* Strip boundary: outstanding accumulations leave with the strip —
+       except routed destinations, whose entries keep combining until
+       the finish-time routing flush. *)
+    if Update_buffer.pending ctx.updates > 0 then
+      Update_buffer.flush_if ctx.updates (fun d -> not (route_on ctx d));
+    next_strip ctx
+  end
 
 (* Strip boundary: discard the alignment buffer (renamed copies die with
    the strip) and inject the next strip of work items. *)
@@ -568,15 +589,15 @@ and next_strip ctx =
   end
 
 (* Reply arrival: wake every thread recorded in M for each delivered
-   pointer. Threads waiting on the same object are enqueued consecutively,
-   so they execute together — the tiling effect.
+   pointer. Threads waiting on the same object are enqueued as one chain
+   entry, so they execute together — the tiling effect.
 
    Under a fault plan wakes must be idempotent: an end-to-end retry can
    produce a second bulk reply for a token the first copy already
    resolved, and that copy must wake nothing (and must not repopulate the
    alignment buffer — its strip may be long gone). Fault-free, an unknown
-   token is still the hard protocol error it always was. M hands the
-   woken threads straight to the ready ring. *)
+   token is still the hard protocol error it always was. M hands each
+   token's woken waiter chain to the ready ring as one entry. *)
 and deliver ctx reqs =
   List.iter
     (fun req ->
@@ -1134,13 +1155,16 @@ let read ctx ptr k =
   end
   else begin
     note_outstanding ctx;
-    match Pointer_map.register ctx.map ~reuse:ctx.cfg.Config.reuse ptr k with
-    | `Merged ->
+    let token =
+      Pointer_map.register ctx.map ~reuse:ctx.cfg.Config.reuse ptr k
+    in
+    if token < 0 then begin
       ctx.stats.Dpa_stats.merge_hits <- ctx.stats.Dpa_stats.merge_hits + 1;
-      (match ctx.obs with
+      match ctx.obs with
       | None -> ()
-      | Some o -> obs_instant o ctx.node ~name:"merge_hit")
-    | `New_request token ->
+      | Some o -> obs_instant o ctx.node ~name:"merge_hit"
+    end
+    else begin
       ctx.stats.Dpa_stats.spawns <- ctx.stats.Dpa_stats.spawns + 1;
       (match ctx.obs with
       | None -> ()
@@ -1152,6 +1176,7 @@ let read ctx ptr k =
           o ctx.node ~name:"spawn";
         obs_outstanding o ctx.node ctx.pending);
       Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) { token; ptr }
+    end
   end
 
 let accumulate ctx ptr ~idx value =
@@ -1240,6 +1265,7 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
       peers = [||];
       pending = 0;
       scheduled = false;
+      quantum = ignore;
       items;
       next_item = 0;
       finished = false;
@@ -1266,6 +1292,10 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
       obs = make_obs ~engine ~heaps ~label;
     }
   in
+  ctx.quantum <-
+    (fun () ->
+      ctx.scheduled <- false;
+      run_quantum ctx);
   ctx.agg <-
     Dpa_msg.Aggregator.create
       ~ndest:(Array.length heaps)
@@ -1429,18 +1459,10 @@ let crash_node ctx ~plan ~restart_at =
       | `Acked id -> Hashtbl.remove ctx.out_updates id)
     upd_records;
   ctx.wal_scanned <- true;
-  let entries = Ready_ring.length ctx.ready in
-  for _ = 1 to entries do
-    let ptr = Ready_ring.head_ptr ctx.ready in
-    let k = Ready_ring.head_k ctx.ready in
-    Ready_ring.drop ctx.ready;
-    if Gptr.node ptr = n.Node.id then Ready_ring.push ctx.ready ptr k
-    else
-      (* The thread stays pending; it merely moves from ready back into M
-         (so [ctx.pending] is untouched). The restart walk re-issues
-         whatever tokens this creates. *)
-      ignore (Pointer_map.register ctx.map ~reuse:ctx.cfg.Config.reuse ptr k)
-  done;
+  (* Remote threads stay pending; they merely move from ready back into M
+     (so [ctx.pending] is untouched). The restart walk re-issues whatever
+     tokens this creates. *)
+  Pointer_map.reclaim ctx.map ~reuse:ctx.cfg.Config.reuse ctx.ready;
   match ctx.obs with
   | None -> ()
   | Some o ->

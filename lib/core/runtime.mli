@@ -13,7 +13,15 @@
       fills or when the node runs out of ready threads (pipelining:
       communication overlaps the execution of ready threads);
     - a bulk reply wakes all threads waiting on its pointers, which then run
-      consecutively.
+      consecutively: each token's waiters enter the ready ring as one
+      chain entry ({!Ready_ring}), dispatched one thread at a time in
+      registration order — each charged its dispatch overhead and checked
+      against the poll quantum, a chain cut by the quantum resuming from
+      its cursor.
+
+    Dispatch allocates nothing: a read, a merge, a wake and a thread's
+    dispatch write pre-sized arrays, and each node posts the same
+    preallocated action for every poll quantum.
 
     Between strips [D] and the thread state are discarded, bounding memory
     as the paper's k-bounded strip-mining does.
@@ -53,7 +61,9 @@
     the node fail-stops {e between} engine events — no handler is ever
     interrupted midway — and loses exactly its volatile state: the
     alignment buffer [D], the aggregator's unsent request batches, the
-    ready ring's remote renamed copies, and the transport's per-node state
+    ready ring's remote renamed copies (their threads re-register in [M],
+    a woken chain's undispatched waiters in registration order —
+    {!Pointer_map.reclaim}), and the transport's per-node state
     (unacked envelopes, dedup entries, link RTT filters —
     {!Dpa_msg.Am.on_crash}). The node's incarnation number is bumped, so
     every message copy stamped for the old incarnation is fenced at

@@ -116,58 +116,72 @@ let test_dpa_rejects_nil () =
 let test_pointer_map_reuse_merges () =
   let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:0 in
-  (match Dpa.Pointer_map.register m ~reuse:true p "a" with
-  | `New_request _ -> ()
-  | `Merged -> Alcotest.fail "first should request");
-  (match Dpa.Pointer_map.register m ~reuse:true p "b" with
-  | `Merged -> ()
-  | `New_request _ -> Alcotest.fail "second should merge");
+  if Dpa.Pointer_map.register m ~reuse:true p "a" < 0 then
+    Alcotest.fail "first should request";
+  if Dpa.Pointer_map.register m ~reuse:true p "b" >= 0 then
+    Alcotest.fail "second should merge";
   Alcotest.(check int) "one token" 1 (Dpa.Pointer_map.outstanding m);
   Alcotest.(check int) "two waiters" 2 (Dpa.Pointer_map.waiters m)
 
-(* Pop every entry of a ready ring: the threads a take woke, in order. *)
-let drain_ring ring =
+(* Pop one thread off a ready ring, as the scheduler does: a single
+   entry whole, a chain entry one waiter at a time through M, its cursor
+   advanced in place. *)
+let pop_thread m ring =
+  let p = Dpa.Ready_ring.head_ptr ring in
+  let cell = Dpa.Ready_ring.head_cell ring in
+  if cell < 0 then begin
+    let k = Dpa.Ready_ring.head_k ring in
+    Dpa.Ready_ring.drop ring;
+    (p, k)
+  end
+  else begin
+    let k = Dpa.Pointer_map.waiter m cell in
+    let next = Dpa.Pointer_map.pop_waiter m cell in
+    if next < 0 then Dpa.Ready_ring.drop ring
+    else Dpa.Ready_ring.set_head_cell ring next;
+    (p, k)
+  end
+
+(* Pop every thread of a ready ring: the threads a take woke, in order. *)
+let drain_ring m ring =
   let rec go acc =
     if Dpa.Ready_ring.is_empty ring then List.rev acc
-    else begin
-      let p = Dpa.Ready_ring.head_ptr ring and k = Dpa.Ready_ring.head_k ring in
-      Dpa.Ready_ring.drop ring;
-      go ((p, k) :: acc)
-    end
+    else go (pop_thread m ring :: acc)
   in
   go []
+
+let request m p k =
+  let token = Dpa.Pointer_map.register m ~reuse:true p k in
+  if token < 0 then Alcotest.fail "unexpected merge";
+  token
 
 let test_pointer_map_take_order () =
   let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
   let ring = Dpa.Ready_ring.create ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:1 in
-  let token =
-    match Dpa.Pointer_map.register m ~reuse:true p "a" with
-    | `New_request t -> t
-    | `Merged -> Alcotest.fail "unexpected merge"
-  in
+  let token = request m p "a" in
   ignore (Dpa.Pointer_map.register m ~reuse:true p "b");
   ignore (Dpa.Pointer_map.register m ~reuse:true p "c");
   let ptr = Dpa.Pointer_map.take m token ring in
   Alcotest.(check bool) "ptr matches" true (Dpa_heap.Gptr.equal p ptr);
-  let woken = drain_ring ring in
+  Alcotest.(check int) "one ring entry per token" 1
+    (Dpa.Ready_ring.length ring);
+  let woken = drain_ring m ring in
   Alcotest.(check (list string)) "registration order" [ "a"; "b"; "c" ]
     (List.map snd woken);
   Alcotest.(check bool) "woken on the pointer" true
     (List.for_all (fun (q, _) -> Dpa_heap.Gptr.equal p q) woken);
   Alcotest.(check bool) "empty after take" true (Dpa.Pointer_map.is_empty m);
   (* A new registration after take must issue a fresh request. *)
-  match Dpa.Pointer_map.register m ~reuse:true p "d" with
-  | `New_request _ -> ()
-  | `Merged -> Alcotest.fail "should re-request after take"
+  if Dpa.Pointer_map.register m ~reuse:true p "d" < 0 then
+    Alcotest.fail "should re-request after take"
 
 let test_pointer_map_no_reuse_never_merges () =
   let m = Dpa.Pointer_map.create ~node:0 ~dummy:() in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:2 in
   for _ = 1 to 5 do
-    match Dpa.Pointer_map.register m ~reuse:false p () with
-    | `New_request _ -> ()
-    | `Merged -> Alcotest.fail "must not merge without reuse"
+    if Dpa.Pointer_map.register m ~reuse:false p () < 0 then
+      Alcotest.fail "must not merge without reuse"
   done;
   Alcotest.(check int) "five tokens" 5 (Dpa.Pointer_map.outstanding m)
 
@@ -178,11 +192,7 @@ let test_pointer_map_unknown_token () =
   let m = Dpa.Pointer_map.create ~node:3 ~dummy:"" in
   let ring = Dpa.Ready_ring.create ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:1 ~slot:4 in
-  let token =
-    match Dpa.Pointer_map.register m ~reuse:true p "a" with
-    | `New_request t -> t
-    | `Merged -> Alcotest.fail "unexpected merge"
-  in
+  let token = request m p "a" in
   ignore (Dpa.Pointer_map.take m token ring);
   Alcotest.check_raises "stale token names node and token"
     (Failure
@@ -205,15 +215,12 @@ let qcheck_pointer_map_one_request_per_pointer =
       List.iter
         (fun (node, slot) ->
           let p = Dpa_heap.Gptr.make ~node ~slot in
-          match Dpa.Pointer_map.register m ~reuse:true p () with
-          | `New_request _ ->
+          if Dpa.Pointer_map.register m ~reuse:true p () >= 0 then
             if Hashtbl.mem requests (node, slot) then
               failwith "duplicate request"
             else Hashtbl.replace requests (node, slot) ()
-          | `Merged ->
-            if not (Hashtbl.mem requests (node, slot)) then
-              failwith "merged without request"
-        )
+          else if not (Hashtbl.mem requests (node, slot)) then
+            failwith "merged without request")
         regs;
       true)
 
@@ -249,12 +256,12 @@ module Model = struct
         let slot = Hashtbl.find t.tokens token in
         slot.ks <- k :: slot.ks;
         slot.count <- slot.count + 1;
-        `Merged
+        -1
       | None ->
         let token = fresh t ptr k in
         Gptr.Tbl.replace t.by_ptr ptr token;
-        `New_request token
-    else `New_request (fresh t ptr k)
+        token
+    else fresh t ptr k
 
   let take_opt t token =
     match Hashtbl.find_opt t.tokens token with
@@ -327,7 +334,7 @@ let qcheck_pointer_map_model =
               = Model.register model ~reuse (ptr_of p) k
             | Take token -> (
               let got = Dpa.Pointer_map.take_or_nil m token ring in
-              let woken = drain_ring ring in
+              let woken = drain_ring m ring in
               match Model.take_opt model token with
               | None -> Dpa_heap.Gptr.is_nil got && woken = []
               | Some (ptr, ks) ->
@@ -353,14 +360,165 @@ let qcheck_pointer_map_model =
           && Dpa.Pointer_map.is_empty m = (Hashtbl.length model.Model.tokens = 0))
         ops)
 
-let test_align_buffer_strip_clear () =
-  let d = Dpa.Align_buffer.create () in
-  let p = Dpa_heap.Gptr.make ~node:0 ~slot:0 in
-  Dpa.Align_buffer.add d p;
-  Alcotest.(check bool) "present" true (Dpa.Align_buffer.mem d p);
-  Dpa.Align_buffer.clear d;
-  Alcotest.(check bool) "cleared" false (Dpa.Align_buffer.mem d p);
-  Alcotest.(check int) "peak survives clear" 1 (Dpa.Align_buffer.peak d)
+(* A crash between two dispatches of a chain: [reclaim] moves the
+   chain's undispatched remote waiters back into M in registration order,
+   remote single entries after them in ring order, and leaves local
+   entries ready. Threads in the ring plus waiters in M is the runtime's
+   [pending], which the crash must not change. *)
+let test_pointer_map_reclaim_mid_chain () =
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:0
+  and q = Dpa_heap.Gptr.make ~node:2 ~slot:0
+  and r = Dpa_heap.Gptr.make ~node:1 ~slot:5
+  and l = Dpa_heap.Gptr.make ~node:0 ~slot:3 in
+  let tp = request m p "a" in
+  List.iter (fun k -> ignore (Dpa.Pointer_map.register m ~reuse:true p k))
+    [ "b"; "c" ];
+  let tq = request m q "x" in
+  ignore (Dpa.Pointer_map.take m tp ring);
+  Alcotest.(check string) "first waiter dispatched" "a"
+    (snd (pop_thread m ring));
+  Dpa.Ready_ring.push ring l "L";
+  ignore (Dpa.Pointer_map.take m tq ring);
+  Dpa.Ready_ring.push ring r "r";
+  (* Ready: b and c (p's chain, cut after a), L, x (q's chain), r. *)
+  let pending = Dpa.Pointer_map.waiters m + 5 in
+  Dpa.Pointer_map.reclaim m ~reuse:true ring;
+  Alcotest.(check int) "local entry stays ready" 1 (Dpa.Ready_ring.length ring);
+  Alcotest.(check int) "three fetches re-registered" 3
+    (Dpa.Pointer_map.outstanding m);
+  Alcotest.(check int) "pending unchanged" pending
+    (Dpa.Pointer_map.waiters m + 1);
+  let outstanding =
+    List.sort compare
+      (Dpa.Pointer_map.fold_outstanding m (fun tok p acc -> (tok, p) :: acc) [])
+  in
+  Alcotest.(check (list int)) "tokens in ring order" [ 2; 3; 4 ]
+    (List.map fst outstanding);
+  Alcotest.(check bool) "p, then q, then r" true
+    (List.for_all2
+       (fun (_, got) want -> Dpa_heap.Gptr.equal got want)
+       outstanding [ p; q; r ]);
+  let woken tok =
+    ignore (Dpa.Pointer_map.take m tok ring);
+    List.map snd (drain_ring m ring)
+  in
+  Alcotest.(check (list string)) "local entry first" [ "L" ]
+    (List.map snd (drain_ring m ring));
+  Alcotest.(check (list string)) "rest of p's chain, in order" [ "b"; "c" ]
+    (woken 2);
+  Alcotest.(check (list string)) "q's chain" [ "x" ] (woken 3);
+  Alcotest.(check (list string)) "remote single entry" [ "r" ] (woken 4);
+  Alcotest.(check int) "nothing left" 0 (Dpa.Pointer_map.waiters m)
+
+(* Rebinding a present key must not count it twice. *)
+let test_index_present_key () =
+  let t = Dpa.Index.create ~log2:1 in
+  for v = 1 to 100 do
+    Dpa.Index.add t 5 v
+  done;
+  Alcotest.(check int) "one key" 1 (Dpa.Index.size t);
+  Alcotest.(check int) "last binding" 100 (Dpa.Index.find t 5);
+  Dpa.Index.add t 9 1;
+  Dpa.Index.remove t 5;
+  Alcotest.(check int) "size after remove" 1 (Dpa.Index.size t);
+  Alcotest.(check bool) "removed" false (Dpa.Index.mem t 5);
+  Alcotest.(check int) "other key kept" 1 (Dpa.Index.find t 9)
+
+type d_op = Add of int | Mem of int | Clear_d
+
+let d_op_print = function
+  | Add p -> Printf.sprintf "Add %d" p
+  | Mem p -> Printf.sprintf "Mem %d" p
+  | Clear_d -> "Clear"
+
+(* D against a Hashtbl set: membership, size and peak (which survives
+   clears) agree after every operation. *)
+let qcheck_align_buffer_model =
+  QCheck.Test.make ~name:"D matches a Hashtbl set" ~count:500
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map d_op_print l))
+       QCheck.Gen.(
+         list_size (int_range 0 200)
+           (frequency
+              [
+                (6, map (fun p -> Add p) (int_range 0 300));
+                (4, map (fun p -> Mem p) (int_range 0 300));
+                (1, return Clear_d);
+              ])))
+    (fun ops ->
+      let d = Dpa.Align_buffer.create () in
+      let model = Hashtbl.create 16 and peak = ref 0 in
+      let ptr_of p = Dpa_heap.Gptr.make ~node:(p mod 5) ~slot:(p / 5) in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Add p ->
+              Dpa.Align_buffer.add d (ptr_of p);
+              Hashtbl.replace model p ();
+              peak := max !peak (Hashtbl.length model);
+              true
+            | Mem p -> Dpa.Align_buffer.mem d (ptr_of p) = Hashtbl.mem model p
+            | Clear_d ->
+              Dpa.Align_buffer.clear d;
+              Hashtbl.reset model;
+              true
+          in
+          agree
+          && Dpa.Align_buffer.size d = Hashtbl.length model
+          && Dpa.Align_buffer.peak d = !peak)
+        ops)
+
+(* One token's chain outlasts several poll quanta. Node 0's items all
+   read one object on node 1, so every thread merges onto a single token
+   and the reply wakes them as one chain entry; each continuation charges
+   [work] ns. The per-waiter schedule the chain must reproduce: threads
+   run in registration order, consecutive ones [work + dispatch] ns
+   apart, and a quantum admits ceil (quantum / (work + dispatch))
+   threads before the next quantum event resumes the chain where the cut
+   left it. *)
+let test_chain_cut_by_quantum () =
+  let n = 10 and work = 20_000 in
+  let w = Workload.make ~nnodes:2 ~nobjs:1 in
+  let engine = Engine.create (machine 2) in
+  let m = Engine.machine engine in
+  let node0 = Engine.node engine 0 in
+  let seen = ref [] in
+  let items node =
+    if node = 1 then [||]
+    else
+      Array.init n (fun i ctx ->
+          Dpa.Runtime.read ctx w.Workload.ptrs.(1).(0) (fun ctx _ ->
+              seen :=
+                (i, node0.Node.clock, Engine.events_processed engine) :: !seen;
+              Dpa.Runtime.charge ctx work))
+  in
+  let _, stats =
+    Dpa.Runtime.run_phase ~engine ~heaps:w.Workload.heaps
+      ~config:(Dpa.Config.dpa ~strip_size:n ())
+      ~items
+  in
+  Alcotest.(check int) "one fetch" 1 stats.Dpa.Dpa_stats.spawns;
+  Alcotest.(check int) "the rest merged" (n - 1) stats.Dpa.Dpa_stats.merge_hits;
+  let seen = Array.of_list (List.rev !seen) in
+  Alcotest.(check (list int)) "registration order" (List.init n Fun.id)
+    (Array.to_list (Array.map (fun (i, _, _) -> i) seen));
+  let step = work + m.Machine.dispatch_overhead_ns in
+  let per_quantum = (m.Machine.poll_quantum_ns + step - 1) / step in
+  Alcotest.(check bool) "the chain spans several quanta" true
+    (n > 2 * per_quantum);
+  let _, c0, _ = seen.(0) in
+  Array.iteri
+    (fun i (_, c, e) ->
+      Alcotest.(check int) (Printf.sprintf "thread %d clock" i) (c0 + (i * step)) c;
+      if i > 0 then
+        let _, _, e_prev = seen.(i - 1) in
+        Alcotest.(check bool)
+          (Printf.sprintf "thread %d opens a quantum" i)
+          (i mod per_quantum = 0) (e <> e_prev))
+    seen
 
 let suites =
   [
@@ -371,11 +529,15 @@ let suites =
         Alcotest.test_case "no-reuse never merges" `Quick
           test_pointer_map_no_reuse_never_merges;
         Alcotest.test_case "unknown token" `Quick test_pointer_map_unknown_token;
+        Alcotest.test_case "reclaim mid-chain" `Quick
+          test_pointer_map_reclaim_mid_chain;
         QCheck_alcotest.to_alcotest qcheck_pointer_map_one_request_per_pointer;
         QCheck_alcotest.to_alcotest qcheck_pointer_map_model;
       ] );
     ( "core.align_buffer",
-      [ Alcotest.test_case "strip clear" `Quick test_align_buffer_strip_clear ] );
+      [ QCheck_alcotest.to_alcotest qcheck_align_buffer_model ] );
+    ( "core.index",
+      [ Alcotest.test_case "present key keeps size" `Quick test_index_present_key ] );
     ( "core.runtime",
       [
         Alcotest.test_case "correct sums" `Quick test_dpa_correct_sums;
@@ -393,5 +555,7 @@ let suites =
         Alcotest.test_case "strip size one" `Quick test_dpa_strip_size_one_works;
         Alcotest.test_case "empty items" `Quick test_dpa_empty_items;
         Alcotest.test_case "rejects nil" `Quick test_dpa_rejects_nil;
+        Alcotest.test_case "chain cut by the quantum" `Quick
+          test_chain_cut_by_quantum;
       ] );
   ]

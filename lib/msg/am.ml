@@ -53,7 +53,13 @@ let emit_flow engine ~fid ~parent ~src ~dst ~seq ~inc ~sent ~at =
   match Engine.sink engine with
   | None -> ()
   | Some sink ->
-    let flow_id = Printf.sprintf "%d/%d/%d/%d" src dst seq inc in
+    let flow_id =
+      String.concat "/"
+        [
+          string_of_int src; string_of_int dst; string_of_int seq;
+          string_of_int inc;
+        ]
+    in
     let common =
       [
         ("id", Dpa_obs.Sink.Str flow_id);

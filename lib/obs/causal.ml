@@ -15,21 +15,29 @@ type seg = Compute | Wire | Retransmit | Refetch | Other
 
 type edge_kind = Seq | Send | Deliver | Ack | Wake | Retry | Refetch_start
 
-type cnode = {
-  cn_id : int;
-  cn_name : string;
-  cn_node : int;  (* simulated node id *)
-  cn_ts : int;  (* sim-ns start *)
-  cn_dur : int;
-  cn_seg : seg;
-  cn_on_path : bool;
+(* The current window as growable parallel arrays: entry [i] of each node
+   column is the [i]th node recorded since the last reset, for
+   [i < nodes]; the edge columns likewise. Recording a node or an edge
+   writes a few array slots and allocates nothing until a column has to
+   grow. *)
+type window = {
+  mutable nodes : int;
+  mutable id : int array;
+  mutable name : string array;
+  mutable node : int array;  (* simulated node id *)
+  mutable ts : int array;  (* sim-ns start *)
+  mutable dur : int array;
+  mutable seg : seg array;
+  mutable on_path : bool array;
       (* eligible as a critical-path member. Acks are recorded (the DAG
          answers "what acknowledged what") but excluded: they are pure
          bookkeeping that advances no node clock, so a late ack must not
          become the path tail and push the path past the phase wall. *)
+  mutable edges : int;
+  mutable kind : edge_kind array;
+  mutable parent : int array;
+  mutable child : int array;
 }
-
-type cedge = { ce_kind : edge_kind; ce_parent : int; ce_child : int }
 
 type phase_meta = {
   pm_label : string;
@@ -56,10 +64,7 @@ type instance = {
 
 type t = {
   mutable next_id : int;
-  mutable nodes : cnode list;  (* current window, reverse recording order *)
-  mutable edges : cedge list;
-  mutable nnodes : int;
-  mutable nedges : int;
+  window : window;  (* columns keep their capacity across resets *)
   mutable cursor : int;  (* causal context: the running activity, -1 none *)
   mutable meta : phase_meta option;
   mutable results : instance list;  (* analyzed instances, reverse order *)
@@ -68,10 +73,21 @@ type t = {
 let create () =
   {
     next_id = 0;
-    nodes = [];
-    edges = [];
-    nnodes = 0;
-    nedges = 0;
+    window =
+      {
+        nodes = 0;
+        id = [||];
+        name = [||];
+        node = [||];
+        ts = [||];
+        dur = [||];
+        seg = [||];
+        on_path = [||];
+        edges = 0;
+        kind = [||];
+        parent = [||];
+        child = [||];
+      };
     cursor = -1;
     meta = None;
     results = [];
@@ -86,24 +102,49 @@ let fresh t =
   t.next_id <- id + 1;
   id
 
+let grow a len fill =
+  let b = Array.make (max 1024 (2 * len)) fill in
+  Array.blit a 0 b 0 len;
+  b
+
+let grow_nodes w =
+  let n = w.nodes in
+  w.id <- grow w.id n 0;
+  w.name <- grow w.name n "";
+  w.node <- grow w.node n 0;
+  w.ts <- grow w.ts n 0;
+  w.dur <- grow w.dur n 0;
+  w.seg <- grow w.seg n Other;
+  w.on_path <- grow w.on_path n false
+
+let grow_edges w =
+  let n = w.edges in
+  w.kind <- grow w.kind n Seq;
+  w.parent <- grow w.parent n 0;
+  w.child <- grow w.child n 0
+
 let node ?(seg = Other) ?(on_path = true) t ~id ~name ~node ~ts ~dur =
-  t.nodes <-
-    {
-      cn_id = id;
-      cn_name = name;
-      cn_node = node;
-      cn_ts = ts;
-      cn_dur = dur;
-      cn_seg = seg;
-      cn_on_path = on_path;
-    }
-    :: t.nodes;
-  t.nnodes <- t.nnodes + 1
+  let w = t.window in
+  let i = w.nodes in
+  if i = Array.length w.id then grow_nodes w;
+  w.id.(i) <- id;
+  w.name.(i) <- name;
+  w.node.(i) <- node;
+  w.ts.(i) <- ts;
+  w.dur.(i) <- dur;
+  w.seg.(i) <- seg;
+  w.on_path.(i) <- on_path;
+  w.nodes <- i + 1
 
 let edge t ~kind ~parent ~child =
   if parent >= 0 then begin
-    t.edges <- { ce_kind = kind; ce_parent = parent; ce_child = child } :: t.edges;
-    t.nedges <- t.nedges + 1
+    let w = t.window in
+    let j = w.edges in
+    if j = Array.length w.kind then grow_edges w;
+    w.kind.(j) <- kind;
+    w.parent.(j) <- parent;
+    w.child.(j) <- child;
+    w.edges <- j + 1
   end
 
 let current t = t.cursor
@@ -112,7 +153,14 @@ let set_current t id = t.cursor <- id
 let with_current t id f =
   let saved = t.cursor in
   t.cursor <- id;
-  Fun.protect ~finally:(fun () -> t.cursor <- saved) f
+  match f () with
+  | v ->
+    t.cursor <- saved;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.cursor <- saved;
+    Printexc.raise_with_backtrace e bt
 
 let set_meta t ~label ~wall_ns ~opt_actual ~opt_bound =
   t.meta <-
@@ -126,15 +174,12 @@ let set_meta t ~label ~wall_ns ~opt_actual ~opt_bound =
 
 let meta t = t.meta
 
-let window_nodes t = t.nodes
-let window_edges t = t.edges
-let window_size t = (t.nnodes, t.nedges)
+let window t = t.window
+let window_size t = (t.window.nodes, t.window.edges)
 
 let reset_window t =
-  t.nodes <- [];
-  t.edges <- [];
-  t.nnodes <- 0;
-  t.nedges <- 0;
+  t.window.nodes <- 0;
+  t.window.edges <- 0;
   t.cursor <- -1;
   t.meta <- None
 

@@ -31,19 +31,27 @@ type edge_kind =
   | Retry  (** original causal parent -> a retransmission / re-issue *)
   | Refetch_start  (** last pre-crash activity -> the restart marker *)
 
-type cnode = {
-  cn_id : int;
-  cn_name : string;
-  cn_node : int;
-  cn_ts : int;
-  cn_dur : int;
-  cn_seg : seg;
-  cn_on_path : bool;
+(** The current window, as growable parallel arrays. Entry [i] of each
+    node column describes the [i]th node recorded since the last reset,
+    for [i < nodes]; the edge columns likewise, for [j < edges]. Slots
+    past the counts are stale. Recording allocates nothing until a column
+    grows, and the columns keep their capacity across resets. *)
+type window = private {
+  mutable nodes : int;
+  mutable id : int array;
+  mutable name : string array;
+  mutable node : int array;  (** simulated node *)
+  mutable ts : int array;  (** sim-ns start *)
+  mutable dur : int array;
+  mutable seg : seg array;
+  mutable on_path : bool array;
       (** acks are recorded but path-ineligible: they advance no clock, so
           a late ack must not become the path tail *)
+  mutable edges : int;
+  mutable kind : edge_kind array;
+  mutable parent : int array;
+  mutable child : int array;
 }
-
-type cedge = { ce_kind : edge_kind; ce_parent : int; ce_child : int }
 
 type phase_meta = {
   pm_label : string;
@@ -102,7 +110,7 @@ val set_current : t -> int -> unit
 
 val with_current : t -> int -> (unit -> 'a) -> 'a
 (** Run with the cursor set to [id], restoring the previous value even on
-    exceptions. *)
+    exceptions. Allocates nothing beyond what [f] does. *)
 
 val set_meta :
   t -> label:string -> wall_ns:int -> opt_actual:int -> opt_bound:int -> unit
@@ -113,10 +121,9 @@ val set_meta :
 
 val meta : t -> phase_meta option
 
-val window_nodes : t -> cnode list
-(** Current window, reverse recording order. *)
-
-val window_edges : t -> cedge list
+val window : t -> window
+(** The current window, read-only. The record lives as long as [t];
+    {!reset_window} empties it. *)
 
 val window_size : t -> int * int
 (** [(nodes, edges)] recorded in the current window. *)

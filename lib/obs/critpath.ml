@@ -36,102 +36,112 @@ let bucket_of_gap = function
   | Causal.Retry -> "retransmit"
   | Causal.Refetch_start -> "refetch"
 
-let cend (n : Causal.cnode) = n.Causal.cn_ts + n.Causal.cn_dur
+(* Window nodes are referred to by their recording index [i]. *)
+let cend (w : Causal.window) i = w.ts.(i) + w.dur.(i)
 
 (* Deterministic "later" ordering: end time, then id. *)
-let later (a : Causal.cnode) b =
-  let ea = cend a and eb = cend b in
-  if ea <> eb then ea > eb else a.Causal.cn_id > b.Causal.cn_id
+let later (w : Causal.window) a b =
+  let ea = cend w a and eb = cend w b in
+  if ea <> eb then ea > eb else w.id.(a) > w.id.(b)
 
+(* The eligible (on-path) nodes are indexed by [id - base], [base] their
+   smallest id: span ids are allocated densely, so the index is about as
+   long as the window. [slot] maps an index to the earliest-recorded node
+   with that id, or -1; an id outside [base, base + length) — a parent
+   recorded in an earlier window, or an ineligible node — resolves to -1
+   and its edges are skipped. *)
 let analyze_window c (pm : Causal.phase_meta) =
-  let nodes = Causal.window_nodes c in
-  let eligible = List.filter (fun n -> n.Causal.cn_on_path) nodes in
-  match eligible with
-  | [] -> None
-  | first :: rest ->
-    let by_id = Hashtbl.create 1024 in
-    List.iter (fun n -> Hashtbl.replace by_id n.Causal.cn_id n) eligible;
-    (* Predecessors of each eligible node, edges between eligible
-       endpoints only. *)
-    let preds = Hashtbl.create 1024 in
-    List.iter
-      (fun (e : Causal.cedge) ->
-        match
-          (Hashtbl.find_opt by_id e.Causal.ce_parent, Hashtbl.mem by_id e.Causal.ce_child)
-        with
-        | Some p, true ->
-          Hashtbl.replace preds e.Causal.ce_child
-            ((p, e.Causal.ce_kind)
-            :: Option.value ~default:[] (Hashtbl.find_opt preds e.Causal.ce_child))
-        | _ -> ())
-      (Causal.window_edges c);
-    let tail = List.fold_left (fun acc n -> if later n acc then n else acc) first rest in
-    let max_span =
-      List.fold_left (fun acc n -> max acc n.Causal.cn_dur) 0 eligible
+  let w = Causal.window c in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to w.nodes - 1 do
+    if w.on_path.(i) then begin
+      lo := Int.min !lo w.id.(i);
+      hi := Int.max !hi w.id.(i)
+    end
+  done;
+  if !lo > !hi then None
+  else begin
+    let base = !lo and len = !hi - !lo + 1 in
+    let slot = Array.make len (-1) in
+    for i = w.nodes - 1 downto 0 do
+      if w.on_path.(i) then slot.(w.id.(i) - base) <- i
+    done;
+    let find id = if id < base || id - base >= len then -1 else slot.(id - base) in
+    (* Each eligible node's latest-ending predecessor and the kind of the
+       edge from it, over edges between eligible endpoints; ties (one
+       parent, several edges) keep the earliest-recorded edge. *)
+    let pred = Array.make len (-1) in
+    let pred_kind = Array.make len Causal.Seq in
+    for j = 0 to w.edges - 1 do
+      let p = find w.parent.(j) in
+      if p >= 0 && find w.child.(j) >= 0 then begin
+        let k = w.child.(j) - base in
+        if pred.(k) < 0 || later w p pred.(k) then begin
+          pred.(k) <- p;
+          pred_kind.(k) <- w.kind.(j)
+        end
+      end
+    done;
+    let tail = ref (-1) and max_span = ref 0 in
+    for i = w.nodes - 1 downto 0 do
+      if w.on_path.(i) then begin
+        if !tail < 0 || later w i !tail then tail := i;
+        max_span := Int.max !max_span w.dur.(i)
+      end
+    done;
+    let tail = !tail in
+    (* Backward walk from the tail through the latest-ending predecessors,
+       building the path head first. The visited set guards against a
+       recording bug creating a cycle — better a truncated path than a
+       hung analyzer. *)
+    let visited = Bytes.make len '\000' in
+    let rec walk i path =
+      let k = w.id.(i) - base in
+      Bytes.set visited k '\001';
+      let p = pred.(k) in
+      if p >= 0 && Bytes.get visited (w.id.(p) - base) = '\000' then
+        walk p (i :: path)
+      else i :: path
     in
-    (* Backward walk: latest-ending predecessor wins; ties break on id so
-       the path is deterministic. Each path element is paired with the
-       kind of the edge INTO it (None for the head). The visited set
-       guards against a recording bug creating a cycle — better a
-       truncated path than a hung analyzer. *)
-    let visited = Hashtbl.create 64 in
-    let rec walk n =
-      Hashtbl.replace visited n.Causal.cn_id ();
-      let best =
-        match Hashtbl.find_opt preds n.Causal.cn_id with
-        | None | Some [] -> None
-        | Some (p0 :: ps) ->
-          Some
-            (List.fold_left
-               (fun (bp, bk) (p, k) -> if later p bp then (p, k) else (bp, bk))
-               p0 ps)
-      in
-      match best with
-      | Some (p, kind) when not (Hashtbl.mem visited p.Causal.cn_id) ->
-        (n, Some kind) :: walk p
-      | _ -> [ (n, None) ]
-    in
-    let path = List.rev (walk tail) in
-    let head = fst (List.hd path) in
+    let path = walk tail [] in
+    let head = List.hd path in
+    (* Forward cursor: the head's own span, then for every later element
+       the idle gap its incoming edge crosses and its own span. *)
     let tally = Hashtbl.create 8 in
     let add b ns =
-      if ns > 0 then
-        Hashtbl.replace tally b (ns + Option.value ~default:0 (Hashtbl.find_opt tally b))
+      Hashtbl.replace tally b
+        (ns + Option.value ~default:0 (Hashtbl.find_opt tally b))
     in
-    let cursor = ref head.Causal.cn_ts in
+    let cursor = ref w.ts.(head) in
     List.iter
-      (fun ((n : Causal.cnode), kind) ->
-        (match kind with
-        | Some k when n.Causal.cn_ts > !cursor ->
-          add (bucket_of_gap k) (n.Causal.cn_ts - !cursor);
-          cursor := n.Causal.cn_ts
-        | _ -> ());
-        let e = cend n in
+      (fun i ->
+        if i <> head && w.ts.(i) > !cursor then begin
+          add (bucket_of_gap pred_kind.(w.id.(i) - base)) (w.ts.(i) - !cursor);
+          cursor := w.ts.(i)
+        end;
+        let e = cend w i in
         if e > !cursor then begin
-          add (bucket_of_seg n.Causal.cn_seg) (e - max !cursor n.Causal.cn_ts);
+          add (bucket_of_seg w.seg.(i)) (e - Int.max !cursor w.ts.(i));
           cursor := e
         end)
       path;
-    let path_ns = cend tail - head.Causal.cn_ts in
-    let segments =
-      List.map
-        (fun b -> (b, Option.value ~default:0 (Hashtbl.find_opt tally b)))
-        buckets
-    in
-    let nnodes, nedges = Causal.window_size c in
     Some
       {
         Causal.i_label = pm.Causal.pm_label;
         i_wall_ns = pm.Causal.pm_wall_ns;
-        i_path_ns = path_ns;
+        i_path_ns = cend w tail - w.ts.(head);
         i_path_nodes = List.length path;
-        i_max_span_ns = max_span;
-        i_dag_nodes = nnodes;
-        i_dag_edges = nedges;
-        i_segments = segments;
+        i_max_span_ns = !max_span;
+        i_dag_nodes = w.nodes;
+        i_dag_edges = w.edges;
+        i_segments =
+          List.map
+            (fun b -> (b, Option.value ~default:0 (Hashtbl.find_opt tally b)))
+            buckets;
         i_opt_actual = pm.Causal.pm_opt_actual;
         i_opt_bound = pm.Causal.pm_opt_bound;
       }
+  end
 
 (* Consume the window at an engine barrier. Only labeled windows (the DPA
    runtime's phases set metadata) are analyzed; a window recorded by an

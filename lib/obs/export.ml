@@ -105,43 +105,80 @@ let chrome_trace sink =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let jsonl_event (ev : Sink.event) =
-  let kind =
-    match ev.Sink.kind with
-    | Sink.Span -> "span"
-    | Sink.Instant -> "instant"
-    | Sink.Counter -> "counter"
-  in
-  Json.Obj
-    [
-      ("kind", Json.Str kind);
-      ("name", Json.Str ev.Sink.name);
-      ("cat", Json.Str ev.Sink.cat);
-      ("node", Json.Int ev.Sink.node);
-      ("ts", Json.Int ev.Sink.ts);
-      ("dur", Json.Int ev.Sink.dur);
-      ("args", args_json ev.Sink.args);
-    ]
+(* The one JSONL serializer: an event's fields, in a fixed order, written
+   straight into [buf] — the byte-for-byte rendering of the equivalent
+   [Json.Obj] tree, without building it. Top-level recursion over the args
+   keeps it closure-free. *)
+let rec args_to buf sep = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    if sep then Buffer.add_char buf ',';
+    Json.escape_to buf k;
+    Buffer.add_char buf ':';
+    (match v with
+    | Sink.Int i -> Json.int_to buf i
+    | Sink.Float f -> Json.float_to buf f
+    | Sink.Str s -> Json.escape_to buf s);
+    args_to buf true rest
+
+let jsonl_to buf (ev : Sink.event) =
+  Buffer.add_string buf
+    (match ev.Sink.kind with
+    | Sink.Span -> {|{"kind":"span","name":|}
+    | Sink.Instant -> {|{"kind":"instant","name":|}
+    | Sink.Counter -> {|{"kind":"counter","name":|});
+  Json.escape_to buf ev.Sink.name;
+  Buffer.add_string buf {|,"cat":|};
+  Json.escape_to buf ev.Sink.cat;
+  Buffer.add_string buf {|,"node":|};
+  Json.int_to buf ev.Sink.node;
+  Buffer.add_string buf {|,"ts":|};
+  Json.int_to buf ev.Sink.ts;
+  Buffer.add_string buf {|,"dur":|};
+  Json.int_to buf ev.Sink.dur;
+  Buffer.add_string buf {|,"args":{|};
+  args_to buf false ev.Sink.args;
+  Buffer.add_string buf "}}"
 
 let jsonl sink =
   let buf = Buffer.create 65536 in
   List.iter
     (fun ev ->
-      Json.to_buffer buf (jsonl_event ev);
+      jsonl_to buf ev;
       Buffer.add_char buf '\n')
     (Sink.events sink);
   Buffer.contents buf
 
-let jsonl_line ev = Json.to_string (jsonl_event ev)
+let jsonl_line ev =
+  let buf = Buffer.create 256 in
+  jsonl_to buf ev;
+  Buffer.contents buf
+
+(* The writer renders into one 64 KiB buffer and hands it to the channel
+   once 60 KiB are used, so lines under 4 KiB never make it grow. *)
+let writer_buffer = 65536
+let writer_drain_at = writer_buffer - 4096
 
 let jsonl_writer oc =
+  let buf = Buffer.create writer_buffer in
+  let drain () =
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
   {
     Sink.write =
       (fun ev ->
-        output_string oc (jsonl_line ev);
-        output_char oc '\n');
-    Sink.flush = (fun () -> flush oc);
-    Sink.close = (fun () -> close_out oc);
+        jsonl_to buf ev;
+        Buffer.add_char buf '\n';
+        if Buffer.length buf >= writer_drain_at then drain ());
+    Sink.flush =
+      (fun () ->
+        drain ();
+        flush oc);
+    Sink.close =
+      (fun () ->
+        drain ();
+        close_out oc);
   }
 
 let metrics_json sink =

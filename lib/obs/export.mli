@@ -20,14 +20,20 @@ val chrome_trace : Sink.t -> string
     message arrows between the node tracks. *)
 
 val jsonl : Sink.t -> string
+(** Every live event ({!Sink.events}), one line each. [jsonl],
+    {!jsonl_line} and {!jsonl_writer} share one serializer, so a stream
+    and a snapshot of the same events are byte-identical. *)
 
 val jsonl_line : Sink.event -> string
-(** One event as a single compact JSON line (no trailing newline). *)
+(** One event as a single compact JSON line (no trailing newline): the
+    fields [kind], [name], [cat], [node], [ts], [dur], [args], in that
+    order. *)
 
 val jsonl_writer : out_channel -> Sink.writer
-(** Line-buffered JSONL writer: each event becomes one line at flush time,
-    [flush] pushes the channel buffer to the OS, [close] closes the
-    channel. Attach with {!Sink.attach_writer}. *)
+(** Line-buffered JSONL writer: events are rendered into one reused
+    64 KiB buffer, which goes to the channel when it is nearly full;
+    [flush] drains it and pushes the channel buffer to the OS, [close]
+    drains it and closes the channel. Attach with {!Sink.attach_writer}. *)
 
 val metrics_json : Sink.t -> Json.t
 

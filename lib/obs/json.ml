@@ -9,11 +9,42 @@ type t =
 
 (* --- printing ---------------------------------------------------------- *)
 
+(* The scalar writers below are top-level functions that allocate
+   nothing: the event writers call them once per field, and a local
+   recursive helper would cost a closure per call.
+
+   [m <= 0] is the negated magnitude, so [min_int] needs no special case.
+   Leading digits go first; the recursion is at most 19 deep, and a
+   division by the constant 10 compiles to a multiply. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let int_to buf n =
+  let m =
+    if n < 0 then begin
+      Buffer.add_char buf '-';
+      n
+    end
+    else -n
+  in
+  add_digits buf m
+
+let rec needs_escape s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | '"' | '\\' | '\000' .. '\031' -> true
+  | _ -> needs_escape s (i + 1)
+
+let hex = "0123456789abcdef"
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  if not (needs_escape s 0) then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -21,10 +52,12 @@ let escape_to buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | '\000' .. '\031' as c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 15]
+      | c -> Buffer.add_char buf c
+    done;
   Buffer.add_char buf '"'
 
 let float_to buf f =
@@ -41,7 +74,7 @@ let float_to buf f =
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> int_to buf i
   | Float f -> float_to buf f
   | Str s -> escape_to buf s
   | List xs ->

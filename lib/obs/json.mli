@@ -16,6 +16,23 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+(** {2 Scalar writers}
+
+    The leaves of {!to_buffer}, for writers that stream a fixed shape
+    without building a tree ({!Export.jsonl_writer}). None of them
+    allocates except {!float_to}. *)
+
+val int_to : Buffer.t -> int -> unit
+(** Decimal digits, as [string_of_int] renders them. *)
+
+val escape_to : Buffer.t -> string -> unit
+(** A quoted, RFC 8259-escaped string. A string with nothing to escape is
+    copied as-is; bytes [>= 0x80] are always copied as-is. *)
+
+val float_to : Buffer.t -> float -> unit
+(** [%.12g], with [.0] appended to whole numbers; non-finite floats render
+    as [null]. *)
+
 val parse : string -> (t, string) result
 (** Strict recursive-descent parser for the values {!to_string} produces
     (and general RFC 8259 input). Errors carry a byte offset. *)

@@ -21,7 +21,7 @@ type writer = {
 
 type t = {
   spans : event Dpa_util.Dynarray.t;
-  ring : event option array;
+  ring : event array;  (* slots past [written] hold [vacant] *)
   capacity : int;
   mutable written : int;  (* total ring events ever stored *)
   mutable ring_dropped : int;  (* overwritten with no writer to capture them *)
@@ -34,18 +34,30 @@ type t = {
   mutable filtered : int;  (* events rejected by the knobs above *)
   mutable sample_period_ns : int;  (* 0 = periodic sampling off *)
   mutable writer : writer option;
-  pending : event Dpa_util.Dynarray.t;  (* accepted but not yet flushed *)
+  mutable pending : event Dpa_util.Dynarray.t;  (* accepted, not yet flushed *)
   mutable streamed : int;  (* events handed to the writer so far *)
   mutable causal : Causal.t option;  (* happens-before recording, opt-in *)
 }
 
 let default_capacity = 1 lsl 18
 
+let vacant =
+  {
+    kind = Instant;
+    name = "";
+    cat = "";
+    node = 0;
+    ts = 0;
+    dur = 0;
+    args = [];
+    seq = -1;
+  }
+
 let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Sink.create: capacity must be positive";
   {
     spans = Dpa_util.Dynarray.create ();
-    ring = Array.make capacity None;
+    ring = Array.make capacity vacant;
     capacity;
     written = 0;
     ring_dropped = 0;
@@ -79,22 +91,25 @@ let sample_period_ns t = t.sample_period_ns
 let cat_enabled t cat =
   match t.categories with None -> true | Some cats -> List.mem cat cats
 
-(* Every accepted event gets the next sequence number; rejected events are
-   invisible, so they must not consume one (the JSONL stream would show
-   gaps for no reason). *)
-let stamp t ev =
-  let ev = { ev with seq = t.next_seq } in
-  t.next_seq <- t.next_seq + 1;
-  (match t.writer with
+(* Every accepted event is built once, with the next sequence number
+   already in it; rejected events are invisible, so they must not consume
+   one (the JSONL stream would show gaps for no reason). *)
+let next_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let accept t ev =
+  match t.writer with
   | None -> ()
-  | Some _ -> ignore (Dpa_util.Dynarray.add t.pending ev));
-  ev
+  | Some _ -> ignore (Dpa_util.Dynarray.add t.pending ev)
 
 let span ?(args = []) t ~cat ~name ~node ~ts ~dur =
   if cat_enabled t cat then begin
     let ev =
-      stamp t { kind = Span; name; cat; node; ts; dur; args; seq = 0 }
+      { kind = Span; name; cat; node; ts; dur; args; seq = next_seq t }
     in
+    accept t ev;
     ignore (Dpa_util.Dynarray.add t.spans ev);
     t.span_count <- t.span_count + 1
   end
@@ -105,35 +120,39 @@ let span ?(args = []) t ~cat ~name ~node ~ts ~dur =
    real categories used to silently drop every sampled counter track.
    [spans_only] still drops them — that knob's contract is spans and
    nothing else. *)
+let ring_accepts t kind cat =
+  (not t.spans_only) && (kind = Counter || cat_enabled t cat)
+
 let push_ring t ev =
-  if t.spans_only || (ev.kind <> Counter && not (cat_enabled t ev.cat)) then
-    t.filtered <- t.filtered + 1
-  else begin
-    let ev = stamp t ev in
-    (* An overwrite only loses the event when no writer captured it at
-       emission: with a stream attached the ring is just the in-memory
-       flight recorder, not the artifact. *)
-    if t.written >= t.capacity && t.writer = None then
-      t.ring_dropped <- t.ring_dropped + 1;
-    t.ring.(t.written mod t.capacity) <- Some ev;
-    t.written <- t.written + 1
-  end
+  accept t ev;
+  (* An overwrite only loses the event when no writer captured it at
+     emission: with a stream attached the ring is just the in-memory
+     flight recorder, not the artifact. *)
+  if t.written >= t.capacity && Option.is_none t.writer then
+    t.ring_dropped <- t.ring_dropped + 1;
+  t.ring.(t.written mod t.capacity) <- ev;
+  t.written <- t.written + 1
 
 let instant ?(args = []) t ~cat ~name ~node ~ts =
-  push_ring t { kind = Instant; name; cat; node; ts; dur = 0; args; seq = 0 }
+  if ring_accepts t Instant cat then
+    push_ring t
+      { kind = Instant; name; cat; node; ts; dur = 0; args; seq = next_seq t }
+  else t.filtered <- t.filtered + 1
 
 let counter t ~name ~node ~ts value =
-  push_ring t
-    {
-      kind = Counter;
-      name;
-      cat = "counter";
-      node;
-      ts;
-      dur = 0;
-      args = [ ("value", Int value) ];
-      seq = 0;
-    }
+  if ring_accepts t Counter "counter" then
+    push_ring t
+      {
+        kind = Counter;
+        name;
+        cat = "counter";
+        node;
+        ts;
+        dur = 0;
+        args = [ ("value", Int value) ];
+        seq = next_seq t;
+      }
+  else t.filtered <- t.filtered + 1
 
 let set_meta t key doc =
   t.meta_docs <- (key, doc) :: List.remove_assoc key t.meta_docs
@@ -145,10 +164,7 @@ let ring_events t =
      entry holds the oldest survivor. *)
   let live = min t.written t.capacity in
   let first = t.written - live in
-  List.init live (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
-      | Some ev -> ev
-      | None -> assert false)
+  List.init live (fun i -> t.ring.((first + i) mod t.capacity))
 
 (* Spans are recorded at close (their [ts] is the open time), so neither
    the span list nor its concatenation with the ring is time-ordered.
@@ -176,13 +192,15 @@ let flush_writer t =
   | Some w ->
     let n = Dpa_util.Dynarray.length t.pending in
     if n > 0 then begin
-      (* Each flush segment is sorted before it is written; callers flush
-         at quiescent points (phase barriers, teardown), where no later
-         event can carry an earlier timestamp, so the concatenation of
-         segments stays time-ordered. *)
-      let evs = List.sort by_time (Dpa_util.Dynarray.to_list t.pending) in
-      Dpa_util.Dynarray.clear t.pending;
-      List.iter w.write evs;
+      (* Each flush segment is sorted, in place, before it is written;
+         callers flush at quiescent points (phase barriers, teardown),
+         where no later event can carry an earlier timestamp, so the
+         concatenation of segments stays time-ordered. The segment is
+         detached first, so a writer that raises cannot see it twice. *)
+      let evs = t.pending in
+      t.pending <- Dpa_util.Dynarray.create ();
+      Dpa_util.Dynarray.sort by_time evs;
+      Dpa_util.Dynarray.iter w.write evs;
       t.streamed <- t.streamed + n
     end;
     w.flush ()

@@ -28,9 +28,12 @@ let analyze ?(wall = 0) ?(actual = 0) ?(bound = 0) build =
   let wall =
     if wall > 0 then wall
     else
-      List.fold_left
-        (fun acc n -> max acc (n.Causal.cn_ts + n.Causal.cn_dur))
-        0 (Causal.window_nodes c)
+      let w = Causal.window c in
+      let wall = ref 0 in
+      for i = 0 to w.Causal.nodes - 1 do
+        wall := max !wall (w.Causal.ts.(i) + w.Causal.dur.(i))
+      done;
+      !wall
   in
   Causal.set_meta c ~label:"t" ~wall_ns:wall ~opt_actual:actual ~opt_bound:bound;
   Critpath.at_barrier c;
@@ -385,6 +388,76 @@ let test_causal_run_bit_identical () =
   Alcotest.(check bool) "breakdown identical" true
     (base.Dpa_bh.Bh_run.breakdown = traced.Dpa_bh.Bh_run.breakdown)
 
+(* Pinned reports: the analyzer indexes the window by span id instead of
+   looking nodes and predecessor lists up in hash tables, and must
+   reproduce the reports the hash-table analyzer produced, byte for
+   byte. The first is a real faulted phase. *)
+let test_faulted_report_pinned () =
+  let spec =
+    match Dpa_sim.Fault.spec_of_string "heavy,crashes=2" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let c, _ =
+    with_causal_sink (fun s ->
+        run_bh ~fault:spec ~nbodies:512 ~nnodes:4 ~strip:16 (Some s))
+  in
+  Alcotest.(check string) "report"
+    ({|{"phases":[{"label":"bh-force","wall_ns":112399775,"path_ns":112399775,|}
+    ^ {|"path_nodes":1749,"max_span_ns":181116,"dag_nodes":8711,"dag_edges":9188,|}
+    ^ {|"segments":{"compute":79347450,"align_wait":5906637,"wire":3279824,|}
+    ^ {|"owner_queue":3638747,"retransmit":20222117,"refetch":5000,"other":0},|}
+    ^ {|"opt_actual_bytes":708672,"opt_bound_bytes":103200,|}
+    ^ {|"opt_ratio":6.86697674419}],"summary":{"bh-force":{"instances":1,|}
+    ^ {|"wall_ns":112399775,"path_ns":112399775,"opt_actual_bytes":708672,|}
+    ^ {|"opt_bound_bytes":103200,"opt_ratio":6.86697674419,|}
+    ^ {|"seg_compute":79347450,"seg_align_wait":5906637,"seg_wire":3279824,|}
+    ^ {|"seg_owner_queue":3638747,"seg_retransmit":20222117,"seg_refetch":5000,|}
+    ^ {|"seg_other":0}},"nphases":1}|})
+    (Json.to_string (Critpath.report_json c))
+
+(* The second is hand-built around the two rules the index must keep: an
+   edge from a node recorded in an earlier window is skipped, and a cycle
+   (a recording bug) truncates the path at the first revisit instead of
+   hanging. Also present: an ineligible ack feeding an eligible node, a
+   parent id recorded nowhere, and two pairs of edges from one parent —
+   on the path, the earlier edge (Wake, an alignment-wait gap) must win
+   over the later one (Deliver, owner queue). *)
+let test_handbuilt_window_pinned () =
+  let c = Causal.create () in
+  let old = mk c ~s:Causal.Compute ~name:"n" ~ts:0 ~dur:50 () in
+  Critpath.at_barrier c;
+  let a = mk c ~s:Causal.Compute ~name:"n" ~ts:100 ~dur:10 () in
+  Causal.edge c ~kind:Causal.Seq ~parent:old ~child:a;
+  let f = mk c ~s:Causal.Wire ~name:"n" ~ts:110 ~dur:20 () in
+  Causal.edge c ~kind:Causal.Send ~parent:a ~child:f;
+  let ack = mk c ~on_path:false ~s:Causal.Wire ~name:"n" ~ts:130 ~dur:500 () in
+  Causal.edge c ~kind:Causal.Ack ~parent:f ~child:ack;
+  let s = mk c ~s:Causal.Compute ~name:"n" ~ts:140 ~dur:15 () in
+  Causal.edge c ~kind:Causal.Deliver ~parent:f ~child:s;
+  Causal.edge c ~kind:Causal.Wake ~parent:f ~child:s;
+  Causal.edge c ~kind:Causal.Deliver ~parent:ack ~child:s;
+  let r = mk c ~s:Causal.Retransmit ~name:"n" ~ts:160 ~dur:30 () in
+  Causal.edge c ~kind:Causal.Retry ~parent:s ~child:r;
+  Causal.edge c ~kind:Causal.Retry ~parent:r ~child:s;
+  let b = mk c ~s:Causal.Compute ~name:"n" ~ts:200 ~dur:5 () in
+  Causal.edge c ~kind:Causal.Seq ~parent:a ~child:b;
+  Causal.edge c ~kind:Causal.Wake ~parent:r ~child:b;
+  Causal.edge c ~kind:Causal.Deliver ~parent:r ~child:b;
+  Causal.edge c ~kind:Causal.Seq ~parent:(b + 7) ~child:b;
+  Causal.set_meta c ~label:"hand" ~wall_ns:205 ~opt_actual:0 ~opt_bound:0;
+  Critpath.at_barrier c;
+  Alcotest.(check string) "report"
+    ({|{"phases":[{"label":"hand","wall_ns":205,"path_ns":65,"path_nodes":3,|}
+    ^ {|"max_span_ns":30,"dag_nodes":6,"dag_edges":12,"segments":{"compute":20,|}
+    ^ {|"align_wait":10,"wire":0,"owner_queue":0,"retransmit":35,"refetch":0,|}
+    ^ {|"other":0},"opt_actual_bytes":0,"opt_bound_bytes":0,"opt_ratio":1.0}],|}
+    ^ {|"summary":{"hand":{"instances":1,"wall_ns":205,"path_ns":65,|}
+    ^ {|"opt_actual_bytes":0,"opt_bound_bytes":0,"opt_ratio":1.0,|}
+    ^ {|"seg_compute":20,"seg_align_wait":10,"seg_wire":0,"seg_owner_queue":0,|}
+    ^ {|"seg_retransmit":35,"seg_refetch":0,"seg_other":0}},"nphases":1}|})
+    (Json.to_string (Critpath.report_json c))
+
 let suites =
   [
     ( "critpath",
@@ -408,5 +481,9 @@ let suites =
           test_opt_bound_stable_across_crashes;
         Alcotest.test_case "causal run bit-identical" `Quick
           test_causal_run_bit_identical;
+        Alcotest.test_case "faulted report pinned" `Quick
+          test_faulted_report_pinned;
+        Alcotest.test_case "hand-built window pinned" `Quick
+          test_handbuilt_window_pinned;
       ] );
   ]

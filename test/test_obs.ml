@@ -490,6 +490,176 @@ let test_writer_matches_snapshot_export () =
   Alcotest.(check bool) "stream equals snapshot export" true
     (Buffer.contents buf = Export.jsonl sink)
 
+(* The serializer's oracle: the [Json.t] tree the JSONL lines were once
+   rendered from, kept here only. [Export.jsonl_line] must print exactly
+   what [Json.to_string] prints for it. *)
+let tree_of_event (ev : Sink.event) =
+  let arg = function
+    | Sink.Int i -> Json.Int i
+    | Sink.Float f -> Json.Float f
+    | Sink.Str s -> Json.Str s
+  in
+  Json.Obj
+    [
+      ( "kind",
+        Json.Str
+          (match ev.Sink.kind with
+          | Sink.Span -> "span"
+          | Sink.Instant -> "instant"
+          | Sink.Counter -> "counter") );
+      ("name", Json.Str ev.Sink.name);
+      ("cat", Json.Str ev.Sink.cat);
+      ("node", Json.Int ev.Sink.node);
+      ("ts", Json.Int ev.Sink.ts);
+      ("dur", Json.Int ev.Sink.dur);
+      ("args", Json.Obj (List.map (fun (k, v) -> (k, arg v)) ev.Sink.args));
+    ]
+
+let gen_str =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:(char_range '\x00' '\xff') (int_range 0 12);
+        oneofl
+          [
+            ""; "plain"; "\""; "\\"; "a\"b\\c"; "\x00\x1f\x7f"; "\n\r\t\b\012";
+            "\x80\xff"; "\xc3\xa9";
+          ];
+      ])
+
+let gen_int =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        int_range (-1000) 1000;
+        oneofl [ min_int; max_int; min_int + 1; 0; -1; 9; 10; -10; 99; 100 ];
+      ])
+
+let gen_event =
+  let open QCheck.Gen in
+  let float =
+    oneof
+      [
+        QCheck.Gen.float;
+        map float_of_int (int_range (-1000) 1000);
+        oneofl [ nan; infinity; neg_infinity; -0.; 0.; 1e15; 1e22; -1e-300 ];
+      ]
+  in
+  let arg =
+    oneof
+      [
+        map (fun i -> Sink.Int i) gen_int;
+        map (fun f -> Sink.Float f) float;
+        map (fun s -> Sink.Str s) gen_str;
+      ]
+  in
+  let* kind = oneofl [ Sink.Span; Sink.Instant; Sink.Counter ] in
+  let* name = gen_str and* cat = gen_str in
+  let* node = gen_int and* ts = gen_int and* dur = gen_int and* seq = gen_int in
+  let+ args = list_size (int_range 0 4) (pair gen_str arg) in
+  { Sink.kind; name; cat; node; ts; dur; args; seq }
+
+let qcheck_jsonl_matches_tree =
+  QCheck.Test.make ~count:1000
+    ~name:"jsonl: the serializer prints the event's Json tree"
+    (QCheck.make ~print:(fun ev -> Json.to_string (tree_of_event ev)) gen_event)
+    (fun ev ->
+      let line = Export.jsonl_line ev in
+      let expected = Json.to_string (tree_of_event ev) in
+      if line <> expected then
+        QCheck.Test.fail_reportf "serializer gave %S" line;
+      match Json.parse line with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_reportf "%S does not parse: %s" line e)
+
+(* The tree oracle above prints through the same scalar writers, so those
+   are checked on their own against the renderings they replaced:
+   [string_of_int], and a [String.iter]/[Printf] escaper. *)
+let reference_escape s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let qcheck_json_scalars_match_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"json: int and string writers match string_of_int and Printf"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int string)
+       (QCheck.Gen.pair gen_int gen_str))
+    (fun (i, s) ->
+      Json.to_string (Json.Int i) = string_of_int i
+      && Json.to_string (Json.Str s) = reference_escape s)
+
+(* The real writer, not a stand-in: two BH phases on one engine stream
+   through [Export.jsonl_writer] into a file, over four barrier flushes
+   (each phase opens and closes with one) whose closing segments outgrow
+   the writer's 64 KiB buffer. The file must be the snapshot export, and
+   its digest the one this workload streamed before the writer was
+   rebuilt around a reused buffer. *)
+let test_jsonl_writer_streams_snapshot () =
+  let bodies = Dpa_bh.Plummer.generate ~n:200 ~seed:17 in
+  let tree =
+    Dpa_bh.Bh_global.distribute (Dpa_bh.Octree.build bodies) ~nnodes:3
+  in
+  let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:3) in
+  let sink = Sink.create () in
+  Sink.set_causal sink (Some (Dpa_obs.Causal.create ()));
+  Dpa_sim.Engine.set_sink engine (Some sink);
+  let path = Filename.temp_file "test_obs" ".jsonl" in
+  let oc = open_out_bin path in
+  let w = Export.jsonl_writer oc in
+  (* Channel offsets after each flush delimit the segments. *)
+  let marks = ref [] in
+  Sink.attach_writer sink
+    {
+      w with
+      Sink.flush =
+        (fun () ->
+          w.Sink.flush ();
+          marks := pos_out oc :: !marks);
+    };
+  for _ = 1 to 2 do
+    ignore
+      (Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
+         ~params:Dpa_bh.Bh_force.default_params
+         (Dpa_baselines.Variant.dpa ~strip_size:16 ()))
+  done;
+  Sink.close_writer sink;
+  let ic = open_in_bin path in
+  let stream = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  let rec segments = function
+    | a :: (b :: _ as rest) -> (a - b) :: segments rest
+    | [ a ] -> [ a ]
+    | [] -> []
+  in
+  let segs = List.filter (fun n -> n > 0) (segments !marks) in
+  Alcotest.(check bool) "at least two flushed segments" true
+    (List.length segs >= 2);
+  Alcotest.(check bool) "a segment larger than the buffer" true
+    (List.exists (fun n -> n > 65536) segs);
+  Alcotest.(check int) "streamed everything emitted" (Sink.emitted sink)
+    (Sink.streamed sink);
+  Alcotest.(check bool) "stream equals snapshot export" true
+    (stream = Export.jsonl sink);
+  Alcotest.(check string) "stream digest" "a28aaeacd62d660d48bbf10a6477d1d0"
+    (Digest.to_hex (Digest.string stream))
+
 let test_observing_is_transparent () =
   let off = run_bh ~sink:None () in
   let _, on_ = Lazy.force observed_bh in
@@ -545,6 +715,8 @@ let suites =
         Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
         Alcotest.test_case "member" `Quick test_json_member;
         QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_jsonl_matches_tree;
+        QCheck_alcotest.to_alcotest qcheck_json_scalars_match_reference;
       ] );
     ( "obs.metrics",
       [
@@ -580,6 +752,8 @@ let suites =
           test_profile_strip_only_rows;
         Alcotest.test_case "writer matches snapshot export" `Quick
           test_writer_matches_snapshot_export;
+        Alcotest.test_case "jsonl writer streams the snapshot" `Quick
+          test_jsonl_writer_streams_snapshot;
         Alcotest.test_case "observing is transparent" `Quick
           test_observing_is_transparent;
       ] );

@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke identity bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke usage-smoke identity bench-obs-overhead clean
 
 all: build
 
@@ -24,31 +24,31 @@ fmt-check:
 	dune build @doc 2>&1 | tee /tmp/dpa_doc.log
 	@! grep -qi warning /tmp/dpa_doc.log && echo "fmt-check: docs build warning-free"
 
+CHECK := dune exec bin/artifact_check.exe --
+
 # End-to-end observability smoke test: run a small experiment with the
-# trace/metrics exporters on and make sure the artifacts appear and are
-# non-trivial. The test suite validates the JSON itself (test/test_obs.ml).
-smoke: build obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke
+# trace/metrics exporters on, make sure the trace appears and validate the
+# metrics dump's per-phase profile. The test suite validates the JSON
+# itself (test/test_obs.ml).
+smoke: build obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke usage-smoke
 	dune exec $(BENCH) -- f1 --scale small \
 	  --trace /tmp/dpa_trace.json --metrics /tmp/dpa_metrics.json --profile
-	@test -s /tmp/dpa_trace.json && test -s /tmp/dpa_metrics.json \
-	  && echo "smoke: trace + metrics written"
+	@test -s /tmp/dpa_trace.json || { echo "smoke: no trace written"; exit 1; }
+	$(CHECK) --metrics /tmp/dpa_metrics.json
 
 # Streaming-observability smoke test: a small BH workload with --events
 # streaming through a deliberately tiny ring (512 entries). The streamed
 # file must hold far more events than the ring with none reported dropped
 # (the writer captures each event at emission; the ring is only the
 # in-memory flight recorder), every JSONL line must parse and stay
-# time-ordered, and the per-node skew table must sum back to the global
-# per-phase row — all validated by bin/obs_check.
+# time-ordered, and the metrics profile must be internally consistent and
+# add up to the stream's phase and strip spans — all validated by
+# bin/artifact_check.
 obs-smoke: build
 	dune exec $(BENCH) -- f1 --scale small --bodies 512 --ring 512 \
-	  --events /tmp/dpa_events.jsonl --profile | tee /tmp/dpa_obs.txt
-	@grep -q "wrote event log" /tmp/dpa_obs.txt \
-	  && ! grep -q "overwritten in the ring" /tmp/dpa_obs.txt \
-	  || { echo "obs-smoke: events dropped or log missing"; exit 1; }
-	dune exec bin/obs_check.exe -- --min-lines 513 \
-	  /tmp/dpa_events.jsonl /tmp/dpa_obs.txt
-	@echo "obs-smoke: streamed events exceed the ring with zero drops; skew table consistent"
+	  --events /tmp/dpa_events.jsonl --metrics /tmp/dpa_obs_metrics.json
+	$(CHECK) --min-lines 513 \
+	  --events /tmp/dpa_events.jsonl --metrics /tmp/dpa_obs_metrics.json
 
 # The fault matrices (a11-a15) exit 1 when any cell diverges from its
 # fault-free reference or a declared witness is zero (no crash-restarts,
@@ -70,39 +70,38 @@ adaptive-smoke: build
 
 # Causal-tracing smoke test: the BH sweep under the heavy fault preset
 # plus two crash windows, with --critical-path on, so every decomposition
-# bucket (retransmit and refetch included) can appear. obs_check then
+# bucket (retransmit and refetch included) can appear. artifact_check then
 # validates the full chain: each causal parent arg in the event stream
 # resolves to an emitted span_id no later than its child, the report's
 # segments sum exactly to the path length, 0 <= max span <= path <= phase
 # wall, and actual bytes >= the communication lower bound in both the
-# report and the profile's optimality table. No --trace-cats/--spans-only
-# here: filters may drop the instants that define flight ids (see
-# docs/OBSERVABILITY.md).
+# report and the profile's optimality rows. A deliberately tampered copy
+# of the report must then fail validation with exit 1. No
+# --trace-cats/--spans-only here: filters may drop the instants that
+# define flight ids (see docs/OBSERVABILITY.md).
 critpath-smoke: build
 	dune exec $(BENCH) -- t2 --scale small --bodies 512 \
 	  --faults heavy,crashes=2 --critical-path /tmp/dpa_critpath.json \
-	  --events /tmp/dpa_cp_events.jsonl --profile | tee /tmp/dpa_cp.txt
-	@grep -q "wrote critical-path report" /tmp/dpa_cp.txt \
-	  || { echo "critpath-smoke: report missing"; exit 1; }
-	dune exec bin/obs_check.exe -- --min-lines 1000 \
-	  --critpath /tmp/dpa_critpath.json \
-	  /tmp/dpa_cp_events.jsonl /tmp/dpa_cp.txt
-	@echo "critpath-smoke: causal edges resolve; path decomposition exact; comm ratio >= 1"
+	  --events /tmp/dpa_cp_events.jsonl --metrics /tmp/dpa_cp_metrics.json
+	$(CHECK) --min-lines 1000 --critpath /tmp/dpa_critpath.json \
+	  --events /tmp/dpa_cp_events.jsonl --metrics /tmp/dpa_cp_metrics.json
+	sed 's/"path_ns":/"path_ns":1/' /tmp/dpa_critpath.json \
+	  > /tmp/dpa_critpath_tampered.json
+	$(CHECK) --critpath /tmp/dpa_critpath_tampered.json; test $$? -eq 1
 
 # End-to-end integrity smoke test: the a14 matrix at reduced scale. Then
-# a BH run under the full fault cocktail streams its events so obs_check
-# can validate the per-phase integrity tables (per-node rows summing to
-# the "=" line, no negative counters) alongside the usual stream
+# a BH run under the full fault cocktail streams its events so
+# artifact_check can validate the per-phase integrity rows (present
+# wherever the stream's phase spans carry corrupt_dropped, per-node rows
+# summing to the totals, no negative counters) alongside the usual stream
 # invariants.
 integrity-smoke: build
 	dune exec $(BENCH) -- a14 --scale small --bodies 512
 	dune exec $(BENCH) -- t2 --scale small --bodies 512 \
 	  --faults heavy,crashes=2,corrupt=0.05,torn-wal=1 \
-	  --events /tmp/dpa_integ_events.jsonl --profile | tee /tmp/dpa_integ.txt
-	dune exec bin/obs_check.exe -- --min-lines 1000 \
-	  /tmp/dpa_integ_events.jsonl /tmp/dpa_integ.txt
-	@grep -q "Per-phase integrity" /tmp/dpa_integ.txt \
-	  && echo "integrity-smoke: integrity tables consistent across nodes"
+	  --events /tmp/dpa_integ_events.jsonl --metrics /tmp/dpa_integ_metrics.json
+	$(CHECK) --min-lines 1000 \
+	  --events /tmp/dpa_integ_events.jsonl --metrics /tmp/dpa_integ_metrics.json
 
 # Communication-optimality smoke test: the a15 matrix at reduced scale.
 # Tree-routed aggregation and Morton repartitioning must both strictly
@@ -115,18 +114,29 @@ optimality-smoke: build
 # Flat-heap scale smoke test: the a16 sweep at reduced scale. The
 # allocation gate must pass (every boxed-baseline config re-run on the
 # flat heap clears the committed words-per-body-step reduction
-# threshold, or a16 exits 1), and bin/scale_check must accept the JSON
-# artifact — field presence, reduction-factor arithmetic, non-negative
-# counters — and then re-measure the hot path directly, failing if a
-# phase of local reads (cheap threads, or threads that each spend a whole
-# poll quantum), or one of remote reads that merge onto in-flight
-# fetches, allocates more than 0.5 words per read (docs/PERFORMANCE.md
-# §4). The committed BENCH_scale.json is the same
-# artifact produced by `a16 --scale full`.
+# threshold, or a16 exits 1), and artifact_check must accept the JSON
+# artifact: field presence, reduction-factor arithmetic, non-negative
+# counters. The committed BENCH_scale.json is the same artifact produced
+# by `a16 --scale full`. The hot path's per-read allocation bound
+# (docs/PERFORMANCE.md §4) is a unit test in `dune runtest`.
 scale-smoke: build
 	dune exec $(BENCH) -- a16 --scale small --json /tmp/dpa_scale.json
-	dune exec bin/scale_check.exe -- /tmp/dpa_scale.json
-	@echo "scale-smoke: artifact valid; strip hot path allocation-free"
+	$(CHECK) --scale /tmp/dpa_scale.json
+
+# Bad numeric overrides are usage errors that name the flag (cmdliner's
+# exit 124), not uncaught exceptions from inside the run (exit 125).
+usage-smoke: build
+	@for args in "t2 --bodies 0" "t3 --particles 0" "t2 --procs 0" \
+	  "t2 --procs 4,-1"; do \
+	  flag=$${args#* }; flag=$${flag%% *}; \
+	  dune exec $(BENCH) -- $$args > /dev/null 2> /tmp/dpa_usage.err; \
+	  code=$$?; \
+	  if [ $$code -eq 0 ] || [ $$code -eq 125 ] \
+	    || ! grep -q -- "$$flag" /tmp/dpa_usage.err; then \
+	    echo "usage-smoke: '$$args' exited $$code:"; cat /tmp/dpa_usage.err; \
+	    exit 1; \
+	  fi; \
+	done; echo "usage-smoke: bad counts rejected as usage errors"
 
 # Byte-identity check against another build, usually the parent commit's:
 # every command in scripts/identity.cmds runs through BASE and through this

@@ -257,6 +257,16 @@ let with_faults fo f conf =
         ~finally:(fun () -> Dpa_sim.Fault.set_global None)
         (fun () -> f conf))
 
+(* A count flag: anything but a positive integer is a usage error naming
+   the flag, not an exception from deep inside the run. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let conf_term =
   let scale =
     Arg.(
@@ -269,19 +279,19 @@ let conf_term =
   let procs =
     Arg.(
       value
-      & opt (some (list int)) None
+      & opt (some (list positive)) None
       & info [ "procs" ] ~docv:"P,P,..." ~doc:"Override the processor counts.")
   in
   let bodies =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "bodies" ] ~docv:"N" ~doc:"Override the Barnes-Hut body count.")
   in
   let particles =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "particles" ] ~docv:"N" ~doc:"Override the FMM particle count.")
   in
   let strip =
@@ -365,7 +375,7 @@ let conf_term =
 let failures = ref []
 let fail msgs = failures := !failures @ msgs
 
-(* [--json FILE], shared by a15 and a16. *)
+(* [--json FILE], for the commands whose results have a JSON form. *)
 let json_term =
   Arg.(
     value
@@ -377,9 +387,9 @@ let json_term =
 
 (* Open the [--json] file before the run so a bad path fails
    immediately; [f] runs the experiment and returns the JSON to write. *)
-let with_json json what f =
+let with_json what f json conf =
   let out = Option.map open_or_die json in
-  let v = f () in
+  let v = f conf in
   Option.iter
     (fun (path, oc) ->
       output_string oc (Dpa_obs.Json.to_string v);
@@ -388,75 +398,14 @@ let with_json json what f =
       Printf.printf "wrote %s to %s\n" what path)
     out
 
-let run_t1 conf = Experiment.print_thread_stats (Experiment.thread_stats conf)
+(* What an experiment command runs: a printout, or a printout whose
+   results [--json] can also write (named [what] in the log line). *)
+type experiment =
+  | Print of (Runconf.t -> unit)
+  | Json of string * (Runconf.t -> Dpa_obs.Json.t)
 
-let run_t2 conf =
-  Experiment.print_times
-    ~title:
-      (Printf.sprintf
-         "T2: Barnes-Hut force-phase times (%d bodies, %d step(s), strip %d)"
-         conf.Runconf.bh_bodies conf.Runconf.bh_steps conf.Runconf.bh_strip)
-    (Experiment.bh_times conf)
-
-let run_t3 conf =
-  Experiment.print_times
-    ~title:
-      (Printf.sprintf "T3: FMM force-phase times (%d particles, p=%d)"
-         conf.Runconf.fmm_particles conf.Runconf.fmm_p)
-    (Experiment.fmm_times conf)
-
-let run_f1 conf =
-  Experiment.print_breakdown
-    ~title:
-      (Printf.sprintf "F1: Barnes-Hut breakdown on %d nodes"
-         conf.Runconf.breakdown_procs)
-    (Experiment.bh_breakdown conf)
-
-let run_f2 conf =
-  Experiment.print_breakdown
-    ~title:
-      (Printf.sprintf "F2: FMM breakdown on %d nodes (strip %d)"
-         conf.Runconf.breakdown_procs conf.Runconf.fmm_strip)
-    (Experiment.fmm_breakdown conf)
-
-let run_f3 conf = Experiment.print_strip_sweep (Experiment.strip_sweep conf)
-
-let run_f4 conf =
-  let bh = Experiment.bh_times conf and fmm = Experiment.fmm_times conf in
-  Experiment.print_speedups (Experiment.speedups ~bh ~fmm)
-
-let run_a1 conf = Experiment.print_agg_sweep (Experiment.agg_sweep conf)
-
-let run_a2 conf =
-  let dpa =
-    List.find
-      (fun (t : Experiment.timing) -> t.Experiment.procs = conf.Runconf.breakdown_procs)
-      (Experiment.bh_times
-         { conf with Runconf.procs = [ conf.Runconf.breakdown_procs ] })
-  in
-  Experiment.print_cache_sweep ~dpa_time_s:dpa.Experiment.dpa_s
-    (Experiment.cache_sweep conf)
-
-let run_a3 conf =
-  Experiment.print_distribution_sweep (Experiment.distribution_sweep conf)
-
-let run_a4 conf =
-  Experiment.print_partition_sweep (Experiment.partition_sweep conf)
-
-let run_a5 conf = Experiment.print_em3d_sweep (Experiment.em3d_sweep conf)
-
-let run_a6 conf =
-  Experiment.print_latency_sweep (Experiment.latency_sweep conf)
-
-let run_a7 conf =
-  Experiment.print_upward_sweep (Experiment.upward_sweep conf)
-
-let run_a8 conf = Experiment.print_afmm_sweep (Experiment.afmm_sweep conf)
-
-let run_a9 conf =
-  Experiment.print_cache_locality (Experiment.cache_locality conf)
-
-let run_a10 conf = Experiment.print_hotspot (Experiment.hotspot conf)
+let table title columns rows =
+  Print (fun conf -> Table.print title columns (rows conf))
 
 (* Run, print and check one fault matrix; returns its JSON. *)
 let run_matrix m =
@@ -465,43 +414,170 @@ let run_matrix m =
   fail (Matrix.failures m cells);
   Matrix.json m cells
 
-let run_a11 conf = ignore (run_matrix (Experiment.chaos_sweep conf))
+let matrix what declare = Json (what, fun conf -> run_matrix (declare conf))
 
-let run_a12 conf =
-  Experiment.print_adaptive_strip_sweep ~procs:conf.Runconf.breakdown_procs
-    (Experiment.adaptive_strip_sweep conf);
-  ignore (run_matrix (Experiment.adaptive_rto_sweep conf))
+(* Every experiment, in the order [all] runs them. *)
+let experiments =
+  let open Experiment in
+  [
+    ( "t1",
+      "Static/dynamic thread statistics table",
+      table "T1: static and dynamic thread statistics (DPA)" stats_columns
+        thread_stats );
+    ( "t2",
+      "Barnes-Hut execution-time table",
+      Print
+        (fun conf ->
+          Table.print
+            (Printf.sprintf
+               "T2: Barnes-Hut force-phase times (%d bodies, %d step(s), \
+                strip %d)"
+               conf.Runconf.bh_bodies conf.Runconf.bh_steps
+               conf.Runconf.bh_strip)
+            times_columns (bh_times conf)) );
+    ( "t3",
+      "FMM execution-time table",
+      Print
+        (fun conf ->
+          Table.print
+            (Printf.sprintf "T3: FMM force-phase times (%d particles, p=%d)"
+               conf.Runconf.fmm_particles conf.Runconf.fmm_p)
+            times_columns (fmm_times conf)) );
+    ( "f1",
+      "Barnes-Hut breakdown figure",
+      Print
+        (fun conf ->
+          print_breakdown
+            ~title:
+              (Printf.sprintf "F1: Barnes-Hut breakdown on %d nodes"
+                 conf.Runconf.breakdown_procs)
+            (bh_breakdown conf)) );
+    ( "f2",
+      "FMM breakdown figure",
+      Print
+        (fun conf ->
+          print_breakdown
+            ~title:
+              (Printf.sprintf "F2: FMM breakdown on %d nodes (strip %d)"
+                 conf.Runconf.breakdown_procs conf.Runconf.fmm_strip)
+            (fmm_breakdown conf)) );
+    ( "f3",
+      "Strip-size sensitivity figure",
+      table "F3: strip-size sensitivity (DPA, breakdown node count)"
+        strip_columns strip_sweep );
+    ( "f4",
+      "Speedup curves",
+      table "F4: DPA speedups over modelled sequential time" speedup_columns
+        (fun conf ->
+          let bh = bh_times conf and fmm = fmm_times conf in
+          speedups ~bh ~fmm) );
+    ( "a1",
+      "Aggregation-bound ablation",
+      table "A1: aggregation-bound ablation (Barnes-Hut, DPA)" agg_columns
+        agg_sweep );
+    ( "a2",
+      "Caching cache-size ablation",
+      Print
+        (fun conf ->
+          let dpa =
+            List.find
+              (fun (t : timing) -> t.procs = conf.Runconf.breakdown_procs)
+              (bh_times
+                 { conf with Runconf.procs = [ conf.Runconf.breakdown_procs ] })
+          in
+          Table.print
+            ~footer:
+              (Printf.sprintf "(DPA reference time: %s s)" (Table.sec dpa.dpa_s))
+            "A2: software-caching cache-size ablation (Barnes-Hut)"
+            cache_columns (cache_sweep conf)) );
+    ( "a3",
+      "FMM input-distribution ablation",
+      table "A3: FMM input-distribution ablation (DPA)" dist_columns
+        distribution_sweep );
+    ( "a4",
+      "Barnes-Hut partitioning ablation",
+      table "A4: Barnes-Hut partitioning ablation (DPA)" partition_columns
+        partition_sweep );
+    ( "a5",
+      "EM3D irregular-graph kernel",
+      table "A5: EM3D irregular-graph kernel (degree 20, 25% remote)"
+        em3d_columns em3d_sweep );
+    ( "a6",
+      "Network-latency sensitivity",
+      table "A6: network-latency sensitivity (Barnes-Hut, 1 step)"
+        latency_columns latency_sweep );
+    ( "a7",
+      "Parallel FMM upward pass (reductions)",
+      table
+        "A7: parallel FMM upward pass via remote reductions (P2M + \
+         per-level M2M)"
+        upward_columns upward_sweep );
+    ( "a8",
+      "Adaptive FMM on clustered input",
+      table "A8: adaptive FMM on a clustered input (8 Gaussian clusters)"
+        afmm_columns afmm_sweep );
+    ( "a9",
+      "Cache locality of iteration order",
+      table
+        "A9: single-node cache locality of iteration order (BH cell \
+         accesses)"
+        locality_columns cache_locality );
+    ( "a10",
+      "Hot-spot with link serialization",
+      table
+        "A10: hot spot (all nodes read node 0) with/without link \
+         serialization"
+        hotspot_columns hotspot );
+    ( "a11",
+      "Chaos sweep: faults vs goodput and correctness",
+      matrix "chaos sweep" chaos_sweep );
+    ( "a12",
+      "Adaptive strip size and adaptive RTO vs static",
+      Json
+        ( "adaptive RTO matrix",
+          fun conf ->
+            Table.print
+              (Printf.sprintf
+                 "A12a: static vs adaptive strip size — BH force phase (%d \
+                  nodes)"
+                 conf.Runconf.breakdown_procs)
+              adaptive_strip_columns
+              (adaptive_strip_sweep conf);
+            run_matrix (adaptive_rto_sweep conf) ) );
+    ( "a13",
+      "Crash-restart chaos matrix across workloads",
+      matrix "crash matrix" crash_matrix );
+    ( "a14",
+      "End-to-end integrity matrix: wire corruption and torn WAL writes \
+       across workloads",
+      matrix "integrity matrix" integrity_matrix );
+    ( "a15",
+      "Communication-optimality matrix: tree-routed aggregation and Morton \
+       repartitioning vs the flat/static baseline",
+      matrix "optimality matrix" optimality_matrix );
+    ( "a16",
+      "Flat-heap scale sweep: the allocation gate against the boxed-heap \
+       baseline, then distributed BH force phases up to a million bodies \
+       on 256 nodes (--scale full)",
+      Json
+        ( "scale sweep",
+          fun conf ->
+            let rows = scale_sweep conf in
+            let gate = scale_gate conf in
+            Table.print
+              "A16: flat-heap allocation gate — full BH simulate vs the \
+               boxed-heap baseline (allocated words per body-step)"
+              scale_gate_columns gate;
+            Table.print
+              "A16: scale sweep — one distributed BH force phase per row \
+               (flat heap)"
+              scale_columns rows;
+            print_endline (scale_summary gate rows);
+            fail (scale_failures gate);
+            scale_json (gate, rows) ) );
+  ]
 
-let run_a13 conf = ignore (run_matrix (Experiment.crash_matrix conf))
-let run_a14 conf = ignore (run_matrix (Experiment.integrity_matrix conf))
-
-let run_a15 ?json conf =
-  with_json json "optimality matrix" (fun () ->
-      run_matrix (Experiment.optimality_matrix conf))
-
-let run_a16 ?json conf =
-  with_json json "scale sweep" (fun () ->
-      let ((gate, _) as rows) =
-        (Experiment.scale_gate conf, Experiment.scale_sweep conf)
-      in
-      Experiment.print_scale_sweep rows;
-      fail
-        (List.filter_map
-           (fun (r : Experiment.scale_gate_row) ->
-             if Experiment.sg_reduction r >= Experiment.scale_gate_threshold
-             then None
-             else
-               Some
-                 (Printf.sprintf
-                    "a16: allocation gate failed at %d nodes, %d bodies: \
-                     %.2fx reduction, threshold %.1fx"
-                    r.Experiment.sg_nodes r.Experiment.sg_bodies
-                    (Experiment.sg_reduction r)
-                    Experiment.scale_gate_threshold))
-           gate);
-      Experiment.scale_json rows)
-
-let run_timeline ?(csv = None) conf =
+let run_timeline csv conf =
   let nnodes = conf.Runconf.breakdown_procs in
   let show variant =
     let bodies = Dpa_bh.Plummer.generate ~n:conf.Runconf.bh_bodies ~seed:17 in
@@ -562,51 +638,45 @@ let run_calibrate conf =
     fcounts.Dpa_fmm.Fmm_seq.evals fcounts.Dpa_fmm.Fmm_seq.p2p
     (float_of_int fns *. 1e-9) Paper.fmm_seq_s
 
+
 let run_all conf =
   run_calibrate conf;
   print_newline ();
-  run_t1 conf;
-  run_t2 conf;
-  run_t3 conf;
-  run_f1 conf;
-  run_f2 conf;
-  run_f3 conf;
-  run_f4 conf;
-  run_a1 conf;
-  run_a2 conf;
-  run_a3 conf;
-  run_a4 conf;
-  run_a5 conf;
-  run_a6 conf;
-  run_a7 conf;
-  run_a8 conf;
-  run_a9 conf;
-  run_a10 conf;
-  run_a11 conf;
-  run_a12 conf;
-  run_a13 conf;
-  run_a14 conf;
-  run_a15 conf;
-  run_a16 conf
+  List.iter
+    (fun (_, _, e) ->
+      match e with Print f -> f conf | Json (_, f) -> ignore (f conf))
+    experiments
 
-let cmd name doc f =
+(* A subcommand running [run] (a term, so it can carry its own flags)
+   under the shared fault, observability and configuration flags. *)
+let cmd name doc run =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun fo obs conf -> with_faults fo (with_obs obs f) conf)
-      $ fault_term $ obs_term $ conf_term)
-
-let json_cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (fun json fo obs conf ->
-          with_faults fo (with_obs obs (f ?json)) conf)
-      $ json_term $ fault_term $ obs_term $ conf_term)
+      const (fun run fo obs conf -> with_faults fo (with_obs obs run) conf)
+      $ run $ fault_term $ obs_term $ conf_term)
 
 let () =
-  let default =
-    Term.(
-      const (fun fo obs conf -> with_faults fo (with_obs obs run_all) conf)
-      $ fault_term $ obs_term $ conf_term)
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the DPA run's raw trace as CSV.")
+  in
+  let commands =
+    List.map
+      (fun (name, doc, e) ->
+        cmd name doc
+          (match e with
+          | Print f -> Term.const f
+          | Json (what, f) -> Term.(const (with_json what f) $ json_term)))
+      experiments
+    @ [
+        cmd "timeline" "Per-node utilization timelines (Barnes-Hut)"
+          Term.(const run_timeline $ csv);
+        cmd "calibrate" "Compare modelled sequential times to the paper"
+          (Term.const run_calibrate);
+        cmd "all" "Run every experiment" (Term.const run_all);
+      ]
   in
   let info =
     Cmd.info "dpa_bench" ~version:"1.0"
@@ -614,61 +684,11 @@ let () =
         "Reproduce the evaluation of 'Dynamic Pointer Alignment' (PPoPP \
          1997) on the simulated machine."
   in
-  let code =
-    Cmd.eval
-      (Cmd.group ~default info
-          [
-            cmd "t1" "Static/dynamic thread statistics table" run_t1;
-            cmd "t2" "Barnes-Hut execution-time table" run_t2;
-            cmd "t3" "FMM execution-time table" run_t3;
-            cmd "f1" "Barnes-Hut breakdown figure" run_f1;
-            cmd "f2" "FMM breakdown figure" run_f2;
-            cmd "f3" "Strip-size sensitivity figure" run_f3;
-            cmd "f4" "Speedup curves" run_f4;
-            cmd "a1" "Aggregation-bound ablation" run_a1;
-            cmd "a2" "Caching cache-size ablation" run_a2;
-            cmd "a3" "FMM input-distribution ablation" run_a3;
-            cmd "a4" "Barnes-Hut partitioning ablation" run_a4;
-            cmd "a5" "EM3D irregular-graph kernel" run_a5;
-            cmd "a6" "Network-latency sensitivity" run_a6;
-            cmd "a7" "Parallel FMM upward pass (reductions)" run_a7;
-            cmd "a8" "Adaptive FMM on clustered input" run_a8;
-            cmd "a9" "Cache locality of iteration order" run_a9;
-            cmd "a10" "Hot-spot with link serialization" run_a10;
-            cmd "a11" "Chaos sweep: faults vs goodput and correctness" run_a11;
-            cmd "a12" "Adaptive strip size and adaptive RTO vs static" run_a12;
-            cmd "a13" "Crash-restart chaos matrix across workloads" run_a13;
-            cmd "a14"
-              "End-to-end integrity matrix: wire corruption and torn WAL \
-               writes across workloads"
-              run_a14;
-            json_cmd "a15"
-              "Communication-optimality matrix: tree-routed aggregation and \
-               Morton repartitioning vs the flat/static baseline"
-              run_a15;
-            json_cmd "a16"
-              "Flat-heap scale sweep: the allocation gate against the \
-               boxed-heap baseline, then distributed BH force phases up to \
-               a million bodies on 256 nodes (--scale full)"
-              run_a16;
-            (let csv =
-               Arg.(
-                 value
-                 & opt (some string) None
-                 & info [ "csv" ] ~docv:"FILE"
-                     ~doc:"Also write the DPA run's raw trace as CSV.")
-             in
-             Cmd.v
-               (Cmd.info "timeline"
-                  ~doc:"Per-node utilization timelines (Barnes-Hut)")
-               Term.(
-                 const (fun csv fo obs conf ->
-                     with_faults fo (with_obs obs (run_timeline ~csv)) conf)
-                 $ csv $ fault_term $ obs_term $ conf_term));
-            cmd "calibrate" "Compare modelled sequential times to the paper"
-              run_calibrate;
-            cmd "all" "Run every experiment" run_all;
-          ])
+  let default =
+    Term.(
+      const (fun fo obs conf -> with_faults fo (with_obs obs run_all) conf)
+      $ fault_term $ obs_term $ conf_term)
   in
+  let code = Cmd.eval (Cmd.group ~default info commands) in
   List.iter (fun m -> prerr_endline ("dpa_bench: " ^ m)) !failures;
   exit (if code = 0 && !failures <> [] then 1 else code)

@@ -33,29 +33,32 @@ let bh_seq_s (conf : Runconf.t) (r : Dpa_bh.Bh_run.sim_result) =
         r.Dpa_bh.Bh_run.seq_counts)
   *. 1e-9
 
-let bh_times (conf : Runconf.t) =
+(* One T2/T3 row per processor count from a DPA and a caching [run] of a
+   workload, with the paper's numbers at the full scale. *)
+let times (conf : Runconf.t) ~run ~elapsed ~seq_s ~paper_dpa ~paper_caching =
+  let full = conf.Runconf.name = "full" in
   List.map
     (fun procs ->
-      let dpa =
-        bh_run conf ~procs
-          (dpa_variant conf ~strip:conf.Runconf.bh_strip)
-      in
+      let dpa = run ~procs (dpa_variant conf ~strip:conf.Runconf.bh_strip) in
       let caching =
-        bh_run conf ~procs
+        run ~procs
           (Dpa_baselines.Variant.Caching
              { capacity = conf.Runconf.cache_capacity })
       in
       {
         procs;
-        dpa_s = Breakdown.elapsed_s dpa.Dpa_bh.Bh_run.total;
-        caching_s = Breakdown.elapsed_s caching.Dpa_bh.Bh_run.total;
-        seq_s = bh_seq_s conf dpa;
-        paper_dpa_s =
-          (if conf.Runconf.name = "full" then Paper.bh_dpa50_s procs else None);
-        paper_caching_s =
-          (if conf.Runconf.name = "full" then Paper.bh_caching_s procs else None);
+        dpa_s = elapsed dpa;
+        caching_s = elapsed caching;
+        seq_s = seq_s dpa;
+        paper_dpa_s = (if full then paper_dpa procs else None);
+        paper_caching_s = (if full then paper_caching procs else None);
       })
     conf.Runconf.procs
+
+let bh_times conf =
+  times conf ~run:(bh_run conf) ~seq_s:(bh_seq_s conf)
+    ~elapsed:(fun r -> Breakdown.elapsed_s r.Dpa_bh.Bh_run.total)
+    ~paper_dpa:Paper.bh_dpa50_s ~paper_caching:Paper.bh_caching_s
 
 let fmm_params (conf : Runconf.t) =
   { Dpa_fmm.Fmm_force.default_params with Dpa_fmm.Fmm_force.p = conf.Runconf.fmm_p }
@@ -70,59 +73,23 @@ let fmm_seq_s (conf : Runconf.t) (r : Dpa_fmm.Fmm_run.run_result) =
        r.Dpa_fmm.Fmm_run.seq_counts)
   *. 1e-9
 
-let fmm_times (conf : Runconf.t) =
-  List.map
-    (fun procs ->
-      let dpa =
-        fmm_run conf ~procs
-          (dpa_variant conf ~strip:conf.Runconf.bh_strip)
-      in
-      let caching =
-        fmm_run conf ~procs
-          (Dpa_baselines.Variant.Caching
-             { capacity = conf.Runconf.cache_capacity })
-      in
-      {
-        procs;
-        dpa_s =
-          Breakdown.elapsed_s dpa.Dpa_fmm.Fmm_run.phase.Dpa_fmm.Fmm_run.breakdown;
-        caching_s =
-          Breakdown.elapsed_s
-            caching.Dpa_fmm.Fmm_run.phase.Dpa_fmm.Fmm_run.breakdown;
-        seq_s = fmm_seq_s conf dpa;
-        paper_dpa_s =
-          (if conf.Runconf.name = "full" then Paper.fmm_dpa50_s procs else None);
-        paper_caching_s =
-          (if conf.Runconf.name = "full" then Paper.fmm_caching_s procs
-           else None);
-      })
-    conf.Runconf.procs
+let fmm_times conf =
+  times conf ~run:(fmm_run conf) ~seq_s:(fmm_seq_s conf)
+    ~elapsed:(fun r ->
+      Breakdown.elapsed_s r.Dpa_fmm.Fmm_run.phase.Dpa_fmm.Fmm_run.breakdown)
+    ~paper_dpa:Paper.fmm_dpa50_s ~paper_caching:Paper.fmm_caching_s
 
-let print_times ~title rows =
-  Printf.printf "%s\n" title;
-  let t =
-    Table.make
-      ~header:
-        [
-          "PROCS"; "DPA(s)"; "Caching(s)"; "DPA speedup"; "Caching speedup";
-          "paper DPA"; "paper Caching";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          string_of_int r.procs;
-          Table.sec r.dpa_s;
-          Table.sec r.caching_s;
-          Table.speedup (r.seq_s /. r.dpa_s);
-          Table.speedup (r.seq_s /. r.caching_s);
-          Table.opt Table.sec r.paper_dpa_s;
-          Table.opt Table.sec r.paper_caching_s;
-        ])
-    rows;
-  Table.print t;
-  print_newline ()
+let times_columns : timing Table.column list =
+  Table.
+    [
+      ("PROCS", fun r -> string_of_int r.procs);
+      ("DPA(s)", fun r -> sec r.dpa_s);
+      ("Caching(s)", fun r -> sec r.caching_s);
+      ("DPA speedup", fun r -> speedup (r.seq_s /. r.dpa_s));
+      ("Caching speedup", fun r -> speedup (r.seq_s /. r.caching_s));
+      ("paper DPA", fun r -> opt sec r.paper_dpa_s);
+      ("paper Caching", fun r -> opt sec r.paper_caching_s);
+    ]
 
 (* ------------------------------------------------------------------ F1/F2 *)
 
@@ -220,30 +187,15 @@ let strip_sweep ?(strips = default_strips) (conf : Runconf.t) =
       })
     strips
 
-let print_strip_sweep points =
-  print_endline "F3: strip-size sensitivity (DPA, breakdown node count)";
-  let t =
-    Table.make
-      ~header:
-        [
-          "STRIP"; "BH(s)"; "FMM(s)"; "BH max outstanding"; "BH peak D";
-          "BH max batch";
-        ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          string_of_int p.strip;
-          Table.sec p.bh_s;
-          Table.sec p.fmm_s;
-          string_of_int p.bh_outstanding;
-          string_of_int p.bh_align_peak;
-          string_of_int p.bh_max_batch;
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let strip_columns : strip_point Table.column list =
+  [
+    ("STRIP", fun p -> string_of_int p.strip);
+    ("BH(s)", fun p -> Table.sec p.bh_s);
+    ("FMM(s)", fun p -> Table.sec p.fmm_s);
+    ("BH max outstanding", fun p -> string_of_int p.bh_outstanding);
+    ("BH peak D", fun p -> string_of_int p.bh_align_peak);
+    ("BH max batch", fun p -> string_of_int p.bh_max_batch);
+  ]
 
 (* --------------------------------------------------------------------- F4 *)
 
@@ -260,20 +212,12 @@ let speedups ~bh ~fmm =
       })
     bh
 
-let print_speedups rows =
-  print_endline "F4: DPA speedups over modelled sequential time";
-  let t = Table.make ~header:[ "PROCS"; "BH speedup"; "FMM speedup" ] in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          string_of_int r.procs;
-          Table.speedup r.bh_speedup;
-          Table.speedup r.fmm_speedup;
-        ])
-    rows;
-  Table.print t;
-  print_newline ()
+let speedup_columns : speedup_row Table.column list =
+  [
+    ("PROCS", fun r -> string_of_int r.procs);
+    ("BH speedup", fun r -> Table.speedup r.bh_speedup);
+    ("FMM speedup", fun r -> Table.speedup r.fmm_speedup);
+  ]
 
 (* --------------------------------------------------------------------- T1 *)
 
@@ -342,31 +286,16 @@ let thread_stats (conf : Runconf.t) =
        (Option.get fmm.Dpa_fmm.Fmm_run.phase.Dpa_fmm.Fmm_run.dpa_stats)
   :: compiler_rows
 
-let print_thread_stats rows =
-  print_endline "T1: static and dynamic thread statistics (DPA)";
-  let t =
-    Table.make
-      ~header:
-        [
-          "PROGRAM"; "STATIC SITES"; "DYN THREADS"; "MAX OUTSTANDING";
-          "PEAK D"; "MAX BATCH"; "REQ MSGS";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.name;
-          string_of_int r.static_sites;
-          string_of_int r.dynamic_threads;
-          string_of_int r.max_outstanding;
-          string_of_int r.align_peak;
-          string_of_int r.max_batch;
-          string_of_int r.request_msgs;
-        ])
-    rows;
-  Table.print t;
-  print_newline ()
+let stats_columns : stats_row Table.column list =
+  [
+    ("PROGRAM", fun r -> r.name);
+    ("STATIC SITES", fun r -> string_of_int r.static_sites);
+    ("DYN THREADS", fun r -> string_of_int r.dynamic_threads);
+    ("MAX OUTSTANDING", fun r -> string_of_int r.max_outstanding);
+    ("PEAK D", fun r -> string_of_int r.align_peak);
+    ("MAX BATCH", fun r -> string_of_int r.max_batch);
+    ("REQ MSGS", fun r -> string_of_int r.request_msgs);
+  ]
 
 (* --------------------------------------------------------------------- A1 *)
 
@@ -390,21 +319,13 @@ let agg_sweep ?(aggs = [ 1; 4; 16; 64; 256 ]) (conf : Runconf.t) =
       })
     aggs
 
-let print_agg_sweep points =
-  print_endline "A1: aggregation-bound ablation (Barnes-Hut, DPA)";
-  let t = Table.make ~header:[ "AGG MAX"; "TIME(s)"; "MESSAGES"; "MAX BATCH" ] in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          string_of_int p.agg;
-          Table.sec p.time_s;
-          string_of_int p.msgs;
-          string_of_int p.max_batch;
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let agg_columns : agg_point Table.column list =
+  [
+    ("AGG MAX", fun p -> string_of_int p.agg);
+    ("TIME(s)", fun p -> Table.sec p.time_s);
+    ("MESSAGES", fun p -> string_of_int p.msgs);
+    ("MAX BATCH", fun p -> string_of_int p.max_batch);
+  ]
 
 (* --------------------------------------------------------------------- A2 *)
 
@@ -431,24 +352,14 @@ let cache_sweep ?(capacities = [ 64; 256; 1024; 4096; 16384 ]) (conf : Runconf.t
       })
     capacities
 
-let print_cache_sweep ~dpa_time_s points =
-  print_endline "A2: software-caching cache-size ablation (Barnes-Hut)";
-  let t =
-    Table.make ~header:[ "CAPACITY"; "TIME(s)"; "HITS"; "MISSES"; "EVICTIONS" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          string_of_int p.capacity;
-          Table.sec p.time_s;
-          string_of_int p.hits;
-          string_of_int p.misses;
-          string_of_int p.evictions;
-        ])
-    points;
-  Table.print t;
-  Printf.printf "(DPA reference time: %s s)\n\n" (Table.sec dpa_time_s)
+let cache_columns : cache_point Table.column list =
+  [
+    ("CAPACITY", fun p -> string_of_int p.capacity);
+    ("TIME(s)", fun p -> Table.sec p.time_s);
+    ("HITS", fun p -> string_of_int p.hits);
+    ("MISSES", fun p -> string_of_int p.misses);
+    ("EVICTIONS", fun p -> string_of_int p.evictions);
+  ]
 
 (* --------------------------------------------------------------------- A3 *)
 
@@ -477,21 +388,16 @@ let distribution_sweep (conf : Runconf.t) =
       })
     [ ("uniform", `Uniform); ("clustered(8)", `Clustered 8) ]
 
-let print_distribution_sweep points =
-  print_endline "A3: FMM input-distribution ablation (DPA)";
-  let t = Table.make ~header:[ "DISTRIBUTION"; "TIME(s)"; "IDLE %"; "MESSAGES" ] in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.dist_name;
-          Table.sec p.dist_time_s;
-          Printf.sprintf "%.0f" (100. *. p.dist_idle_frac);
-          string_of_int p.dist_msgs;
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+(* A fraction as a percentage with [digits] decimals. *)
+let pct digits f = Printf.sprintf "%.*f" digits (100. *. f)
+
+let dist_columns : dist_point Table.column list =
+  [
+    ("DISTRIBUTION", fun p -> p.dist_name);
+    ("TIME(s)", fun p -> Table.sec p.dist_time_s);
+    ("IDLE %", fun p -> pct 0 p.dist_idle_frac);
+    ("MESSAGES", fun p -> string_of_int p.dist_msgs);
+  ]
 
 (* --------------------------------------------------------------------- A4 *)
 
@@ -517,20 +423,12 @@ let partition_sweep (conf : Runconf.t) =
       })
     [ ("equal-count blocks", `Block); ("costzones", `Costzones) ]
 
-let print_partition_sweep points =
-  print_endline "A4: Barnes-Hut partitioning ablation (DPA)";
-  let t = Table.make ~header:[ "PARTITION"; "TIME(s)"; "IDLE %" ] in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.part_name;
-          Table.sec p.part_time_s;
-          Printf.sprintf "%.0f" (100. *. p.part_idle_frac);
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let partition_columns : partition_point Table.column list =
+  [
+    ("PARTITION", fun p -> p.part_name);
+    ("TIME(s)", fun p -> Table.sec p.part_time_s);
+    ("IDLE %", fun p -> pct 0 p.part_idle_frac);
+  ]
 
 (* --------------------------------------------------------------------- A5 *)
 
@@ -575,21 +473,13 @@ let em3d_sweep (conf : Runconf.t) =
       ("Blocking", Dpa_baselines.Variant.Blocking);
     ]
 
-let print_em3d_sweep points =
-  print_endline "A5: EM3D irregular-graph kernel (degree 20, 25% remote)";
-  let t = Table.make ~header:[ "RUNTIME"; "TIME(s)"; "MESSAGES"; "CHECKSUM" ] in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.em3d_variant;
-          Table.sec p.em3d_time_s;
-          string_of_int p.em3d_msgs;
-          Printf.sprintf "%.6f" p.em3d_checksum;
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let em3d_columns : em3d_point Table.column list =
+  [
+    ("RUNTIME", fun p -> p.em3d_variant);
+    ("TIME(s)", fun p -> Table.sec p.em3d_time_s);
+    ("MESSAGES", fun p -> string_of_int p.em3d_msgs);
+    ("CHECKSUM", fun p -> Printf.sprintf "%.6f" p.em3d_checksum);
+  ]
 
 (* --------------------------------------------------------------------- A6 *)
 
@@ -629,23 +519,13 @@ let latency_sweep ?(scales = [ 0.5; 1.; 2.; 4.; 8. ]) (conf : Runconf.t) =
       })
     scales
 
-let print_latency_sweep points =
-  print_endline "A6: network-latency sensitivity (Barnes-Hut, 1 step)";
-  let t =
-    Table.make ~header:[ "LATENCY x"; "DPA(s)"; "Blocking(s)"; "Blocking/DPA" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          Printf.sprintf "%.1f" p.lat_scale;
-          Table.sec p.lat_dpa_s;
-          Table.sec p.lat_blocking_s;
-          Printf.sprintf "%.1f" (p.lat_blocking_s /. p.lat_dpa_s);
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let latency_columns : latency_point Table.column list =
+  [
+    ("LATENCY x", fun p -> Printf.sprintf "%.1f" p.lat_scale);
+    ("DPA(s)", fun p -> Table.sec p.lat_dpa_s);
+    ("Blocking(s)", fun p -> Table.sec p.lat_blocking_s);
+    ("Blocking/DPA", fun p -> Printf.sprintf "%.1f" (p.lat_blocking_s /. p.lat_dpa_s));
+  ]
 
 (* --------------------------------------------------------------------- A7 *)
 
@@ -690,24 +570,13 @@ let upward_sweep (conf : Runconf.t) =
       ("Blocking", Dpa_baselines.Variant.Blocking);
     ]
 
-let print_upward_sweep points =
-  print_endline
-    "A7: parallel FMM upward pass via remote reductions (P2M + per-level M2M)";
-  let t =
-    Table.make ~header:[ "RUNTIME"; "TIME(s)"; "MESSAGES"; "UPDATES COMBINED" ]
-  in
-  List.iter
-    (fun pnt ->
-      Table.add_row t
-        [
-          pnt.up_variant;
-          Table.sec pnt.up_time_s;
-          string_of_int pnt.up_msgs;
-          string_of_int pnt.up_combined;
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let upward_columns : upward_point Table.column list =
+  [
+    ("RUNTIME", fun p -> p.up_variant);
+    ("TIME(s)", fun p -> Table.sec p.up_time_s);
+    ("MESSAGES", fun p -> string_of_int p.up_msgs);
+    ("UPDATES COMBINED", fun p -> string_of_int p.up_combined);
+  ]
 
 (* --------------------------------------------------------------------- A8 *)
 
@@ -752,16 +621,12 @@ let afmm_sweep (conf : Runconf.t) =
     uniform;
   ]
 
-let print_afmm_sweep points =
-  print_endline "A8: adaptive FMM on a clustered input (8 Gaussian clusters)";
-  let t = Table.make ~header:[ "CONFIGURATION"; "TIME(s)"; "MESSAGES" ] in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [ p.af_variant; Table.sec p.af_time_s; string_of_int p.af_msgs ])
-    points;
-  Table.print t;
-  print_newline ()
+let afmm_columns : afmm_point Table.column list =
+  [
+    ("CONFIGURATION", fun p -> p.af_variant);
+    ("TIME(s)", fun p -> Table.sec p.af_time_s);
+    ("MESSAGES", fun p -> string_of_int p.af_msgs);
+  ]
 
 (* --------------------------------------------------------------------- A9 *)
 
@@ -805,24 +670,12 @@ let cache_locality ?(lines = [ 128; 512; 2048 ]) (conf : Runconf.t) =
       })
     lines
 
-let print_cache_locality points =
-  print_endline
-    "A9: single-node cache locality of iteration order (BH cell accesses)";
-  let t =
-    Table.make
-      ~header:[ "CACHE LINES"; "RANDOM ORDER MISS%"; "TREE ORDER MISS%" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          string_of_int p.cl_lines;
-          Printf.sprintf "%.2f" (100. *. p.cl_random_miss);
-          Printf.sprintf "%.2f" (100. *. p.cl_tree_miss);
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let locality_columns : cache_locality_point Table.column list =
+  [
+    ("CACHE LINES", fun p -> string_of_int p.cl_lines);
+    ("RANDOM ORDER MISS%", fun p -> pct 2 p.cl_random_miss);
+    ("TREE ORDER MISS%", fun p -> pct 2 p.cl_tree_miss);
+  ]
 
 (* -------------------------------------------------------------------- A10 *)
 
@@ -875,17 +728,12 @@ let hotspot (conf : Runconf.t) =
       "Pipeline, serialized ingress";
   ]
 
-let print_hotspot points =
-  print_endline
-    "A10: hot spot (all nodes read node 0) with/without link serialization";
-  let t = Table.make ~header:[ "CONFIGURATION"; "TIME(s)"; "MESSAGES" ] in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [ p.hs_config; Table.sec p.hs_time_s; string_of_int p.hs_msgs ])
-    points;
-  Table.print t;
-  print_newline ()
+let hotspot_columns : hotspot_point Table.column list =
+  [
+    ("CONFIGURATION", fun p -> p.hs_config);
+    ("TIME(s)", fun p -> Table.sec p.hs_time_s);
+    ("MESSAGES", fun p -> string_of_int p.hs_msgs);
+  ]
 
 (* -------------------------------------------------------------------- A11 *)
 
@@ -984,11 +832,7 @@ let adaptive_strip_sweep ?(strips = [ 10; 25; 50; 100; 300 ])
     let engine = Engine.create machine in
     Engine.set_fault engine None;
     let r = Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies ~params variant in
-    let s =
-      match r.Dpa_bh.Bh_run.dpa_stats with
-      | Some s -> s
-      | None -> assert false
-    in
+    let s = Option.get r.Dpa_bh.Bh_run.dpa_stats in
     {
       as_mode = name;
       as_time_s = Breakdown.elapsed_s r.Dpa_bh.Bh_run.breakdown;
@@ -1006,31 +850,16 @@ let adaptive_strip_sweep ?(strips = [ 10; 25; 50; 100; 300 ])
     strips
   @ [ point "auto" (Dpa_baselines.Variant.Dpa (Dpa.Config.dpa_auto ())) ]
 
-let print_adaptive_strip_sweep ~procs points =
-  Printf.printf
-    "A12a: static vs adaptive strip size — BH force phase (%d nodes)\n" procs;
-  let t =
-    Table.make
-      ~header:
-        [
-          "STRIP"; "TIME(s)"; "FINAL"; "GROWS"; "SHRINKS"; "PEAK D"; "MAX OUT";
-        ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.as_mode;
-          Table.sec p.as_time_s;
-          string_of_int p.as_final_strip;
-          string_of_int p.as_grows;
-          string_of_int p.as_shrinks;
-          string_of_int p.as_peak_d;
-          string_of_int p.as_max_out;
-        ])
-    points;
-  Table.print t;
-  print_newline ()
+let adaptive_strip_columns : adaptive_strip_point Table.column list =
+  [
+    ("STRIP", fun p -> p.as_mode);
+    ("TIME(s)", fun p -> Table.sec p.as_time_s);
+    ("FINAL", fun p -> string_of_int p.as_final_strip);
+    ("GROWS", fun p -> string_of_int p.as_grows);
+    ("SHRINKS", fun p -> string_of_int p.as_shrinks);
+    ("PEAK D", fun p -> string_of_int p.as_peak_d);
+    ("MAX OUT", fun p -> string_of_int p.as_max_out);
+  ]
 
 (* Same phase, same fault plan and seed, with only the timeout policy
    varied. The interesting column is RT RETRIES: the constant wheel base
@@ -1660,82 +1489,85 @@ let scale_sweep (conf : Runconf.t) =
       })
     (scale_points conf)
 
-let print_scale_sweep (gate, rows) =
-  print_endline
-    "A16: flat-heap allocation gate — full BH simulate vs the boxed-heap \
-     baseline (allocated words per body-step)";
-  print_endline
-    "NODES  BODIES  STEPS  WALL(s)  WORDS/BODY-STEP  BOXED     REDUCTION  MAJOR-GCS";
-  print_endline
-    "-----  ------  -----  -------  ---------------  --------  ---------  ---------";
-  List.iter
+let scale_gate_columns : scale_gate_row Table.column list =
+  [
+    ("NODES", fun r -> string_of_int r.sg_nodes);
+    ("BODIES", fun r -> string_of_int r.sg_bodies);
+    ("STEPS", fun r -> string_of_int r.sg_steps);
+    ("WALL(s)", fun r -> Table.sec r.sg_wall_s);
+    ("WORDS/BODY-STEP", fun r -> Printf.sprintf "%.1f" r.sg_words);
+    ("BOXED", fun r -> Printf.sprintf "%.1f" r.sg_boxed_words);
+    ("REDUCTION", fun r -> Printf.sprintf "%.2fx" (sg_reduction r));
+    ("MAJOR-GCS", fun r -> string_of_int r.sg_majors);
+  ]
+
+let scale_columns : scale_row Table.column list =
+  [
+    ("NODES", fun r -> string_of_int r.sc_nodes);
+    ("BODIES", fun r -> string_of_int r.sc_bodies);
+    ("WALL(s)", fun r -> Table.sec r.sc_wall_s);
+    ("WORDS/BODY", fun r -> Printf.sprintf "%.1f" r.sc_words_per_body);
+    ("MAJOR-GCS", fun r -> string_of_int r.sc_majors);
+    ("BYTES-MOVED", fun r -> string_of_int r.sc_bytes_moved);
+  ]
+
+let scale_failures gate =
+  List.filter_map
     (fun r ->
-      Printf.printf "%-5d  %-6d  %-5d  %-7.2f  %-15.1f  %-8.1f  %-9s  %d\n"
-        r.sg_nodes r.sg_bodies r.sg_steps r.sg_wall_s r.sg_words
-        r.sg_boxed_words
-        (Printf.sprintf "%.2fx" (sg_reduction r))
-        r.sg_majors)
-    gate;
-  print_newline ();
-  print_endline
-    "A16: scale sweep — one distributed BH force phase per row (flat heap)";
-  print_endline
-    "NODES  BODIES   WALL(s)  WORDS/BODY  MAJOR-GCS  BYTES-MOVED";
-  print_endline
-    "-----  -------  -------  ----------  ---------  -----------";
-  List.iter
-    (fun r ->
-      Printf.printf "%-5d  %-7d  %-7.2f  %-10.1f  %-9d  %d\n" r.sc_nodes
-        r.sc_bodies r.sc_wall_s r.sc_words_per_body r.sc_majors
-        r.sc_bytes_moved)
-    rows;
-  print_newline ();
+      if sg_reduction r >= scale_gate_threshold then None
+      else
+        Some
+          (Printf.sprintf
+             "a16: allocation gate failed at %d nodes, %d bodies: %.2fx \
+              reduction, threshold %.1fx"
+             r.sg_nodes r.sg_bodies (sg_reduction r) scale_gate_threshold))
+    gate
+
+let scale_summary gate rows =
   let worst =
     List.fold_left (fun acc r -> min acc (sg_reduction r)) infinity gate
   in
-  let top =
-    List.fold_left (fun acc r -> max acc r.sc_bodies) 0 rows
-  in
-  Printf.printf
+  Printf.sprintf
     "a16 summary: gate=%s min_reduction=%.2fx (threshold %.1fx); largest \
-     sweep %d bodies\n"
+     sweep %d bodies"
     (if worst >= scale_gate_threshold then "ok" else "FAILED")
-    worst scale_gate_threshold top
+    worst scale_gate_threshold
+    (List.fold_left (fun acc r -> max acc r.sc_bodies) 0 rows)
 
 let scale_json (gate, rows) =
-  Dpa_obs.Json.Obj
+  let open Dpa_obs.Json in
+  Obj
     [
-      ("bench", Dpa_obs.Json.Str "scale");
-      ("gate_threshold_x", Dpa_obs.Json.Float scale_gate_threshold);
+      ("bench", Str "scale");
+      ("gate_threshold_x", Float scale_gate_threshold);
       ( "gate",
-        Dpa_obs.Json.List
+        List
           (List.map
              (fun r ->
-               Dpa_obs.Json.Obj
+               Obj
                  [
-                   ("nodes", Dpa_obs.Json.Int r.sg_nodes);
-                   ("bodies", Dpa_obs.Json.Int r.sg_bodies);
-                   ("steps", Dpa_obs.Json.Int r.sg_steps);
-                   ("wall_s", Dpa_obs.Json.Float r.sg_wall_s);
-                   ("words_per_body_step", Dpa_obs.Json.Float r.sg_words);
-                   ( "boxed_words_per_body_step",
-                     Dpa_obs.Json.Float r.sg_boxed_words );
-                   ("reduction_x", Dpa_obs.Json.Float (sg_reduction r));
-                   ("major_collections", Dpa_obs.Json.Int r.sg_majors);
+                   ("nodes", Int r.sg_nodes);
+                   ("bodies", Int r.sg_bodies);
+                   ("steps", Int r.sg_steps);
+                   ("wall_s", Float r.sg_wall_s);
+                   ("words_per_body_step", Float r.sg_words);
+                   ("boxed_words_per_body_step", Float r.sg_boxed_words);
+                   ("reduction_x", Float (sg_reduction r));
+                   ("major_collections", Int r.sg_majors);
                  ])
              gate) );
       ( "scale",
-        Dpa_obs.Json.List
+        List
           (List.map
              (fun r ->
-               Dpa_obs.Json.Obj
+               Obj
                  [
-                   ("nodes", Dpa_obs.Json.Int r.sc_nodes);
-                   ("bodies", Dpa_obs.Json.Int r.sc_bodies);
-                   ("wall_s", Dpa_obs.Json.Float r.sc_wall_s);
-                   ("words_per_body", Dpa_obs.Json.Float r.sc_words_per_body);
-                   ("major_collections", Dpa_obs.Json.Int r.sc_majors);
-                   ("bytes_moved", Dpa_obs.Json.Int r.sc_bytes_moved);
+                   ("nodes", Int r.sc_nodes);
+                   ("bodies", Int r.sc_bodies);
+                   ("wall_s", Float r.sc_wall_s);
+                   ("words_per_body", Float r.sc_words_per_body);
+                   ("major_collections", Int r.sc_majors);
+                   ("bytes_moved", Int r.sc_bytes_moved);
                  ])
              rows) );
     ]

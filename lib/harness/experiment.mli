@@ -1,6 +1,7 @@
 (** Runners for every experiment in DESIGN.md §7 (one per table/figure of
-    the paper, plus two ablations). Each returns structured data; the
-    [print_*] functions render the paper-style artifact. *)
+    the paper, plus the ablations). Each returns structured data; its
+    [*_columns] list renders the rows as the paper-style table through
+    {!Table.print}. *)
 
 type timing = {
   procs : int;
@@ -17,7 +18,7 @@ val bh_times : Runconf.t -> timing list
 val fmm_times : Runconf.t -> timing list
 (** T3: FMM. *)
 
-val print_times : title:string -> timing list -> unit
+val times_columns : timing Table.column list
 
 type breakdown_bar = {
   variant : string;
@@ -46,7 +47,7 @@ type strip_point = {
 val strip_sweep : ?strips:int list -> Runconf.t -> strip_point list
 (** F3: strip-size sensitivity on the breakdown node count. *)
 
-val print_strip_sweep : strip_point list -> unit
+val strip_columns : strip_point Table.column list
 
 type speedup_row = {
   procs : int;
@@ -57,7 +58,7 @@ type speedup_row = {
 val speedups : bh:timing list -> fmm:timing list -> speedup_row list
 (** F4, derived from T2/T3 data. *)
 
-val print_speedups : speedup_row list -> unit
+val speedup_columns : speedup_row Table.column list
 
 type stats_row = {
   name : string;
@@ -73,14 +74,14 @@ val thread_stats : Runconf.t -> stats_row list
 (** T1: static/dynamic thread statistics for BH, FMM and the compiler
     examples. *)
 
-val print_thread_stats : stats_row list -> unit
+val stats_columns : stats_row Table.column list
 
 type agg_point = { agg : int; time_s : float; msgs : int; max_batch : int }
 
 val agg_sweep : ?aggs:int list -> Runconf.t -> agg_point list
 (** A1: aggregation-bound ablation on Barnes-Hut. *)
 
-val print_agg_sweep : agg_point list -> unit
+val agg_columns : agg_point Table.column list
 
 type cache_point = {
   capacity : int;
@@ -93,7 +94,7 @@ type cache_point = {
 val cache_sweep : ?capacities:int list -> Runconf.t -> cache_point list
 (** A2: caching-baseline cache-size ablation on Barnes-Hut. *)
 
-val print_cache_sweep : dpa_time_s:float -> cache_point list -> unit
+val cache_columns : cache_point Table.column list
 
 type dist_point = {
   dist_name : string;
@@ -106,7 +107,7 @@ val distribution_sweep : Runconf.t -> dist_point list
 (** A3: FMM under uniform vs clustered particle distributions — the load
     imbalance a Morton block partition suffers on non-uniform inputs. *)
 
-val print_distribution_sweep : dist_point list -> unit
+val dist_columns : dist_point Table.column list
 
 type partition_point = {
   part_name : string;
@@ -118,7 +119,7 @@ val partition_sweep : Runconf.t -> partition_point list
 (** A4: Barnes-Hut under equal-count blocks vs cost-weighted "costzones"
     partitioning, on the breakdown node count. *)
 
-val print_partition_sweep : partition_point list -> unit
+val partition_columns : partition_point Table.column list
 
 type em3d_point = {
   em3d_variant : string;
@@ -131,7 +132,7 @@ val em3d_sweep : Runconf.t -> em3d_point list
 (** A5: the EM3D irregular-graph kernel under DPA / caching / blocking.
     All three must report the same checksum. *)
 
-val print_em3d_sweep : em3d_point list -> unit
+val em3d_columns : em3d_point Table.column list
 
 type latency_point = {
   lat_scale : float;  (** multiplier on wire latency and message overheads *)
@@ -144,7 +145,7 @@ val latency_sweep : ?scales:float list -> Runconf.t -> latency_point list
     blocking must grow with latency (the "robust memory performance"
     claim). *)
 
-val print_latency_sweep : latency_point list -> unit
+val latency_columns : latency_point Table.column list
 
 type upward_point = {
   up_variant : string;
@@ -159,7 +160,7 @@ val upward_sweep : Runconf.t -> upward_point list
     so Morton blocks split some sibling groups (with power-of-two counts on
     a complete quadtree every parent is co-located and no M2M is remote). *)
 
-val print_upward_sweep : upward_point list -> unit
+val upward_columns : upward_point Table.column list
 
 type afmm_point = {
   af_variant : string;
@@ -172,7 +173,7 @@ val afmm_sweep : Runconf.t -> afmm_point list
     under the runtimes, plus the complete-tree FMM on the same input for
     contrast. *)
 
-val print_afmm_sweep : afmm_point list -> unit
+val afmm_columns : afmm_point Table.column list
 
 type cache_locality_point = {
   cl_lines : int;
@@ -186,7 +187,7 @@ val cache_locality : ?lines:int list -> Runconf.t -> cache_locality_point list
     a hardware cache model, with bodies visited in random vs tree order
     (tree order is what strip-mining over the aligned traversals yields). *)
 
-val print_cache_locality : cache_locality_point list -> unit
+val locality_columns : cache_locality_point Table.column list
 
 type hotspot_point = {
   hs_config : string;
@@ -200,7 +201,7 @@ val hotspot : Runconf.t -> hotspot_point list
     pipelining-only. Aggregation's value grows when the hot node's link
     serializes messages. *)
 
-val print_hotspot : hotspot_point list -> unit
+val hotspot_columns : hotspot_point Table.column list
 
 type adaptive_strip_point = {
   as_mode : string;  (** static strip size, or ["auto"] *)
@@ -219,7 +220,7 @@ val adaptive_strip_sweep :
     the controller land near the best static setting without being told
     it? *)
 
-val print_adaptive_strip_sweep : procs:int -> adaptive_strip_point list -> unit
+val adaptive_strip_columns : adaptive_strip_point Table.column list
 
 (** The fault matrices A11–A15. Each is a {!Matrix.t} declaration: run it with {!Matrix.run}, print it
     with {!Matrix.print} and check it with {!Matrix.failures}. Every cell
@@ -315,8 +316,14 @@ val scale_sweep : Runconf.t -> scale_row list
     full] — reporting wall time, allocated words per body, major
     collections and bytes moved on the simulated wire. *)
 
-val print_scale_sweep : scale_gate_row list * scale_row list -> unit
-(** Prints both tables plus the ["a16 summary:"] line. *)
+val scale_gate_columns : scale_gate_row Table.column list
+val scale_columns : scale_row Table.column list
+
+val scale_failures : scale_gate_row list -> string list
+(** One message per gate row below {!scale_gate_threshold}. *)
+
+val scale_summary : scale_gate_row list -> scale_row list -> string
+(** The ["a16 summary:"] line. *)
 
 val scale_json : scale_gate_row list * scale_row list -> Dpa_obs.Json.t
 (** The sweep as JSON (the [BENCH_scale.json] artifact). *)

@@ -199,13 +199,8 @@ let print m cells =
   List.iter
     (fun (workload, cells) ->
       if List.length rows > 1 then print_endline workload;
-      let t =
-        Table.make ~header:(List.map (fun col -> col.header) m.columns)
-      in
-      List.iter
-        (fun c -> Table.add_row t (List.map (fun col -> col.text c) m.columns))
-        cells;
-      Table.print t;
+      let columns = List.map (fun col -> (col.header, col.text)) m.columns in
+      print_string (Table.render (Table.of_rows columns cells));
       print_newline ())
     rows;
   Option.iter (fun f -> Printf.printf "%s\n\n" (f cells)) m.summary

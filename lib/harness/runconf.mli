@@ -1,5 +1,5 @@
 (** Experiment scales. [small] keeps every experiment at a size that runs
-    in seconds (CI, `dune exec bench/main.exe`); [full] is the paper's
+    in seconds (CI, `make smoke`); [full] is the paper's
     configuration (16,384-body Barnes-Hut over 4 steps, 32,768-particle
     29-term FMM, up to 64 nodes) and takes minutes of host time. *)
 

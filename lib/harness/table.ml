@@ -32,7 +32,18 @@ let render t =
   List.iter emit rows;
   Buffer.contents buf
 
-let print t = print_string (render t)
+type 'r column = string * ('r -> string)
+
+let of_rows columns rows =
+  let t = make ~header:(List.map fst columns) in
+  List.iter (fun r -> add_row t (List.map (fun (_, cell) -> cell r) columns)) rows;
+  t
+
+let print ?footer title columns rows =
+  print_endline title;
+  print_string (render (of_rows columns rows));
+  Option.iter print_endline footer;
+  print_newline ()
 
 let sec s = Printf.sprintf "%.2f" s
 let sec_ns ns = sec (float_of_int ns *. 1e-9)

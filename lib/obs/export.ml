@@ -181,15 +181,6 @@ let jsonl_writer oc =
         close_out oc);
   }
 
-let metrics_json sink =
-  Json.Obj
-    [
-      ("metrics", Metrics.to_json (Sink.metrics sink));
-      ("stats", Json.Obj (Sink.meta sink));
-      ("events_emitted", Json.Int (Sink.emitted sink));
-      ("events_dropped", Json.Int (Sink.dropped sink));
-    ]
-
 (* --- per-phase profile ------------------------------------------------- *)
 
 type node_acc = {
@@ -206,19 +197,19 @@ type node_acc = {
 }
 
 type phase_acc = {
+  name : string;
   mutable spans : int;
   mutable total_dur : int;
-  mutable nodes : int list;
   mutable strips : int;
   mutable has_opt : bool;  (* some phase span carried optimality args *)
   mutable has_integrity : bool;  (* some phase span carried integrity args *)
   per_node : (int, node_acc) Hashtbl.t;
 }
 
-let strip_phase_label (ev : Sink.event) =
-  match List.assoc_opt "phase" ev.Sink.args with
-  | Some (Sink.Str label) -> Some label
-  | _ -> None
+(* One phase of the profile: its totals and its per-node rows sorted by
+   node. [nodes] counts the rows that saw a phase span (a strip-only node
+   row has none). *)
+type phase = { acc : phase_acc; rows : (int * node_acc) list; nodes : int }
 
 let int_arg key (ev : Sink.event) =
   match List.assoc_opt key ev.Sink.args with
@@ -246,19 +237,21 @@ let node_acc acc node =
     Hashtbl.add acc.per_node node na;
     na
 
-let profile sink =
-  let events = Sink.events sink in
+(* One pass over the events: the labelled phases in first-seen order and
+   the instant tallies sorted by key. {!profile} prints this and
+   {!metrics_json} encodes it, so the two cannot disagree. *)
+let accumulate events =
   let phases : (string, phase_acc) Hashtbl.t = Hashtbl.create 8 in
-  let phase_order = ref [] in
+  let order = ref [] in
   let phase name =
     match Hashtbl.find_opt phases name with
     | Some acc -> acc
     | None ->
       let acc =
         {
+          name;
           spans = 0;
           total_dur = 0;
-          nodes = [];
           strips = 0;
           has_opt = false;
           has_integrity = false;
@@ -266,7 +259,7 @@ let profile sink =
         }
       in
       Hashtbl.add phases name acc;
-      phase_order := name :: !phase_order;
+      order := acc :: !order;
       acc
   in
   let instants : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -277,8 +270,6 @@ let profile sink =
         let acc = phase ev.Sink.name in
         acc.spans <- acc.spans + 1;
         acc.total_dur <- acc.total_dur + ev.Sink.dur;
-        if not (List.mem ev.Sink.node acc.nodes) then
-          acc.nodes <- ev.Sink.node :: acc.nodes;
         let na = node_acc acc ev.Sink.node in
         na.n_spans <- na.n_spans + 1;
         na.n_wall <- na.n_wall + ev.Sink.dur;
@@ -296,13 +287,13 @@ let profile sink =
           na.n_wal_repair <- na.n_wal_repair + int_arg "wal_repaired" ev
         end
       | Sink.Span when ev.Sink.cat = "strip" -> (
-        match strip_phase_label ev with
-        | Some label ->
+        match List.assoc_opt "phase" ev.Sink.args with
+        | Some (Sink.Str label) ->
           let acc = phase label in
           acc.strips <- acc.strips + 1;
           let na = node_acc acc ev.Sink.node in
           na.n_strips <- na.n_strips + 1
-        | None -> ())
+        | _ -> ())
       | Sink.Span -> ()
       | Sink.Instant ->
         let key = ev.Sink.cat ^ "/" ^ ev.Sink.name in
@@ -310,66 +301,166 @@ let profile sink =
           (1 + Option.value ~default:0 (Hashtbl.find_opt instants key))
       | Sink.Counter -> ())
     events;
-  let ordered = List.rev !phase_order in
-  let ms ns = float_of_int ns *. 1e-6 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "Per-phase profile (sim time)\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  %-24s %6s %6s %12s %8s\n" "phase" "runs" "nodes"
-       "mean wall ms" "strips");
-  List.iter
-    (fun name ->
-      let acc = Hashtbl.find phases name in
-      if acc.spans = 0 then
-        (* Strip spans whose phase label never produced a phase span (e.g.
-           the category filter kept "strip" but not "phase"): a strip-only
-           row, not a fabricated runs=0 nodes=0 mean=0.000 one. *)
-        Buffer.add_string buf
-          (Printf.sprintf "  %-24s %6s %6s %12s %8d\n" name "-" "-" "-"
-             acc.strips)
-      else begin
-        let nnodes = List.length acc.nodes in
-        let runs = acc.spans / nnodes in
-        let mean_ms = float_of_int acc.total_dur /. float_of_int acc.spans *. 1e-6 in
-        Buffer.add_string buf
-          (Printf.sprintf "  %-24s %6d %6d %12.3f %8d\n" name runs nnodes
-             mean_ms acc.strips)
-      end)
-    ordered;
-  (* Per-node skew: the balance breakdown the global rows average away.
-     wall is the node's phase-span time, busy its local+comm time inside
-     the phase (the busy_ns span arg), bytes its sent volume; the summary
-     line carries min/mean/max busy and the imbalance factor (max/mean). *)
-  if List.exists (fun n -> Hashtbl.length (Hashtbl.find phases n).per_node > 0)
-       ordered
-  then begin
-    Buffer.add_string buf "Per-node skew\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  %-24s %6s %12s %12s %8s %12s\n" "phase" "node"
-         "wall ms" "busy ms" "strips" "bytes");
-    List.iter
-      (fun name ->
-        let acc = Hashtbl.find phases name in
+  let phases =
+    List.rev_map
+      (fun acc ->
         let rows =
           Hashtbl.fold (fun node na l -> (node, na) :: l) acc.per_node []
           |> List.sort (fun (a, _) (b, _) -> compare a b)
         in
+        let nodes = List.length (List.filter (fun (_, na) -> na.n_spans > 0) rows) in
+        { acc; rows; nodes })
+      !order
+  in
+  let tallies =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) instants []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  (phases, tallies)
+
+(* Mean wall time of a phase's spans, in ms: total span time over the span
+   count, right for uneven node subsets. *)
+let mean_ms p = float_of_int p.acc.total_dur /. float_of_int p.acc.spans *. 1e-6
+
+(* Sum of one per-node counter over a phase's rows. *)
+let sum p f = List.fold_left (fun a (_, na) -> a + f na) 0 p.rows
+
+(* The profile as JSON: one object per phase with the numbers the text
+   tables print, unrounded. Strip-only phases carry no runs, nodes or
+   mean; the optimality and integrity members appear, like their tables,
+   only when the phase spans carried those args. *)
+let profile_json phases =
+  let open Json in
+  let node_rows p fields =
+    List
+      (List.filter_map
+         (fun (node, na) ->
+           if na.n_spans > 0 then Some (Obj (("node", Int node) :: fields na))
+           else None)
+         p.rows)
+  in
+  List
+    (List.map
+       (fun p ->
+         let acc = p.acc in
+         Obj
+           ([ ("phase", Str acc.name); ("spans", Int acc.spans) ]
+           @ (if acc.spans = 0 then []
+              else
+                [
+                  ("runs", Int (acc.spans / p.nodes));
+                  ("nodes", Int p.nodes);
+                  ("mean_wall_ms", Float (mean_ms p));
+                ])
+           @ [
+               ("wall_ns", Int acc.total_dur);
+               ("strips", Int acc.strips);
+               ( "per_node",
+                 List
+                   (List.map
+                      (fun (node, na) ->
+                        Obj
+                          [
+                            ("node", Int node);
+                            ("spans", Int na.n_spans);
+                            ("wall_ns", Int na.n_wall);
+                            ("busy_ns", Int na.n_busy);
+                            ("strips", Int na.n_strips);
+                            ("bytes", Int na.n_bytes);
+                          ])
+                      p.rows) );
+             ]
+           @ (if acc.has_opt then
+                [
+                  ( "optimality",
+                    Obj
+                      [
+                        ("actual_bytes", Int (sum p (fun na -> na.n_opt_actual)));
+                        ("bound_bytes", Int (sum p (fun na -> na.n_opt_bound)));
+                        ( "per_node",
+                          node_rows p (fun na ->
+                              [
+                                ("actual_bytes", Int na.n_opt_actual);
+                                ("bound_bytes", Int na.n_opt_bound);
+                              ]) );
+                      ] );
+                ]
+              else [])
+           @
+           if acc.has_integrity then
+             [
+               ( "integrity",
+                 Obj
+                   [
+                     ("corrupt_dropped", Int (sum p (fun na -> na.n_corrupt)));
+                     ("wal_truncated", Int (sum p (fun na -> na.n_wal_trunc)));
+                     ("wal_repaired", Int (sum p (fun na -> na.n_wal_repair)));
+                     ( "per_node",
+                       node_rows p (fun na ->
+                           [
+                             ("corrupt_dropped", Int na.n_corrupt);
+                             ("wal_truncated", Int na.n_wal_trunc);
+                             ("wal_repaired", Int na.n_wal_repair);
+                           ]) );
+                   ] );
+             ]
+           else []))
+       phases)
+
+let metrics_json sink =
+  Json.Obj
+    [
+      ("metrics", Metrics.to_json (Sink.metrics sink));
+      ("stats", Json.Obj (Sink.meta sink));
+      ("events_emitted", Json.Int (Sink.emitted sink));
+      ("events_dropped", Json.Int (Sink.dropped sink));
+      ("profile", profile_json (fst (accumulate (Sink.events sink))));
+    ]
+
+let profile sink =
+  let phases, tallies = accumulate (Sink.events sink) in
+  let ms ns = float_of_int ns *. 1e-6 in
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf fmt in
+  line "Per-phase profile (sim time)\n";
+  line "  %-24s %6s %6s %12s %8s\n" "phase" "runs" "nodes" "mean wall ms"
+    "strips";
+  List.iter
+    (fun p ->
+      if p.acc.spans = 0 then
+        (* Strip spans whose phase label never produced a phase span (e.g.
+           the category filter kept "strip" but not "phase"): a strip-only
+           row, not a fabricated runs=0 nodes=0 mean=0.000 one. *)
+        line "  %-24s %6s %6s %12s %8d\n" p.acc.name "-" "-" "-" p.acc.strips
+      else
+        line "  %-24s %6d %6d %12.3f %8d\n" p.acc.name (p.acc.spans / p.nodes)
+          p.nodes (mean_ms p) p.acc.strips)
+    phases;
+  (* Per-node skew: the balance breakdown the global rows average away.
+     wall is the node's phase-span time, busy its local+comm time inside
+     the phase (the busy_ns span arg), bytes its sent volume; the summary
+     line carries min/mean/max busy and the imbalance factor (max/mean). *)
+  if List.exists (fun p -> p.rows <> []) phases then begin
+    line "Per-node skew\n";
+    line "  %-24s %6s %12s %12s %8s %12s\n" "phase" "node" "wall ms" "busy ms"
+      "strips" "bytes";
+    List.iter
+      (fun p ->
+        let name = p.acc.name in
         List.iter
           (fun (node, na) ->
             if na.n_spans = 0 then
-              Buffer.add_string buf
-                (Printf.sprintf "  %-24s %6d %12s %12s %8d %12s\n" name node
-                   "-" "-" na.n_strips "-")
+              line "  %-24s %6d %12s %12s %8d %12s\n" name node "-" "-"
+                na.n_strips "-"
             else
-              Buffer.add_string buf
-                (Printf.sprintf "  %-24s %6d %12.3f %12.3f %8d %12d\n" name
-                   node (ms na.n_wall) (ms na.n_busy) na.n_strips na.n_bytes))
-          rows;
-        if acc.spans > 0 then begin
+              line "  %-24s %6d %12.3f %12.3f %8d %12d\n" name node
+                (ms na.n_wall) (ms na.n_busy) na.n_strips na.n_bytes)
+          p.rows;
+        if p.acc.spans > 0 then begin
           let busies =
             List.filter_map
               (fun (_, na) -> if na.n_spans > 0 then Some na.n_busy else None)
-              rows
+              p.rows
           in
           let bmin = List.fold_left min max_int busies
           and bmax = List.fold_left max 0 busies
@@ -378,14 +469,13 @@ let profile sink =
           let imbalance =
             if bmean <= 0. then 1. else float_of_int bmax /. bmean
           in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  %-24s = wall %.3f ms over %d spans; busy min/mean/max \
-                %.3f/%.3f/%.3f ms; imbalance %.2fx\n"
-               name (ms acc.total_dur) acc.spans (ms bmin) (bmean *. 1e-6)
-               (ms bmax) imbalance)
+          line
+            "  %-24s = wall %.3f ms over %d spans; busy min/mean/max \
+             %.3f/%.3f/%.3f ms; imbalance %.2fx\n"
+            name (ms p.acc.total_dur) p.acc.spans (ms bmin) (bmean *. 1e-6)
+            (ms bmax) imbalance
         end)
-      ordered
+      phases
   end;
   (* Per-phase communication optimality: each node's actually-moved bytes
      against its lower bound (unique remote objects at their footprints
@@ -393,95 +483,63 @@ let profile sink =
      1.00 is a run that fetched every remote object exactly once with no
      protocol overhead; the surplus decomposes into headers, retransmits
      and boundary-evicted refetches. *)
-  if List.exists (fun n -> (Hashtbl.find phases n).has_opt) ordered then begin
-    Buffer.add_string buf "Per-phase communication optimality\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  %-24s %6s %12s %12s %8s\n" "phase" "node" "actual B"
-         "bound B" "ratio");
+  if List.exists (fun p -> p.acc.has_opt) phases then begin
+    line "Per-phase communication optimality\n";
+    line "  %-24s %6s %12s %12s %8s\n" "phase" "node" "actual B" "bound B"
+      "ratio";
     let pr_ratio actual bound =
       if bound <= 0 then if actual = 0 then "1.00" else "inf"
       else Printf.sprintf "%.2f" (float_of_int actual /. float_of_int bound)
     in
     List.iter
-      (fun name ->
-        let acc = Hashtbl.find phases name in
-        if acc.has_opt then begin
-          let rows =
-            Hashtbl.fold (fun node na l -> (node, na) :: l) acc.per_node []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
+      (fun p ->
+        if p.acc.has_opt then begin
           List.iter
             (fun (node, na) ->
               if na.n_spans > 0 then
-                Buffer.add_string buf
-                  (Printf.sprintf "  %-24s %6d %12d %12d %8s\n" name node
-                     na.n_opt_actual na.n_opt_bound
-                     (pr_ratio na.n_opt_actual na.n_opt_bound)))
-            rows;
-          let actual =
-            List.fold_left (fun a (_, na) -> a + na.n_opt_actual) 0 rows
-          and bound =
-            List.fold_left (fun a (_, na) -> a + na.n_opt_bound) 0 rows
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  %-24s = actual %d B, bound %d B, ratio %s\n" name actual
-               bound (pr_ratio actual bound))
+                line "  %-24s %6d %12d %12d %8s\n" p.acc.name node
+                  na.n_opt_actual na.n_opt_bound
+                  (pr_ratio na.n_opt_actual na.n_opt_bound))
+            p.rows;
+          let actual = sum p (fun na -> na.n_opt_actual)
+          and bound = sum p (fun na -> na.n_opt_bound) in
+          line "  %-24s = actual %d B, bound %d B, ratio %s\n" p.acc.name
+            actual bound (pr_ratio actual bound)
         end)
-      ordered
+      phases
   end;
   (* Per-phase integrity: corrupted copies each node's NIC fenced during
      the phase (checksum-failed frames, counted and dropped wire-silently)
      and the WAL records the restart scans truncated and repaired. Rows
-     sum to the "=" line; bin/obs_check re-adds them as a consistency
-     gate. Only present when a fault plan stamped the integrity args. *)
-  if List.exists (fun n -> (Hashtbl.find phases n).has_integrity) ordered
-  then begin
-    Buffer.add_string buf "Per-phase integrity\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  %-24s %6s %10s %10s %10s\n" "phase" "node" "corrupt"
-         "wal trunc" "wal repair");
+     sum to the "=" line. Only present when a fault plan stamped the
+     integrity args. *)
+  if List.exists (fun p -> p.acc.has_integrity) phases then begin
+    line "Per-phase integrity\n";
+    line "  %-24s %6s %10s %10s %10s\n" "phase" "node" "corrupt" "wal trunc"
+      "wal repair";
     List.iter
-      (fun name ->
-        let acc = Hashtbl.find phases name in
-        if acc.has_integrity then begin
-          let rows =
-            Hashtbl.fold (fun node na l -> (node, na) :: l) acc.per_node []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
+      (fun p ->
+        if p.acc.has_integrity then begin
           List.iter
             (fun (node, na) ->
               if na.n_spans > 0 then
-                Buffer.add_string buf
-                  (Printf.sprintf "  %-24s %6d %10d %10d %10d\n" name node
-                     na.n_corrupt na.n_wal_trunc na.n_wal_repair))
-            rows;
-          let sum f = List.fold_left (fun a (_, na) -> a + f na) 0 rows in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  %-24s = %d corrupt dropped, %d wal truncated, %d repaired\n"
-               name
-               (sum (fun na -> na.n_corrupt))
-               (sum (fun na -> na.n_wal_trunc))
-               (sum (fun na -> na.n_wal_repair)))
+                line "  %-24s %6d %10d %10d %10d\n" p.acc.name node
+                  na.n_corrupt na.n_wal_trunc na.n_wal_repair)
+            p.rows;
+          line "  %-24s = %d corrupt dropped, %d wal truncated, %d repaired\n"
+            p.acc.name
+            (sum p (fun na -> na.n_corrupt))
+            (sum p (fun na -> na.n_wal_trunc))
+            (sum p (fun na -> na.n_wal_repair))
         end)
-      ordered
+      phases
   end;
-  let tallies =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) instants []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   if tallies <> [] then begin
-    Buffer.add_string buf "Event tallies\n";
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" k v))
-      tallies
+    line "Event tallies\n";
+    List.iter (fun (k, v) -> line "  %-40s %d\n" k v) tallies
   end;
   if Sink.dropped sink > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  (%d instant/counter events overwritten in the ring)\n"
-         (Sink.dropped sink));
+    line "  (%d instant/counter events overwritten in the ring)\n"
+      (Sink.dropped sink);
   Buffer.add_string buf (Metrics.report (Sink.metrics sink));
   Buffer.contents buf

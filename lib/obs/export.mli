@@ -7,8 +7,9 @@
     - {!jsonl_writer}: the streaming flavour of {!jsonl} — a
       {!Sink.writer} over an [out_channel] for {!Sink.attach_writer}, so
       the ring capacity stops bounding what an [--events] file can see.
-    - {!metrics_json}: the metrics registry plus attached meta documents
-      (per-phase [Dpa_stats]) as one JSON document.
+    - {!metrics_json}: the metrics registry, attached meta documents
+      (per-phase [Dpa_stats]) and the per-phase profile as one JSON
+      document.
     - {!profile}: human-readable per-phase profile (phase wall times, strip
       counts, per-node skew tables, event tallies, histogram summaries). *)
 
@@ -36,6 +37,16 @@ val jsonl_writer : out_channel -> Sink.writer
     drains it and closes the channel. Attach with {!Sink.attach_writer}. *)
 
 val metrics_json : Sink.t -> Json.t
+(** [{"metrics", "stats", "events_emitted", "events_dropped",
+    "profile"}]. [profile] is a list with one object per labelled phase,
+    built by the same pass as {!profile} and unrounded: [phase], [spans],
+    [runs], [nodes], [mean_wall_ms] (the last three absent for a
+    strip-only phase), [wall_ns], [strips], and [per_node] rows ([node],
+    [spans], [wall_ns], [busy_ns], [strips], [bytes]). When the phase
+    spans carried them, [optimality] ([actual_bytes], [bound_bytes],
+    [per_node]) and [integrity] ([corrupt_dropped], [wal_truncated],
+    [wal_repaired], [per_node]) follow; their [per_node] rows cover the
+    nodes with a phase span. *)
 
 val profile : Sink.t -> string
 (** The global per-phase table (runs, nodes, mean wall ms — total span

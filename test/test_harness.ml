@@ -207,13 +207,17 @@ let test_hotspot () =
     (t "DPA, serialized ingress" <= t "Pipeline, serialized ingress" +. 1e-9)
 
 (* The fault matrices at small scale with 512 bodies: every cell
-   bit-identical to its fault-free reference and every witness holding. *)
+   bit-identical to its fault-free reference, every witness holding, and
+   the [--json] encoding parseable. *)
 let matrix_test (name, declare) =
   Alcotest.test_case name `Quick (fun () ->
       let m = declare { Runconf.small with Runconf.bh_bodies = 512 } in
       let cells = Matrix.run m in
       Alcotest.(check bool) "has cells" true (cells <> []);
-      Alcotest.(check (list string)) "no failures" [] (Matrix.failures m cells))
+      Alcotest.(check (list string)) "no failures" [] (Matrix.failures m cells);
+      let json = Dpa_obs.Json.to_string (Matrix.json m cells) in
+      Alcotest.(check bool) "json parses" true
+        (Result.is_ok (Dpa_obs.Json.parse json)))
 
 (* A faulted run whose result differs from the reference must be reported
    by matrix, workload, config and schedule; a witness that does not hold

@@ -466,6 +466,53 @@ let test_profile_strip_only_rows () =
   Alcotest.(check bool) "no summary for a phase with no spans" true
     (not (List.exists (fun r -> List.nth_opt r 0 = Some "=") rows))
 
+(* The metrics profile must agree exactly with the event stream it was
+   built from: each phase's wall_ns is the sum of dur over its
+   cat:"phase" spans in [Export.jsonl], and its strips are the cat:"strip"
+   spans labelled with it. *)
+let test_profile_json_matches_stream () =
+  let sink, _ = Lazy.force observed_bh in
+  let lines =
+    List.filter_map
+      (fun l -> if l = "" then None else Some (parse_ok l))
+      (String.split_on_char '\n' (Export.jsonl sink))
+  in
+  let field k j = Option.get (Json.member k j) in
+  let spans cat =
+    List.filter
+      (fun j ->
+        field "kind" j = Json.Str "span" && field "cat" j = Json.Str cat)
+      lines
+  in
+  let phases =
+    match Json.member "profile" (parse_ok (Json.to_string (Export.metrics_json sink))) with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no profile list"
+  in
+  Alcotest.(check bool) "profiled phases" true (phases <> []);
+  List.iter
+    (fun p ->
+      let name = field "phase" p in
+      let wall =
+        List.fold_left
+          (fun a j ->
+            match (field "name" j, field "dur" j) with
+            | n, Json.Int d when n = name -> a + d
+            | _ -> a)
+          0 (spans "phase")
+      and strips =
+        List.length
+          (List.filter
+             (fun j -> Json.member "phase" (field "args" j) = Some name)
+             (spans "strip"))
+      in
+      Alcotest.(check bool) "phase has strips" true (strips > 0);
+      Alcotest.(check bool) "wall_ns = sum of phase-span dur" true
+        (field "wall_ns" p = Json.Int wall);
+      Alcotest.(check bool) "strips = labelled strip spans" true
+        (field "strips" p = Json.Int strips))
+    phases
+
 let test_writer_matches_snapshot_export () =
   (* With no ring overflow, streaming a real phase (flushes at the
      engine's barriers plus the final close) must produce exactly the
@@ -750,6 +797,8 @@ let suites =
           test_profile_mean_uneven_nodes;
         Alcotest.test_case "profile strip-only rows" `Quick
           test_profile_strip_only_rows;
+        Alcotest.test_case "profile json matches the stream" `Quick
+          test_profile_json_matches_stream;
         Alcotest.test_case "writer matches snapshot export" `Quick
           test_writer_matches_snapshot_export;
         Alcotest.test_case "jsonl writer streams the snapshot" `Quick

@@ -520,6 +520,87 @@ let test_chain_cut_by_quantum () =
           (i mod per_quantum = 0) (e <> e_prev))
     seen
 
+(* The hot-path allocation contract (docs/PERFORMANCE.md §4): a
+   strip-mined phase of local reads (cheap threads, and threads that each
+   spend a whole poll quantum), and one of remote reads that merge onto
+   in-flight fetches, allocate at most half a word per read. *)
+
+(* Words allocated per read by the second of two runs of [run] (the first
+   warms module initialisation and grows the runtime's arrays). *)
+let words_per_read ~reads run =
+  ignore (run ());
+  let w0 = Gc.allocated_bytes () in
+  let s = run () in
+  let w1 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity s);
+  (w1 -. w0) /. 8. /. float_of_int reads
+
+(* The harness must not allocate per read either: the accumulator is a
+   float array (a [float ref] boxes on every [:=]), the field is loaded
+   straight from the float pool (a float returned by a non-inlined call is
+   boxed) and the continuation closure is hoisted out of the read loop.
+   Each continuation charges [work] ns. *)
+let alloc_phase ~work ~nnodes ~heaps ~nitems ~reads ~target =
+  let acc = Array.make 1 0. in
+  let k ctx view =
+    Dpa.Runtime.charge ctx work;
+    let h = (Dpa.Runtime.heaps ctx).(Dpa_heap.Gptr.node view) in
+    acc.(0) <-
+      acc.(0)
+      +. Bigarray.Array1.get
+           (Dpa_heap.Heap.float_pool h)
+           (Dpa_heap.Heap.float_base h view)
+  in
+  fun () ->
+    let engine = Engine.create (machine nnodes) in
+    let items node =
+      Array.init nitems (fun item ->
+          fun ctx ->
+            for r = 0 to reads - 1 do
+              Dpa.Runtime.read ctx (target ~node ~item ~r) k
+            done)
+    in
+    ignore
+      (Dpa.Runtime.run_phase ~engine ~heaps
+         ~config:(Dpa.Config.dpa ~strip_size:16 ())
+         ~items);
+    acc.(0)
+
+let alloc_objects heaps ~node n =
+  Array.init n (fun slot ->
+      Dpa_heap.Heap.alloc heaps.(node) ~floats:[| float_of_int slot |] ~ptrs:[||])
+
+let check_words_per_read ~reads run =
+  let per_read = words_per_read ~reads run in
+  if per_read > 0.5 then
+    Alcotest.failf "%.2f words per read over %d reads (bound 0.50)" per_read
+      reads
+
+(* Purely local reads: spawn, ready-ring dispatch and continuation with no
+   wire traffic. With [work] at one poll quantum each dispatch ends its
+   quantum and posts the next, gating the per-quantum cost on its own. *)
+let test_local_reads_alloc ~work () =
+  let nobjs = 4096 and nitems = 512 and reads = 64 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes:1 in
+  let ptrs = alloc_objects heaps ~node:0 nobjs in
+  check_words_per_read ~reads:(nitems * reads)
+    (alloc_phase ~work ~nnodes:1 ~heaps ~nitems ~reads
+       ~target:(fun ~node:_ ~item ~r ->
+         ptrs.(((item * 104729) + (r * 1299721)) mod nobjs)))
+
+(* Two nodes whose items each read a handful of objects on the other node:
+   the first read of each object takes a fresh token and every later one
+   merges onto it in M; the bulk reply wakes the merged threads as one
+   chain entry per token. The residue is each fresh token's request and
+   reply traffic, spread over the strip. *)
+let test_merged_remote_reads_alloc () =
+  let nnodes = 2 and nobjs = 8 and nitems = 512 and reads = 64 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes in
+  let ptrs = Array.init nnodes (fun node -> alloc_objects heaps ~node nobjs) in
+  check_words_per_read ~reads:(nnodes * nitems * reads)
+    (alloc_phase ~work:100 ~nnodes ~heaps ~nitems ~reads
+       ~target:(fun ~node ~item ~r -> ptrs.(1 - node).((item + r) mod nobjs)))
+
 let suites =
   [
     ( "core.pointer_map",
@@ -557,5 +638,14 @@ let suites =
         Alcotest.test_case "rejects nil" `Quick test_dpa_rejects_nil;
         Alcotest.test_case "chain cut by the quantum" `Quick
           test_chain_cut_by_quantum;
+      ] );
+    ( "core.alloc",
+      [
+        Alcotest.test_case "local reads" `Quick
+          (test_local_reads_alloc ~work:100);
+        Alcotest.test_case "quantum-bound local reads" `Quick
+          (test_local_reads_alloc ~work:(machine 1).Machine.poll_quantum_ns);
+        Alcotest.test_case "merged remote reads" `Quick
+          test_merged_remote_reads_alloc;
       ] );
   ]

@@ -191,9 +191,9 @@ let reclaim t ~reuse ring =
     end
   done
 
-let find_ptr t token =
+let token_ptr t token =
   let s = Index.find t.by_token token in
-  if s < 0 then None else Some t.s_ptr.(s)
+  if s < 0 then Gptr.nil else t.s_ptr.(s)
 
 let fold_outstanding t f acc =
   Index.fold t.by_token (fun token s acc -> f token t.s_ptr.(s) acc) acc

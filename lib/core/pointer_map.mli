@@ -61,9 +61,12 @@ val reclaim : 'k t -> reuse:bool -> 'k Ready_ring.t -> unit
     thread is lost or duplicated: threads in the ring plus {!waiters} is
     unchanged. *)
 
-val find_ptr : 'k t -> int -> Dpa_heap.Gptr.t option
-(** The pointer a still-outstanding token is fetching, if any; used by the
-    runtime's timeout wheel to re-issue a request without consuming the
+val token_ptr : 'k t -> int -> Dpa_heap.Gptr.t
+(** The pointer a still-outstanding token is fetching, or
+    {!Dpa_heap.Gptr.nil} once it is not outstanding. Allocates nothing.
+    The runtime builds each request message from it at flush time — a
+    buffered token stays outstanding until its batch is sent — and its
+    timeout wheel re-issues a request from it without consuming the
     token. *)
 
 val fold_outstanding : 'k t -> (int -> Dpa_heap.Gptr.t -> 'a -> 'a) -> 'a -> 'a

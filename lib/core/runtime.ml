@@ -1,8 +1,6 @@
 open Dpa_sim
 open Dpa_heap
 
-type request = { token : int; ptr : Gptr.t }
-
 (* Observability state, allocated once per node per phase and only when the
    engine carries a sink. Every hot-path hook below is a match on
    [ctx.obs]: with no sink attached nothing is allocated, no time is
@@ -69,7 +67,7 @@ type ctx = {
          against the durable heap. *)
   map : k Pointer_map.t;
   buffer : Align_buffer.t;
-  mutable agg : request Dpa_msg.Aggregator.t;
+  mutable agg : Dpa_msg.Aggregator.t;  (* request tokens, per owner *)
   mutable updates : Update_buffer.t;
   mutable relay : Update_buffer.t;
       (* routed aggregation only: per-final-destination parking buffer for
@@ -475,7 +473,7 @@ and run_quantum ctx =
      since — those edge gaps are what the critical path charges as
      alignment wait. Recorded even at zero duration: the next activity's
      Seq parent and any flight sent from here must resolve in the stream,
-     or obs_check would count a dangling edge. *)
+     or artifact_check would count a dangling edge. *)
   let act =
     match ctx.obs with
     | Some ({ cau = Some c; _ } as o) ->
@@ -597,27 +595,29 @@ and next_strip ctx =
    resolved, and that copy must wake nothing (and must not repopulate the
    alignment buffer — its strip may be long gone). Fault-free, an unknown
    token is still the hard protocol error it always was. M hands each
-   token's woken waiter chain to the ready ring as one entry. *)
-and deliver ctx reqs =
-  List.iter
-    (fun req ->
-      let ptr =
-        if ctx.rel then Pointer_map.take_or_nil ctx.map req.token ctx.ready
-        else Pointer_map.take ctx.map req.token ctx.ready
-      in
-      if Gptr.is_nil ptr then (
-        match ctx.obs with
-        | None -> ()
-        | Some o -> obs_instant o ctx.node ~name:"dup_wake")
-      else begin
-        (match ctx.obs with
-        | None -> ()
-        | Some o ->
-          obs_wait o ctx.node req.token;
-          Gptr.Tbl.replace o.touched ptr (Heap.view_bytes ctx.heaps ptr));
-        if ctx.cfg.Config.reuse then Align_buffer.add ctx.buffer ptr
-      end)
-    reqs;
+   token's woken waiter chain to the ready ring as one entry. [msg] is
+   the request message the reply answers (see [flush_requests]). *)
+and deliver ctx msg =
+  let nreqs = Array.length msg / 2 in
+  for i = 0 to nreqs - 1 do
+    let token = msg.(2 * i) in
+    let ptr =
+      if ctx.rel then Pointer_map.take_or_nil ctx.map token ctx.ready
+      else Pointer_map.take ctx.map token ctx.ready
+    in
+    if Gptr.is_nil ptr then (
+      match ctx.obs with
+      | None -> ()
+      | Some o -> obs_instant o ctx.node ~name:"dup_wake")
+    else begin
+      (match ctx.obs with
+      | None -> ()
+      | Some o ->
+        obs_wait o ctx.node token;
+        Gptr.Tbl.replace o.touched ptr (Heap.view_bytes ctx.heaps ptr));
+      if ctx.cfg.Config.reuse then Align_buffer.add ctx.buffer ptr
+    end
+  done;
   let peak = Align_buffer.peak ctx.buffer in
   if peak > ctx.stats.Dpa_stats.align_peak then
     ctx.stats.Dpa_stats.align_peak <- peak;
@@ -636,7 +636,7 @@ and deliver ctx reqs =
     in
     if wid >= 0 then o.wake_parents <- wid :: o.wake_parents;
     obs_instant
-      ~args:(("replies", Dpa_obs.Sink.Int (List.length reqs)) :: cargs)
+      ~args:(("replies", Dpa_obs.Sink.Int nreqs) :: cargs)
       o ctx.node ~name:"wake";
     obs_outstanding o ctx.node ctx.pending);
   ensure_scheduled ctx
@@ -660,7 +660,7 @@ and rt_rto ctx ~bytes =
   if m.Machine.adaptive_rto then Dpa_msg.Am.e2e_rto ctx.engine ~fallback:const
   else const
 
-and arm_request_timer ctx ~dst (req : request) ~rto =
+and arm_request_timer ctx ~dst ~token ~rto =
   let deadline = ctx.node.Node.clock + rto in
   (* The timer belongs to the incarnation that armed it: after a crash the
      restart walk re-issues every surviving token with fresh timers, so a
@@ -670,9 +670,9 @@ and arm_request_timer ctx ~dst (req : request) ~rto =
   Engine.post_soft ctx.engine ~time:deadline ~node:(node_id ctx) (fun () ->
       if ctx.node.Node.incarnation <> incarnation then ()
       else
-      match Pointer_map.find_ptr ctx.map req.token with
-      | None -> ()  (* answered in time: pure no-op, clock untouched *)
-      | Some _ ->
+      let ptr = Pointer_map.token_ptr ctx.map token in
+      if Gptr.is_nil ptr then ()  (* answered in time: pure no-op, clock untouched *)
+      else begin
         Node.wait_until ctx.node deadline;
         ctx.stats.Dpa_stats.rt_retries <- ctx.stats.Dpa_stats.rt_retries + 1;
         let rid =
@@ -690,20 +690,40 @@ and arm_request_timer ctx ~dst (req : request) ~rto =
             in
             obs_instant
               ~args:
-                (("token", Dpa_obs.Sink.Int req.token)
+                (("token", Dpa_obs.Sink.Int token)
                 :: ("dst", Dpa_obs.Sink.Int dst)
                 :: cargs)
               o ctx.node ~name:"retry";
             rid
         in
+        let msg = [| token; Gptr.slot ptr |] in
         (match ctx.obs with
-        | Some o -> with_causal o rid (fun () -> send_request_batch ctx ~dst [ req ])
-        | None -> send_request_batch ctx ~dst [ req ]);
+        | Some o -> with_causal o rid (fun () -> send_request_batch ctx ~dst msg)
+        | None -> send_request_batch ctx ~dst msg);
         let cap = 1024 * rt_rto ctx ~bytes:(Dpa_msg.Am.request_bytes ctx.machine ~nreqs:1) in
-        arm_request_timer ctx ~dst req ~rto:(min (2 * rto) cap))
+        arm_request_timer ctx ~dst ~token ~rto:(min (2 * rto) cap)
+      end)
 
+(* One request message is one int array: entry [i]'s token at [2i] and
+   the slot it reads on [dst] at [2i + 1] (the owner is [dst], so the slot
+   names the pointer). The aggregator buffers tokens only; each token is
+   still outstanding in M until its batch leaves, so the pointer comes
+   from there. *)
 and flush_requests ctx ~dst batch =
-  let nreqs = List.length batch in
+  let nreqs = Dpa_msg.Aggregator.batch_length batch in
+  let msg = Array.make (2 * nreqs) 0 in
+  for i = 0 to nreqs - 1 do
+    let token = Dpa_msg.Aggregator.batch_get batch i in
+    let ptr = Pointer_map.token_ptr ctx.map token in
+    if Gptr.is_nil ptr then
+      failwith
+        (Printf.sprintf
+           "Runtime.flush_requests: node %d flushed token %d for node %d, \
+            which is not outstanding"
+           (node_id ctx) token dst);
+    msg.(2 * i) <- token;
+    msg.((2 * i) + 1) <- Gptr.slot ptr
+  done;
   let stats = ctx.stats in
   stats.Dpa_stats.request_msgs <- stats.Dpa_stats.request_msgs + 1;
   stats.Dpa_stats.requests <- stats.Dpa_stats.requests + nreqs;
@@ -721,15 +741,17 @@ and flush_requests ctx ~dst batch =
           ("bytes", Dpa_obs.Sink.Int bytes);
         ]
       o ctx.node ~name:"req_send");
-  send_request_batch ctx ~dst batch;
+  send_request_batch ctx ~dst msg;
   if ctx.rel then
     let rto =
       rt_rto ctx ~bytes:(Dpa_msg.Am.request_bytes ctx.machine ~nreqs)
     in
-    List.iter (fun req -> arm_request_timer ctx ~dst req ~rto) batch
+    for i = 0 to nreqs - 1 do
+      arm_request_timer ctx ~dst ~token:msg.(2 * i) ~rto
+    done
 
-and send_request_batch ctx ~dst batch =
-  let nreqs = List.length batch in
+and send_request_batch ctx ~dst msg =
+  let nreqs = Array.length msg / 2 in
   let bytes = Dpa_msg.Am.request_bytes ctx.machine ~nreqs in
   (* Optimality numerator: every wire-out counts, wheel re-issues
      included — that surplus is exactly what the ratio exposes. *)
@@ -749,9 +771,10 @@ and send_request_batch ctx ~dst batch =
          copy-out here. *)
       let owner_heap = ctx.heaps.(dst) in
       let payload = ref 0 in
-      List.iter
-        (fun req -> payload := !payload + Heap.obj_bytes owner_heap req.ptr)
-        batch;
+      for i = 0 to nreqs - 1 do
+        let ptr = Gptr.make ~node:dst ~slot:msg.((2 * i) + 1) in
+        payload := !payload + Heap.obj_bytes owner_heap ptr
+      done;
       let reply = Dpa_msg.Am.reply_bytes m ~payload:!payload ~nreqs in
       (match ctx.obs with
       | None -> ()
@@ -768,7 +791,7 @@ and send_request_batch ctx ~dst batch =
           o.sink ~cat:"msg" ~name:"bulk_reply" ~node:owner.Node.id
           ~ts:owner.Node.clock);
       Dpa_msg.Am.send ctx.engine ~src:owner ~dst:ctx.node.Node.id ~bytes:reply
-        (fun _self -> deliver ctx batch);
+        (fun _self -> deliver ctx msg);
       close_handler_act ~name:"service" owner svc)
 
 and flush_updates ctx ~dst batch =
@@ -1175,7 +1198,7 @@ let read ctx ptr k =
           ~args:[ ("dst", Dpa_obs.Sink.Int (Gptr.node ptr)) ]
           o ctx.node ~name:"spawn";
         obs_outstanding o ctx.node ctx.pending);
-      Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) { token; ptr }
+      Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) token
     end
   end
 
@@ -1540,8 +1563,7 @@ let restart_node ctx ~restart_at =
                     ~nupdates:(List.length batch))))
       unacked;
     List.iter
-      (fun (token, ptr) ->
-        Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) { token; ptr })
+      (fun (token, ptr) -> Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) token)
       outstanding;
     if Dpa_msg.Aggregator.pending ctx.agg > 0 then
       Dpa_msg.Aggregator.flush_all ctx.agg

@@ -16,7 +16,10 @@ type bucket = {
 }
 
 type t = {
-  buckets : bucket array;
+  buckets : bucket option array;
+      (* created on a destination's first [add]: a phase builds two
+         buffers per node over every destination, and most (node,
+         destination) pairs never see an update *)
   combine : bool;
   max_batch : int;
   hold : int -> bool;
@@ -37,9 +40,7 @@ let create ?(hold = fun _ -> false) ~ndest ~combine ~max_batch ~flush () =
   if max_batch <= 0 then
     invalid_arg "Update_buffer.create: max_batch must be positive";
   {
-    buckets =
-      Array.init ndest (fun _ ->
-          { combine_map = Hashtbl.create 32; order = []; count = 0 });
+    buckets = Array.make ndest None;
     combine;
     max_batch;
     hold;
@@ -51,8 +52,8 @@ let create ?(hold = fun _ -> false) ~ndest ~combine ~max_batch ~flush () =
   }
 
 let flush_dst t dst =
-  let b = t.buckets.(dst) in
-  if b.count > 0 then begin
+  match t.buckets.(dst) with
+  | Some b when b.count > 0 ->
     let batch =
       List.rev_map (fun ((ptr, idx), s) -> { ptr; idx; value = s.acc }) b.order
     in
@@ -63,10 +64,17 @@ let flush_dst t dst =
     b.count <- 0;
     t.messages <- t.messages + 1;
     t.flush ~dst batch
-  end
+  | Some _ | None -> ()
 
 let add t ~dst ptr ~idx value =
-  let b = t.buckets.(dst) in
+  let b =
+    match t.buckets.(dst) with
+    | Some b -> b
+    | None ->
+      let b = { combine_map = Hashtbl.create 32; order = []; count = 0 } in
+      t.buckets.(dst) <- Some b;
+      b
+  in
   let key = (ptr, idx) in
   (match if t.combine then Hashtbl.find_opt b.combine_map key else None with
   | Some s ->
@@ -106,10 +114,10 @@ let flush_if t pred =
 let clear t =
   let wiped = t.pending in
   Array.iter
-    (fun b ->
-      Hashtbl.reset b.combine_map;
-      b.order <- [];
-      b.count <- 0)
+    (Option.iter (fun b ->
+         Hashtbl.reset b.combine_map;
+         b.order <- [];
+         b.count <- 0))
     t.buckets;
   t.pending <- 0;
   wiped

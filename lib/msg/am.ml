@@ -48,7 +48,7 @@ let causal engine =
    bound by an id derived from (src, dst, seq, incarnation) — retransmitted
    copies of one envelope share the id, so Perfetto draws every arrow of
    the recovery. The span_id/parent args double as the streamed form of the
-   causal edges that bin/obs_check validates. *)
+   causal edges that bin/artifact_check validates. *)
 let emit_flow engine ~fid ~parent ~src ~dst ~seq ~inc ~sent ~at =
   match Engine.sink engine with
   | None -> ()

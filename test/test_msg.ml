@@ -32,21 +32,25 @@ let test_message_sizes () =
   Alcotest.(check bool) "reply bigger than payload" true
     (Dpa_msg.Am.reply_bytes machine ~payload:100 ~nreqs:2 > 100)
 
+(* A flushed batch as a list: the view is only valid inside the callback. *)
+let batch_list b =
+  List.init (Dpa_msg.Aggregator.batch_length b) (Dpa_msg.Aggregator.batch_get b)
+
 let test_aggregator_batches () =
   let flushed = ref [] in
   let agg =
-    Dpa_msg.Aggregator.create ~ndest:3 ~max_batch:2 ~flush:(fun ~dst reqs ->
-        flushed := (dst, reqs) :: !flushed)
+    Dpa_msg.Aggregator.create ~ndest:3 ~max_batch:2 ~flush:(fun ~dst b ->
+        flushed := (dst, batch_list b) :: !flushed)
   in
-  Dpa_msg.Aggregator.add agg ~dst:1 "a";
+  Dpa_msg.Aggregator.add agg ~dst:1 10;
   Alcotest.(check int) "buffered" 1 (Dpa_msg.Aggregator.pending agg);
-  Dpa_msg.Aggregator.add agg ~dst:1 "b" (* hits max_batch -> eager flush *);
+  Dpa_msg.Aggregator.add agg ~dst:1 11 (* hits max_batch -> eager flush *);
   Alcotest.(check int) "drained" 0 (Dpa_msg.Aggregator.pending agg);
-  Dpa_msg.Aggregator.add agg ~dst:2 "c";
+  Dpa_msg.Aggregator.add agg ~dst:2 12;
   Dpa_msg.Aggregator.flush_all agg;
-  Alcotest.(check (list (pair int (list string))))
+  Alcotest.(check (list (pair int (list int))))
     "batches in order"
-    [ (1, [ "a"; "b" ]); (2, [ "c" ]) ]
+    [ (1, [ 10; 11 ]); (2, [ 12 ]) ]
     (List.rev !flushed);
   Alcotest.(check int) "flushes" 2 (Dpa_msg.Aggregator.flushes agg);
   Alcotest.(check int) "max batch" 2 (Dpa_msg.Aggregator.max_batch_seen agg)
@@ -55,9 +59,9 @@ let test_aggregator_pending_for () =
   let agg =
     Dpa_msg.Aggregator.create ~ndest:3 ~max_batch:10 ~flush:(fun ~dst:_ _ -> ())
   in
-  Dpa_msg.Aggregator.add agg ~dst:1 "a";
-  Dpa_msg.Aggregator.add agg ~dst:1 "b";
-  Dpa_msg.Aggregator.add agg ~dst:2 "c";
+  Dpa_msg.Aggregator.add agg ~dst:1 10;
+  Dpa_msg.Aggregator.add agg ~dst:1 11;
+  Dpa_msg.Aggregator.add agg ~dst:2 12;
   Alcotest.(check int) "dst 0" 0 (Dpa_msg.Aggregator.pending_for agg ~dst:0);
   Alcotest.(check int) "dst 1" 2 (Dpa_msg.Aggregator.pending_for agg ~dst:1);
   Alcotest.(check int) "dst 2" 1 (Dpa_msg.Aggregator.pending_for agg ~dst:2);
@@ -72,24 +76,72 @@ let test_aggregator_pending_for () =
     (Invalid_argument "Aggregator.pending_for: bad destination") (fun () ->
       ignore (Dpa_msg.Aggregator.pending_for agg ~dst:3))
 
+(* A crash discards unsent entries: [clear] reports them, nothing of them
+   is ever flushed, and the buffers keep working afterwards. *)
+let test_aggregator_clear () =
+  let flushed = ref [] in
+  let agg =
+    Dpa_msg.Aggregator.create ~ndest:2 ~max_batch:4 ~flush:(fun ~dst b ->
+        flushed := (dst, batch_list b) :: !flushed)
+  in
+  List.iter (fun x -> Dpa_msg.Aggregator.add agg ~dst:(x land 1) x) [ 1; 2; 3 ];
+  Alcotest.(check int) "dropped" 3 (Dpa_msg.Aggregator.clear agg);
+  Alcotest.(check int) "pending" 0 (Dpa_msg.Aggregator.pending agg);
+  Alcotest.(check int) "pending_for" 0 (Dpa_msg.Aggregator.pending_for agg ~dst:1);
+  Dpa_msg.Aggregator.flush_all agg;
+  Alcotest.(check int) "nothing flushed" 0 (List.length !flushed);
+  Dpa_msg.Aggregator.add agg ~dst:1 7;
+  Dpa_msg.Aggregator.flush_all agg;
+  Alcotest.(check (list (pair int (list int)))) "fresh batch" [ (1, [ 7 ]) ] !flushed;
+  Alcotest.(check int) "flushes" 1 (Dpa_msg.Aggregator.flushes agg)
+
+(* A buffer grows past its first capacity without reordering; the batch
+   view dies with its callback, and the callback may not re-enter. *)
+let test_aggregator_batch_view () =
+  let kept = ref None and seen = ref [] in
+  let agg =
+    Dpa_msg.Aggregator.create ~ndest:1 ~max_batch:100 ~flush:(fun ~dst:_ b ->
+        kept := Some b;
+        seen := batch_list b)
+  in
+  for x = 0 to 99 do
+    Dpa_msg.Aggregator.add agg ~dst:0 x
+  done;
+  Alcotest.(check (list int)) "FIFO across growth" (List.init 100 Fun.id) !seen;
+  (match !kept with
+  | None -> Alcotest.fail "no flush"
+  | Some b ->
+    Alcotest.(check int) "empty after the callback" 0
+      (Dpa_msg.Aggregator.batch_length b);
+    Alcotest.check_raises "stale read"
+      (Invalid_argument "Aggregator.batch_get: index out of range") (fun () ->
+        ignore (Dpa_msg.Aggregator.batch_get b 0)));
+  let self = ref None in
+  let agg =
+    Dpa_msg.Aggregator.create ~ndest:2 ~max_batch:1 ~flush:(fun ~dst:_ _ ->
+        Option.iter (fun a -> Dpa_msg.Aggregator.add a ~dst:1 0) !self)
+  in
+  self := Some agg;
+  Alcotest.check_raises "re-entrant add"
+    (Invalid_argument "Aggregator.add: called from inside a flush callback")
+    (fun () -> Dpa_msg.Aggregator.add agg ~dst:0 0);
+  self := None;
+  Dpa_msg.Aggregator.add agg ~dst:1 5;
+  Alcotest.(check int) "usable after the raise" 2
+    (Dpa_msg.Aggregator.flushes agg)
+
 (* Model-based property: drive the aggregator with a random interleaving of
-   [add], [add_all] (the routed mode's bulk re-injection of en-route
-   merged batches) and [flush_all], and mirror it with an obviously-correct
-   model in which every bulk entry arrives one by one. Flush count,
-   largest batch, per-destination pending counts and the FIFO order of
-   everything flushed must all agree with the model — in particular,
-   [flushes]/[max_batch_seen] must count en-route merged entries exactly
-   like directly-added ones. *)
+   [add] and [flush_all], and mirror it with an obviously-correct model of
+   per-destination FIFOs. Flush count, largest batch, per-destination
+   pending counts and the order of everything flushed must all agree with
+   the model. *)
 let qcheck_aggregator_model =
   let ndest = 3 in
   let op =
     QCheck.(
       map
         (fun (kind, dst, x) ->
-          match kind mod 10 with
-          | 0 | 5 -> `Flush_all
-          | 1 | 6 -> `Add_all (dst, List.init ((x mod 4) + 1) (fun i -> x + i))
-          | _ -> `Add (dst, x))
+          match kind mod 10 with 0 | 5 -> `Flush_all | _ -> `Add (dst, x))
         (triple small_nat (int_range 0 (ndest - 1)) small_nat))
   in
   QCheck.Test.make
@@ -99,8 +151,8 @@ let qcheck_aggregator_model =
     (fun (max_batch, ops) ->
       let out = ref [] in
       let agg =
-        Dpa_msg.Aggregator.create ~ndest ~max_batch ~flush:(fun ~dst reqs ->
-            out := (dst, reqs) :: !out)
+        Dpa_msg.Aggregator.create ~ndest ~max_batch ~flush:(fun ~dst b ->
+            out := (dst, batch_list b) :: !out)
       in
       (* The model: per-destination FIFOs plus the expected flush log. *)
       let model = Array.make ndest [] in
@@ -123,9 +175,6 @@ let qcheck_aggregator_model =
           | `Add (dst, x) ->
             Dpa_msg.Aggregator.add agg ~dst x;
             model_add dst x
-          | `Add_all (dst, xs) ->
-            Dpa_msg.Aggregator.add_all agg ~dst xs;
-            List.iter (model_add dst) xs
           | `Flush_all ->
             Dpa_msg.Aggregator.flush_all agg;
             for dst = 0 to ndest - 1 do
@@ -148,8 +197,8 @@ let qcheck_aggregator_no_loss =
     (fun (max_batch, adds) ->
       let out = Array.make 5 [] in
       let agg =
-        Dpa_msg.Aggregator.create ~ndest:5 ~max_batch ~flush:(fun ~dst reqs ->
-            out.(dst) <- out.(dst) @ reqs)
+        Dpa_msg.Aggregator.create ~ndest:5 ~max_batch ~flush:(fun ~dst b ->
+            out.(dst) <- out.(dst) @ batch_list b)
       in
       List.iter (fun (dst, x) -> Dpa_msg.Aggregator.add agg ~dst x) adds;
       Dpa_msg.Aggregator.flush_all agg;
@@ -168,10 +217,10 @@ let qcheck_aggregator_batch_bound =
     (fun (max_batch, dsts) ->
       let ok = ref true in
       let agg =
-        Dpa_msg.Aggregator.create ~ndest:3 ~max_batch ~flush:(fun ~dst:_ reqs ->
-            if List.length reqs > max_batch then ok := false)
+        Dpa_msg.Aggregator.create ~ndest:3 ~max_batch ~flush:(fun ~dst:_ b ->
+            if Dpa_msg.Aggregator.batch_length b > max_batch then ok := false)
       in
-      List.iter (fun dst -> Dpa_msg.Aggregator.add agg ~dst ()) dsts;
+      List.iter (fun dst -> Dpa_msg.Aggregator.add agg ~dst dst) dsts;
       Dpa_msg.Aggregator.flush_all agg;
       !ok)
 
@@ -269,6 +318,8 @@ let suites =
       [
         Alcotest.test_case "batches" `Quick test_aggregator_batches;
         Alcotest.test_case "pending_for" `Quick test_aggregator_pending_for;
+        Alcotest.test_case "clear" `Quick test_aggregator_clear;
+        Alcotest.test_case "batch view" `Quick test_aggregator_batch_view;
         QCheck_alcotest.to_alcotest qcheck_aggregator_model;
         QCheck_alcotest.to_alcotest qcheck_aggregator_no_loss;
         QCheck_alcotest.to_alcotest qcheck_aggregator_batch_bound;

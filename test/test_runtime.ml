@@ -274,8 +274,10 @@ module Model = struct
       t.waiters <- t.waiters - slot.count;
       Some (slot.ptr, List.rev slot.ks)
 
-  let find_ptr t token =
-    Option.map (fun slot -> slot.ptr) (Hashtbl.find_opt t.tokens token)
+  let token_ptr t token =
+    match Hashtbl.find_opt t.tokens token with
+    | Some slot -> slot.ptr
+    | None -> Gptr.nil
 
   let outstanding_list t =
     List.sort compare (Hashtbl.fold (fun tok slot acc -> (tok, slot.ptr) :: acc) t.tokens [])
@@ -342,7 +344,9 @@ let qcheck_pointer_map_model =
                 && List.map snd woken = ks
                 && List.for_all (fun (q, _) -> Dpa_heap.Gptr.equal q ptr) woken)
             | Find token ->
-              Dpa.Pointer_map.find_ptr m token = Model.find_ptr model token
+              Dpa_heap.Gptr.equal
+                (Dpa.Pointer_map.token_ptr m token)
+                (Model.token_ptr model token)
             | Fold ->
               List.sort compare
                 (Dpa.Pointer_map.fold_outstanding m
@@ -523,7 +527,8 @@ let test_chain_cut_by_quantum () =
 (* The hot-path allocation contract (docs/PERFORMANCE.md §4): a
    strip-mined phase of local reads (cheap threads, and threads that each
    spend a whole poll quantum), and one of remote reads that merge onto
-   in-flight fetches, allocate at most half a word per read. *)
+   in-flight fetches, allocate at most half a word per read; a phase whose
+   every read is a fresh remote fetch, at most six. *)
 
 (* Words allocated per read by the second of two runs of [run] (the first
    warms module initialisation and grows the runtime's arrays). *)
@@ -570,11 +575,11 @@ let alloc_objects heaps ~node n =
   Array.init n (fun slot ->
       Dpa_heap.Heap.alloc heaps.(node) ~floats:[| float_of_int slot |] ~ptrs:[||])
 
-let check_words_per_read ~reads run =
+let check_words_per_read ?(bound = 0.5) ~reads run =
   let per_read = words_per_read ~reads run in
-  if per_read > 0.5 then
-    Alcotest.failf "%.2f words per read over %d reads (bound 0.50)" per_read
-      reads
+  if per_read > bound then
+    Alcotest.failf "%.2f words per read over %d reads (bound %.2f)" per_read
+      reads bound
 
 (* Purely local reads: spawn, ready-ring dispatch and continuation with no
    wire traffic. With [work] at one poll quantum each dispatch ends its
@@ -600,6 +605,44 @@ let test_merged_remote_reads_alloc () =
   check_words_per_read ~reads:(nnodes * nitems * reads)
     (alloc_phase ~work:100 ~nnodes ~heaps ~nitems ~reads
        ~target:(fun ~node ~item ~r -> ptrs.(1 - node).((item + r) mod nobjs)))
+
+(* Every read names a distinct object on the other node, so each takes a
+   fresh token, nothing merges and nothing hits D: the whole request path
+   — aggregation, the request message, the owner's service handler, the
+   bulk reply and its wake — runs once per read. *)
+let test_fresh_remote_reads_alloc () =
+  let nnodes = 2 and nitems = 512 and reads = 16 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes in
+  let ptrs =
+    Array.init nnodes (fun node -> alloc_objects heaps ~node (nitems * reads))
+  in
+  check_words_per_read ~bound:6. ~reads:(nnodes * nitems * reads)
+    (alloc_phase ~work:100 ~nnodes ~heaps ~nitems ~reads
+       ~target:(fun ~node ~item ~r -> ptrs.(1 - node).((item * reads) + r)))
+
+(* Buffers sized by destination cost a few words per destination until a
+   destination is used: a phase creates them for every (node, destination)
+   pair. *)
+let test_buffer_setup_alloc () =
+  let ndest = 4096 in
+  let create () =
+    ignore
+      (Sys.opaque_identity
+         (Dpa_msg.Aggregator.create ~ndest ~max_batch:64 ~flush:(fun ~dst:_ _ ->
+              ())));
+    ignore
+      (Sys.opaque_identity
+         (Dpa.Update_buffer.create ~ndest ~combine:true ~max_batch:64
+            ~flush:(fun ~dst:_ _ -> ())
+            ()))
+  in
+  create ();
+  let w0 = Gc.allocated_bytes () in
+  create ();
+  let per_dest = (Gc.allocated_bytes () -. w0) /. 8. /. float_of_int ndest in
+  if per_dest >= 8. then
+    Alcotest.failf "%.2f words per destination to create both buffers (bound 8)"
+      per_dest
 
 let suites =
   [
@@ -647,5 +690,8 @@ let suites =
           (test_local_reads_alloc ~work:(machine 1).Machine.poll_quantum_ns);
         Alcotest.test_case "merged remote reads" `Quick
           test_merged_remote_reads_alloc;
+        Alcotest.test_case "fresh remote reads" `Quick
+          test_fresh_remote_reads_alloc;
+        Alcotest.test_case "buffer setup" `Quick test_buffer_setup_alloc;
       ] );
   ]

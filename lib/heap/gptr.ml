@@ -39,7 +39,14 @@ let pp ppf t =
 
 let show t = Format.asprintf "%a" pp t
 
-let hash (t : t) = (t * 0x9E3779B1) land max_int
+(* [Hashtbl] takes a bucket from the low bits of the hash, and a product
+   alone leaves those depending on the slot only — the same slot on every
+   node would share one bucket. Folding the node bits down onto the slot
+   before the multiply, and the product's high half back down after it,
+   spreads both. *)
+let hash (t : t) =
+  let h = (t lxor (t lsr slot_bits)) * 0x4F1BBCDCBFA53E0B in
+  (h lxor (h lsr 32)) land max_int
 
 let bytes = 8
 

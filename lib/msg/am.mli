@@ -54,10 +54,37 @@
 
 open Dpa_sim
 
+type handler = Node.t -> int -> int -> int array -> unit
+(** A data message's handler: it runs on the destination node with the
+    message's two ints and its payload. *)
+
+val no_handler : handler
+(** Does nothing: a placeholder for handlers built after their owner. *)
+
+val send_data :
+  Engine.t ->
+  src:Node.t ->
+  dst:int ->
+  bytes:int ->
+  handler ->
+  int ->
+  int ->
+  int array ->
+  unit
+(** [send_data engine ~src ~dst ~bytes handler a b payload]: a message as
+    data. On the perfect network it occupies one slot of the engine's
+    message slab (columns: destination, bytes, causal flight id, handler,
+    [a], [b], [payload]), and each slot posts its own preallocated delivery
+    action — so a send whose handler is built once, and whose payload
+    already exists, allocates nothing. Under a fault plan the message
+    rides the reliable envelope described above. [bytes] must include the
+    header; a message smaller than the header raises [Invalid_argument]
+    naming both nodes, its size and the header's. *)
+
 val send :
   Engine.t -> src:Node.t -> dst:int -> bytes:int -> (Node.t -> unit) -> unit
-(** [send engine ~src ~dst ~bytes handler]. [bytes] must include any header;
-    use {!message_bytes} to build it. *)
+(** [send engine ~src ~dst ~bytes handler]: {!send_data} with a closure
+    handler that ignores the ints and payload. *)
 
 val message_bytes : Machine.t -> payload:int -> int
 (** Header plus payload. *)

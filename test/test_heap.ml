@@ -10,6 +10,16 @@ let test_gptr_equal_hash () =
   Alcotest.(check bool) "equal" true (Gptr.equal a b);
   Alcotest.(check int) "hash equal" (Gptr.hash a) (Gptr.hash b)
 
+(* [Hashtbl] buckets by the hash's low bits: the same slot on sixteen
+   nodes must not pile into one bucket of a sixteen-bucket table. *)
+let test_gptr_hash_spreads_nodes () =
+  let used = Array.make 16 false in
+  for node = 0 to 15 do
+    used.(Gptr.hash (Gptr.make ~node ~slot:7) land 15) <- true
+  done;
+  let n = Array.fold_left (fun n u -> if u then n + 1 else n) 0 used in
+  if n < 8 then Alcotest.failf "slot 7 on 16 nodes fills %d of 16 buckets" n
+
 let test_obj_bytes () =
   let o = Obj_repr.make ~floats:[| 1.; 2.; 3. |] ~ptrs:[| Gptr.nil |] in
   Alcotest.(check int) "bytes" (8 + 24 + 8) (Obj_repr.bytes o)
@@ -381,6 +391,8 @@ let suites =
       [
         Alcotest.test_case "nil" `Quick test_gptr_nil;
         Alcotest.test_case "equal/hash" `Quick test_gptr_equal_hash;
+        Alcotest.test_case "hash spreads nodes" `Quick
+          test_gptr_hash_spreads_nodes;
       ] );
     ( "heap.obj",
       [

@@ -21,7 +21,11 @@ let test_am_delivery_time () =
 let test_am_rejects_small () =
   let engine = Engine.create machine in
   Alcotest.check_raises "too small"
-    (Invalid_argument "Am.send: message smaller than header") (fun () ->
+    (Invalid_argument
+       (Printf.sprintf
+          "Am.send: message from node 0 to node 1 is 2 bytes, smaller than \
+           the %d-byte header"
+          machine.Machine.msg_header_bytes)) (fun () ->
       Dpa_msg.Am.send engine ~src:(Engine.node engine 0) ~dst:1 ~bytes:2
         (fun _ -> ()))
 

@@ -67,6 +67,45 @@ let test_read_accounting () =
     (s.Dpa_baselines.Caching.hits + s.Dpa_baselines.Caching.misses
    + s.Dpa_baselines.Caching.local)
 
+(* End-to-end fetch retries under the heavy preset: an outage window
+   outlasts the fetch timer, so a retried miss gets two replies, and the
+   one that finds its miss already done must be a no-op. Every miss
+   completes once with its own object: the sums and the miss count match
+   the fault-free run. (A stale reply that completed a later miss early
+   would keep the sums but move modelled time; the byte-identity set's
+   faulted t2 run catches that.) *)
+let test_caching_retries_idempotent () =
+  let nnodes = 4 and nitems = 40 and reads = 8 in
+  let w = Workload.make ~nnodes ~nobjs:32 in
+  let run ?faults ~fault_seed () =
+    let sums = Array.make nnodes 0. in
+    let items =
+      Workload.items
+        (module Dpa_baselines.Caching)
+        w ~nitems ~reads ~work_ns:100 sums
+    in
+    let engine =
+      Engine.create (Machine.make ~nodes:nnodes ?faults ~fault_seed ())
+    in
+    let _, stats =
+      Dpa_baselines.Caching.run_phase ~engine ~heaps:w.Workload.heaps
+        ~capacity:4 ~items ()
+    in
+    (sums, stats)
+  in
+  let _, clean = run ~fault_seed:0 () in
+  let retries =
+    List.fold_left
+      (fun acc fault_seed ->
+        let sums, s = run ~faults:Fault.heavy ~fault_seed () in
+        check_sums w sums ~nitems ~reads;
+        Alcotest.(check int) "misses" clean.Dpa_baselines.Caching.misses
+          s.Dpa_baselines.Caching.misses;
+        acc + s.Dpa_baselines.Caching.retries)
+      0 [ 1; 2; 3 ]
+  in
+  Alcotest.(check bool) "some fetch retried" true (retries > 0)
+
 let test_runtimes_agree () =
   (* DPA, caching and blocking must compute identical results. *)
   let nnodes = 3 and nobjs = 16 and nitems = 15 and reads = 6 in
@@ -198,6 +237,8 @@ let suites =
         Alcotest.test_case "blocking correct" `Quick test_blocking_correct;
         Alcotest.test_case "caching hits" `Quick test_caching_hits;
         Alcotest.test_case "blocking never hits" `Quick test_blocking_never_hits;
+        Alcotest.test_case "caching retries idempotent" `Quick
+          test_caching_retries_idempotent;
         Alcotest.test_case "capacity bound" `Quick test_caching_capacity_bound;
         Alcotest.test_case "read accounting" `Quick test_read_accounting;
         Alcotest.test_case "runtimes agree" `Quick test_runtimes_agree;

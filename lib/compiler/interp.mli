@@ -1,11 +1,22 @@
-(** CPS interpreter: executes a validated program against any runtime's
-    access interface, realizing at run time the thread structure that
-    {!Partition} describes statically. A dereference of an unfetched
-    global-class pointer suspends into [A.read] (together with its hoisted
-    same-class companions, issued as one batch so they share the runtime's
-    aggregation); everything else runs inline in the current thread.
+(** Executes a validated program against any runtime's access interface,
+    realizing at run time the thread structure that {!Partition} describes
+    statically.
 
-    Fetched objects are cached per activation ("availability"), so repeated
+    [compile] decides once what does not depend on the data: every
+    variable of a function becomes a frame slot, every statement list a
+    chain of prebuilt continuation-passing code, every call its callee, and
+    every dereference site its hoisting companions — the other variables of
+    the same global alias class, in name order. Run-time errors
+    ({!Value.Eval_error}) name the function and the site.
+
+    At run time each activation allocates one frame (values, fetched views,
+    join counters and the caller's continuation), and a dereference of an
+    unfetched pointer suspends into [A.read] together with those companions
+    that are unfetched, non-nil pointers, issued as one batch so they share
+    the runtime's aggregation. Everything else runs inline in the current
+    thread.
+
+    Fetched objects are kept per activation ("availability"), so repeated
     accesses through the same pointer in one activation cost nothing extra
     — the access-hoisting effect. *)
 

@@ -2,19 +2,21 @@ type t = Num of float | Bool of bool | Ptr of Dpa_heap.Gptr.t
 
 exception Eval_error of string
 
-let num = function
-  | Num f -> f
-  | Bool _ -> raise (Eval_error "expected a number, got a boolean")
-  | Ptr _ -> raise (Eval_error "expected a number, got a pointer")
+let fail where m = raise (Eval_error (where ^ ": " ^ m))
 
-let truthy = function
+let num where = function
+  | Num f -> f
+  | Bool _ -> fail where "expected a number, got a boolean"
+  | Ptr _ -> fail where "expected a number, got a pointer"
+
+let truthy where = function
   | Bool b -> b
   | Num f -> f <> 0.
-  | Ptr _ -> raise (Eval_error "a pointer is not a condition")
+  | Ptr _ -> fail where "a pointer is not a condition"
 
-let ptr = function
+let ptr where = function
   | Ptr p -> p
-  | Num _ | Bool _ -> raise (Eval_error "expected a pointer")
+  | Num _ | Bool _ -> fail where "expected a pointer"
 
 let pp ppf = function
   | Num f -> Format.fprintf ppf "%g" f

@@ -15,16 +15,17 @@ let table =
          done;
          !c))
 
-let update crc b =
-  let t = Lazy.force table in
-  t.((crc lxor b) land 0xFF) lxor (crc lsr 8)
-
+(* The table is forced once per digest, and the loop indexes it and the
+   buffer unchecked: the index is masked to 0..255 and the range is
+   checked on entry. *)
 let digest_sub bytes ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length bytes then
     invalid_arg "Crc.digest_sub: range out of bounds";
+  let t = Lazy.force table in
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := update !crc (Char.code (Bytes.unsafe_get bytes i))
+    let b = Char.code (Bytes.unsafe_get bytes i) in
+    crc := Array.unsafe_get t ((!crc lxor b) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
 

@@ -146,8 +146,22 @@ let test_lru_eviction_order_qcheck =
       List.for_all (fun k -> L.mem c k) expected
       && L.size c = List.length expected)
 
+(* The standard CRC-32 check value, and a sub-range digest equal to the
+   digest of the same bytes on their own. *)
+let test_crc_check_value () =
+  let b = Bytes.of_string "xx123456789yy" in
+  Alcotest.(check int) "check value" 0xCBF43926
+    (Dpa_util.Crc.digest (Bytes.of_string "123456789"));
+  Alcotest.(check int) "sub-range" 0xCBF43926
+    (Dpa_util.Crc.digest_sub b ~pos:2 ~len:9);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Crc.digest_sub: range out of bounds") (fun () ->
+      ignore (Dpa_util.Crc.digest_sub b ~pos:5 ~len:9))
+
 let suites =
   [
+    ( "util.crc",
+      [ Alcotest.test_case "check value" `Quick test_crc_check_value ] );
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

@@ -44,6 +44,14 @@ let causal engine =
   | None -> None
   | Some s -> Dpa_obs.Sink.causal s
 
+(* The args both instants of a flow pair carry after their span_id/parent. *)
+let flow_args sink ~flow_id ~src ~dst ~seq ~inc =
+  Dpa_obs.Sink.str sink "id" flow_id;
+  Dpa_obs.Sink.int sink "src" src;
+  Dpa_obs.Sink.int sink "dst" dst;
+  Dpa_obs.Sink.int sink "seq" seq;
+  Dpa_obs.Sink.int sink "inc" inc
+
 (* Chrome-trace flow arrows: one "s"/"f" instant pair per delivered copy,
    bound by an id derived from (src, dst, seq, incarnation) — retransmitted
    copies of one envelope share the id, so Perfetto draws every arrow of
@@ -60,26 +68,13 @@ let emit_flow engine ~fid ~parent ~src ~dst ~seq ~inc ~sent ~at =
           string_of_int inc;
         ]
     in
-    let common =
-      [
-        ("id", Dpa_obs.Sink.Str flow_id);
-        ("src", Dpa_obs.Sink.Int src);
-        ("dst", Dpa_obs.Sink.Int dst);
-        ("seq", Dpa_obs.Sink.Int seq);
-        ("inc", Dpa_obs.Sink.Int inc);
-      ]
-    in
-    let s_args =
-      ("span_id", Dpa_obs.Sink.Int fid)
-      ::
-      (if parent >= 0 then ("parent", Dpa_obs.Sink.Int parent) :: common
-       else common)
-    in
-    Dpa_obs.Sink.instant ~args:s_args sink ~cat:"flow" ~name:"flow_s"
-      ~node:src ~ts:sent;
-    Dpa_obs.Sink.instant
-      ~args:(("parent", Dpa_obs.Sink.Int fid) :: common)
-      sink ~cat:"flow" ~name:"flow_f" ~node:dst ~ts:at
+    Dpa_obs.Sink.instant sink ~cat:"flow" ~name:"flow_s" ~node:src ~ts:sent;
+    Dpa_obs.Sink.int sink "span_id" fid;
+    if parent >= 0 then Dpa_obs.Sink.int sink "parent" parent;
+    flow_args sink ~flow_id ~src ~dst ~seq ~inc;
+    Dpa_obs.Sink.instant sink ~cat:"flow" ~name:"flow_f" ~node:dst ~ts:at;
+    Dpa_obs.Sink.int sink "parent" fid;
+    flow_args sink ~flow_id ~src ~dst ~seq ~inc
 
 (* Record one delivered copy as a flight node parented at the sender's
    activity ([cparent], read at wire-out and frozen for the envelope's
@@ -95,8 +90,7 @@ let record_flight engine c ~cparent ~attempt ~src ~dst ?seq ~inc ~sent ~at () =
   let kind =
     if attempt > 1 then Dpa_obs.Causal.Retry else Dpa_obs.Causal.Send
   in
-  Dpa_obs.Causal.node ~seg c ~id:fid ~name:"flight" ~node:src ~ts:sent
-    ~dur:(at - sent);
+  Dpa_obs.Causal.node ~seg c ~id:fid ~ts:sent ~dur:(at - sent);
   Dpa_obs.Causal.edge c ~kind ~parent:cparent ~child:fid;
   emit_flow engine ~fid ~parent:cparent ~src ~dst ~seq ~inc ~sent ~at;
   fid
@@ -460,10 +454,17 @@ let copy_corrupted f ~src ~dst ~seq ~inc ~bytes =
        not (Wire.verify fr)
      end
 
-let obs_instant engine ~cat ~name ~node ~ts args =
+(* An instant, then its int args with [obs_int]: each a no-op without a
+   sink. *)
+let obs_instant engine ~cat ~name ~node ~ts =
   match Engine.sink engine with
   | None -> ()
-  | Some sink -> Dpa_obs.Sink.instant ~args sink ~cat ~name ~node ~ts
+  | Some sink -> Dpa_obs.Sink.instant sink ~cat ~name ~node ~ts
+
+let obs_int engine key v =
+  match Engine.sink engine with
+  | None -> ()
+  | Some sink -> Dpa_obs.Sink.int sink key v
 
 let obs_count engine name n =
   match Engine.sink engine with
@@ -483,23 +484,27 @@ let obs_observe engine name v =
    off the corrupted copy's flight (the ack pattern), so refetch and
    retransmit chains in the critical-path report stay exact while the
    corruption still shows as an explicit happens-before vertex. Returns
-   span_id/parent args for the instant the caller emits. *)
-let corrupt_marker engine ~kind ~fid ~node ~ts =
+   the marker's id, -1 with tracing off. *)
+let corrupt_marker engine ~kind ~fid ~ts =
   match causal engine with
-  | None -> []
+  | None -> -1
   | Some c ->
     let id = Dpa_obs.Causal.fresh c in
-    Dpa_obs.Causal.node ~seg:Dpa_obs.Causal.Wire ~on_path:false c ~id
-      ~name:"corrupt" ~node ~ts ~dur:0;
+    Dpa_obs.Causal.node ~seg:Dpa_obs.Causal.Wire ~on_path:false c ~id ~ts
+      ~dur:0;
     if fid >= 0 then Dpa_obs.Causal.edge c ~kind ~parent:fid ~child:id;
-    ("span_id", Dpa_obs.Sink.Int id)
-    :: (if fid >= 0 then [ ("parent", Dpa_obs.Sink.Int fid) ] else [])
+    id
 
-let note_corrupt engine (st : state) ~node ~src ~bytes ~ts cargs =
+let note_corrupt engine (st : state) ~node ~src ~bytes ~ts ~id ~fid =
   st.corrupt_dropped.(node) <- st.corrupt_dropped.(node) + 1;
   obs_count engine "am.corrupt_dropped" 1;
-  obs_instant engine ~cat:"fault" ~name:"corrupt" ~node ~ts
-    (("src", Dpa_obs.Sink.Int src) :: ("bytes", Dpa_obs.Sink.Int bytes) :: cargs)
+  obs_instant engine ~cat:"fault" ~name:"corrupt" ~node ~ts;
+  obs_int engine "src" src;
+  obs_int engine "bytes" bytes;
+  if id >= 0 then begin
+    obs_int engine "span_id" id;
+    if fid >= 0 then obs_int engine "parent" fid
+  end
 
 (* One physical transmission attempt through the fault plan: charges the
    sender, occupies the links, then posts zero, one or two delivery events
@@ -529,18 +534,20 @@ let transmit engine f ~(src : Node.t) ~dst ~bytes ~seq ~cparent ~attempt
   with
   | Fault.Drop ->
     obs_count engine "fault.drops" 1;
-    obs_instant engine ~cat:"fault" ~name:"drop" ~node:src_id ~ts:sent_at
-      [ ("dst", Dpa_obs.Sink.Int dst); ("bytes", Dpa_obs.Sink.Int bytes) ]
+    obs_instant engine ~cat:"fault" ~name:"drop" ~node:src_id ~ts:sent_at;
+    obs_int engine "dst" dst;
+    obs_int engine "bytes" bytes
   | Fault.Outage ->
     obs_count engine "fault.outage_drops" 1;
-    obs_instant engine ~cat:"fault" ~name:"outage" ~node:src_id ~ts:sent_at
-      [ ("dst", Dpa_obs.Sink.Int dst); ("bytes", Dpa_obs.Sink.Int bytes) ]
+    obs_instant engine ~cat:"fault" ~name:"outage" ~node:src_id ~ts:sent_at;
+    obs_int engine "dst" dst;
+    obs_int engine "bytes" bytes
   | Fault.Deliver delays ->
     (match delays with
     | _ :: _ :: _ ->
       obs_count engine "fault.dups" 1;
-      obs_instant engine ~cat:"fault" ~name:"dup" ~node:src_id ~ts:sent_at
-        [ ("dst", Dpa_obs.Sink.Int dst) ]
+      obs_instant engine ~cat:"fault" ~name:"dup" ~node:src_id ~ts:sent_at;
+      obs_int engine "dst" dst
     | _ -> ());
     List.iter
       (fun extra ->
@@ -573,11 +580,11 @@ let transmit engine f ~(src : Node.t) ~dst ~bytes ~seq ~cparent ~attempt
               d.Node.msgs_recv <- d.Node.msgs_recv + 1;
               d.Node.bytes_recv <- d.Node.bytes_recv + bytes;
               let st = state engine in
-              let cargs =
-                corrupt_marker engine ~kind:Dpa_obs.Causal.Deliver ~fid
-                  ~node:dst ~ts:at
+              let id =
+                corrupt_marker engine ~kind:Dpa_obs.Causal.Deliver ~fid ~ts:at
               in
-              note_corrupt engine st ~node:dst ~src:src_id ~bytes ~ts:at cargs
+              note_corrupt engine st ~node:dst ~src:src_id ~bytes ~ts:at ~id
+                ~fid
             end
             else if d.Node.incarnation <> dst_inc then begin
               (* Addressed to a pre-crash incarnation: the wire carried it,
@@ -588,11 +595,9 @@ let transmit engine f ~(src : Node.t) ~dst ~bytes ~seq ~cparent ~attempt
               let st = state engine in
               st.fenced <- st.fenced + 1;
               obs_count engine "am.fenced" 1;
-              obs_instant engine ~cat:"fault" ~name:"fenced" ~node:dst ~ts:at
-                [
-                  ("src", Dpa_obs.Sink.Int src_id);
-                  ("bytes", Dpa_obs.Sink.Int bytes);
-                ]
+              obs_instant engine ~cat:"fault" ~name:"fenced" ~node:dst ~ts:at;
+              obs_int engine "src" src_id;
+              obs_int engine "bytes" bytes
             end
             else begin
               Node.charge_comm d m.Machine.recv_overhead_ns;
@@ -667,12 +672,10 @@ let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler =
       obs_count engine "am.retransmits" 1;
       obs_count engine "am.retransmit_bytes" bytes;
       obs_instant engine ~cat:"fault" ~name:"retry" ~node:src_id
-        ~ts:src.Node.clock
-        [
-          ("seq", Dpa_obs.Sink.Int seq);
-          ("attempt", Dpa_obs.Sink.Int p.p_attempts);
-          ("dst", Dpa_obs.Sink.Int dst);
-        ]
+        ~ts:src.Node.clock;
+      obs_int engine "seq" seq;
+      obs_int engine "attempt" p.p_attempts;
+      obs_int engine "dst" dst
     end;
     transmit engine f ~src ~dst ~bytes ~seq ~cparent:p.p_causal
       ~attempt:p.p_attempts on_deliver;
@@ -686,8 +689,9 @@ let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler =
           let src = Engine.node engine src_id in
           Node.wait_until src deadline;
           obs_instant engine ~cat:"fault" ~name:"timeout" ~node:src_id
-            ~ts:src.Node.clock
-            [ ("seq", Dpa_obs.Sink.Int seq); ("dst", Dpa_obs.Sink.Int dst) ];
+            ~ts:src.Node.clock;
+          obs_int engine "seq" seq;
+          obs_int engine "dst" dst;
           attempt ()
         end)
   and on_deliver ~at ~fid d =
@@ -722,12 +726,14 @@ let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler =
     with
     | Fault.Drop ->
       obs_count engine "fault.drops" 1;
-      obs_instant engine ~cat:"fault" ~name:"drop" ~node:d.Node.id ~ts:at
-        [ ("dst", Dpa_obs.Sink.Int src_id); ("bytes", Dpa_obs.Sink.Int ack_bytes) ]
+      obs_instant engine ~cat:"fault" ~name:"drop" ~node:d.Node.id ~ts:at;
+      obs_int engine "dst" src_id;
+      obs_int engine "bytes" ack_bytes
     | Fault.Outage ->
       obs_count engine "fault.outage_drops" 1;
-      obs_instant engine ~cat:"fault" ~name:"outage" ~node:d.Node.id ~ts:at
-        [ ("dst", Dpa_obs.Sink.Int src_id); ("bytes", Dpa_obs.Sink.Int ack_bytes) ]
+      obs_instant engine ~cat:"fault" ~name:"outage" ~node:d.Node.id ~ts:at;
+      obs_int engine "dst" src_id;
+      obs_int engine "bytes" ack_bytes
     | Fault.Deliver delays ->
       List.iter
         (fun extra ->
@@ -747,8 +753,7 @@ let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler =
           | Some c ->
             let aid = Dpa_obs.Causal.fresh c in
             Dpa_obs.Causal.node ~seg:Dpa_obs.Causal.Wire ~on_path:false c
-              ~id:aid ~name:"ack" ~node:d.Node.id ~ts:at
-              ~dur:(arrival + extra - at);
+              ~id:aid ~ts:at ~dur:(arrival + extra - at);
             Dpa_obs.Causal.edge c ~kind:Dpa_obs.Causal.Ack ~parent:fid
               ~child:aid
           | None -> ());
@@ -758,12 +763,12 @@ let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler =
               s.Node.msgs_recv <- s.Node.msgs_recv + 1;
               s.Node.bytes_recv <- s.Node.bytes_recv + ack_bytes;
               if ack_corrupt then begin
-                let cargs =
+                let id =
                   corrupt_marker engine ~kind:Dpa_obs.Causal.Ack ~fid
-                    ~node:src_id ~ts:(arrival + extra)
+                    ~ts:(arrival + extra)
                 in
                 note_corrupt engine st ~node:src_id ~src:d.Node.id
-                  ~bytes:ack_bytes ~ts:(arrival + extra) cargs
+                  ~bytes:ack_bytes ~ts:(arrival + extra) ~id ~fid
               end
               else if Hashtbl.mem st.pending seq then begin
                 Hashtbl.remove st.pending seq;

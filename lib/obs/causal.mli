@@ -4,6 +4,9 @@
     producers record a DAG per phase window: DAG nodes are scheduler quanta,
     owner-service and update-apply handlers, wake markers, restart markers,
     message flights and acks; edges carry the causal relation between them.
+    A DAG node is its id, start, duration, weight class and path
+    eligibility — the simulated node and the activity name live only in
+    the sink's events.
     {!Critpath.at_barrier} consumes the window at every engine barrier and
     appends one analyzed {!instance} per labeled phase.
 
@@ -30,28 +33,6 @@ type edge_kind =
   | Wake  (** wake marker -> the quantum that dispatched the woken threads *)
   | Retry  (** original causal parent -> a retransmission / re-issue *)
   | Refetch_start  (** last pre-crash activity -> the restart marker *)
-
-(** The current window, as growable parallel arrays. Entry [i] of each
-    node column describes the [i]th node recorded since the last reset,
-    for [i < nodes]; the edge columns likewise, for [j < edges]. Slots
-    past the counts are stale. Recording allocates nothing until a column
-    grows, and the columns keep their capacity across resets. *)
-type window = private {
-  mutable nodes : int;
-  mutable id : int array;
-  mutable name : string array;
-  mutable node : int array;  (** simulated node *)
-  mutable ts : int array;  (** sim-ns start *)
-  mutable dur : int array;
-  mutable seg : seg array;
-  mutable on_path : bool array;
-      (** acks are recorded but path-ineligible: they advance no clock, so
-          a late ack must not become the path tail *)
-  mutable edges : int;
-  mutable kind : edge_kind array;
-  mutable parent : int array;
-  mutable child : int array;
-}
 
 type phase_meta = {
   pm_label : string;
@@ -84,18 +65,11 @@ val fresh : t -> int
     never reset — id stability is what lets a retransmission keep its
     original causal parent across attempts and incarnations. *)
 
-val node :
-  ?seg:seg ->
-  ?on_path:bool ->
-  t ->
-  id:int ->
-  name:string ->
-  node:int ->
-  ts:int ->
-  dur:int ->
-  unit
+val node : ?seg:seg -> ?on_path:bool -> t -> id:int -> ts:int -> dur:int -> unit
 (** Record a DAG node in the current window ([seg] defaults to [Other],
-    [on_path] to [true]). The id must come from {!fresh}. *)
+    [on_path] to [true]; acks are recorded but path-ineligible: they
+    advance no clock, so a late ack must not become the path tail). The id
+    must come from {!fresh}. *)
 
 val edge : t -> kind:edge_kind -> parent:int -> child:int -> unit
 (** Record [parent -> child]. No-op when [parent < 0] (no causal context),
@@ -121,9 +95,24 @@ val set_meta :
 
 val meta : t -> phase_meta option
 
-val window : t -> window
-(** The current window, read-only. The record lives as long as [t];
-    {!reset_window} empties it. *)
+(** {2 The current window}
+
+    Nodes and edges recorded since the last {!reset_window}, in recording
+    order, held in chunked int columns ({!Chunked}) whose chunks are
+    pooled across resets. Node [i] is valid for [0 <= i < nodes t], edge
+    [j] for [0 <= j < edges t]. *)
+
+val nodes : t -> int
+val node_id : t -> int -> int
+val node_ts : t -> int -> int  (** sim-ns start *)
+
+val node_dur : t -> int -> int
+val node_seg : t -> int -> seg
+val node_on_path : t -> int -> bool
+val edges : t -> int
+val edge_kind : t -> int -> edge_kind
+val edge_parent : t -> int -> int
+val edge_child : t -> int -> int
 
 val window_size : t -> int * int
 (** [(nodes, edges)] recorded in the current window. *)

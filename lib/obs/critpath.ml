@@ -37,12 +37,12 @@ let bucket_of_gap = function
   | Causal.Refetch_start -> "refetch"
 
 (* Window nodes are referred to by their recording index [i]. *)
-let cend (w : Causal.window) i = w.ts.(i) + w.dur.(i)
+let cend c i = Causal.node_ts c i + Causal.node_dur c i
 
 (* Deterministic "later" ordering: end time, then id. *)
-let later (w : Causal.window) a b =
-  let ea = cend w a and eb = cend w b in
-  if ea <> eb then ea > eb else w.id.(a) > w.id.(b)
+let later c a b =
+  let ea = cend c a and eb = cend c b in
+  if ea <> eb then ea > eb else Causal.node_id c a > Causal.node_id c b
 
 (* The eligible (on-path) nodes are indexed by [id - base], [base] their
    smallest id: span ids are allocated densely, so the index is about as
@@ -51,20 +51,20 @@ let later (w : Causal.window) a b =
    recorded in an earlier window, or an ineligible node — resolves to -1
    and its edges are skipped. *)
 let analyze_window c (pm : Causal.phase_meta) =
-  let w = Causal.window c in
+  let nodes = Causal.nodes c in
   let lo = ref max_int and hi = ref min_int in
-  for i = 0 to w.nodes - 1 do
-    if w.on_path.(i) then begin
-      lo := Int.min !lo w.id.(i);
-      hi := Int.max !hi w.id.(i)
+  for i = 0 to nodes - 1 do
+    if Causal.node_on_path c i then begin
+      lo := Int.min !lo (Causal.node_id c i);
+      hi := Int.max !hi (Causal.node_id c i)
     end
   done;
   if !lo > !hi then None
   else begin
     let base = !lo and len = !hi - !lo + 1 in
     let slot = Array.make len (-1) in
-    for i = w.nodes - 1 downto 0 do
-      if w.on_path.(i) then slot.(w.id.(i) - base) <- i
+    for i = nodes - 1 downto 0 do
+      if Causal.node_on_path c i then slot.(Causal.node_id c i - base) <- i
     done;
     let find id = if id < base || id - base >= len then -1 else slot.(id - base) in
     (* Each eligible node's latest-ending predecessor and the kind of the
@@ -72,21 +72,22 @@ let analyze_window c (pm : Causal.phase_meta) =
        parent, several edges) keep the earliest-recorded edge. *)
     let pred = Array.make len (-1) in
     let pred_kind = Array.make len Causal.Seq in
-    for j = 0 to w.edges - 1 do
-      let p = find w.parent.(j) in
-      if p >= 0 && find w.child.(j) >= 0 then begin
-        let k = w.child.(j) - base in
-        if pred.(k) < 0 || later w p pred.(k) then begin
+    for j = 0 to Causal.edges c - 1 do
+      let p = find (Causal.edge_parent c j) in
+      let child = Causal.edge_child c j in
+      if p >= 0 && find child >= 0 then begin
+        let k = child - base in
+        if pred.(k) < 0 || later c p pred.(k) then begin
           pred.(k) <- p;
-          pred_kind.(k) <- w.kind.(j)
+          pred_kind.(k) <- Causal.edge_kind c j
         end
       end
     done;
     let tail = ref (-1) and max_span = ref 0 in
-    for i = w.nodes - 1 downto 0 do
-      if w.on_path.(i) then begin
-        if !tail < 0 || later w i !tail then tail := i;
-        max_span := Int.max !max_span w.dur.(i)
+    for i = nodes - 1 downto 0 do
+      if Causal.node_on_path c i then begin
+        if !tail < 0 || later c i !tail then tail := i;
+        max_span := Int.max !max_span (Causal.node_dur c i)
       end
     done;
     let tail = !tail in
@@ -96,10 +97,10 @@ let analyze_window c (pm : Causal.phase_meta) =
        hung analyzer. *)
     let visited = Bytes.make len '\000' in
     let rec walk i path =
-      let k = w.id.(i) - base in
+      let k = Causal.node_id c i - base in
       Bytes.set visited k '\001';
       let p = pred.(k) in
-      if p >= 0 && Bytes.get visited (w.id.(p) - base) = '\000' then
+      if p >= 0 && Bytes.get visited (Causal.node_id c p - base) = '\000' then
         walk p (i :: path)
       else i :: path
     in
@@ -112,16 +113,17 @@ let analyze_window c (pm : Causal.phase_meta) =
       Hashtbl.replace tally b
         (ns + Option.value ~default:0 (Hashtbl.find_opt tally b))
     in
-    let cursor = ref w.ts.(head) in
+    let cursor = ref (Causal.node_ts c head) in
     List.iter
       (fun i ->
-        if i <> head && w.ts.(i) > !cursor then begin
-          add (bucket_of_gap pred_kind.(w.id.(i) - base)) (w.ts.(i) - !cursor);
-          cursor := w.ts.(i)
+        let ts = Causal.node_ts c i in
+        if i <> head && ts > !cursor then begin
+          add (bucket_of_gap pred_kind.(Causal.node_id c i - base)) (ts - !cursor);
+          cursor := ts
         end;
-        let e = cend w i in
+        let e = cend c i in
         if e > !cursor then begin
-          add (bucket_of_seg w.seg.(i)) (e - Int.max !cursor w.ts.(i));
+          add (bucket_of_seg (Causal.node_seg c i)) (e - Int.max !cursor ts);
           cursor := e
         end)
       path;
@@ -129,11 +131,11 @@ let analyze_window c (pm : Causal.phase_meta) =
       {
         Causal.i_label = pm.Causal.pm_label;
         i_wall_ns = pm.Causal.pm_wall_ns;
-        i_path_ns = cend w tail - w.ts.(head);
+        i_path_ns = cend c tail - Causal.node_ts c head;
         i_path_nodes = List.length path;
         i_max_span_ns = !max_span;
-        i_dag_nodes = w.nodes;
-        i_dag_edges = w.edges;
+        i_dag_nodes = nodes;
+        i_dag_edges = Causal.edges c;
         i_segments =
           List.map
             (fun b -> (b, Option.value ~default:0 (Hashtbl.find_opt tally b)))

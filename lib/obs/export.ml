@@ -105,53 +105,49 @@ let chrome_trace sink =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* The one JSONL serializer: an event's fields, in a fixed order, written
-   straight into [buf] — the byte-for-byte rendering of the equivalent
-   [Json.Obj] tree, without building it. Top-level recursion over the args
-   keeps it closure-free. *)
-let rec args_to buf sep = function
-  | [] -> ()
-  | (k, v) :: rest ->
-    if sep then Buffer.add_char buf ',';
-    Json.escape_to buf k;
-    Buffer.add_char buf ':';
-    (match v with
-    | Sink.Int i -> Json.int_to buf i
-    | Sink.Float f -> Json.float_to buf f
-    | Sink.Str s -> Json.escape_to buf s);
-    args_to buf true rest
-
-let jsonl_to buf (ev : Sink.event) =
+(* The one JSONL serializer: a row's fields, in a fixed order, read from
+   the sink's columns and written straight into [buf] — the byte-for-byte
+   rendering of the equivalent [Json.Obj] tree, without building it or
+   the event record. *)
+let jsonl_to buf sink row =
   Buffer.add_string buf
-    (match ev.Sink.kind with
+    (match Sink.row_kind sink row with
     | Sink.Span -> {|{"kind":"span","name":|}
     | Sink.Instant -> {|{"kind":"instant","name":|}
     | Sink.Counter -> {|{"kind":"counter","name":|});
-  Json.escape_to buf ev.Sink.name;
+  Json.escape_to buf (Sink.row_name sink row);
   Buffer.add_string buf {|,"cat":|};
-  Json.escape_to buf ev.Sink.cat;
+  Json.escape_to buf (Sink.row_cat sink row);
   Buffer.add_string buf {|,"node":|};
-  Json.int_to buf ev.Sink.node;
+  Json.int_to buf (Sink.row_node sink row);
   Buffer.add_string buf {|,"ts":|};
-  Json.int_to buf ev.Sink.ts;
+  Json.int_to buf (Sink.row_ts sink row);
   Buffer.add_string buf {|,"dur":|};
-  Json.int_to buf ev.Sink.dur;
+  Json.int_to buf (Sink.row_dur sink row);
   Buffer.add_string buf {|,"args":{|};
-  args_to buf false ev.Sink.args;
+  for j = 0 to Sink.row_nargs sink row - 1 do
+    if j > 0 then Buffer.add_char buf ',';
+    Json.escape_to buf (Sink.row_arg_key sink row j);
+    Buffer.add_char buf ':';
+    match Sink.row_arg_tag sink row j with
+    | `Int -> Json.int_to buf (Sink.row_arg_int sink row j)
+    | `Float -> Json.float_to buf (Sink.row_arg_float sink row j)
+    | `Str -> Json.escape_to buf (Sink.row_arg_str sink row j)
+  done;
   Buffer.add_string buf "}}"
 
 let jsonl sink =
   let buf = Buffer.create 65536 in
-  List.iter
-    (fun ev ->
-      jsonl_to buf ev;
+  Array.iter
+    (fun row ->
+      jsonl_to buf sink row;
       Buffer.add_char buf '\n')
-    (Sink.events sink);
+    (Sink.live_rows sink);
   Buffer.contents buf
 
-let jsonl_line ev =
+let jsonl_row sink row =
   let buf = Buffer.create 256 in
-  jsonl_to buf ev;
+  jsonl_to buf sink row;
   Buffer.contents buf
 
 (* The writer renders into one 64 KiB buffer and hands it to the channel
@@ -167,8 +163,8 @@ let jsonl_writer oc =
   in
   {
     Sink.write =
-      (fun ev ->
-        jsonl_to buf ev;
+      (fun sink row ->
+        jsonl_to buf sink row;
         Buffer.add_char buf '\n';
         if Buffer.length buf >= writer_drain_at then drain ());
     Sink.flush =

@@ -21,12 +21,12 @@ val chrome_trace : Sink.t -> string
     message arrows between the node tracks. *)
 
 val jsonl : Sink.t -> string
-(** Every live event ({!Sink.events}), one line each. [jsonl],
-    {!jsonl_line} and {!jsonl_writer} share one serializer, so a stream
-    and a snapshot of the same events are byte-identical. *)
+(** Every live event ({!Sink.live_rows}), one line each. [jsonl],
+    {!jsonl_row} and {!jsonl_writer} share one serializer over sink rows,
+    so a stream and a snapshot of the same events are byte-identical. *)
 
-val jsonl_line : Sink.event -> string
-(** One event as a single compact JSON line (no trailing newline): the
+val jsonl_row : Sink.t -> Sink.row -> string
+(** One row as a single compact JSON line (no trailing newline): the
     fields [kind], [name], [cat], [node], [ts], [dur], [args], in that
     order. *)
 

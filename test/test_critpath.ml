@@ -14,10 +14,11 @@ let seg segs name = match List.assoc_opt name segs with Some v -> v | None -> 0
 
 let sum_segments segs = List.fold_left (fun acc (_, v) -> acc + v) 0 segs
 
-(* Record a node in [c] and return its id. *)
-let mk c ?(on_path = true) ~s ~name ~ts ~dur () =
+(* Record a node in [c] and return its id. The name only labels the
+   hand-built DAG for the reader; the window does not store it. *)
+let mk c ?(on_path = true) ~s ~name:_ ~ts ~dur () =
   let id = Causal.fresh c in
-  Causal.node ~seg:s ~on_path c ~id ~name ~node:0 ~ts ~dur;
+  Causal.node ~seg:s ~on_path c ~id ~ts ~dur;
   id
 
 (* Build a window with [build], close it as one labeled phase, and return
@@ -28,10 +29,9 @@ let analyze ?(wall = 0) ?(actual = 0) ?(bound = 0) build =
   let wall =
     if wall > 0 then wall
     else
-      let w = Causal.window c in
       let wall = ref 0 in
-      for i = 0 to w.Causal.nodes - 1 do
-        wall := max !wall (w.Causal.ts.(i) + w.Causal.dur.(i))
+      for i = 0 to Causal.nodes c - 1 do
+        wall := max !wall (Causal.node_ts c i + Causal.node_dur c i)
       done;
       !wall
   in

@@ -217,7 +217,7 @@ let collecting_writer () =
   let evs = ref [] and flushes = ref 0 and closes = ref 0 in
   let w =
     {
-      Sink.write = (fun ev -> evs := ev :: !evs);
+      Sink.write = (fun sink row -> evs := Sink.event sink row :: !evs);
       Sink.flush = (fun () -> incr flushes);
       Sink.close = (fun () -> incr closes);
     }
@@ -369,16 +369,19 @@ let test_jsonl_roundtrip_kinds () =
   (* Every event kind, with every arg type, must survive the in-repo
      parser — the same check `make obs-smoke` runs on a streamed file. *)
   let s = Sink.create () in
-  Sink.span s ~cat:"phase" ~name:"sp" ~node:1 ~ts:5 ~dur:7
-    ~args:[ ("i", Sink.Int (-3)); ("f", Sink.Float 2.5); ("s", Sink.Str "x\"y") ];
-  Sink.instant s ~cat:"fault" ~name:"drop" ~node:0 ~ts:9
-    ~args:[ ("sev", Sink.Str "hi") ];
+  Sink.span s ~cat:"phase" ~name:"sp" ~node:1 ~ts:5 ~dur:7;
+  Sink.int s "i" (-3);
+  Sink.arg s "f" (Sink.Float 2.5);
+  Sink.str s "s" "x\"y";
+  Sink.instant s ~cat:"fault" ~name:"drop" ~node:0 ~ts:9;
+  Sink.str s "sev" "hi";
   Sink.counter s ~name:"occ" ~node:2 ~ts:11 42;
-  let evs = Sink.events s in
-  Alcotest.(check int) "all three kinds" 3 (List.length evs);
-  List.iter
-    (fun (ev : Sink.event) ->
-      let j = parse_ok (Export.jsonl_line ev) in
+  let rows = Sink.live_rows s in
+  Alcotest.(check int) "all three kinds" 3 (Array.length rows);
+  Array.iter
+    (fun row ->
+      let ev = Sink.event s row in
+      let j = parse_ok (Export.jsonl_row s row) in
       let kind =
         match ev.Sink.kind with
         | Sink.Span -> "span"
@@ -407,7 +410,7 @@ let test_jsonl_roundtrip_kinds () =
           Alcotest.(check bool) (kind ^ " arg " ^ k) true
             (Json.member k args = Some expected))
         ev.Sink.args)
-    evs
+    rows
 
 (* Tokenized rows of a profile whose first column is [name]. *)
 let profile_rows profile name =
@@ -418,8 +421,9 @@ let profile_rows profile name =
          | _ -> None)
 
 let phase_span ?(busy = 0) ?(bytes = 0) s ~node ~dur =
-  Sink.span s ~cat:"phase" ~name:"p" ~node ~ts:0 ~dur
-    ~args:[ ("busy_ns", Sink.Int busy); ("bytes", Sink.Int bytes) ]
+  Sink.span s ~cat:"phase" ~name:"p" ~node ~ts:0 ~dur;
+  Sink.int s "busy_ns" busy;
+  Sink.int s "bytes" bytes
 
 let test_profile_mean_uneven_nodes () =
   (* Node 0 ran the phase twice, node 1 once: 3+5+4 = 12 ms over 3 spans
@@ -453,10 +457,10 @@ let test_profile_strip_only_rows () =
      (e.g. --trace-cats strip) must render as strip-only rows, not the old
      ghost "runs=0 nodes=0 mean=0.000" ones. *)
   let s = Sink.create () in
-  Sink.span s ~cat:"strip" ~name:"strip" ~node:2 ~ts:0 ~dur:5
-    ~args:[ ("phase", Sink.Str "ghost") ];
-  Sink.span s ~cat:"strip" ~name:"strip" ~node:2 ~ts:5 ~dur:5
-    ~args:[ ("phase", Sink.Str "ghost") ];
+  Sink.span s ~cat:"strip" ~name:"strip" ~node:2 ~ts:0 ~dur:5;
+  Sink.str s "phase" "ghost";
+  Sink.span s ~cat:"strip" ~name:"strip" ~node:2 ~ts:5 ~dur:5;
+  Sink.str s "phase" "ghost";
   let profile = Export.profile s in
   let rows = profile_rows profile "ghost" in
   Alcotest.(check bool) "global row is strip-only" true
@@ -522,8 +526,8 @@ let test_writer_matches_snapshot_export () =
   Sink.attach_writer sink
     {
       Sink.write =
-        (fun ev ->
-          Buffer.add_string buf (Export.jsonl_line ev);
+        (fun sink row ->
+          Buffer.add_string buf (Export.jsonl_row sink row);
           Buffer.add_char buf '\n');
       Sink.flush = (fun () -> ());
       Sink.close = (fun () -> ());
@@ -538,8 +542,8 @@ let test_writer_matches_snapshot_export () =
     (Buffer.contents buf = Export.jsonl sink)
 
 (* The serializer's oracle: the [Json.t] tree the JSONL lines were once
-   rendered from, kept here only. [Export.jsonl_line] must print exactly
-   what [Json.to_string] prints for it. *)
+   rendered from, kept here only. [Export.jsonl_row] must print exactly
+   what [Json.to_string] prints for the row's event. *)
 let tree_of_event (ev : Sink.event) =
   let arg = function
     | Sink.Int i -> Json.Int i
@@ -603,16 +607,45 @@ let gen_event =
   in
   let* kind = oneofl [ Sink.Span; Sink.Instant; Sink.Counter ] in
   let* name = gen_str and* cat = gen_str in
-  let* node = gen_int and* ts = gen_int and* dur = gen_int and* seq = gen_int in
+  let* node = gen_int and* ts = gen_int and* dur = gen_int in
+  let* value = gen_int in
   let+ args = list_size (int_range 0 4) (pair gen_str arg) in
-  { Sink.kind; name; cat; node; ts; dur; args; seq }
+  (* The shape the emission API gives each kind: a counter's category is
+     "counter" and its value comes first; only spans have a duration. *)
+  match kind with
+  | Sink.Span -> { Sink.kind; name; cat; node; ts; dur; args; seq = 0 }
+  | Sink.Instant -> { Sink.kind; name; cat; node; ts; dur = 0; args; seq = 0 }
+  | Sink.Counter ->
+    let args = ("value", Sink.Int value) :: args in
+    { Sink.kind; name; cat = "counter"; node; ts; dur = 0; args; seq = 0 }
+
+(* [ev] emitted into a fresh sink, and its row. *)
+let emit_event (ev : Sink.event) =
+  let s = Sink.create () in
+  let { Sink.name; cat; node; ts; dur; _ } = ev in
+  (match (ev.Sink.kind, ev.Sink.args) with
+  | Sink.Span, args ->
+    Sink.span s ~cat ~name ~node ~ts ~dur;
+    List.iter (fun (k, v) -> Sink.arg s k v) args
+  | Sink.Instant, args ->
+    Sink.instant s ~cat ~name ~node ~ts;
+    List.iter (fun (k, v) -> Sink.arg s k v) args
+  | Sink.Counter, (_, Sink.Int value) :: args ->
+    Sink.counter s ~name ~node ~ts value;
+    List.iter (fun (k, v) -> Sink.arg s k v) args
+  | Sink.Counter, _ -> invalid_arg "emit_event: a counter's value comes first");
+  (s, (Sink.live_rows s).(0))
 
 let qcheck_jsonl_matches_tree =
   QCheck.Test.make ~count:1000
     ~name:"jsonl: the serializer prints the event's Json tree"
     (QCheck.make ~print:(fun ev -> Json.to_string (tree_of_event ev)) gen_event)
     (fun ev ->
-      let line = Export.jsonl_line ev in
+      let s, row = emit_event ev in
+      (* [compare], not [=]: a nan argument must equal itself. *)
+      if compare (Sink.event s row) ev <> 0 then
+        QCheck.Test.fail_report "the row does not read back as the event";
+      let line = Export.jsonl_row s row in
       let expected = Json.to_string (tree_of_event ev) in
       if line <> expected then
         QCheck.Test.fail_reportf "serializer gave %S" line;
@@ -752,6 +785,308 @@ let test_stats_to_json () =
     (Json.member "total_reads" j = Some (Json.Int 11));
   Alcotest.(check bool) "self-parse" true (parse_ok (Json.to_string j) = j)
 
+(* --- the sink against its list model ------------------------------------ *)
+
+(* The reference is the list semantics the sink had before its columnar
+   storage: spans kept in a list, the ring as its newest [capacity]
+   instants and counters, and the pending flush segment as a list of
+   records. Operation sequences mix emissions carrying 0-7 arguments,
+   category and spans-only filters, and writer attach/flush/close at random
+   points; [Burst] emits more than two chunks' worth of instants at once,
+   so ring chunks leave the window, some streamed and some not. *)
+type sink_op =
+  | Emit_span of string * string * int * int * int * (string * Sink.arg) list
+  | Emit_instant of string * string * int * int * (string * Sink.arg) list
+  | Emit_counter of string * int * int * int * (string * Sink.arg) list
+  | Burst of int
+  | Set_cats of string list option
+  | Set_spans_only of bool
+  | Attach
+  | Flush
+  | Close
+
+let show_args args =
+  String.concat ","
+    (List.map
+       (fun (k, v) ->
+         k ^ "="
+         ^
+         match v with
+         | Sink.Int i -> string_of_int i
+         | Sink.Float f -> string_of_float f
+         | Sink.Str s -> Printf.sprintf "%S" s)
+       args)
+
+let show_sink_op = function
+  | Emit_span (cat, name, node, ts, dur, a) ->
+    Printf.sprintf "span %s/%s n%d ts%d d%d [%s]" cat name node ts dur
+      (show_args a)
+  | Emit_instant (cat, name, node, ts, a) ->
+    Printf.sprintf "instant %s/%s n%d ts%d [%s]" cat name node ts (show_args a)
+  | Emit_counter (name, node, ts, v, a) ->
+    Printf.sprintf "counter %s n%d ts%d =%d [%s]" name node ts v (show_args a)
+  | Burst n -> Printf.sprintf "burst %d" n
+  | Set_cats None -> "cats all"
+  | Set_cats (Some l) -> "cats " ^ String.concat "," l
+  | Set_spans_only b -> Printf.sprintf "spans_only %b" b
+  | Attach -> "attach"
+  | Flush -> "flush"
+  | Close -> "close"
+
+let gen_sink_case =
+  let open QCheck.Gen in
+  let cat = oneofl [ "a"; "b"; "c" ] and name = oneofl [ "x"; "y"; "z" ] in
+  let node = int_range 0 3 and ts = int_range 0 20 in
+  let arg =
+    oneof
+      [
+        map (fun i -> Sink.Int i) (int_range (-5) 5);
+        map (fun f -> Sink.Float f) (oneofl [ 0.5; -2.; 1e9 ]);
+        map (fun s -> Sink.Str s) (oneofl [ ""; "s"; "q\"t" ]);
+      ]
+  in
+  let args = list_size (int_range 0 7) (pair (oneofl [ "k0"; "k1"; "k2" ]) arg) in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun (c, n) (node, ts, dur) a -> Emit_span (c, n, node, ts, dur, a))
+            (pair cat name)
+            (triple node ts (int_range 0 5))
+            args );
+        ( 8,
+          map3
+            (fun (c, n) (node, ts) a -> Emit_instant (c, n, node, ts, a))
+            (pair cat name) (pair node ts) args );
+        ( 3,
+          map3
+            (fun (n, node) (ts, v) a -> Emit_counter (n, node, ts, v, a))
+            (pair name node)
+            (pair ts (int_range 0 9))
+            args );
+        (2, map (fun n -> Burst n) (int_range 8200 12000));
+        ( 1,
+          map
+            (fun l -> Set_cats l)
+            (opt (list_size (int_range 0 2) (oneofl [ "a"; "b"; "c" ]))) );
+        (1, map (fun b -> Set_spans_only b) bool);
+        (2, return Attach);
+        (2, return Flush);
+        (2, return Close);
+      ]
+  in
+  pair (int_range 1 8) (list_size (int_range 1 30) op)
+
+type sink_model = {
+  m_cap : int;
+  mutable m_spans : Sink.event list;  (* newest first *)
+  mutable m_ring : Sink.event list;  (* newest first, at most [m_cap] *)
+  mutable m_written : int;
+  mutable m_dropped : int;
+  mutable m_filtered : int;
+  mutable m_seq : int;
+  mutable m_cats : string list option;
+  mutable m_spans_only : bool;
+  mutable m_writer : bool;
+  mutable m_pending : Sink.event list;
+  m_out : Sink.event Dpa_util.Dynarray.t;  (* streamed, in order *)
+  mutable m_streamed : int;
+}
+
+let by_ts_seq (a : Sink.event) (b : Sink.event) =
+  compare (a.Sink.ts, a.Sink.seq) (b.Sink.ts, b.Sink.seq)
+
+let model_emit m kind ~cat ~name ~node ~ts ~dur args =
+  let enabled =
+    match m.m_cats with None -> true | Some l -> List.mem cat l
+  in
+  let accepted =
+    match kind with
+    | Sink.Span -> enabled
+    | Sink.Instant -> (not m.m_spans_only) && enabled
+    | Sink.Counter -> not m.m_spans_only
+  in
+  if not accepted then m.m_filtered <- m.m_filtered + 1
+  else begin
+    let ev = { Sink.kind; name; cat; node; ts; dur; args; seq = m.m_seq } in
+    m.m_seq <- m.m_seq + 1;
+    if m.m_writer then m.m_pending <- ev :: m.m_pending;
+    if kind = Sink.Span then m.m_spans <- ev :: m.m_spans
+    else begin
+      if m.m_written >= m.m_cap && not m.m_writer then
+        m.m_dropped <- m.m_dropped + 1;
+      m.m_written <- m.m_written + 1;
+      m.m_ring <- List.filteri (fun i _ -> i < m.m_cap) (ev :: m.m_ring)
+    end
+  end
+
+let model_flush m =
+  if m.m_writer then begin
+    let seg = List.sort by_ts_seq m.m_pending in
+    m.m_pending <- [];
+    List.iter (fun ev -> ignore (Dpa_util.Dynarray.add m.m_out ev)) seg;
+    m.m_streamed <- m.m_streamed + List.length seg
+  end
+
+let burst_instant i = ("a", "x", i land 3, i mod 7, [ ("k0", Sink.Int i) ])
+
+let apply_sink_op s m got op =
+  let emit_args = List.iter (fun (k, v) -> Sink.arg s k v) in
+  match op with
+  | Emit_span (cat, name, node, ts, dur, a) ->
+    Sink.span s ~cat ~name ~node ~ts ~dur;
+    emit_args a;
+    model_emit m Sink.Span ~cat ~name ~node ~ts ~dur a
+  | Emit_instant (cat, name, node, ts, a) ->
+    Sink.instant s ~cat ~name ~node ~ts;
+    emit_args a;
+    model_emit m Sink.Instant ~cat ~name ~node ~ts ~dur:0 a
+  | Emit_counter (name, node, ts, v, a) ->
+    Sink.counter s ~name ~node ~ts v;
+    emit_args a;
+    model_emit m Sink.Counter ~cat:"counter" ~name ~node ~ts ~dur:0
+      (("value", Sink.Int v) :: a)
+  | Burst n ->
+    for i = 1 to n do
+      let cat, name, node, ts, a = burst_instant i in
+      Sink.instant s ~cat ~name ~node ~ts;
+      emit_args a;
+      model_emit m Sink.Instant ~cat ~name ~node ~ts ~dur:0 a
+    done
+  | Set_cats l ->
+    Sink.set_categories s l;
+    m.m_cats <- l
+  | Set_spans_only b ->
+    Sink.set_spans_only s b;
+    m.m_spans_only <- b
+  | Attach ->
+    let w =
+      {
+        Sink.write =
+          (fun sink row -> ignore (Dpa_util.Dynarray.add got (Sink.event sink row)));
+        flush = ignore;
+        close = ignore;
+      }
+    in
+    if m.m_writer then
+      match Sink.attach_writer s w with
+      | () -> QCheck.Test.fail_report "second attach accepted"
+      | exception Invalid_argument _ -> ()
+    else begin
+      Sink.attach_writer s w;
+      m.m_writer <- true
+    end
+  | Flush ->
+    Sink.flush_writer s;
+    model_flush m
+  | Close ->
+    Sink.close_writer s;
+    model_flush m;
+    m.m_writer <- false
+
+let check_sink_against_model s m got checked =
+  let expect = List.sort by_ts_seq (List.rev_append m.m_spans m.m_ring) in
+  let counts =
+    [
+      ("emitted", Sink.emitted s, List.length m.m_spans + m.m_written);
+      ("dropped", Sink.dropped s, m.m_dropped);
+      ("filtered", Sink.filtered s, m.m_filtered);
+      ("streamed", Sink.streamed s, m.m_streamed);
+    ]
+  in
+  List.iter
+    (fun (what, got, want) ->
+      if got <> want then
+        QCheck.Test.fail_reportf "%s: sink %d, model %d" what got want)
+    counts;
+  if Sink.events s <> expect then QCheck.Test.fail_report "events differ";
+  (* Only what was streamed since the last check needs comparing. *)
+  let n = Dpa_util.Dynarray.length m.m_out in
+  if Dpa_util.Dynarray.length got <> n then
+    QCheck.Test.fail_report "streamed counts differ";
+  for i = !checked to n - 1 do
+    if Dpa_util.Dynarray.get got i <> Dpa_util.Dynarray.get m.m_out i then
+      QCheck.Test.fail_reportf "streamed event %d differs" i
+  done;
+  checked := n
+
+let qcheck_sink_model =
+  QCheck.Test.make ~count:80
+    ~name:"sink: rows, ring window and stream match the list model"
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map show_sink_op ops)))
+       gen_sink_case)
+    (fun (cap, ops) ->
+      let s = Sink.create ~capacity:cap () in
+      let m =
+        {
+          m_cap = cap;
+          m_spans = [];
+          m_ring = [];
+          m_written = 0;
+          m_dropped = 0;
+          m_filtered = 0;
+          m_seq = 0;
+          m_cats = None;
+          m_spans_only = false;
+          m_writer = false;
+          m_pending = [];
+          m_out = Dpa_util.Dynarray.create ();
+          m_streamed = 0;
+        }
+      in
+      let got = Dpa_util.Dynarray.create () and checked = ref 0 in
+      List.iter
+        (fun op ->
+          apply_sink_op s m got op;
+          check_sink_against_model s m got checked)
+        ops;
+      true)
+
+(* --- allocation ----------------------------------------------------------- *)
+
+(* The observed path's share of the allocation contract: minor-heap words
+   per emitted event over a DPA force phase with a sink, a causal graph and
+   a writer to a null consumer, as [--events --critical-path] sets them up.
+   The difference between a phase of 512 bodies and one of 256 cancels the
+   per-phase set-up; the large chunks of the columns go straight to the
+   major heap. The boxed-record sink the columns replaced allocated 21.1
+   words per event here; the bound is a third of that. *)
+let test_observed_phase_alloc () =
+  let measure n =
+    let bodies = Dpa_bh.Plummer.generate ~n ~seed:17 in
+    let tree =
+      Dpa_bh.Bh_global.distribute (Dpa_bh.Octree.build bodies) ~nnodes:4
+    in
+    let run () =
+      let sink = Sink.create () in
+      Sink.set_causal sink (Some (Dpa_obs.Causal.create ()));
+      Sink.attach_writer sink
+        { Sink.write = (fun _ _ -> ()); flush = ignore; close = ignore };
+      let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:4) in
+      Dpa_sim.Engine.set_sink engine (Some sink);
+      let w0 = Gc.minor_words () in
+      ignore
+        (Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
+           ~params:Dpa_bh.Bh_force.default_params
+           (Dpa_baselines.Variant.dpa ~strip_size:16 ()));
+      Sink.close_writer sink;
+      (Gc.minor_words () -. w0, Sink.emitted sink)
+    in
+    ignore (run ());
+    run ()
+  in
+  let w1, e1 = measure 256 in
+  let w2, e2 = measure 512 in
+  let per_event = (w2 -. w1) /. float_of_int (e2 - e1) in
+  if per_event > 7. then
+    Alcotest.failf
+      "%.2f minor words per observed event over %d events (bound 7)" per_event
+      (e2 - e1)
+
 let suites =
   [
     ( "obs.json",
@@ -784,6 +1119,12 @@ let suites =
         Alcotest.test_case "meta" `Quick test_sink_meta;
         Alcotest.test_case "global pickup by Engine.create" `Quick
           test_global_sink_pickup;
+        QCheck_alcotest.to_alcotest qcheck_sink_model;
+      ] );
+    ( "obs.alloc",
+      [
+        Alcotest.test_case "observed DPA phase" `Quick
+          test_observed_phase_alloc;
       ] );
     ( "obs.export",
       [

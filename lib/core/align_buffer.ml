@@ -1,4 +1,5 @@
 open Dpa_heap
+module Index = Dpa_util.Index
 
 (* With the flat heap a renamed copy is just the object's handle (views
    alias the owner store — see {!Heap.view}), so D degenerates to a

@@ -8,7 +8,7 @@
     Views alias the owner's flat store ({!Dpa_heap.Heap.view}), so the
     buffer holds membership, not payload: a hit means the object was
     already fetched and the read needs no wire traffic. The set is an
-    {!Index} keyed by the packed pointer and the recency list is three
+    {!Dpa_util.Index} keyed by the packed pointer and the recency list is three
     flat int columns, so a lookup, an insert, an eviction and a clear
     allocate nothing once the buffer has grown to its working set. *)
 

@@ -1,4 +1,5 @@
 open Dpa_heap
+module Index = Dpa_util.Index
 
 (* M, flattened like {!Ready_ring}. Each outstanding token owns a slot in
    parallel arrays (pointer, first and last waiter, waiter count); each

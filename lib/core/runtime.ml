@@ -56,6 +56,58 @@ type ctrl = {
   mutable idle_at_start : int;
 }
 
+(* The end-to-end request wheel's timers as slab data: one slot per armed
+   timer — its token, the destination the token was requested from, the
+   incarnation that armed it, its timeout and deadline — each slot with
+   one preallocated action. A slot is vacated as its timer pops, so
+   arming a timer allocates nothing. *)
+type timers = {
+  mutable tm_token : int array;
+  mutable tm_dst : int array;
+  mutable tm_inc : int array;
+  mutable tm_rto : int array;
+  mutable tm_deadline : int array;
+  mutable tm_action : (unit -> unit) array;
+  mutable tm_free : int array;  (* vacant slots, a stack *)
+  mutable tm_nfree : int;
+}
+
+let timers () =
+  {
+    tm_token = [||];
+    tm_dst = [||];
+    tm_inc = [||];
+    tm_rto = [||];
+    tm_deadline = [||];
+    tm_action = [||];
+    tm_free = [||];
+    tm_nfree = 0;
+  }
+
+(* Double every column; slot [i]'s action is [fire i]. *)
+let grow_timers t fire =
+  let cap = Array.length t.tm_token in
+  let ncap = max 16 (2 * cap) in
+  let widen col fill =
+    let c = Array.make ncap fill in
+    Array.blit col 0 c 0 cap;
+    c
+  in
+  t.tm_token <- widen t.tm_token 0;
+  t.tm_dst <- widen t.tm_dst 0;
+  t.tm_inc <- widen t.tm_inc 0;
+  t.tm_rto <- widen t.tm_rto 0;
+  t.tm_deadline <- widen t.tm_deadline 0;
+  t.tm_action <- widen t.tm_action ignore;
+  for i = cap to ncap - 1 do
+    t.tm_action.(i) <- fire i
+  done;
+  t.tm_free <- Array.make ncap 0;
+  for i = ncap - 1 downto cap do
+    t.tm_free.(t.tm_nfree) <- i;
+    t.tm_nfree <- t.tm_nfree + 1
+  done
+
 type ctx = {
   engine : Engine.t;
   machine : Machine.t;
@@ -114,6 +166,7 @@ type ctx = {
   rel : bool;
       (* fault plan active: arm end-to-end request timeouts and accept
          duplicate bulk replies (idempotent wakes) *)
+  timers : timers;  (* the request wheel's armed timers *)
   mutable down_until : int;
       (* end of the node's current crash window; 0 when never crashed.
          The scheduler idles up to it before touching ready work, so no
@@ -677,45 +730,64 @@ and rt_rto ctx ~bytes =
   else const
 
 and arm_request_timer ctx ~dst ~token ~rto =
+  let t = ctx.timers in
+  if t.tm_nfree = 0 then grow_timers t (fun i () -> request_timeout ctx i);
+  t.tm_nfree <- t.tm_nfree - 1;
+  let i = t.tm_free.(t.tm_nfree) in
   let deadline = ctx.node.Node.clock + rto in
+  t.tm_token.(i) <- token;
+  t.tm_dst.(i) <- dst;
   (* The timer belongs to the incarnation that armed it: after a crash the
      restart walk re-issues every surviving token with fresh timers, so a
      pre-crash timer firing on the new incarnation would only double the
      wheel. It dies silently instead. *)
-  let incarnation = ctx.node.Node.incarnation in
-  Engine.post_soft ctx.engine ~time:deadline ~node:(node_id ctx) (fun () ->
-      if ctx.node.Node.incarnation <> incarnation then ()
-      else
-      let ptr = Pointer_map.token_ptr ctx.map token in
-      if Gptr.is_nil ptr then ()  (* answered in time: pure no-op, clock untouched *)
-      else begin
-        Node.wait_until ctx.node deadline;
-        ctx.stats.Dpa_stats.rt_retries <- ctx.stats.Dpa_stats.rt_retries + 1;
+  t.tm_inc.(i) <- ctx.node.Node.incarnation;
+  t.tm_rto.(i) <- rto;
+  t.tm_deadline.(i) <- deadline;
+  Engine.post_soft ctx.engine ~time:deadline ~node:(node_id ctx)
+    t.tm_action.(i)
+
+and request_timeout ctx i =
+  let t = ctx.timers in
+  let token = t.tm_token.(i)
+  and dst = t.tm_dst.(i)
+  and incarnation = t.tm_inc.(i)
+  and rto = t.tm_rto.(i)
+  and deadline = t.tm_deadline.(i) in
+  t.tm_free.(t.tm_nfree) <- i;
+  t.tm_nfree <- t.tm_nfree + 1;
+  if ctx.node.Node.incarnation <> incarnation then ()
+  else
+  let ptr = Pointer_map.token_ptr ctx.map token in
+  if Gptr.is_nil ptr then ()  (* answered in time: pure no-op, clock untouched *)
+  else begin
+    Node.wait_until ctx.node deadline;
+    ctx.stats.Dpa_stats.rt_retries <- ctx.stats.Dpa_stats.rt_retries + 1;
+    let rid =
+      match ctx.obs with
+      | None -> -1
+      | Some o ->
+        Dpa_obs.Metrics.add o.c_retry 1;
+        (* Timer firings run outside any quantum: the marker keeps the
+           re-issued flight's chain grounded in this node's activity
+           history instead of dangling. *)
         let rid =
-          match ctx.obs with
-          | None -> -1
-          | Some o ->
-            Dpa_obs.Metrics.add o.c_retry 1;
-            (* Timer firings run outside any quantum: the marker keeps the
-               re-issued flight's chain grounded in this node's activity
-               history instead of dangling. *)
-            let rid =
-              causal_marker o ctx.node ~seg:Dpa_obs.Causal.Retransmit
-                ~kind:Dpa_obs.Causal.Retry ~parent:o.last_act
-            in
-            obs_instant o ctx.node ~name:"retry";
-            obs_int o "token" token;
-            obs_int o "dst" dst;
-            obs_ids o ~id:rid ~parent:o.last_act;
-            rid
+          causal_marker o ctx.node ~seg:Dpa_obs.Causal.Retransmit
+            ~kind:Dpa_obs.Causal.Retry ~parent:o.last_act
         in
-        let msg = [| token; Gptr.slot ptr |] in
-        (match ctx.obs with
-        | Some o -> with_causal o rid (fun () -> send_request_batch ctx ~dst msg)
-        | None -> send_request_batch ctx ~dst msg);
-        let cap = 1024 * rt_rto ctx ~bytes:(Dpa_msg.Am.request_bytes ctx.machine ~nreqs:1) in
-        arm_request_timer ctx ~dst ~token ~rto:(min (2 * rto) cap)
-      end)
+        obs_instant o ctx.node ~name:"retry";
+        obs_int o "token" token;
+        obs_int o "dst" dst;
+        obs_ids o ~id:rid ~parent:o.last_act;
+        rid
+    in
+    let msg = [| token; Gptr.slot ptr |] in
+    (match ctx.obs with
+    | Some o -> with_causal o rid (fun () -> send_request_batch ctx ~dst msg)
+    | None -> send_request_batch ctx ~dst msg);
+    let cap = 1024 * rt_rto ctx ~bytes:(Dpa_msg.Am.request_bytes ctx.machine ~nreqs:1) in
+    arm_request_timer ctx ~dst ~token ~rto:(min (2 * rto) cap)
+  end
 
 (* One request message is one int array: entry [i]'s token at [2i] and
    the slot it reads on [dst] at [2i + 1] (the owner is [dst], so the slot
@@ -1295,6 +1367,7 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
       next_item = 0;
       finished = false;
       rel = Engine.fault engine <> None;
+      timers = timers ();
       down_until = 0;
       upd_next_id = 0;
       out_updates = Hashtbl.create 16;

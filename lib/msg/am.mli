@@ -77,14 +77,19 @@ val send_data :
     [a], [b], [payload]), and each slot posts its own preallocated delivery
     action — so a send whose handler is built once, and whose payload
     already exists, allocates nothing. Under a fault plan the message
-    rides the reliable envelope described above. [bytes] must include the
+    rides the reliable envelope described above, which is slab data too:
+    the envelope's state, each copy on the wire, each ack and the armed
+    retransmit timeout are slots of the same slab (docs/FAULTS.md lays
+    them out), each copy and ack is framed in one per-engine scratch
+    buffer, so such a send allocates nothing either. [bytes] must include the
     header; a message smaller than the header raises [Invalid_argument]
     naming both nodes, its size and the header's. *)
 
 val send :
   Engine.t -> src:Node.t -> dst:int -> bytes:int -> (Node.t -> unit) -> unit
 (** [send engine ~src ~dst ~bytes handler]: {!send_data} with a closure
-    handler that ignores the ints and payload. *)
+    handler that ignores the ints and payload. The slab holds the closure
+    as it is; the send allocates nothing beyond it. *)
 
 val message_bytes : Machine.t -> payload:int -> int
 (** Header plus payload. *)
@@ -130,14 +135,14 @@ val in_flight : Engine.t -> int
     alignment structures. *)
 
 val prune_seen : Engine.t -> int
-(** Reclaim the receiver dedup tables, returning the number of entries
+(** Reclaim the receiver dedup sets, returning the number of entries
     dropped. Only legal at a quiescent point — the engine's event queue
     drained and no envelope unacknowledged (raises [Invalid_argument]
     otherwise): then every delivered copy has already run and no pruned
     sequence number can ever arrive again, so exactly-once execution is
     preserved. The runtimes call this at their phase barrier; without it
-    the tables grow by one entry per envelope ever sent. No-op ([0])
-    without protocol state. *)
+    the sets grow by one entry per envelope ever sent. They keep their
+    capacity for the next phase. No-op ([0]) without protocol state. *)
 
 val on_crash : Engine.t -> node:int -> int
 (** Destroy the volatile transport state of [node] at the instant it

@@ -27,10 +27,15 @@ let mix z =
   let z = (z lxor (z lsr 27)) * 0x3bd4b2cfa9a275ab in
   z lxor (z lsr 31)
 
-let frame ~src ~dst ~seq ~inc ~bytes =
-  let image = min (max 0 bytes) max_payload_image in
-  let total = (header_fields * field_bytes) + image + crc_bytes in
-  let b = Bytes.create total in
+let frame_len ~bytes =
+  (header_fields * field_bytes) + min (max 0 bytes) max_payload_image + crc_bytes
+
+let max_frame_len = frame_len ~bytes:max_payload_image
+
+let frame_into b ~src ~dst ~seq ~inc ~bytes =
+  let total = frame_len ~bytes in
+  if Bytes.length b < total then invalid_arg "Wire.frame_into: buffer too short";
+  let image = total - (header_fields * field_bytes) - crc_bytes in
   put_u64 b ~pos:0 src;
   put_u64 b ~pos:8 dst;
   put_u64 b ~pos:16 seq;
@@ -42,40 +47,42 @@ let frame ~src ~dst ~seq ~inc ~bytes =
       (40 + i)
       (Char.unsafe_chr (mix (seed + i) land 0xFF))
   done;
-  (* CRC field starts zeroed ([Bytes.create] contents are unspecified);
+  (* The CRC field starts zeroed (a fresh or reused buffer holds anything);
      [seal] fills it. *)
-  Bytes.set b (total - 4) '\000';
-  Bytes.set b (total - 3) '\000';
-  Bytes.set b (total - 2) '\000';
-  Bytes.set b (total - 1) '\000';
+  Bytes.fill b (total - crc_bytes) crc_bytes '\000';
+  total
+
+let frame ~src ~dst ~seq ~inc ~bytes =
+  let b = Bytes.create (frame_len ~bytes) in
+  ignore (frame_into b ~src ~dst ~seq ~inc ~bytes);
   b
 
-let body_len b = Bytes.length b - crc_bytes
-
-let seal b =
-  let crc = Dpa_util.Crc.digest_sub b ~pos:0 ~len:(body_len b) in
-  let base = body_len b in
+let seal_prefix b ~len =
+  let base = len - crc_bytes in
+  let crc = Dpa_util.Crc.digest_sub b ~pos:0 ~len:base in
   for i = 0 to crc_bytes - 1 do
     Bytes.set b (base + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
   done
 
-let stored_crc b =
-  let base = body_len b in
-  let v = ref 0 in
+let verify_prefix b ~len =
+  len > crc_bytes
+  && len <= Bytes.length b
+  &&
+  let base = len - crc_bytes in
+  let stored = ref 0 in
   for i = crc_bytes - 1 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.get b (base + i))
+    stored := (!stored lsl 8) lor Char.code (Bytes.get b (base + i))
   done;
-  !v
+  Dpa_util.Crc.digest_sub b ~pos:0 ~len:base = !stored
 
-let verify b =
-  Bytes.length b > crc_bytes
-  && Dpa_util.Crc.digest_sub b ~pos:0 ~len:(body_len b) = stored_crc b
-
-let bits b = 8 * Bytes.length b
-
-let flip_bit b k =
-  let nbits = bits b in
+let flip_bit_prefix b ~len k =
+  let nbits = 8 * len in
   if nbits = 0 then invalid_arg "Wire.flip_bit: empty frame";
   let k = ((k mod nbits) + nbits) mod nbits in
   let byte = k / 8 and bit = k mod 8 in
   Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)))
+
+let seal b = seal_prefix b ~len:(Bytes.length b)
+let verify b = verify_prefix b ~len:(Bytes.length b)
+let bits b = 8 * Bytes.length b
+let flip_bit b k = flip_bit_prefix b ~len:(Bytes.length b) k

@@ -30,3 +30,26 @@ val bits : Bytes.t -> int
 
 val flip_bit : Bytes.t -> int -> unit
 (** Flip bit [k mod bits] of the frame — the injected wire corruption. *)
+
+(** {2 Framing into a reused buffer}
+
+    The transport frames every copy and ack into one scratch buffer per
+    engine: the same bytes as {!frame}, sealed, flipped and verified in
+    place, so a transmission allocates no frame. *)
+
+val max_frame_len : int
+(** The longest frame: a buffer this long holds any envelope's frame. *)
+
+val frame_into :
+  Bytes.t -> src:int -> dst:int -> seq:int -> inc:int -> bytes:int -> int
+(** Write {!frame}'s bytes into the buffer's prefix and return their
+    length. [Invalid_argument] when the buffer is too short. *)
+
+val seal_prefix : Bytes.t -> len:int -> unit
+(** {!seal} the frame held in the first [len] bytes. *)
+
+val verify_prefix : Bytes.t -> len:int -> bool
+(** {!verify} the frame held in the first [len] bytes. *)
+
+val flip_bit_prefix : Bytes.t -> len:int -> int -> unit
+(** {!flip_bit} within the frame held in the first [len] bytes. *)

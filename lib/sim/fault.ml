@@ -70,16 +70,29 @@ let check spec =
       (Printf.sprintf "Fault: torn-wal must be in [0,1], got %g" spec.torn_wal);
   spec
 
+(* [%g] unless its six digits lose the value, then the shortest of 15, 16
+   or 17 digits that parses back to it: a printed spec replays exactly. *)
+let float_str x =
+  let rec go = function
+    | [] -> Printf.sprintf "%.17g" x
+    | p :: rest ->
+      let s = Printf.sprintf "%.*g" p x in
+      if float_of_string s = x then s else go rest
+  in
+  go [ 6; 15; 16 ]
+
 let spec_to_string s =
+  let knob name x = Printf.sprintf "%s=%s" name (float_str x) in
   String.concat ","
     (List.filter_map
        (fun x -> x)
        [
-         (if s.drop > 0. then Some (Printf.sprintf "drop=%g" s.drop) else None);
-         (if s.dup > 0. then Some (Printf.sprintf "dup=%g" s.dup) else None);
-         (if s.delay > 0. then Some (Printf.sprintf "delay=%g" s.delay)
-          else None);
-         (if s.delay > 0. then Some (Printf.sprintf "jitter=%d" s.jitter_ns)
+         (if s.drop > 0. then Some (knob "drop" s.drop) else None);
+         (if s.dup > 0. then Some (knob "dup" s.dup) else None);
+         (if s.delay > 0. then Some (knob "delay" s.delay) else None);
+         (* A duplicate's trailing copy draws its lag from the jitter too. *)
+         (if s.delay > 0. || s.dup > 0. then
+            Some (Printf.sprintf "jitter=%d" s.jitter_ns)
           else None);
          (if s.outages > 0 then
             Some
@@ -94,14 +107,11 @@ let spec_to_string s =
           else None);
          (if s.slow_node >= 0 then
             Some
-              (Printf.sprintf "slow-node=%d,slow-factor=%g" s.slow_node
-                 s.slow_factor)
+              (Printf.sprintf "slow-node=%d,%s" s.slow_node
+                 (knob "slow-factor" s.slow_factor))
           else None);
-         (if s.corrupt > 0. then Some (Printf.sprintf "corrupt=%g" s.corrupt)
-          else None);
-         (if s.torn_wal > 0. then
-            Some (Printf.sprintf "torn-wal=%g" s.torn_wal)
-          else None);
+         (if s.corrupt > 0. then Some (knob "corrupt" s.corrupt) else None);
+         (if s.torn_wal > 0. then Some (knob "torn-wal" s.torn_wal) else None);
        ])
 
 let valid_keys =
@@ -223,6 +233,9 @@ type t = {
   mutable crash_drops : int;
   mutable corruptions : int;
   mutable tears : int;
+  mutable copies : int;  (* the last [Deliver] verdict's copies, 1 or 2 *)
+  mutable extra0 : int;  (* ... and their extra delays *)
+  mutable extra1 : int;
 }
 
 let make ?(seed = 0x5EED) spec ~nodes =
@@ -268,15 +281,24 @@ let make ?(seed = 0x5EED) spec ~nodes =
     crash_drops = 0;
     corruptions = 0;
     tears = 0;
+    copies = 0;
+    extra0 = 0;
+    extra1 = 0;
   }
 
 let seed t = t.seed
 let spec t = t.spec
 
+(* Closure-free scans: the transport asks four of these per judged
+   transmission. *)
+let rec in_window (w : (int * int) array) time i =
+  i < Array.length w
+  &&
+  let s, e = Array.unsafe_get w i in
+  (time >= s && time < e) || in_window w time (i + 1)
+
 let in_outage t ~node ~time =
-  node >= 0
-  && node < Array.length t.windows
-  && Array.exists (fun (s, e) -> time >= s && time < e) t.windows.(node)
+  node >= 0 && node < Array.length t.windows && in_window t.windows.(node) time 0
 
 let outage_windows t ~node =
   if node < 0 || node >= Array.length t.windows then
@@ -286,7 +308,7 @@ let outage_windows t ~node =
 let in_crash t ~node ~time =
   node >= 0
   && node < Array.length t.crash_windows
-  && Array.exists (fun (s, e) -> time >= s && time < e) t.crash_windows.(node)
+  && in_window t.crash_windows.(node) time 0
 
 let crash_windows t ~node =
   if node < 0 || node >= Array.length t.crash_windows then
@@ -295,7 +317,16 @@ let crash_windows t ~node =
 
 let has_crashes t = t.spec.crashes > 0
 
-type verdict = Deliver of int list | Drop | Outage
+type verdict = Deliver | Drop | Outage
+
+(* An optional injected delay: one coin against [delay], and on heads a
+   uniform draw in [1, jitter_ns]. *)
+let jitter t =
+  if t.spec.delay > 0. && Dpa_util.Rng.chance t.rng t.spec.delay then begin
+    t.delayed <- t.delayed + 1;
+    1 + Dpa_util.Rng.int t.rng (max 1 t.spec.jitter_ns)
+  end
+  else 0
 
 let judge t ~now ~arrival ~src ~dst ~transfer_ns =
   if in_crash t ~node:src ~time:now || in_crash t ~node:dst ~time:arrival
@@ -309,7 +340,7 @@ let judge t ~now ~arrival ~src ~dst ~transfer_ns =
     t.outage_drops <- t.outage_drops + 1;
     Outage
   end
-  else if t.spec.drop > 0. && Dpa_util.Rng.uniform t.rng < t.spec.drop then begin
+  else if t.spec.drop > 0. && Dpa_util.Rng.chance t.rng t.spec.drop then begin
     t.drops <- t.drops + 1;
     Drop
   end
@@ -323,24 +354,24 @@ let judge t ~now ~arrival ~src ~dst ~transfer_ns =
         int_of_float ((t.spec.slow_factor -. 1.) *. float_of_int transfer_ns)
       else 0
     in
-    let jitter () =
-      if t.spec.delay > 0. && Dpa_util.Rng.uniform t.rng < t.spec.delay
-      then begin
-        t.delayed <- t.delayed + 1;
-        1 + Dpa_util.Rng.int t.rng (max 1 t.spec.jitter_ns)
-      end
-      else 0
-    in
-    let first = base + jitter () in
-    if t.spec.dup > 0. && Dpa_util.Rng.uniform t.rng < t.spec.dup then begin
+    let first = base + jitter t in
+    t.extra0 <- first;
+    if t.spec.dup > 0. && Dpa_util.Rng.chance t.rng t.spec.dup then begin
       t.dups <- t.dups + 1;
       (* The duplicate trails the original by its own positive jitter, so
          the two copies never race on an identical timestamp. *)
-      let trail = 1 + Dpa_util.Rng.int t.rng (max 1 t.spec.jitter_ns) in
-      Deliver [ first; first + trail ]
+      t.extra1 <- first + 1 + Dpa_util.Rng.int t.rng (max 1 t.spec.jitter_ns);
+      t.copies <- 2
     end
-    else Deliver [ first ]
+    else t.copies <- 1;
+    Deliver
   end
+
+let copies t = t.copies
+
+let extra t i =
+  if i < 0 || i >= t.copies then invalid_arg "Fault.extra: no such copy";
+  if i = 0 then t.extra0 else t.extra1
 
 let drops t = t.drops
 let dups t = t.dups
@@ -359,7 +390,7 @@ let corruption_enabled t = t.spec.corrupt > 0.
    stream access when the knob is off, so schedules replay identically. *)
 let corrupt_copy t =
   if t.spec.corrupt <= 0. then None
-  else if Dpa_util.Rng.uniform t.corrupt_rng < t.spec.corrupt then begin
+  else if Dpa_util.Rng.chance t.corrupt_rng t.spec.corrupt then begin
     t.corruptions <- t.corruptions + 1;
     Some (Dpa_util.Rng.int t.corrupt_rng (1 lsl 30))
   end
@@ -381,7 +412,7 @@ let draw_tears t =
   else
     List.filter_map
       (fun log ->
-        if Dpa_util.Rng.uniform t.torn_rng < t.spec.torn_wal then begin
+        if Dpa_util.Rng.chance t.torn_rng t.spec.torn_wal then begin
           t.tears <- t.tears + 1;
           let tear_slot = Dpa_util.Rng.int t.torn_rng 4 = 0 in
           let tear_flip = Dpa_util.Rng.int t.torn_rng 2 = 0 in

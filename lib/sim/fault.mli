@@ -90,7 +90,10 @@ val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string
 (** Inverse of {!spec_of_string} up to defaulted knobs; [""] for {!none}.
     [spec_to_string] and [spec_of_string] form a round trip: parsing a
-    printed spec yields a spec that prints identically (property-tested in
+    printed spec yields a spec that prints identically and behaves
+    identically — every knob a plan reads is printed, exactly (floats with
+    [%g] when six digits hold them, with up to 17 otherwise), and only
+    knobs no draw reads are elided (property-tested in
     [test/test_fault.ml]). *)
 
 val pp_spec : Format.formatter -> spec -> unit
@@ -110,9 +113,9 @@ val seed : t -> int
 val spec : t -> spec
 
 type verdict =
-  | Deliver of int list
-      (** one entry per copy to deliver (two when duplicated), each the
-          extra delay in ns beyond the fault-free arrival time *)
+  | Deliver
+      (** delivered as {!copies} copies (two when duplicated), copy [i]
+          {!extra}[ i] ns beyond the fault-free arrival time *)
   | Drop  (** lost in the network *)
   | Outage
       (** dropped because an endpoint's NIC was down — either an outage
@@ -125,7 +128,16 @@ val judge :
     arrive fault-free at [arrival]. [transfer_ns] is its serialization
     time, the base the slow-node penalty scales. Consumes RNG draws; the
     engine's deterministic event order makes the draw sequence — and hence
-    the whole fault schedule — reproducible. *)
+    the whole fault schedule — reproducible. Allocates nothing: a
+    [Deliver] verdict's delays are held in the plan until the next call. *)
+
+val copies : t -> int
+(** Copies the last [Deliver] verdict delivers: 1, or 2 when duplicated. *)
+
+val extra : t -> int -> int
+(** [extra t i] is copy [i]'s extra delay under the last [Deliver]
+    verdict, [0 <= i < copies t]; the second copy always trails the
+    first. *)
 
 val in_outage : t -> node:int -> time:int -> bool
 

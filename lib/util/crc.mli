@@ -13,3 +13,7 @@ val digest : Bytes.t -> int
 val digest_sub : Bytes.t -> pos:int -> len:int -> int
 (** Digest of [len] bytes starting at [pos]. [Invalid_argument] when the
     range falls outside the buffer. *)
+
+val digest_sub_bytewise : Bytes.t -> pos:int -> len:int -> int
+(** {!digest_sub} computed one byte per table lookup, the textbook loop:
+    the reference {!digest_sub}'s slicing-by-8 loop is tested against. *)

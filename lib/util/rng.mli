@@ -2,7 +2,9 @@
 
     Every experiment in this repository must be reproducible bit-for-bit, so
     all stochastic inputs (particle positions, masses, velocities) are drawn
-    from this generator rather than [Stdlib.Random]. *)
+    from this generator rather than [Stdlib.Random]. A draw allocates
+    nothing beyond its boxed result ({!int64}, {!uniform}, {!float});
+    {!int} and {!chance} allocate nothing at all. *)
 
 type t
 
@@ -24,6 +26,10 @@ val float : t -> float -> float
 
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [uniform t < p], drawn from the same stream, without
+    boxing the float: the fault plan's per-message coin. *)
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)

@@ -41,13 +41,25 @@ let frame_gen =
     let* bit = int_range 0 10_000 in
     return (src, dst, seq, inc, bytes, bit))
 
+(* The transport frames into one reused buffer: there the frame must be
+   the same bytes, whatever the buffer held before, and be sealed, flipped
+   and rejected the same way. *)
+let scratch = Bytes.make Dpa_msg.Wire.max_frame_len '\xA5'
+
 let qcheck_frame_rejects_any_flip =
   QCheck.Test.make ~name:"any single-bit flip fails frame verification"
     ~count:300 (QCheck.make frame_gen) (fun (src, dst, seq, inc, bytes, bit) ->
       let fr = Dpa_msg.Wire.frame ~src ~dst ~seq ~inc ~bytes in
+      let len = Dpa_msg.Wire.frame_into scratch ~src ~dst ~seq ~inc ~bytes in
+      let same = Bytes.sub scratch 0 len = fr in
       Dpa_msg.Wire.seal fr;
       Dpa_msg.Wire.flip_bit fr bit;
-      not (Dpa_msg.Wire.verify fr))
+      Dpa_msg.Wire.seal_prefix scratch ~len;
+      Dpa_msg.Wire.flip_bit_prefix scratch ~len bit;
+      same
+      && Bytes.sub scratch 0 len = fr
+      && (not (Dpa_msg.Wire.verify fr))
+      && not (Dpa_msg.Wire.verify_prefix scratch ~len))
 
 (* --- WAL: torn-tail recovery at every byte boundary ----------------------- *)
 
@@ -135,13 +147,19 @@ let test_tear_on_empty_log_absorbed () =
 
 (* --- fault plan: corruption draws are an independent stream --------------- *)
 
-let judge_stream plan =
-  List.init 200 (fun i ->
-      Fault.judge plan ~now:(i * 1000)
-        ~arrival:((i * 1000) + 500)
-        ~src:(i mod 4)
-        ~dst:((i + 1) mod 4)
-        ~transfer_ns:300)
+let judge_one plan i =
+  match
+    Fault.judge plan ~now:(i * 1000)
+      ~arrival:((i * 1000) + 500)
+      ~src:(i mod 4)
+      ~dst:((i + 1) mod 4)
+      ~transfer_ns:300
+  with
+  | Fault.Deliver ->
+    (Fault.Deliver, List.init (Fault.copies plan) (Fault.extra plan))
+  | v -> (v, [])
+
+let judge_stream plan = List.init 200 (judge_one plan)
 
 let test_corrupt_draws_independent () =
   (* The verdict stream (drop/dup/delay) must be bit-identical whether or
@@ -159,11 +177,7 @@ let test_corrupt_draws_independent () =
         (match Fault.corrupt_copy corrupting with
         | Some _ -> incr drawn
         | None -> ());
-        Fault.judge corrupting ~now:(i * 1000)
-          ~arrival:((i * 1000) + 500)
-          ~src:(i mod 4)
-          ~dst:((i + 1) mod 4)
-          ~transfer_ns:300)
+        judge_one corrupting i)
   in
   Alcotest.(check bool) "corruption actually drawn" true (!drawn > 0);
   Alcotest.(check int) "corruptions counted" !drawn

@@ -38,11 +38,18 @@ let add_chunk c =
   c.dir.(c.live) <- chunk;
   c.live <- c.live + 1
 
-let get c i =
-  if i < first c || i >= c.len then invalid_arg "Chunked: position out of range";
-  Array.unsafe_get
-    (Array.unsafe_get c.dir ((i lsr bits) - c.first_chunk))
-    (i land mask)
+let out_of_range c i =
+  invalid_arg
+    (Printf.sprintf "Chunked.get: position %d outside the live range [%d, %d)"
+       i (first c) c.len)
+
+(* Small enough to inline at every reader, with the failure out of line. *)
+let[@inline] get c i =
+  if i < first c || i >= c.len then out_of_range c i
+  else
+    Array.unsafe_get
+      (Array.unsafe_get c.dir ((i lsr bits) - c.first_chunk))
+      (i land mask)
 
 let push c v =
   let i = c.len in

@@ -26,8 +26,9 @@ val first : t -> int
 val push : t -> int -> unit
 
 val get : t -> int -> int
-(** [get c i] for [first c <= i < length c]; out-of-range positions raise
-    [Invalid_argument]. *)
+(** [get c i] for [first c <= i < length c]. An out-of-range position
+    raises [Invalid_argument] naming [i] and the live range, from
+    [first c] up to [length c] (excluded). *)
 
 val release : t -> int -> unit
 (** [release c upto] returns to the pool every chunk whose elements all

@@ -105,58 +105,109 @@ let chrome_trace sink =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* The one JSONL serializer: a row's fields, in a fixed order, read from
-   the sink's columns and written straight into [buf] — the byte-for-byte
-   rendering of the equivalent [Json.Obj] tree, without building it or
-   the event record. *)
-let jsonl_to buf sink row =
-  Buffer.add_string buf
-    (match Sink.row_kind sink row with
+(* The one JSONL serializer: a row's fields, in a fixed order, read
+   through a cursor and written straight into [buf] — the byte-for-byte
+   rendering of the equivalent [Json.Obj] tree, without building it or the
+   event record. What depends only on the row's (label, kind), its
+   [{"kind":…,"name":…,"cat":…,"node":] head, and each argument key's
+   ["key":] are rendered once and cached by interned id. Interned ids are
+   per sink, so a renderer serves the one sink its cursor reads. *)
+type renderer = {
+  cursor : Sink.Cursor.t;
+  mutable heads : string array;  (* by [Cursor.head]; "" until rendered *)
+  mutable keys : string array;  (* by key id; "" until rendered *)
+}
+
+let renderer sink =
+  { cursor = Sink.Cursor.create sink; heads = [||]; keys = [||] }
+
+let grow a id =
+  let b = Array.make (Int.max (id + 1) (2 * Array.length a)) "" in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let render_head r =
+  let c = r.cursor in
+  let sink = Sink.Cursor.sink c and l = Sink.Cursor.label c in
+  let b = Buffer.create 64 in
+  Buffer.add_string b
+    (match Sink.Cursor.kind c with
     | Sink.Span -> {|{"kind":"span","name":|}
     | Sink.Instant -> {|{"kind":"instant","name":|}
     | Sink.Counter -> {|{"kind":"counter","name":|});
-  Json.escape_to buf (Sink.row_name sink row);
-  Buffer.add_string buf {|,"cat":|};
-  Json.escape_to buf (Sink.row_cat sink row);
-  Buffer.add_string buf {|,"node":|};
-  Json.int_to buf (Sink.row_node sink row);
+  Json.escape_to b (Sink.label_name sink l);
+  Buffer.add_string b {|,"cat":|};
+  Json.escape_to b (Sink.label_cat sink l);
+  Buffer.add_string b {|,"node":|};
+  Buffer.contents b
+
+let head r =
+  let h = Sink.Cursor.head r.cursor in
+  if h >= Array.length r.heads then r.heads <- grow r.heads h;
+  let s = r.heads.(h) in
+  if String.length s > 0 then s
+  else begin
+    let s = render_head r in
+    r.heads.(h) <- s;
+    s
+  end
+
+let key r j =
+  let id = Sink.Cursor.arg_key r.cursor j in
+  if id >= Array.length r.keys then r.keys <- grow r.keys id;
+  let s = r.keys.(id) in
+  if String.length s > 0 then s
+  else begin
+    let b = Buffer.create 32 in
+    Json.escape_to b (Sink.key_name (Sink.Cursor.sink r.cursor) id);
+    Buffer.add_char b ':';
+    let s = Buffer.contents b in
+    r.keys.(id) <- s;
+    s
+  end
+
+let jsonl_to buf r row =
+  let c = r.cursor in
+  Sink.Cursor.seek c row;
+  Buffer.add_string buf (head r);
+  Json.int_to buf (Sink.Cursor.node c);
   Buffer.add_string buf {|,"ts":|};
-  Json.int_to buf (Sink.row_ts sink row);
+  Json.int_to buf (Sink.Cursor.ts c);
   Buffer.add_string buf {|,"dur":|};
-  Json.int_to buf (Sink.row_dur sink row);
+  Json.int_to buf (Sink.Cursor.dur c);
   Buffer.add_string buf {|,"args":{|};
-  for j = 0 to Sink.row_nargs sink row - 1 do
+  for j = 0 to Sink.Cursor.nargs c - 1 do
     if j > 0 then Buffer.add_char buf ',';
-    Json.escape_to buf (Sink.row_arg_key sink row j);
-    Buffer.add_char buf ':';
-    match Sink.row_arg_tag sink row j with
-    | `Int -> Json.int_to buf (Sink.row_arg_int sink row j)
-    | `Float -> Json.float_to buf (Sink.row_arg_float sink row j)
-    | `Str -> Json.escape_to buf (Sink.row_arg_str sink row j)
+    Buffer.add_string buf (key r j);
+    match Sink.Cursor.arg_tag c j with
+    | `Int -> Json.int_to buf (Sink.Cursor.arg_int c j)
+    | `Float -> Json.float_to buf (Sink.Cursor.arg_float c j)
+    | `Str -> Sink.Cursor.arg_str_to c j buf
   done;
   Buffer.add_string buf "}}"
 
 let jsonl sink =
-  let buf = Buffer.create 65536 in
+  let buf = Buffer.create 65536 and r = renderer sink in
   Array.iter
     (fun row ->
-      jsonl_to buf sink row;
+      jsonl_to buf r row;
       Buffer.add_char buf '\n')
     (Sink.live_rows sink);
   Buffer.contents buf
 
 let jsonl_row sink row =
   let buf = Buffer.create 256 in
-  jsonl_to buf sink row;
+  jsonl_to buf (renderer sink) row;
   Buffer.contents buf
 
 (* The writer renders into one 64 KiB buffer and hands it to the channel
-   once 60 KiB are used, so lines under 4 KiB never make it grow. *)
+   once 60 KiB are used, so lines under 4 KiB never make it grow. Its
+   renderer is replaced when a row comes from another sink. *)
 let writer_buffer = 65536
 let writer_drain_at = writer_buffer - 4096
 
 let jsonl_writer oc =
-  let buf = Buffer.create writer_buffer in
+  let buf = Buffer.create writer_buffer and current = ref None in
   let drain () =
     Buffer.output_buffer oc buf;
     Buffer.clear buf
@@ -164,7 +215,15 @@ let jsonl_writer oc =
   {
     Sink.write =
       (fun sink row ->
-        jsonl_to buf sink row;
+        let r =
+          match !current with
+          | Some r when Sink.Cursor.sink r.cursor == sink -> r
+          | _ ->
+            let r = renderer sink in
+            current := Some r;
+            r
+        in
+        jsonl_to buf r row;
         Buffer.add_char buf '\n';
         if Buffer.length buf >= writer_drain_at then drain ());
     Sink.flush =

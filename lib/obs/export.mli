@@ -23,7 +23,15 @@ val chrome_trace : Sink.t -> string
 val jsonl : Sink.t -> string
 (** Every live event ({!Sink.live_rows}), one line each. [jsonl],
     {!jsonl_row} and {!jsonl_writer} share one serializer over sink rows,
-    so a stream and a snapshot of the same events are byte-identical. *)
+    so a stream and a snapshot of the same events are byte-identical.
+
+    The serializer reads each row once through a {!Sink.Cursor}. The
+    part of a line that depends only on the row's (label, kind) —
+    [{"kind":…,"name":…,"cat":…,"node":] — and each argument's ["key":]
+    prefix are rendered once and cached by interned id, so a label is
+    escape-scanned once per run rather than once per event; integers are
+    written with {!Json.int_to} and [Str] payloads escaped from their
+    packed form. Interned ids belong to one sink, and so does a cache. *)
 
 val jsonl_row : Sink.t -> Sink.row -> string
 (** One row as a single compact JSON line (no trailing newline): the
@@ -34,7 +42,10 @@ val jsonl_writer : out_channel -> Sink.writer
 (** Line-buffered JSONL writer: events are rendered into one reused
     64 KiB buffer, which goes to the channel when it is nearly full;
     [flush] drains it and pushes the channel buffer to the OS, [close]
-    drains it and closes the channel. Attach with {!Sink.attach_writer}. *)
+    drains it and closes the channel. Attach with {!Sink.attach_writer}.
+    The head cache is bound to the sink whose rows it rendered: a row
+    from another sink starts a fresh cache, so one writer can serve
+    sinks in turn without printing one sink's labels for another's. *)
 
 val metrics_json : Sink.t -> Json.t
 (** [{"metrics", "stats", "events_emitted", "events_dropped",

@@ -11,24 +11,47 @@ type t =
 
 (* The scalar writers below are top-level functions that allocate
    nothing: the event writers call them once per field, and a local
-   recursive helper would cost a closure per call.
+   recursive helper would cost a closure per call. *)
 
-   [m <= 0] is the negated magnitude, so [min_int] needs no special case.
-   Leading digits go first; the recursion is at most 19 deep, and a
-   division by the constant 10 compiles to a multiply. *)
-let rec add_digits buf m =
-  if m <= -10 then add_digits buf (m / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+(* [int_to] writes a one-digit number with one [add_char]. Other numbers
+   go right to left into [digits], two digits at a time from [pairs] ("00"
+   to "99"), and are copied out in one blit. [m <= 0] is the negated
+   magnitude, so [min_int] (19 digits and a sign) needs no special case,
+   and a division by a constant compiles to a multiply. The scratch is
+   shared: the observability layer runs on one domain. *)
+let digits = Bytes.create 20
+
+let pairs =
+  String.init 200 (fun i ->
+      Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
 
 let int_to buf n =
-  let m =
-    if n < 0 then begin
-      Buffer.add_char buf '-';
-      n
+  if n >= 0 && n < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + n))
+  else begin
+    let m = ref (if n < 0 then n else -n) and i = ref (Bytes.length digits) in
+    while !m <= -100 do
+      let q = !m / 100 in
+      let p = 2 * ((q * 100) - !m) in
+      i := !i - 2;
+      Bytes.unsafe_set digits !i (String.unsafe_get pairs p);
+      Bytes.unsafe_set digits (!i + 1) (String.unsafe_get pairs (p + 1));
+      m := q
+    done;
+    if !m <= -10 then begin
+      i := !i - 2;
+      Bytes.unsafe_set digits !i (String.unsafe_get pairs (-2 * !m));
+      Bytes.unsafe_set digits (!i + 1) (String.unsafe_get pairs ((-2 * !m) + 1))
     end
-    else -n
-  in
-  add_digits buf m
+    else begin
+      decr i;
+      Bytes.unsafe_set digits !i (Char.unsafe_chr (48 - !m))
+    end;
+    if n < 0 then begin
+      decr i;
+      Bytes.unsafe_set digits !i '-'
+    end;
+    Buffer.add_subbytes buf digits !i (Bytes.length digits - !i)
+  end
 
 let rec needs_escape s i =
   i < String.length s
@@ -39,24 +62,26 @@ let rec needs_escape s i =
 
 let hex = "0123456789abcdef"
 
+let escape_char_to buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | '\000' .. '\031' as c ->
+    Buffer.add_string buf "\\u00";
+    Buffer.add_char buf hex.[Char.code c lsr 4];
+    Buffer.add_char buf hex.[Char.code c land 15]
+  | c -> Buffer.add_char buf c
+
 let escape_to buf s =
   Buffer.add_char buf '"';
   if not (needs_escape s 0) then Buffer.add_string buf s
   else
     for i = 0 to String.length s - 1 do
-      match String.unsafe_get s i with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | '\000' .. '\031' as c ->
-        Buffer.add_string buf "\\u00";
-        Buffer.add_char buf hex.[Char.code c lsr 4];
-        Buffer.add_char buf hex.[Char.code c land 15]
-      | c -> Buffer.add_char buf c
+      escape_char_to buf (String.unsafe_get s i)
     done;
   Buffer.add_char buf '"'
 

@@ -23,11 +23,16 @@ val to_buffer : Buffer.t -> t -> unit
     allocates except {!float_to}. *)
 
 val int_to : Buffer.t -> int -> unit
-(** Decimal digits, as [string_of_int] renders them. *)
+(** Decimal digits, as [string_of_int] renders them, copied into the
+    buffer in one blit. *)
 
 val escape_to : Buffer.t -> string -> unit
 (** A quoted, RFC 8259-escaped string. A string with nothing to escape is
     copied as-is; bytes [>= 0x80] are always copied as-is. *)
+
+val escape_char_to : Buffer.t -> char -> unit
+(** One byte of {!escape_to}'s output, without the quotes: for strings
+    stored in another form (packed sink payloads). *)
 
 val float_to : Buffer.t -> float -> unit
 (** [%.12g], with [.0] appended to whole numbers; non-finite floats render

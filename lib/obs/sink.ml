@@ -38,6 +38,17 @@ type log = {
 
 type row = int  (* position lsl 1, lor 1 for the ring *)
 
+let radix_bits = 11
+
+(* Scratch of the time-order sort ([collect]): the rows with their keys,
+   and the array each radix pass scatters them into; grown to the largest
+   segment and reused. *)
+type order = {
+  mutable sorted : row array;
+  mutable sorted' : row array;
+  counts : int array;  (* per digit, 2^radix_bits *)
+}
+
 type t = {
   spans : log;  (* every span, for the whole run *)
   ring : log;  (* instants and counters; the last [capacity] are live *)
@@ -57,6 +68,7 @@ type t = {
   mutable sample_period_ns : int;  (* 0 = periodic sampling off *)
   mutable writer : writer option;
   mutable streamed : int;  (* events handed to the writer so far *)
+  order : order;  (* flush scratch *)
   mutable causal : Causal.t option;  (* happens-before recording, opt-in *)
 }
 
@@ -67,6 +79,9 @@ and writer = {
 }
 
 let default_capacity = 1 lsl 18
+
+let new_order () =
+  { sorted = [||]; sorted' = [||]; counts = Array.make (1 lsl radix_bits) 0 }
 
 let new_log () =
   {
@@ -103,6 +118,7 @@ let create ?(capacity = default_capacity) () =
     sample_period_ns = 0;
     writer = None;
     streamed = 0;
+    order = new_order ();
     causal = None;
   }
 
@@ -281,127 +297,242 @@ let meta t = List.sort (fun (a, _) (b, _) -> compare a b) t.meta_docs
 
 (* --- rows --------------------------------------------------------------- *)
 
-let log t r = store t (r land 1)
-let pos r = r lsr 1
-let row_meta t r = Chunked.get (log t r).meta (pos r)
+let label_cat t id = fst (Dpa_util.Dynarray.get t.label_names id)
+let label_name t id = snd (Dpa_util.Dynarray.get t.label_names id)
+let key_name t id = Dpa_util.Dynarray.get t.key_names id
 
-let row_kind t r =
-  match row_meta t r land 3 with 0 -> Span | 1 -> Instant | _ -> Counter
+module Cursor = struct
+  type sink = t
 
-let row_label t r = (row_meta t r lsr 2) land ((1 lsl label_bits) - 1)
-let row_cat t r = fst (Dpa_util.Dynarray.get t.label_names (row_label t r))
-let row_name t r = snd (Dpa_util.Dynarray.get t.label_names (row_label t r))
-let row_seq t r = row_meta t r lsr (label_bits + 2)
-let row_node t r = Chunked.get (log t r).node (pos r)
-let row_ts t r = Chunked.get (log t r).ts (pos r)
-let row_dur t r = Chunked.get (log t r).dur (pos r)
-
-let row_nargs t r =
-  let l = log t r and p = pos r in
-  let next =
-    if p + 1 < rows l then Chunked.get l.arg0 (p + 1) else Chunked.length l.akey
-  in
-  next - Chunked.get l.arg0 p
-
-let slot t r j = Chunked.get (log t r).arg0 (pos r) + j
-let row_akey t r j = Chunked.get (log t r).akey (slot t r j)
-let row_aval t r j = Chunked.get (log t r).aval (slot t r j)
-
-let row_arg_key t r j = Dpa_util.Dynarray.get t.key_names (row_akey t r j lsr 2)
-
-let row_arg_int t r j = row_aval t r j
-let row_arg_str t r j =
-  let b = (log t r).boxed and p = row_aval t r j in
-  String.init (Chunked.get b p) (fun i ->
-      let w = Chunked.get b (p + 1 + (i / 7)) in
-      Char.unsafe_chr ((w lsr (8 * (i mod 7))) land 0xff))
-
-let row_arg_float t r j =
-  Int64.float_of_bits (String.get_int64_le (row_arg_str t r j) 0)
-
-let row_arg_tag t r j =
-  let tag = row_akey t r j land 3 in
-  if tag = tag_int then `Int else if tag = tag_str then `Str else `Float
-
-let row_arg t r j =
-  match row_arg_tag t r j with
-  | `Int -> Int (row_arg_int t r j)
-  | `Str -> Str (row_arg_str t r j)
-  | `Float -> Float (row_arg_float t r j)
-
-(* Stable merge sort of [rows] by [keys], both in place over [lo, hi),
-   with [tk] and [tr] as scratch; halves already in order are not merged.
-   Written out because [Array.stable_sort] allocates a closure per merge,
-   about three words per row. *)
-let rec sort_by_key (keys : int array) (rows : int array) tk tr lo hi =
-  if hi - lo > 1 then begin
-    let mid = (lo + hi) / 2 in
-    sort_by_key keys rows tk tr lo mid;
-    sort_by_key keys rows tk tr mid hi;
-    if keys.(mid - 1) > keys.(mid) then begin
-      for d = lo to hi - 1 do
-        tk.(d) <- keys.(d);
-        tr.(d) <- rows.(d)
-      done;
-      let i = ref lo and j = ref mid in
-      for d = lo to hi - 1 do
-        let from_i = !j >= hi || (!i < mid && tk.(!i) <= tk.(!j)) in
-        let s = if from_i then !i else !j in
-        if from_i then incr i else incr j;
-        keys.(d) <- tk.(s);
-        rows.(d) <- tr.(s)
-      done
-    end
-  end
-
-(* Rows from [spans_from] and [ring_from] on, in time order. Spans are
-   recorded at close (their [ts] is the open time), so neither store, nor
-   their concatenation, is time-ordered; but each store is in emission
-   order, so merging the two by [seq] and then sorting stably on [ts]
-   orders by time with emission order as the tie-break. ([meta] holds the
-   sequence number in its high bits, so it compares as [seq].) *)
-let collect t ~spans_from ~ring_from =
-  let ns = rows t.spans and nr = rows t.ring in
-  let n = ns - spans_from + (nr - ring_from) in
-  let out = Array.make n 0 and keys = Array.make n 0 in
-  let i = ref spans_from and j = ref ring_from in
-  for d = 0 to n - 1 do
-    let r =
-      if
-        !j >= nr
-        || !i < ns
-           && Chunked.get t.spans.meta !i < Chunked.get t.ring.meta !j
-      then begin
-        incr i;
-        (!i - 1) lsl 1
-      end
-      else begin
-        incr j;
-        ((!j - 1) lsl 1) lor 1
-      end
-    in
-    out.(d) <- r;
-    keys.(d) <- row_ts t r
-  done;
-  sort_by_key keys out (Array.make n 0) (Array.make n 0) 0 n;
-  out
-
-let live_rows t =
-  collect t ~spans_from:0 ~ring_from:(Int.max 0 (rows t.ring - t.capacity))
-
-let event t r =
-  {
-    kind = row_kind t r;
-    name = row_name t r;
-    cat = row_cat t r;
-    node = row_node t r;
-    ts = row_ts t r;
-    dur = row_dur t r;
-    args = List.init (row_nargs t r) (fun j -> (row_arg_key t r j, row_arg t r j));
-    seq = row_seq t r;
+  (* The row's store, position, [meta] and argument slots, resolved once
+     by [seek]. *)
+  type t = {
+    sink : sink;
+    mutable log : log;
+    mutable pos : int;
+    mutable meta : int;
+    mutable arg0 : int;
+    mutable nargs : int;
   }
 
-let events t = Array.to_list (Array.map (event t) (live_rows t))
+  let create sink =
+    { sink; log = sink.spans; pos = 0; meta = 0; arg0 = 0; nargs = 0 }
+
+  let sink c = c.sink
+
+  let seek c r =
+    let l = store c.sink (r land 1) and p = r lsr 1 in
+    let a = Chunked.get l.arg0 p in
+    c.log <- l;
+    c.pos <- p;
+    c.meta <- Chunked.get l.meta p;
+    c.arg0 <- a;
+    c.nargs <-
+      (if p + 1 < rows l then Chunked.get l.arg0 (p + 1)
+       else Chunked.length l.akey)
+      - a
+
+  let head c = c.meta land ((1 lsl (label_bits + 2)) - 1)
+  let label c = head c lsr 2
+
+  let[@inline] kind c =
+    match c.meta land 3 with 0 -> Span | 1 -> Instant | _ -> Counter
+
+  let seq c = c.meta lsr (label_bits + 2)
+  let[@inline] node c = Chunked.get c.log.node c.pos
+  let[@inline] ts c = Chunked.get c.log.ts c.pos
+  let[@inline] dur c = Chunked.get c.log.dur c.pos
+  let nargs c = c.nargs
+  let[@inline] akey c j = Chunked.get c.log.akey (c.arg0 + j)
+  let[@inline] arg_key c j = akey c j lsr 2
+
+  let[@inline] arg_tag c j =
+    let tag = akey c j land 3 in
+    if tag = tag_int then `Int else if tag = tag_str then `Str else `Float
+
+  let[@inline] arg_int c j = Chunked.get c.log.aval (c.arg0 + j)
+
+  (* A payload is its length at [aval], then its bytes, seven to an int
+     from the low byte up. *)
+  let payload_byte b p i =
+    (Chunked.get b (p + 1 + (i / 7)) lsr (8 * (i mod 7))) land 0xff
+
+  let arg_str c j =
+    let b = c.log.boxed and p = arg_int c j in
+    String.init (Chunked.get b p) (fun i ->
+        Char.unsafe_chr (payload_byte b p i))
+
+  let arg_float c j =
+    let b = c.log.boxed and p = arg_int c j in
+    let bits = ref 0L in
+    for i = 7 downto 0 do
+      bits :=
+        Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (payload_byte b p i))
+    done;
+    Int64.float_of_bits !bits
+
+  let arg_str_to c j buf =
+    let b = c.log.boxed and p = arg_int c j in
+    let n = Chunked.get b p in
+    Buffer.add_char buf '"';
+    for w = 0 to ((n + 6) / 7) - 1 do
+      let v = Chunked.get b (p + 1 + w) in
+      for i = 0 to Int.min 6 (n - 1 - (7 * w)) do
+        Json.escape_char_to buf (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+      done
+    done;
+    Buffer.add_char buf '"'
+
+  let arg c j =
+    match arg_tag c j with
+    | `Int -> Int (arg_int c j)
+    | `Str -> Str (arg_str c j)
+    | `Float -> Float (arg_float c j)
+
+  let event c r =
+    seek c r;
+    let t = c.sink and l = label c in
+    {
+      kind = kind c;
+      name = label_name t l;
+      cat = label_cat t l;
+      node = node c;
+      ts = ts c;
+      dur = dur c;
+      args = List.init (nargs c) (fun j -> (key_name t (arg_key c j), arg c j));
+      seq = seq c;
+    }
+end
+
+let event t r = Cursor.event (Cursor.create t) r
+
+(* --- time order --------------------------------------------------------- *)
+
+let reserve o n =
+  if Array.length o.sorted < n then begin
+    o.sorted <- Array.make n 0;
+    o.sorted' <- Array.make n 0
+  end
+
+let[@inline] row_ts t r = Chunked.get (store t (r land 1)).ts (r lsr 1)
+
+(* Bits needed to write [x] read as unsigned. *)
+let width x =
+  let b = ref 0 in
+  while !b < Sys.int_size && x lsr !b <> 0 do
+    incr b
+  done;
+  !b
+
+(* While sorting, an element is a row with its key, [ts - lo], packed
+   above its [rbits] bits. When the two do not fit in an int together,
+   [rbits] is 0 and elements are bare rows, whose keys are read from the
+   [ts] column. *)
+let[@inline] digit t e ~lo ~rbits ~shift =
+  let key = if rbits > 0 then e lsr rbits else row_ts t e - lo in
+  (key lsr shift) land ((1 lsl radix_bits) - 1)
+
+(* One stable counting pass over the first [n] elements on the key digit
+   at [shift], scattering into [o.sorted'], which then becomes
+   [o.sorted]. A pass where every element has the same digit would move
+   nothing and is skipped. *)
+let radix_pass t o n ~lo ~rbits ~shift =
+  let counts = o.counts and sorted = o.sorted and sorted' = o.sorted' in
+  Array.fill counts 0 (Array.length counts) 0;
+  for d = 0 to n - 1 do
+    let b = digit t sorted.(d) ~lo ~rbits ~shift in
+    counts.(b) <- counts.(b) + 1
+  done;
+  if counts.(digit t sorted.(0) ~lo ~rbits ~shift) < n then begin
+    let at = ref 0 in
+    for b = 0 to Array.length counts - 1 do
+      let c = counts.(b) in
+      counts.(b) <- !at;
+      at := !at + c
+    done;
+    for d = 0 to n - 1 do
+      let e = sorted.(d) in
+      let b = digit t e ~lo ~rbits ~shift in
+      let at = counts.(b) in
+      counts.(b) <- at + 1;
+      sorted'.(at) <- e
+    done;
+    o.sorted <- sorted';
+    o.sorted' <- sorted
+  end
+
+(* Rows from [spans_from] and [ring_from] on, in time order, into the
+   first [n] slots of [o.sorted]; returns [n]. Spans are recorded at close
+   (their [ts] is the open time), so neither store, nor their
+   concatenation, is time-ordered; but each store is in emission order, so
+   merging the two by [seq] ([meta] holds it in its high bits, so it
+   compares as [seq]) and then sorting stably on [ts] orders by time with
+   emission order as the tie-break. The sort is LSD radix on the key
+   [ts - lo], [lo] the least [ts], read as an unsigned 63-bit int: that
+   difference is exact even when [hi - lo] overflows, and it takes one
+   pass per [radix_bits] of the range — three for a second of sim-ns. *)
+let collect t o ~spans_from ~ring_from =
+  let ns = rows t.spans and nr = rows t.ring in
+  let n = ns - spans_from + (nr - ring_from) in
+  reserve o n;
+  (* [o.sorted'] holds each row's [ts] until the rows are packed. *)
+  let out = o.sorted and ts_of = o.sorted' in
+  let lo = ref max_int and hi = ref min_int in
+  let i = ref spans_from and j = ref ring_from in
+  for d = 0 to n - 1 do
+    let from_spans =
+      !j >= nr
+      || (!i < ns && Chunked.get t.spans.meta !i < Chunked.get t.ring.meta !j)
+    in
+    let ts =
+      if from_spans then begin
+        out.(d) <- !i lsl 1;
+        incr i;
+        Chunked.get t.spans.ts (!i - 1)
+      end
+      else begin
+        out.(d) <- (!j lsl 1) lor 1;
+        incr j;
+        Chunked.get t.ring.ts (!j - 1)
+      end
+    in
+    ts_of.(d) <- ts;
+    if ts > !hi then hi := ts;
+    if ts < !lo then lo := ts
+  done;
+  if n > 1 then begin
+    let lo = !lo and kbits = width (!hi - !lo) in
+    let rbits = width (2 * Int.max ns nr) in
+    let rbits = if rbits + kbits <= Sys.int_size then rbits else 0 in
+    if rbits > 0 then
+      for d = 0 to n - 1 do
+        out.(d) <- ((ts_of.(d) - lo) lsl rbits) lor out.(d)
+      done;
+    let shift = ref 0 in
+    while !shift < kbits do
+      radix_pass t o n ~lo ~rbits ~shift:!shift;
+      shift := !shift + radix_bits
+    done;
+    if rbits > 0 then begin
+      let out = o.sorted and row = (1 lsl rbits) - 1 in
+      for d = 0 to n - 1 do
+        out.(d) <- out.(d) land row
+      done
+    end
+  end;
+  n
+
+(* A fresh order: its rows are handed to the caller, and it is sized to
+   them exactly. *)
+let live_rows t =
+  let o = new_order () in
+  let ring_from = Int.max 0 (rows t.ring - t.capacity) in
+  ignore (collect t o ~spans_from:0 ~ring_from);
+  o.sorted
+
+let events t =
+  let c = Cursor.create t in
+  Array.to_list (Array.map (Cursor.event c) (live_rows t))
 
 let nspans t = rows t.spans
 let emitted t = rows t.spans + rows t.ring
@@ -422,10 +553,8 @@ let flush_writer t =
   match t.writer with
   | None -> ()
   | Some w ->
-    let sorted =
-      collect t ~spans_from:t.spans.pend ~ring_from:t.ring.pend
-    in
-    if Array.length sorted > 0 then begin
+    let n = collect t t.order ~spans_from:t.spans.pend ~ring_from:t.ring.pend in
+    if n > 0 then begin
       (* Each flush segment is sorted before it is written; callers flush
          at quiescent points (phase barriers, teardown), where no later
          event can carry an earlier timestamp, so the concatenation of
@@ -435,8 +564,11 @@ let flush_writer t =
       t.spans.pend <- rows t.spans;
       t.ring.pend <- rows t.ring;
       t.last <- -1;
-      Array.iter (fun r -> w.write t r) sorted;
-      t.streamed <- t.streamed + Array.length sorted;
+      let sorted = t.order.sorted in
+      for d = 0 to n - 1 do
+        w.write t sorted.(d)
+      done;
+      t.streamed <- t.streamed + n;
       settle t
     end;
     w.flush ()

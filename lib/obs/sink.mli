@@ -13,7 +13,14 @@
     beside its node, [ts], [dur] and first argument slot; an argument is
     an interned key with a tag and an int value; a [Str] or [Float]
     payload is packed into another int column, seven bytes to an int.
-    Records ({!event}) are built only when read.
+    Records ({!event}) are built only when read; the serializer reads
+    rows in place through a {!Cursor}.
+
+    {b Order.} A flush or snapshot merges the two stores by sequence
+    number and orders the result with a stable LSD radix sort on [ts]
+    minus the least [ts] (see {!flush_writer}), which returns exactly the
+    permutation of a stable sort on [(ts, seq)]. The flush's sort arrays
+    belong to the sink and are reused.
 
     {b Retention.} Spans are kept unbounded — there are O(strips x nodes)
     of them and the exporters' phase structure depends on every one —
@@ -144,22 +151,51 @@ val event : t -> row -> event
 
 (** {2 Reading rows}
 
-    Readers for the serializer; only the [Str] and [Float] readers
-    allocate. Argument [j] of row [r] ranges over
-    [0 .. row_nargs t r - 1], in attach order. *)
+    The serializer reads rows through a {!Cursor}, which resolves a row's
+    store, position and argument slots once; labels and argument keys are
+    interned ids, named by the functions below. Only the [Float] reader
+    allocates. *)
 
-val row_kind : t -> row -> kind
-val row_name : t -> row -> string
-val row_cat : t -> row -> string
-val row_node : t -> row -> int
-val row_ts : t -> row -> int
-val row_dur : t -> row -> int
-val row_nargs : t -> row -> int
-val row_arg_key : t -> row -> int -> string
-val row_arg_tag : t -> row -> int -> [ `Int | `Float | `Str ]
-val row_arg_int : t -> row -> int -> int
-val row_arg_str : t -> row -> int -> string
-val row_arg_float : t -> row -> int -> float (** boxes its result *)
+val label_cat : t -> int -> string
+val label_name : t -> int -> string
+val key_name : t -> int -> string
+
+module Cursor : sig
+  type sink := t
+
+  type t
+  (** A position over one sink's rows. *)
+
+  val create : sink -> t
+  val sink : t -> sink
+
+  val seek : t -> row -> unit
+  (** Resolve a row; the readers below read the last row sought. *)
+
+  val head : t -> int
+  (** The (label, kind) pair as one small int, [label lsl 2] plus the
+      kind's code (0 span, 1 instant, 2 counter): a dense key for caching
+      what depends on the pair only. *)
+
+  val label : t -> int
+  val kind : t -> kind
+  val node : t -> int
+  val ts : t -> int
+  val dur : t -> int
+
+  val nargs : t -> int
+  (** Argument [j] of the row ranges over [0 .. nargs c - 1], in attach
+      order. *)
+
+  val arg_key : t -> int -> int
+  val arg_tag : t -> int -> [ `Int | `Float | `Str ]
+  val arg_int : t -> int -> int
+  val arg_float : t -> int -> float (** boxes its result *)
+
+  val arg_str_to : t -> int -> Buffer.t -> unit
+  (** A [Str] argument as a quoted, escaped JSON string
+      ({!Json.escape_to}), read straight from its packed payload. *)
+end
 
 val nspans : t -> int
 
@@ -186,7 +222,16 @@ val attach_writer : t -> writer -> unit
 
 val flush_writer : t -> unit
 (** Sort the rows accepted since the last flush by ([ts], [seq]), hand
-    them to the writer, and flush it. No-op without an attached writer. *)
+    them to the writer, and flush it. No-op without an attached writer.
+
+    The rows are merged by [seq] from the two stores and then ordered by
+    a stable LSD radix sort on the key [ts] minus the segment's least
+    [ts], 11 bits a pass, so a segment spanning a second of sim-ns takes
+    three passes. The key is read as unsigned, so a range wider than
+    [max_int] sorts correctly. Each row is sorted with its key packed
+    above it in one int when both fit, and reads its key from the [ts]
+    column when they do not. The sort's two arrays belong to the sink and
+    are reused by every flush. *)
 
 val close_writer : t -> unit
 (** {!flush_writer}, then close and detach the writer, making everything

@@ -578,6 +578,21 @@ let gen_str =
           ];
       ])
 
+(* Labels, categories and argument keys come from a pool of awkward
+   strings (quotes, backslashes, control and non-ASCII bytes) as often as
+   at random, so the events of one sink share them and the serializer's
+   cached heads and key prefixes are reused, not only rendered. *)
+let gen_label =
+  QCheck.Gen.(
+    oneof
+      [
+        gen_str;
+        oneofl
+          [
+            "phase"; "\"q\""; "back\\slash"; "\x01ctl\x1f"; "caf\xc3\xa9"; "\xff";
+          ];
+      ])
+
 let gen_int =
   QCheck.Gen.(
     oneof
@@ -606,10 +621,10 @@ let gen_event =
       ]
   in
   let* kind = oneofl [ Sink.Span; Sink.Instant; Sink.Counter ] in
-  let* name = gen_str and* cat = gen_str in
+  let* name = gen_label and* cat = gen_label in
   let* node = gen_int and* ts = gen_int and* dur = gen_int in
   let* value = gen_int in
-  let+ args = list_size (int_range 0 4) (pair gen_str arg) in
+  let+ args = list_size (int_range 0 4) (pair gen_label arg) in
   (* The shape the emission API gives each kind: a counter's category is
      "counter" and its value comes first; only spans have a duration. *)
   match kind with
@@ -619,39 +634,66 @@ let gen_event =
     let args = ("value", Sink.Int value) :: args in
     { Sink.kind; name; cat = "counter"; node; ts; dur = 0; args; seq = 0 }
 
-(* [ev] emitted into a fresh sink, and its row. *)
-let emit_event (ev : Sink.event) =
+(* [evs] emitted into one fresh sink, in order, with their sequence
+   numbers set to match. *)
+let emit_events evs =
   let s = Sink.create () in
-  let { Sink.name; cat; node; ts; dur; _ } = ev in
-  (match (ev.Sink.kind, ev.Sink.args) with
-  | Sink.Span, args ->
-    Sink.span s ~cat ~name ~node ~ts ~dur;
-    List.iter (fun (k, v) -> Sink.arg s k v) args
-  | Sink.Instant, args ->
-    Sink.instant s ~cat ~name ~node ~ts;
-    List.iter (fun (k, v) -> Sink.arg s k v) args
-  | Sink.Counter, (_, Sink.Int value) :: args ->
-    Sink.counter s ~name ~node ~ts value;
-    List.iter (fun (k, v) -> Sink.arg s k v) args
-  | Sink.Counter, _ -> invalid_arg "emit_event: a counter's value comes first");
-  (s, (Sink.live_rows s).(0))
+  let evs =
+    List.mapi
+      (fun seq (ev : Sink.event) ->
+        let { Sink.name; cat; node; ts; dur; _ } = ev in
+        (match (ev.Sink.kind, ev.Sink.args) with
+        | Sink.Span, args ->
+          Sink.span s ~cat ~name ~node ~ts ~dur;
+          List.iter (fun (k, v) -> Sink.arg s k v) args
+        | Sink.Instant, args ->
+          Sink.instant s ~cat ~name ~node ~ts;
+          List.iter (fun (k, v) -> Sink.arg s k v) args
+        | Sink.Counter, (_, Sink.Int value) :: args ->
+          Sink.counter s ~name ~node ~ts value;
+          List.iter (fun (k, v) -> Sink.arg s k v) args
+        | Sink.Counter, _ ->
+          invalid_arg "emit_events: a counter's value comes first");
+        { ev with Sink.seq })
+      evs
+  in
+  (s, evs)
 
 let qcheck_jsonl_matches_tree =
-  QCheck.Test.make ~count:1000
+  QCheck.Test.make ~count:500
     ~name:"jsonl: the serializer prints the event's Json tree"
-    (QCheck.make ~print:(fun ev -> Json.to_string (tree_of_event ev)) gen_event)
-    (fun ev ->
-      let s, row = emit_event ev in
-      (* [compare], not [=]: a nan argument must equal itself. *)
-      if compare (Sink.event s row) ev <> 0 then
-        QCheck.Test.fail_report "the row does not read back as the event";
-      let line = Export.jsonl_row s row in
-      let expected = Json.to_string (tree_of_event ev) in
-      if line <> expected then
-        QCheck.Test.fail_reportf "serializer gave %S" line;
-      match Json.parse line with
-      | Ok _ -> true
-      | Error e -> QCheck.Test.fail_reportf "%S does not parse: %s" line e)
+    (QCheck.make
+       ~print:(fun evs ->
+         String.concat "\n"
+           (List.map (fun ev -> Json.to_string (tree_of_event ev)) evs))
+       QCheck.Gen.(list_size (int_range 1 6) gen_event))
+    (fun evs ->
+      let s, evs = emit_events evs in
+      let expect =
+        List.stable_sort (fun a b -> compare a.Sink.ts b.Sink.ts) evs
+      in
+      let lines =
+        List.map2
+          (fun row ev ->
+            (* [compare], not [=]: a nan argument must equal itself. *)
+            if compare (Sink.event s row) ev <> 0 then
+              QCheck.Test.fail_report "a row does not read back as its event";
+            let line = Export.jsonl_row s row in
+            let expected = Json.to_string (tree_of_event ev) in
+            if line <> expected then
+              QCheck.Test.fail_reportf "serializer gave %S, tree %S" line
+                expected;
+            (match Json.parse line with
+            | Ok _ -> ()
+            | Error e ->
+              QCheck.Test.fail_reportf "%S does not parse: %s" line e);
+            line ^ "\n")
+          (Array.to_list (Sink.live_rows s))
+          expect
+      in
+      if Export.jsonl s <> String.concat "" lines then
+        QCheck.Test.fail_report "the snapshot differs from its rows' lines";
+      true)
 
 (* The tree oracle above prints through the same scalar writers, so those
    are checked on their own against the renderings they replaced:
@@ -683,6 +725,81 @@ let qcheck_json_scalars_match_reference =
     (fun (i, s) ->
       Json.to_string (Json.Int i) = string_of_int i
       && Json.to_string (Json.Str s) = reference_escape s)
+
+(* [Json.int_to] on its own, against [string_of_int]: every digit count
+   and sign, and the digit-pair boundaries of its two-at-a-time loop. *)
+let int_to_string i =
+  let b = Buffer.create 24 in
+  Buffer.add_char b '<';
+  Json.int_to b i;
+  Buffer.add_char b '>';
+  Buffer.contents b
+
+let qcheck_int_to =
+  QCheck.Test.make ~count:2000 ~name:"json: int_to prints string_of_int"
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof
+           [
+             int_range 0 10;
+             int_range (-10) (-1);
+             int_range (-100_000) 100_000;
+             int;
+             oneofl [ min_int; max_int; min_int + 1; max_int - 1 ];
+           ]))
+    (fun i -> int_to_string i = "<" ^ string_of_int i ^ ">")
+
+let test_int_to_boundaries () =
+  let rec powers p acc =
+    if p > max_int / 10 then p :: acc else powers (p * 10) (p :: acc)
+  in
+  let around p = [ p - 1; p; p + 1 ] in
+  let cases =
+    [ 0; min_int; max_int; min_int + 1 ]
+    @ List.concat_map
+        (fun p -> around p @ List.map Int.neg (around p))
+        (powers 1 [])
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (string_of_int i) ("<" ^ string_of_int i ^ ">")
+        (int_to_string i))
+    cases
+
+(* One [jsonl_writer] serving two sinks in turn. Both sinks intern their
+   first label as id 0, so a head cache keyed by id alone would print the
+   first sink's label for the second sink's row. *)
+let test_jsonl_writer_second_sink () =
+  let path = Filename.temp_file "test_obs" ".jsonl" in
+  let w = Export.jsonl_writer (open_out_bin path) in
+  let a = Sink.create () and b = Sink.create () in
+  Sink.attach_writer a w;
+  Sink.attach_writer b w;
+  Sink.instant a ~cat:"first" ~name:"alpha" ~node:0 ~ts:1;
+  Sink.int a "from_a" 1;
+  Sink.flush_writer a;
+  Sink.instant b ~cat:"second" ~name:"beta" ~node:1 ~ts:2;
+  Sink.int b "from_b" 2;
+  Sink.instant a ~cat:"first" ~name:"alpha" ~node:0 ~ts:3;
+  Sink.flush_writer b;
+  Sink.flush_writer a;
+  Sink.close_writer b;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "each row printed with its own sink's labels"
+    (String.concat "\n"
+       [
+         {|{"kind":"instant","name":"alpha","cat":"first","node":0,"ts":1,|}
+         ^ {|"dur":0,"args":{"from_a":1}}|};
+         {|{"kind":"instant","name":"beta","cat":"second","node":1,"ts":2,|}
+         ^ {|"dur":0,"args":{"from_b":2}}|};
+         {|{"kind":"instant","name":"alpha","cat":"first","node":0,"ts":3,|}
+         ^ {|"dur":0,"args":{}}|};
+         "";
+       ])
+    text
 
 (* The real writer, not a stand-in: two BH phases on one engine stream
    through [Export.jsonl_writer] into a file, over four barrier flushes
@@ -1046,6 +1163,116 @@ let qcheck_sink_model =
         ops;
       true)
 
+(* --- flush order --------------------------------------------------------- *)
+
+(* Timestamps that stress the radix order: duplicates, negatives, and the
+   extremes, so that a segment's range can overflow an int. *)
+let gen_flush_ts =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-3) 3;
+        int;
+        map (fun k -> k lsl 40) (int_range (-4) 4);
+        oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0 ];
+      ])
+
+(* Segments of (is a span, ts) rows, flushed one after another: empty and
+   single-row segments included, and some long enough to fill every
+   bucket of a radix pass. *)
+let gen_flush_case =
+  QCheck.Gen.(
+    list_size (int_range 0 5)
+      (list_size
+         (oneof [ return 0; return 1; int_range 2 40; int_range 2000 3000 ])
+         (pair bool gen_flush_ts)))
+
+let emit_flush_row s (is_span, ts) =
+  if is_span then Sink.span s ~cat:"c" ~name:"s" ~node:0 ~ts ~dur:1
+  else Sink.instant s ~cat:"c" ~name:"i" ~node:1 ~ts
+
+let qcheck_flush_order =
+  QCheck.Test.make ~count:150
+    ~name:"flush: each segment in (ts, seq) order, streamed as the snapshot"
+    (QCheck.make
+       ~print:(fun segs ->
+         String.concat " | "
+           (List.map
+              (fun seg ->
+                String.concat " "
+                  (List.map
+                     (fun (sp, ts) ->
+                       (if sp then "s" else "i") ^ string_of_int ts)
+                     seg))
+              segs))
+       gen_flush_case)
+    (fun segs ->
+      (* Through a recording writer, one flush per segment, against a
+         reference [List.stable_sort] of that segment's events. *)
+      let s = Sink.create () and got = ref [] in
+      Sink.attach_writer s
+        {
+          Sink.write = (fun sink row -> got := Sink.event sink row :: !got);
+          flush = ignore;
+          close = ignore;
+        };
+      let next = ref 0 in
+      let expect =
+        List.concat_map
+          (fun seg ->
+            let evs =
+              List.map
+                (fun (is_span, ts) ->
+                  emit_flush_row s (is_span, ts);
+                  let seq = !next in
+                  incr next;
+                  let kind, name, node, dur =
+                    if is_span then (Sink.Span, "s", 0, 1)
+                    else (Sink.Instant, "i", 1, 0)
+                  in
+                  { Sink.kind; name; cat = "c"; node; ts; dur; args = []; seq })
+                seg
+            in
+            Sink.flush_writer s;
+            List.stable_sort by_ts_seq evs)
+          segs
+      in
+      if List.rev !got <> expect then
+        QCheck.Test.fail_report "flushed order differs from the reference";
+      (* The same rows as one segment, through the real writer: the file
+         is the snapshot export of the same sink. *)
+      let s = Sink.create () in
+      let path = Filename.temp_file "test_obs" ".jsonl" in
+      Sink.attach_writer s (Export.jsonl_writer (open_out_bin path));
+      List.iter (List.iter (emit_flush_row s)) segs;
+      Sink.close_writer s;
+      let ic = open_in_bin path in
+      let stream = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove path;
+      if stream <> Export.jsonl s then
+        QCheck.Test.fail_report "the stream differs from the snapshot export";
+      true)
+
+let test_chunked_get_range () =
+  let module C = Dpa_obs.Chunked in
+  let c = C.create () in
+  for i = 0 to C.chunk_size + 9 do
+    C.push c i
+  done;
+  let fails i msg =
+    match C.get c i with
+    | v -> Alcotest.failf "get %d gave %d" i v
+    | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
+  in
+  fails (C.chunk_size + 10)
+    "Chunked.get: position 4106 outside the live range [0, 4106)";
+  fails (-1) "Chunked.get: position -1 outside the live range [0, 4106)";
+  C.release c C.chunk_size;
+  Alcotest.(check int) "kept after release" (C.chunk_size + 3)
+    (C.get c (C.chunk_size + 3));
+  fails 5 "Chunked.get: position 5 outside the live range [4096, 4106)"
+
 (* --- allocation ----------------------------------------------------------- *)
 
 (* The observed path's share of the allocation contract: minor-heap words
@@ -1055,37 +1282,63 @@ let qcheck_sink_model =
    per-phase set-up; the large chunks of the columns go straight to the
    major heap. The boxed-record sink the columns replaced allocated 21.1
    words per event here; the bound is a third of that. *)
-let test_observed_phase_alloc () =
-  let measure n =
-    let bodies = Dpa_bh.Plummer.generate ~n ~seed:17 in
-    let tree =
-      Dpa_bh.Bh_global.distribute (Dpa_bh.Octree.build bodies) ~nnodes:4
-    in
-    let run () =
-      let sink = Sink.create () in
-      Sink.set_causal sink (Some (Dpa_obs.Causal.create ()));
-      Sink.attach_writer sink
-        { Sink.write = (fun _ _ -> ()); flush = ignore; close = ignore };
-      let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:4) in
-      Dpa_sim.Engine.set_sink engine (Some sink);
-      let w0 = Gc.minor_words () in
-      ignore
-        (Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
-           ~params:Dpa_bh.Bh_force.default_params
-           (Dpa_baselines.Variant.dpa ~strip_size:16 ()));
-      Sink.close_writer sink;
-      (Gc.minor_words () -. w0, Sink.emitted sink)
-    in
-    ignore (run ());
-    run ()
+(* Minor words over a DPA force phase of [n] bodies with a sink, a causal
+   graph and the writer [writer ()] attached, measured on a second run,
+   with the events emitted and streamed. *)
+let observed_phase_words ~writer n =
+  let bodies = Dpa_bh.Plummer.generate ~n ~seed:17 in
+  let tree =
+    Dpa_bh.Bh_global.distribute (Dpa_bh.Octree.build bodies) ~nnodes:4
   in
-  let w1, e1 = measure 256 in
-  let w2, e2 = measure 512 in
+  let run () =
+    let sink = Sink.create () in
+    Sink.set_causal sink (Some (Dpa_obs.Causal.create ()));
+    Sink.attach_writer sink (writer ());
+    let engine = Dpa_sim.Engine.create (Dpa_sim.Machine.t3d ~nodes:4) in
+    Dpa_sim.Engine.set_sink engine (Some sink);
+    let w0 = Gc.minor_words () in
+    ignore
+      (Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
+         ~params:Dpa_bh.Bh_force.default_params
+         (Dpa_baselines.Variant.dpa ~strip_size:16 ()));
+    Sink.close_writer sink;
+    (Gc.minor_words () -. w0, Sink.emitted sink, Sink.streamed sink)
+  in
+  ignore (run ());
+  run ()
+
+let null_writer () =
+  { Sink.write = (fun _ _ -> ()); flush = ignore; close = ignore }
+
+let test_observed_phase_alloc () =
+  let w1, e1, _ = observed_phase_words ~writer:null_writer 256 in
+  let w2, e2, _ = observed_phase_words ~writer:null_writer 512 in
   let per_event = (w2 -. w1) /. float_of_int (e2 - e1) in
   if per_event > 7. then
     Alcotest.failf
       "%.2f minor words per observed event over %d events (bound 7)" per_event
       (e2 - e1)
+
+(* The barrier flush's own share: the same phases streamed through the
+   real [Export.jsonl_writer] to the null device, less the phases above,
+   per streamed row — the sort and the serializer. The serializer that
+   rebuilt each [Str] payload as a string allocated 0.215 words per row
+   here; with cached heads and payloads escaped from their packed ints it
+   allocates none (the sort's arrays are major-heap blocks). *)
+let test_flush_alloc () =
+  let jsonl () = Export.jsonl_writer (open_out_bin Filename.null) in
+  let words writer n =
+    let w, _, streamed = observed_phase_words ~writer n in
+    (w, streamed)
+  in
+  let j1, s1 = words jsonl 256 and j2, s2 = words jsonl 512 in
+  let n1, _ = words null_writer 256 and n2, _ = words null_writer 512 in
+  let per_row = (j2 -. j1 -. (n2 -. n1)) /. float_of_int (s2 - s1) in
+  if per_row > 0.05 then
+    Alcotest.failf
+      "%.3f minor words per row streamed through the JSONL writer over %d \
+       rows (bound 0.05)"
+      per_row (s2 - s1)
 
 let suites =
   [
@@ -1099,6 +1352,9 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_jsonl_matches_tree;
         QCheck_alcotest.to_alcotest qcheck_json_scalars_match_reference;
+        QCheck_alcotest.to_alcotest qcheck_int_to;
+        Alcotest.test_case "int_to at every digit boundary" `Quick
+          test_int_to_boundaries;
       ] );
     ( "obs.metrics",
       [
@@ -1120,11 +1376,16 @@ let suites =
         Alcotest.test_case "global pickup by Engine.create" `Quick
           test_global_sink_pickup;
         QCheck_alcotest.to_alcotest qcheck_sink_model;
+        QCheck_alcotest.to_alcotest qcheck_flush_order;
+        Alcotest.test_case "chunked get names the live range" `Quick
+          test_chunked_get_range;
       ] );
     ( "obs.alloc",
       [
         Alcotest.test_case "observed DPA phase" `Quick
           test_observed_phase_alloc;
+        Alcotest.test_case "barrier flush through the JSONL writer" `Quick
+          test_flush_alloc;
       ] );
     ( "obs.export",
       [
@@ -1134,6 +1395,8 @@ let suites =
         Alcotest.test_case "jsonl and profile" `Quick test_jsonl_and_profile;
         Alcotest.test_case "jsonl round-trips every kind" `Quick
           test_jsonl_roundtrip_kinds;
+        Alcotest.test_case "jsonl writer serves a second sink" `Quick
+          test_jsonl_writer_second_sink;
         Alcotest.test_case "profile mean with uneven nodes" `Quick
           test_profile_mean_uneven_nodes;
         Alcotest.test_case "profile strip-only rows" `Quick

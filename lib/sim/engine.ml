@@ -146,8 +146,14 @@ let start_sampler t ~period_ns ~name f =
     tick (elapsed t + period_ns)
 
 let barrier t =
-  if not (Event_queue.is_empty t.queue) then
-    invalid_arg "Engine.barrier: events still pending";
+  let q = t.queue in
+  if not (Event_queue.is_empty q) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.barrier: %d events still pending (%d live), the earliest at \
+          t=%d ns on node %d"
+         (Event_queue.length q) t.live (Event_queue.min_time q)
+         (Event_queue.min_tag q lsr node_shift));
   let m = elapsed t in
   Array.iter (fun n -> Node.wait_until n m) t.nodes;
   match t.sink with

@@ -89,7 +89,9 @@ val events_processed : t -> int
 
 val barrier : t -> unit
 (** Synchronize: advance every node's clock to the global maximum,
-    accounting the gaps as idle. The queue must be empty. Emits one
+    accounting the gaps as idle. The queue must be empty: otherwise
+    raises [Invalid_argument] naming the pending and live event counts
+    and the earliest pending event's time and node. Emits one
     "barrier" instant per node when a sink is attached, flushes the
     sink's stream writer, and — when the sink carries a causal graph —
     runs {!Dpa_obs.Critpath.at_barrier} over the phase window. *)

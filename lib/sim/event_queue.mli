@@ -4,10 +4,13 @@
     simulation deterministic: two events posted for the same instant are
     processed in the order they were posted.
 
-    Entries live in parallel arrays (times, sequence numbers, tags,
-    payloads): adding and removing an entry allocates nothing once the
-    arrays have grown to the queue's depth, and a removed payload is not
-    retained by the queue. *)
+    An index heap: the heap orders [(time, insertion number, slot)]
+    triples in three int columns, and each entry's tag and payload sit in
+    a slot of two further columns, written once when the entry is added.
+    Reordering the heap therefore moves only ints, never a payload.
+    Adding and removing an entry allocates nothing once the columns have
+    grown to the queue's depth; a removed entry's slot is reused by a
+    later add, and its payload is not retained by the queue. *)
 
 type 'a t
 

@@ -31,6 +31,7 @@ type ctx = {
   mutable miss_ptr : Gptr.t;
   mutable miss_k : k;
   mutable attempts : int;  (* requests sent for the current miss *)
+  timers : Dpa.Timer_slab.t;  (* the end-to-end fetch timer *)
   mutable scheduled : bool;
   mutable finished : bool;
   (* Event action and message handlers, built once by [make_ctx]. *)
@@ -163,23 +164,25 @@ and fetch ctx ~rto =
   ctx.attempts <- ctx.attempts + 1;
   Dpa_msg.Am.send_data ctx.engine ~src:ctx.node ~dst:(Gptr.node ptr)
     ~bytes:ctx.req_bytes ctx.on_request (Gptr.slot ptr) epoch [||];
-  if ctx.rel then begin
-    let deadline = ctx.node.Node.clock + rto in
-    Engine.post_soft ctx.engine ~time:deadline ~node:(node_id ctx) (fun () ->
-        if ctx.waiting && ctx.epoch = epoch then begin
-          Node.wait_until ctx.node deadline;
-          ctx.retries <- ctx.retries + 1;
-          (match Engine.sink ctx.engine with
-          | None -> ()
-          | Some sink ->
-            Dpa_obs.Metrics.add
-              (Dpa_obs.Metrics.counter (Dpa_obs.Sink.metrics sink)
-                 "retries.cache")
-              1;
-            Dpa_obs.Sink.instant sink ~cat:"runtime" ~name:"retry"
-              ~node:(node_id ctx) ~ts:ctx.node.Node.clock);
-          fetch ctx ~rto:(min (2 * rto) (1024 * ctx.rto0))
-        end)
+  if ctx.rel then
+    Dpa.Timer_slab.arm ctx.timers Dpa.Timer_slab.Fetch ~id:epoch
+      ~dst:(Gptr.node ptr) ~rto [||]
+
+(* The fetch timer of epoch [epoch]: a no-op once that fetch completed. *)
+and fetch_timeout ctx kind ~id:epoch ~dst:_ ~rto ~deadline _ =
+  assert (kind = Dpa.Timer_slab.Fetch);
+  if ctx.waiting && ctx.epoch = epoch then begin
+    Node.wait_until ctx.node deadline;
+    ctx.retries <- ctx.retries + 1;
+    (match Engine.sink ctx.engine with
+    | None -> ()
+    | Some sink ->
+      Dpa_obs.Metrics.add
+        (Dpa_obs.Metrics.counter (Dpa_obs.Sink.metrics sink) "retries.cache")
+        1;
+      Dpa_obs.Sink.instant sink ~cat:"runtime" ~name:"retry"
+        ~node:(node_id ctx) ~ts:ctx.node.Node.clock);
+    fetch ctx ~rto:(Dpa.Timer_slab.backoff ~rto ~cap:(1024 * ctx.rto0))
   end
 
 (* Owner side: service the request and reply with the object. *)
@@ -228,6 +231,7 @@ let make_ctx ~engine ~heaps ~capacity ~hash ~items node =
       miss_ptr = Gptr.nil;
       miss_k = no_k;
       attempts = 0;
+      timers = Dpa.Timer_slab.create engine node;
       scheduled = false;
       finished = false;
       step_act = ignore;
@@ -245,6 +249,7 @@ let make_ctx ~engine ~heaps ~capacity ~hash ~items node =
       step ctx node.Node.clock m.Machine.poll_quantum_ns);
   ctx.on_request <- (fun owner slot epoch _ -> serve ctx owner slot epoch);
   ctx.on_reply <- (fun _ _ epoch _ -> complete ctx epoch);
+  Dpa.Timer_slab.set_handler ctx.timers (fetch_timeout ctx);
   ctx
 
 let quiescence_failure ctx =

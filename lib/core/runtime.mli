@@ -44,9 +44,11 @@
 
     {2 Timeouts under a fault plan}
 
-    With a fault plan active each aggregated request also arms an
-    end-to-end timer that re-issues still-unanswered tokens
-    ([Dpa_stats.rt_retries]); its base timeout uses the transport's
+    With a fault plan active each request message also arms one
+    end-to-end timer ({!Timer_slab}); at its deadline the message's
+    still-unanswered tokens are re-issued, in message order, each as a
+    single-entry request with its own timer ([Dpa_stats.rt_retries]
+    counts them). Its base timeout uses the transport's
     round-trip estimator when {!Dpa_sim.Machine.adaptive_rto} is set
     (see {!Dpa_msg.Am.e2e_rto}), falling back to a constant worst-case
     formula until samples exist. The phase barrier certifies transport

@@ -364,6 +364,161 @@ let qcheck_pointer_map_model =
           && Dpa.Pointer_map.is_empty m = (Hashtbl.length model.Model.tokens = 0))
         ops)
 
+(* The timer slab against a list model. Driver events at random times
+   arm timers (on the node clock, like the runtimes) or crash the node;
+   some timers re-arm from their handler with the slab's backoff. Each
+   handler call must be the earliest live timer by (deadline, arm order),
+   see exactly the columns its arm wrote, and leave [armed] equal to the
+   model's count; timers of an earlier incarnation must never reach the
+   handler. Afterwards every live timer has popped, the slab is empty,
+   and its capacity stayed within twice its peak occupancy, so freed
+   slots were reused and slots armed while it grew were kept. *)
+type ts_op = Arm of int * int * int * int * bool | Crash of int
+
+let ts_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 12,
+          map
+            (fun (t, kind, rto, len, rearm) -> Arm (t, kind, rto, len, rearm))
+            (tup5 (int_range 0 400) (int_range 0 3) (int_range 0 60)
+               (int_range 0 4) bool) );
+        (1, map (fun t -> Crash t) (int_range 0 400));
+      ])
+
+let ts_op_print = function
+  | Arm (t, k, rto, len, r) ->
+    Printf.sprintf "Arm(%d,%d,%d,%d,%b)" t k rto len r
+  | Crash t -> Printf.sprintf "Crash %d" t
+
+type ts_entry = {
+  e_kind : Dpa.Timer_slab.kind;
+  e_dst : int;
+  e_rto : int;
+  e_deadline : int;
+  e_msg : int array;
+  e_inc : int;
+  e_seq : int;
+  e_rearm : bool;
+}
+
+let qcheck_timer_slab_model =
+  QCheck.Test.make ~name:"timer slab pops what each arm wrote" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map ts_op_print l))
+       QCheck.Gen.(list_size (int_range 0 150) ts_op_gen))
+    (fun ops ->
+      let engine = Engine.create (machine 1) in
+      let node = Engine.node engine 0 in
+      let slab = Dpa.Timer_slab.create engine node in
+      let model = Hashtbl.create 64 in
+      let next_id = ref 0 and seq = ref 0 and peak = ref 0 and ok = ref true in
+      let kinds = Dpa.Timer_slab.[| Request; Update; Custody; Fetch |] in
+      let arm ?at kind ~rto ~len ~rearm =
+        let id = !next_id in
+        incr next_id;
+        let msg = Array.init len (fun j -> (100 * id) + j) in
+        let deadline =
+          match at with Some d -> d | None -> node.Node.clock + rto
+        in
+        Dpa.Timer_slab.arm slab ?at kind ~id ~dst:(id mod 7) ~rto msg;
+        Hashtbl.replace model id
+          {
+            e_kind = kind;
+            e_dst = id mod 7;
+            e_rto = rto;
+            e_deadline = deadline;
+            e_msg = msg;
+            e_inc = node.Node.incarnation;
+            e_seq = !seq;
+            e_rearm = rearm;
+          };
+        incr seq;
+        let armed = Dpa.Timer_slab.armed slab in
+        peak := max !peak armed;
+        (* Fenced timers leave the slab unseen, so only bounds hold here. *)
+        let live =
+          Hashtbl.fold
+            (fun _ e n -> if e.e_inc = node.Node.incarnation then n + 1 else n)
+            model 0
+        in
+        if armed > Hashtbl.length model || armed < live then ok := false
+      in
+      let key e = (e.e_deadline, e.e_seq) in
+      Dpa.Timer_slab.set_handler slab (fun kind ~id ~dst ~rto ~deadline msg ->
+          match Hashtbl.find_opt model id with
+          | None -> ok := false
+          | Some e ->
+            (* Fenced timers ahead of this one popped silently. *)
+            Hashtbl.filter_map_inplace
+              (fun _ f ->
+                if f.e_inc <> node.Node.incarnation && key f < key e then None
+                else Some f)
+              model;
+            Hashtbl.remove model id;
+            if
+              e.e_inc <> node.Node.incarnation
+              || Hashtbl.fold (fun _ f acc -> acc || key f < key e) model false
+              || kind <> e.e_kind || dst <> e.e_dst || rto <> e.e_rto
+              || deadline <> e.e_deadline || msg <> e.e_msg
+              || Dpa.Timer_slab.armed slab <> Hashtbl.length model
+            then ok := false;
+            if e.e_rearm then begin
+              let rto = Dpa.Timer_slab.backoff ~rto:(max 1 rto) ~cap:50 in
+              arm ~at:(deadline + rto) kind ~rto ~len:(Array.length msg)
+                ~rearm:false
+            end);
+      List.iter
+        (function
+          | Arm (t, k, rto, len, rearm) ->
+            Engine.post engine ~time:t ~node:0 (fun () ->
+                arm kinds.(k) ~rto ~len ~rearm)
+          | Crash t ->
+            Engine.post engine ~time:t ~node:0 (fun () ->
+                node.Node.incarnation <- node.Node.incarnation + 1))
+        ops;
+      Engine.run engine;
+      !ok
+      && Hashtbl.fold
+           (fun _ e acc -> acc && e.e_inc <> node.Node.incarnation)
+           model true
+      && Dpa.Timer_slab.armed slab = 0
+      && Dpa.Timer_slab.capacity slab <= max 16 (2 * !peak))
+
+(* A request timer covers its whole message. At the deadline the runtime
+   walks the message the slot kept, in order, and re-issues the tokens M
+   still holds: here the second and fourth of four, answered before the
+   deadline, are skipped. *)
+let test_message_timer_walk () =
+  let engine = Engine.create (machine 2) in
+  let node = Engine.node engine 0 in
+  let slab = Dpa.Timer_slab.create engine node in
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:(-1) in
+  let ring = Dpa.Ready_ring.create ~dummy:(-1) in
+  let msg = Array.make 8 0 in
+  for i = 0 to 3 do
+    let ptr = Dpa_heap.Gptr.make ~node:1 ~slot:(10 + i) in
+    msg.(2 * i) <- Dpa.Pointer_map.register m ~reuse:true ptr i;
+    msg.((2 * i) + 1) <- 10 + i
+  done;
+  let reissued = ref [] in
+  Dpa.Timer_slab.set_handler slab
+    (fun kind ~id:_ ~dst:_ ~rto:_ ~deadline:_ msg ->
+      assert (kind = Dpa.Timer_slab.Request);
+      for i = 0 to (Array.length msg / 2) - 1 do
+        let ptr = Dpa.Pointer_map.token_ptr m msg.(2 * i) in
+        if not (Dpa_heap.Gptr.is_nil ptr) then
+          reissued := Dpa_heap.Gptr.slot ptr :: !reissued
+      done);
+  Dpa.Timer_slab.arm slab Dpa.Timer_slab.Request ~id:0 ~dst:1 ~rto:1000 msg;
+  Engine.post engine ~time:500 ~node:0 (fun () ->
+      ignore (Dpa.Pointer_map.take m msg.(2) ring);
+      ignore (Dpa.Pointer_map.take m msg.(6) ring));
+  Engine.run engine;
+  Alcotest.(check (list int)) "outstanding tokens, in message order" [ 10; 12 ]
+    (List.rev !reissued)
+
 (* A crash between two dispatches of a chain: [reclaim] moves the
    chain's undispatched remote waiters back into M in registration order,
    remote single entries after them in ring order, and leaves local
@@ -754,9 +909,9 @@ let test_request_reply_alloc () =
 
 (* The caching runtime's share of the contract, on [alloc_phase]'s
    harness; the continuation charges 100 ns. *)
-let caching_phase ~capacity ~hash ~heaps =
+let caching_phase ?faults ~capacity ~hash ~heaps =
   alloc_phase
-    (module Dpa_baselines.Caching)
+    (module Dpa_baselines.Caching) ?faults
     ~run:(fun engine items ->
       snd
         (Dpa_baselines.Caching.run_phase ~engine ~heaps ~capacity ~hash ~items
@@ -788,6 +943,39 @@ let test_blocking_misses_alloc () =
   check_words_per_read ~bound:8. ~reads:(nnodes * nitems * reads)
     (caching_phase ~capacity:0 ~hash:false ~heaps ~nnodes ~nitems ~reads
        ~target:(fun ~node ~item ~r -> ptrs.(1 - node).((item * reads) + r)))
+
+(* The same misses over a lossy network: each request and reply rides a
+   reliable envelope and each fetch arms an end-to-end timer. As in
+   [test_fresh_remote_reads_faults_alloc], the figure is the difference
+   between a phase of [2n] items and one of [n], in minor words. A miss
+   costs 0.5 words here; it cost 8.5 while each fetch timer was a
+   closure. *)
+let test_blocking_misses_faults_alloc () =
+  let nnodes = 2 and nmax = 1024 and reads = 16 in
+  let heaps = Dpa_heap.Heap.cluster ~nnodes in
+  let ptrs =
+    Array.init nnodes (fun node -> alloc_objects heaps ~node (nmax * reads))
+  in
+  let faults =
+    { Fault.none with Fault.drop = 0.05; dup = 0.02; delay = 0.1; corrupt = 0.02 }
+  in
+  let measure nitems =
+    let run =
+      caching_phase ~faults ~capacity:0 ~hash:false ~heaps ~nnodes ~nitems
+        ~reads ~target:(fun ~node ~item ~r ->
+          ptrs.(1 - node).((item * reads) + r))
+    in
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run ()));
+    Gc.minor_words () -. w0
+  in
+  let w1 = measure (nmax / 2) in
+  let w2 = measure nmax in
+  let per_miss = (w2 -. w1) /. float_of_int (nnodes * (nmax / 2) * reads) in
+  if per_miss > 2. then
+    Alcotest.failf "%.2f minor words per blocking miss under faults (bound 2)"
+      per_miss
 
 (* Buffers sized by destination cost a few words per destination until a
    destination is used: a phase creates them for every (node, destination)
@@ -826,6 +1014,11 @@ let suites =
           test_pointer_map_reclaim_mid_chain;
         QCheck_alcotest.to_alcotest qcheck_pointer_map_one_request_per_pointer;
         QCheck_alcotest.to_alcotest qcheck_pointer_map_model;
+      ] );
+    ( "core.timer_slab",
+      [
+        QCheck_alcotest.to_alcotest qcheck_timer_slab_model;
+        Alcotest.test_case "message timer walk" `Quick test_message_timer_walk;
       ] );
     ( "core.align_buffer",
       [
@@ -872,5 +1065,7 @@ let suites =
         Alcotest.test_case "blocking misses" `Quick test_blocking_misses_alloc;
         Alcotest.test_case "fresh remote reads under faults" `Quick
           test_fresh_remote_reads_faults_alloc;
+        Alcotest.test_case "blocking misses under faults" `Quick
+          test_blocking_misses_faults_alloc;
       ] );
   ]

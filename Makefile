@@ -124,7 +124,9 @@ scale-smoke: build
 	$(CHECK) --scale /tmp/dpa_scale.json
 
 # Bad numeric overrides are usage errors that name the flag (cmdliner's
-# exit 124), not uncaught exceptions from inside the run (exit 125).
+# exit 124), not uncaught exceptions from inside the run (exit 125). An
+# unwritable --json path fails (exit 1) before the run prints anything,
+# naming the path.
 usage-smoke: build
 	@for args in "t2 --bodies 0" "t3 --particles 0" "t2 --procs 0" \
 	  "t2 --procs 4,-1"; do \
@@ -137,6 +139,14 @@ usage-smoke: build
 	    exit 1; \
 	  fi; \
 	done; echo "usage-smoke: bad counts rejected as usage errors"
+	@dune exec $(BENCH) -- t1 --scale small --json /nonexistent/dpa_t1.json \
+	  > /tmp/dpa_usage.out 2> /tmp/dpa_usage.err; \
+	code=$$?; \
+	if [ $$code -ne 1 ] || [ -s /tmp/dpa_usage.out ] \
+	  || ! grep -q /nonexistent/dpa_t1.json /tmp/dpa_usage.err; then \
+	  echo "usage-smoke: t1 --json to an unwritable path exited $$code:"; \
+	  cat /tmp/dpa_usage.err; exit 1; \
+	fi; echo "usage-smoke: unwritable --json path rejected before the run"
 
 # Byte-identity check against another build, usually the parent commit's:
 # every command in scripts/identity.cmds runs through BASE and through this

@@ -132,6 +132,14 @@ let open_or_die path =
     prerr_endline ("dpa_bench: " ^ e);
     exit 1
 
+(* Write [render ()] to an output [open_or_die] opened, and log it. *)
+let finish what render = function
+  | None -> ()
+  | Some (path, oc) ->
+    output_string oc (render ());
+    close_out oc;
+    Printf.printf "wrote %s to %s\n" what path
+
 let with_obs obs f conf =
   (if obs.ring <= 0 then begin
      prerr_endline "dpa_bench: --ring must be positive";
@@ -172,13 +180,6 @@ let with_obs obs f conf =
         Dpa_obs.Sink.close_writer sink;
         Dpa_obs.Sink.set_global None)
       (fun () -> f conf);
-    let finish what render = function
-      | None -> ()
-      | Some (path, oc) ->
-        output_string oc (render ());
-        close_out oc;
-        Printf.printf "wrote %s to %s\n" what path
-    in
     finish "Chrome trace" (fun () -> Dpa_obs.Export.chrome_trace sink) trace_out;
     finish "metrics"
       (fun () -> Dpa_obs.Json.to_string (Dpa_obs.Export.metrics_json sink))
@@ -375,37 +376,28 @@ let conf_term =
 let failures = ref []
 let fail msgs = failures := !failures @ msgs
 
-(* [--json FILE], for the commands whose results have a JSON form. *)
+(* [--json FILE], on every experiment command and [all]. *)
 let json_term =
   Arg.(
     value
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Also write the results as JSON (the committed BENCH_*.json \
-           artifacts are this output at $(b,--scale full)).")
+          "Also write the results as JSON: each printed table as its title \
+           and rows, a fault matrix as its cells, and $(b,all) as one \
+           object keyed by experiment (the committed BENCH_*.json \
+           artifacts are a15's and a16's at $(b,--scale full)).")
 
 (* Open the [--json] file before the run so a bad path fails
    immediately; [f] runs the experiment and returns the JSON to write. *)
 let with_json what f json conf =
   let out = Option.map open_or_die json in
   let v = f conf in
-  Option.iter
-    (fun (path, oc) ->
-      output_string oc (Dpa_obs.Json.to_string v);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s to %s\n" what path)
-    out
+  finish what (fun () -> Dpa_obs.Json.to_string v ^ "\n") out
 
-(* What an experiment command runs: a printout, or a printout whose
-   results [--json] can also write (named [what] in the log line). *)
-type experiment =
-  | Print of (Runconf.t -> unit)
-  | Json of string * (Runconf.t -> Dpa_obs.Json.t)
-
-let table title columns rows =
-  Print (fun conf -> Table.print title columns (rows conf))
+(* An experiment of one table; its JSON lists the table. *)
+let table ?footer title columns rows conf =
+  Dpa_obs.Json.List [ Table.print ?footer title columns (rows conf) ]
 
 (* Run, print and check one fault matrix; returns its JSON. *)
 let run_matrix m =
@@ -414,168 +406,173 @@ let run_matrix m =
   fail (Matrix.failures m cells);
   Matrix.json m cells
 
-let matrix what declare = Json (what, fun conf -> run_matrix (declare conf))
-
-(* Every experiment, in the order [all] runs them. *)
+(* Every experiment, in the order [all] runs them: its command, its doc,
+   what the [--json] log line calls its results (a table experiment's,
+   its command), and a run that prints its tables and returns their
+   JSON. *)
 let experiments =
   let open Experiment in
-  [
-    ( "t1",
-      "Static/dynamic thread statistics table",
-      table "T1: static and dynamic thread statistics (DPA)" stats_columns
-        thread_stats );
-    ( "t2",
-      "Barnes-Hut execution-time table",
-      Print
-        (fun conf ->
-          Table.print
+  List.map
+    (fun (name, doc, run) -> (name, doc, name, run))
+    [
+      ( "t1",
+        "Static/dynamic thread statistics table",
+        table "T1: static and dynamic thread statistics (DPA)" stats_columns
+          thread_stats );
+      ( "t2",
+        "Barnes-Hut execution-time table",
+        fun conf ->
+          table
             (Printf.sprintf
                "T2: Barnes-Hut force-phase times (%d bodies, %d step(s), \
                 strip %d)"
                conf.Runconf.bh_bodies conf.Runconf.bh_steps
                conf.Runconf.bh_strip)
-            times_columns (bh_times conf)) );
-    ( "t3",
-      "FMM execution-time table",
-      Print
-        (fun conf ->
-          Table.print
+            times_columns bh_times conf );
+      ( "t3",
+        "FMM execution-time table",
+        fun conf ->
+          table
             (Printf.sprintf "T3: FMM force-phase times (%d particles, p=%d)"
                conf.Runconf.fmm_particles conf.Runconf.fmm_p)
-            times_columns (fmm_times conf)) );
-    ( "f1",
-      "Barnes-Hut breakdown figure",
-      Print
-        (fun conf ->
-          print_breakdown
-            ~title:
-              (Printf.sprintf "F1: Barnes-Hut breakdown on %d nodes"
-                 conf.Runconf.breakdown_procs)
-            (bh_breakdown conf)) );
-    ( "f2",
-      "FMM breakdown figure",
-      Print
-        (fun conf ->
-          print_breakdown
-            ~title:
-              (Printf.sprintf "F2: FMM breakdown on %d nodes (strip %d)"
-                 conf.Runconf.breakdown_procs conf.Runconf.fmm_strip)
-            (fmm_breakdown conf)) );
-    ( "f3",
-      "Strip-size sensitivity figure",
-      table "F3: strip-size sensitivity (DPA, breakdown node count)"
-        strip_columns strip_sweep );
-    ( "f4",
-      "Speedup curves",
-      table "F4: DPA speedups over modelled sequential time" speedup_columns
-        (fun conf ->
-          let bh = bh_times conf and fmm = fmm_times conf in
-          speedups ~bh ~fmm) );
-    ( "a1",
-      "Aggregation-bound ablation",
-      table "A1: aggregation-bound ablation (Barnes-Hut, DPA)" agg_columns
-        agg_sweep );
-    ( "a2",
-      "Caching cache-size ablation",
-      Print
-        (fun conf ->
+            times_columns fmm_times conf );
+      ( "f1",
+        "Barnes-Hut breakdown figure",
+        fun conf ->
+          let title =
+            Printf.sprintf "F1: Barnes-Hut breakdown on %d nodes"
+              conf.Runconf.breakdown_procs
+          in
+          Dpa_obs.Json.List [ print_breakdown ~title (bh_breakdown conf) ] );
+      ( "f2",
+        "FMM breakdown figure",
+        fun conf ->
+          let title =
+            Printf.sprintf "F2: FMM breakdown on %d nodes (strip %d)"
+              conf.Runconf.breakdown_procs conf.Runconf.fmm_strip
+          in
+          Dpa_obs.Json.List [ print_breakdown ~title (fmm_breakdown conf) ] );
+      ( "f3",
+        "Strip-size sensitivity figure",
+        table "F3: strip-size sensitivity (DPA, breakdown node count)"
+          strip_columns strip_sweep );
+      ( "f4",
+        "Speedup curves",
+        table "F4: DPA speedups over modelled sequential time" speedup_columns
+          (fun conf ->
+            let bh = bh_times conf and fmm = fmm_times conf in
+            speedups ~bh ~fmm) );
+      ( "a1",
+        "Aggregation-bound ablation",
+        table "A1: aggregation-bound ablation (Barnes-Hut, DPA)" agg_columns
+          agg_sweep );
+      ( "a2",
+        "Caching cache-size ablation",
+        fun conf ->
           let dpa =
             List.find
               (fun (t : timing) -> t.procs = conf.Runconf.breakdown_procs)
               (bh_times
                  { conf with Runconf.procs = [ conf.Runconf.breakdown_procs ] })
           in
-          Table.print
-            ~footer:
-              (Printf.sprintf "(DPA reference time: %s s)" (Table.sec dpa.dpa_s))
-            "A2: software-caching cache-size ablation (Barnes-Hut)"
-            cache_columns (cache_sweep conf)) );
-    ( "a3",
-      "FMM input-distribution ablation",
-      table "A3: FMM input-distribution ablation (DPA)" dist_columns
-        distribution_sweep );
-    ( "a4",
-      "Barnes-Hut partitioning ablation",
-      table "A4: Barnes-Hut partitioning ablation (DPA)" partition_columns
-        partition_sweep );
-    ( "a5",
-      "EM3D irregular-graph kernel",
-      table "A5: EM3D irregular-graph kernel (degree 20, 25% remote)"
-        em3d_columns em3d_sweep );
-    ( "a6",
-      "Network-latency sensitivity",
-      table "A6: network-latency sensitivity (Barnes-Hut, 1 step)"
-        latency_columns latency_sweep );
-    ( "a7",
-      "Parallel FMM upward pass (reductions)",
-      table
-        "A7: parallel FMM upward pass via remote reductions (P2M + \
-         per-level M2M)"
-        upward_columns upward_sweep );
-    ( "a8",
-      "Adaptive FMM on clustered input",
-      table "A8: adaptive FMM on a clustered input (8 Gaussian clusters)"
-        afmm_columns afmm_sweep );
-    ( "a9",
-      "Cache locality of iteration order",
-      table
-        "A9: single-node cache locality of iteration order (BH cell \
-         accesses)"
-        locality_columns cache_locality );
-    ( "a10",
-      "Hot-spot with link serialization",
-      table
-        "A10: hot spot (all nodes read node 0) with/without link \
-         serialization"
-        hotspot_columns hotspot );
-    ( "a11",
-      "Chaos sweep: faults vs goodput and correctness",
-      matrix "chaos sweep" chaos_sweep );
-    ( "a12",
-      "Adaptive strip size and adaptive RTO vs static",
-      Json
-        ( "adaptive RTO matrix",
-          fun conf ->
-            Table.print
-              (Printf.sprintf
-                 "A12a: static vs adaptive strip size — BH force phase (%d \
-                  nodes)"
-                 conf.Runconf.breakdown_procs)
-              adaptive_strip_columns
-              (adaptive_strip_sweep conf);
-            run_matrix (adaptive_rto_sweep conf) ) );
-    ( "a13",
-      "Crash-restart chaos matrix across workloads",
-      matrix "crash matrix" crash_matrix );
-    ( "a14",
-      "End-to-end integrity matrix: wire corruption and torn WAL writes \
-       across workloads",
-      matrix "integrity matrix" integrity_matrix );
-    ( "a15",
-      "Communication-optimality matrix: tree-routed aggregation and Morton \
-       repartitioning vs the flat/static baseline",
-      matrix "optimality matrix" optimality_matrix );
-    ( "a16",
-      "Flat-heap scale sweep: the allocation gate against the boxed-heap \
-       baseline, then distributed BH force phases up to a million bodies \
-       on 256 nodes (--scale full)",
-      Json
-        ( "scale sweep",
-          fun conf ->
-            let rows = scale_sweep conf in
-            let gate = scale_gate conf in
-            Table.print
-              "A16: flat-heap allocation gate — full BH simulate vs the \
-               boxed-heap baseline (allocated words per body-step)"
-              scale_gate_columns gate;
-            Table.print
-              "A16: scale sweep — one distributed BH force phase per row \
-               (flat heap)"
-              scale_columns rows;
-            print_endline (scale_summary gate rows);
-            fail (scale_failures gate);
-            scale_json (gate, rows) ) );
-  ]
+          let footer =
+            Printf.sprintf "(DPA reference time: %s s)" (Table.sec dpa.dpa_s)
+          in
+          table ~footer "A2: software-caching cache-size ablation (Barnes-Hut)"
+            cache_columns cache_sweep conf );
+      ( "a3",
+        "FMM input-distribution ablation",
+        table "A3: FMM input-distribution ablation (DPA)" dist_columns
+          distribution_sweep );
+      ( "a4",
+        "Barnes-Hut partitioning ablation",
+        table "A4: Barnes-Hut partitioning ablation (DPA)" partition_columns
+          partition_sweep );
+      ( "a5",
+        "EM3D irregular-graph kernel",
+        table "A5: EM3D irregular-graph kernel (degree 20, 25% remote)"
+          em3d_columns em3d_sweep );
+      ( "a6",
+        "Network-latency sensitivity",
+        table "A6: network-latency sensitivity (Barnes-Hut, 1 step)"
+          latency_columns latency_sweep );
+      ( "a7",
+        "Parallel FMM upward pass (reductions)",
+        table
+          "A7: parallel FMM upward pass via remote reductions (P2M + \
+           per-level M2M)"
+          upward_columns upward_sweep );
+      ( "a8",
+        "Adaptive FMM on clustered input",
+        table "A8: adaptive FMM on a clustered input (8 Gaussian clusters)"
+          afmm_columns afmm_sweep );
+      ( "a9",
+        "Cache locality of iteration order",
+        table
+          "A9: single-node cache locality of iteration order (BH cell \
+           accesses)"
+          locality_columns cache_locality );
+      ( "a10",
+        "Hot-spot with link serialization",
+        table
+          "A10: hot spot (all nodes read node 0) with/without link \
+           serialization"
+          hotspot_columns hotspot );
+    ]
+  @ [
+      ( "a11",
+        "Chaos sweep: faults vs goodput and correctness",
+        "chaos sweep",
+        fun conf -> run_matrix (chaos_sweep conf) );
+      ( "a12",
+        "Adaptive strip size and adaptive RTO vs static",
+        "adaptive RTO matrix",
+        fun conf ->
+          ignore
+            (Table.print
+               (Printf.sprintf
+                  "A12a: static vs adaptive strip size — BH force phase (%d \
+                   nodes)"
+                  conf.Runconf.breakdown_procs)
+               adaptive_strip_columns
+               (adaptive_strip_sweep conf));
+          run_matrix (adaptive_rto_sweep conf) );
+      ( "a13",
+        "Crash-restart chaos matrix across workloads",
+        "crash matrix",
+        fun conf -> run_matrix (crash_matrix conf) );
+      ( "a14",
+        "End-to-end integrity matrix: wire corruption and torn WAL writes \
+         across workloads",
+        "integrity matrix",
+        fun conf -> run_matrix (integrity_matrix conf) );
+      ( "a15",
+        "Communication-optimality matrix: tree-routed aggregation and Morton \
+         repartitioning vs the flat/static baseline",
+        "optimality matrix",
+        fun conf -> run_matrix (optimality_matrix conf) );
+      ( "a16",
+        "Flat-heap scale sweep: the allocation gate against the boxed-heap \
+         baseline, then distributed BH force phases up to a million bodies \
+         on 256 nodes (--scale full)",
+        "scale sweep",
+        fun conf ->
+          let rows = scale_sweep conf in
+          let gate = scale_gate conf in
+          ignore
+            (Table.print
+               "A16: flat-heap allocation gate — full BH simulate vs the \
+                boxed-heap baseline (allocated words per body-step)"
+               scale_gate_columns gate);
+          ignore
+            (Table.print
+               "A16: scale sweep — one distributed BH force phase per row \
+                (flat heap)"
+               scale_columns rows);
+          print_endline (scale_summary gate rows);
+          fail (scale_failures gate);
+          scale_json (gate, rows) );
+    ]
 
 let run_timeline csv conf =
   let nnodes = conf.Runconf.breakdown_procs in
@@ -639,21 +636,25 @@ let run_calibrate conf =
     (float_of_int fns *. 1e-9) Paper.fmm_seq_s
 
 
+(* Every experiment after the calibration; the JSON of each, keyed by its
+   command. *)
 let run_all conf =
   run_calibrate conf;
   print_newline ();
-  List.iter
-    (fun (_, _, e) ->
-      match e with Print f -> f conf | Json (_, f) -> ignore (f conf))
-    experiments
+  Dpa_obs.Json.Obj
+    (List.map (fun (name, _, _, run) -> (name, run conf)) experiments)
 
-(* A subcommand running [run] (a term, so it can carry its own flags)
-   under the shared fault, observability and configuration flags. *)
-let cmd name doc run =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (fun run fo obs conf -> with_faults fo (with_obs obs run) conf)
-      $ run $ fault_term $ obs_term $ conf_term)
+(* [run] (a term, so it can carry its own flags) under the shared fault,
+   observability and configuration flags. *)
+let with_flags run =
+  Term.(
+    const (fun run fo obs conf -> with_faults fo (with_obs obs run) conf)
+    $ run $ fault_term $ obs_term $ conf_term)
+
+(* A run whose results [--json] writes. *)
+let json_run what run = Term.(const (with_json what run) $ json_term)
+
+let cmd name doc run = Cmd.v (Cmd.info name ~doc) (with_flags run)
 
 let () =
   let csv =
@@ -664,18 +665,14 @@ let () =
   in
   let commands =
     List.map
-      (fun (name, doc, e) ->
-        cmd name doc
-          (match e with
-          | Print f -> Term.const f
-          | Json (what, f) -> Term.(const (with_json what f) $ json_term)))
+      (fun (name, doc, what, run) -> cmd name doc (json_run what run))
       experiments
     @ [
         cmd "timeline" "Per-node utilization timelines (Barnes-Hut)"
           Term.(const run_timeline $ csv);
         cmd "calibrate" "Compare modelled sequential times to the paper"
           (Term.const run_calibrate);
-        cmd "all" "Run every experiment" (Term.const run_all);
+        cmd "all" "Run every experiment" (json_run "all experiments" run_all);
       ]
   in
   let info =
@@ -684,11 +681,7 @@ let () =
         "Reproduce the evaluation of 'Dynamic Pointer Alignment' (PPoPP \
          1997) on the simulated machine."
   in
-  let default =
-    Term.(
-      const (fun fo obs conf -> with_faults fo (with_obs obs run_all) conf)
-      $ fault_term $ obs_term $ conf_term)
-  in
+  let default = with_flags (json_run "all experiments" run_all) in
   let code = Cmd.eval (Cmd.group ~default info commands) in
   List.iter (fun m -> prerr_endline ("dpa_bench: " ^ m)) !failures;
   exit (if code = 0 && !failures <> [] then 1 else code)

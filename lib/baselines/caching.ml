@@ -55,12 +55,6 @@ type stats = {
   retries : int;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[cache: %d hits, %d misses, %d local, %d evictions, peak %d objects, \
-     %d retries@]"
-    s.hits s.misses s.local s.evictions s.peak_cached s.retries
-
 let node_id ctx = ctx.node.Node.id
 let heaps ctx = ctx.heaps
 let charge ctx ns = Node.charge_local ctx.node ns
@@ -96,10 +90,11 @@ let accumulate ctx ptr ~idx value =
     (* One put-style message per update: no combining, no aggregation, but
        also no blocking (puts complete asynchronously). *)
     let bytes = Dpa_msg.Am.update_bytes m ~nupdates:1 in
-    Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:(Gptr.node ptr) ~bytes
-      (fun owner ->
+    Dpa_msg.Am.send_data ctx.engine ~src:ctx.node ~dst:(Gptr.node ptr) ~bytes
+      (fun owner _ _ _ ->
         Node.charge_comm owner m.Machine.update_apply_ns;
         Heap.bump_float ctx.heaps.(Gptr.node ptr) ptr ~idx value)
+      0 0 [||]
   end
 
 let ensure_scheduled ctx =

@@ -31,8 +31,6 @@ type stats = {
   retries : int;  (** end-to-end fetch re-issues under an active fault plan *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 val run_phase :
   engine:Dpa_sim.Engine.t ->
   heaps:Dpa_heap.Heap.cluster ->

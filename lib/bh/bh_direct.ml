@@ -12,13 +12,3 @@ let compute_forces ?(eps = 0.05) bodies =
         bodies;
       b.Body.acc <- !acc)
     bodies
-
-let max_relative_error bodies ~reference =
-  let worst = ref 0. in
-  Array.iteri
-    (fun i b ->
-      let d = Vec3.dist b.Body.acc reference.(i) in
-      let n = Vec3.norm reference.(i) in
-      if n > 0. then worst := max !worst (d /. n))
-    bodies;
-  !worst

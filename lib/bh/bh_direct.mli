@@ -2,6 +2,3 @@
 
 val compute_forces : ?eps:float -> Body.t array -> unit
 (** Fill [acc] for every body by summing over all pairs. *)
-
-val max_relative_error : Body.t array -> reference:Vec3.t array -> float
-(** Largest [|acc - reference| / |reference|] over the bodies. *)

@@ -15,10 +15,5 @@ let advance bodies ~dt =
       b.pos <- Vec3.axpy dt b.vel b.pos)
     bodies
 
-let kinetic_energy bodies =
-  Array.fold_left
-    (fun acc b -> acc +. (0.5 *. b.mass *. Vec3.norm2 b.vel))
-    0. bodies
-
 let total_momentum bodies =
   Array.fold_left (fun acc b -> Vec3.axpy b.mass b.vel acc) Vec3.zero bodies

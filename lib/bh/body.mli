@@ -14,5 +14,4 @@ val make : id:int -> mass:float -> pos:Vec3.t -> vel:Vec3.t -> t
 val advance : t array -> dt:float -> unit
 (** Leapfrog step using the accelerations currently stored in [acc]. *)
 
-val kinetic_energy : t array -> float
 val total_momentum : t array -> Vec3.t

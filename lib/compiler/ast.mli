@@ -57,6 +57,3 @@ val validate : program -> unit
 
 val illegal : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Illegal} with a formatted message. *)
-
-val has_touch : stmt list -> bool
-(** Does the block dereference any pointer (or call, conservatively)? *)

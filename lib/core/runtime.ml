@@ -902,8 +902,9 @@ and send_batch ctx ~dst ~cover batch =
   (match ctx.obs with
   | None -> ()
   | Some o -> o.opt_actual <- o.opt_actual + bytes);
-  Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst ~bytes (fun owner ->
-      owner_apply ctx ~fdst:dst ~cover batch owner)
+  Dpa_msg.Am.send_data ctx.engine ~src:ctx.node ~dst ~bytes
+    (fun owner _ _ _ -> owner_apply ctx ~fdst:dst ~cover batch owner)
+    0 0 [||]
 
 (* Finish-time routing flush. Once this node has run its last item, its
    held (routed) accumulations drain into the relay buffer — merging with
@@ -989,15 +990,18 @@ and send_relay ctx ~hop ~fdst ~cover batch =
     if cover <> [] then obs_int o "cover" (List.length cover);
     obs_int o "bytes" bytes);
   if hop = fdst then
-    Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:fdst ~bytes (fun owner ->
-        owner_apply ctx ~fdst ~cover batch owner)
+    Dpa_msg.Am.send_data ctx.engine ~src:ctx.node ~dst:fdst ~bytes
+      (fun owner _ _ _ -> owner_apply ctx ~fdst ~cover batch owner)
+      0 0 [||]
   else
-    Dpa_msg.Am.send ctx.engine ~src:ctx.node ~dst:hop ~bytes (fun hopnode ->
+    Dpa_msg.Am.send_data ctx.engine ~src:ctx.node ~dst:hop ~bytes
+      (fun hopnode _ _ _ ->
         let peer = ctx.peers.(hop) in
         open_handler_act ctx hopnode;
         Node.charge_comm hopnode (n * ctx.machine.Machine.update_apply_ns);
         relay_receive peer ~fdst ~cover batch;
         close_handler_act ctx ~name:"relay" hopnode)
+      0 0 [||]
 
 (* Owner-side apply of an update message on [fdst]. The apply cost is
    charged whether or not the batch is fresh: a journal hit still parses

@@ -1,4 +1,5 @@
 open Dpa_sim
+open Table
 
 (* The DPA variant an experiment should run: the scale's static strip, or
    the adaptive controller seeded with it when [--strip auto] set
@@ -10,6 +11,11 @@ let dpa_variant (conf : Runconf.t) ~strip =
   if conf.Runconf.strip_auto then
     Dpa_baselines.Variant.Dpa (Dpa.Config.dpa_auto ~strip_size:strip ~route ())
   else Dpa_baselines.Variant.Dpa (Dpa.Config.dpa ~strip_size:strip ~route ())
+
+(* A fraction as a percentage with [digits] decimals. *)
+let pct digits f = Printf.sprintf "%.*f" digits (100. *. f)
+
+let one_decimal = Printf.sprintf "%.1f"
 
 (* ------------------------------------------------------------------ T2/T3 *)
 
@@ -80,16 +86,19 @@ let fmm_times conf =
     ~paper_dpa:Paper.fmm_dpa50_s ~paper_caching:Paper.fmm_caching_s
 
 let times_columns : timing Table.column list =
-  Table.
-    [
-      ("PROCS", fun r -> string_of_int r.procs);
-      ("DPA(s)", fun r -> sec r.dpa_s);
-      ("Caching(s)", fun r -> sec r.caching_s);
-      ("DPA speedup", fun r -> speedup (r.seq_s /. r.dpa_s));
-      ("Caching speedup", fun r -> speedup (r.seq_s /. r.caching_s));
-      ("paper DPA", fun r -> opt sec r.paper_dpa_s);
-      ("paper Caching", fun r -> opt sec r.paper_caching_s);
-    ]
+  [
+    column "PROCS" "procs" int (fun r -> r.procs);
+    column "DPA(s)" "dpa_s" (float sec) (fun r -> r.dpa_s);
+    column "Caching(s)" "caching_s" (float sec) (fun r -> r.caching_s);
+    column "DPA speedup" "dpa_speedup" (float speedup) (fun r ->
+        r.seq_s /. r.dpa_s);
+    column "Caching speedup" "caching_speedup" (float speedup) (fun r ->
+        r.seq_s /. r.caching_s);
+    column "paper DPA" "paper_dpa_s" (option (float sec)) (fun r ->
+        r.paper_dpa_s);
+    column "paper Caching" "paper_caching_s" (option (float sec)) (fun r ->
+        r.paper_caching_s);
+  ]
 
 (* ------------------------------------------------------------------ F1/F2 *)
 
@@ -142,6 +151,23 @@ let fmm_breakdown (conf : Runconf.t) =
       })
     (breakdown_variants conf ~strip:conf.Runconf.fmm_strip)
 
+(* The bars as rows, for the JSON only: the figure prints as bars. *)
+let breakdown_columns : breakdown_bar Table.column list =
+  let frac header key f =
+    column header key (float (pct 1)) (fun b -> f b.breakdown)
+  in
+  [
+    column "VARIANT" "variant" string (fun b -> b.variant);
+    column "TIME(s)" "time_s" (float sec) (fun b ->
+        Breakdown.elapsed_s b.breakdown);
+    frac "LOCAL %" "local_frac" Breakdown.local_frac;
+    frac "COMM %" "comm_frac" Breakdown.comm_frac;
+    frac "IDLE %" "idle_frac" Breakdown.idle_frac;
+    column "MESSAGES" "msgs" int (fun b -> b.breakdown.Breakdown.msgs);
+    column "BYTES" "bytes" int (fun b -> b.breakdown.Breakdown.bytes);
+    column "SPEEDUP" "speedup" (float speedup) (fun b -> b.speedup);
+  ]
+
 let print_breakdown ~title bars =
   Printf.printf "%s\n" title;
   Barchart.print
@@ -149,7 +175,8 @@ let print_breakdown ~title bars =
        (fun b ->
          Barchart.of_breakdown ~label:b.variant ~speedup:b.speedup b.breakdown)
        bars);
-  print_newline ()
+  print_newline ();
+  Table.json title breakdown_columns bars
 
 (* --------------------------------------------------------------------- F3 *)
 
@@ -189,12 +216,13 @@ let strip_sweep ?(strips = default_strips) (conf : Runconf.t) =
 
 let strip_columns : strip_point Table.column list =
   [
-    ("STRIP", fun p -> string_of_int p.strip);
-    ("BH(s)", fun p -> Table.sec p.bh_s);
-    ("FMM(s)", fun p -> Table.sec p.fmm_s);
-    ("BH max outstanding", fun p -> string_of_int p.bh_outstanding);
-    ("BH peak D", fun p -> string_of_int p.bh_align_peak);
-    ("BH max batch", fun p -> string_of_int p.bh_max_batch);
+    column "STRIP" "strip" int (fun p -> p.strip);
+    column "BH(s)" "bh_s" (float sec) (fun p -> p.bh_s);
+    column "FMM(s)" "fmm_s" (float sec) (fun p -> p.fmm_s);
+    column "BH max outstanding" "bh_max_outstanding" int (fun p ->
+        p.bh_outstanding);
+    column "BH peak D" "bh_align_peak" int (fun p -> p.bh_align_peak);
+    column "BH max batch" "bh_max_batch" int (fun p -> p.bh_max_batch);
   ]
 
 (* --------------------------------------------------------------------- F4 *)
@@ -214,9 +242,9 @@ let speedups ~bh ~fmm =
 
 let speedup_columns : speedup_row Table.column list =
   [
-    ("PROCS", fun r -> string_of_int r.procs);
-    ("BH speedup", fun r -> Table.speedup r.bh_speedup);
-    ("FMM speedup", fun r -> Table.speedup r.fmm_speedup);
+    column "PROCS" "procs" int (fun r -> r.procs);
+    column "BH speedup" "bh_speedup" (float speedup) (fun r -> r.bh_speedup);
+    column "FMM speedup" "fmm_speedup" (float speedup) (fun r -> r.fmm_speedup);
   ]
 
 (* --------------------------------------------------------------------- T1 *)
@@ -288,13 +316,13 @@ let thread_stats (conf : Runconf.t) =
 
 let stats_columns : stats_row Table.column list =
   [
-    ("PROGRAM", fun r -> r.name);
-    ("STATIC SITES", fun r -> string_of_int r.static_sites);
-    ("DYN THREADS", fun r -> string_of_int r.dynamic_threads);
-    ("MAX OUTSTANDING", fun r -> string_of_int r.max_outstanding);
-    ("PEAK D", fun r -> string_of_int r.align_peak);
-    ("MAX BATCH", fun r -> string_of_int r.max_batch);
-    ("REQ MSGS", fun r -> string_of_int r.request_msgs);
+    column "PROGRAM" "program" string (fun r -> r.name);
+    column "STATIC SITES" "static_sites" int (fun r -> r.static_sites);
+    column "DYN THREADS" "dynamic_threads" int (fun r -> r.dynamic_threads);
+    column "MAX OUTSTANDING" "max_outstanding" int (fun r -> r.max_outstanding);
+    column "PEAK D" "align_peak" int (fun r -> r.align_peak);
+    column "MAX BATCH" "max_batch" int (fun r -> r.max_batch);
+    column "REQ MSGS" "request_msgs" int (fun r -> r.request_msgs);
   ]
 
 (* --------------------------------------------------------------------- A1 *)
@@ -321,10 +349,10 @@ let agg_sweep ?(aggs = [ 1; 4; 16; 64; 256 ]) (conf : Runconf.t) =
 
 let agg_columns : agg_point Table.column list =
   [
-    ("AGG MAX", fun p -> string_of_int p.agg);
-    ("TIME(s)", fun p -> Table.sec p.time_s);
-    ("MESSAGES", fun p -> string_of_int p.msgs);
-    ("MAX BATCH", fun p -> string_of_int p.max_batch);
+    column "AGG MAX" "agg_max" int (fun p -> p.agg);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.time_s);
+    column "MESSAGES" "msgs" int (fun p -> p.msgs);
+    column "MAX BATCH" "max_batch" int (fun p -> p.max_batch);
   ]
 
 (* --------------------------------------------------------------------- A2 *)
@@ -354,11 +382,11 @@ let cache_sweep ?(capacities = [ 64; 256; 1024; 4096; 16384 ]) (conf : Runconf.t
 
 let cache_columns : cache_point Table.column list =
   [
-    ("CAPACITY", fun p -> string_of_int p.capacity);
-    ("TIME(s)", fun p -> Table.sec p.time_s);
-    ("HITS", fun p -> string_of_int p.hits);
-    ("MISSES", fun p -> string_of_int p.misses);
-    ("EVICTIONS", fun p -> string_of_int p.evictions);
+    column "CAPACITY" "capacity" int (fun p -> p.capacity);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.time_s);
+    column "HITS" "hits" int (fun p -> p.hits);
+    column "MISSES" "misses" int (fun p -> p.misses);
+    column "EVICTIONS" "evictions" int (fun p -> p.evictions);
   ]
 
 (* --------------------------------------------------------------------- A3 *)
@@ -388,15 +416,12 @@ let distribution_sweep (conf : Runconf.t) =
       })
     [ ("uniform", `Uniform); ("clustered(8)", `Clustered 8) ]
 
-(* A fraction as a percentage with [digits] decimals. *)
-let pct digits f = Printf.sprintf "%.*f" digits (100. *. f)
-
 let dist_columns : dist_point Table.column list =
   [
-    ("DISTRIBUTION", fun p -> p.dist_name);
-    ("TIME(s)", fun p -> Table.sec p.dist_time_s);
-    ("IDLE %", fun p -> pct 0 p.dist_idle_frac);
-    ("MESSAGES", fun p -> string_of_int p.dist_msgs);
+    column "DISTRIBUTION" "distribution" string (fun p -> p.dist_name);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.dist_time_s);
+    column "IDLE %" "idle_frac" (float (pct 0)) (fun p -> p.dist_idle_frac);
+    column "MESSAGES" "msgs" int (fun p -> p.dist_msgs);
   ]
 
 (* --------------------------------------------------------------------- A4 *)
@@ -425,9 +450,9 @@ let partition_sweep (conf : Runconf.t) =
 
 let partition_columns : partition_point Table.column list =
   [
-    ("PARTITION", fun p -> p.part_name);
-    ("TIME(s)", fun p -> Table.sec p.part_time_s);
-    ("IDLE %", fun p -> pct 0 p.part_idle_frac);
+    column "PARTITION" "partition" string (fun p -> p.part_name);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.part_time_s);
+    column "IDLE %" "idle_frac" (float (pct 0)) (fun p -> p.part_idle_frac);
   ]
 
 (* --------------------------------------------------------------------- A5 *)
@@ -475,10 +500,11 @@ let em3d_sweep (conf : Runconf.t) =
 
 let em3d_columns : em3d_point Table.column list =
   [
-    ("RUNTIME", fun p -> p.em3d_variant);
-    ("TIME(s)", fun p -> Table.sec p.em3d_time_s);
-    ("MESSAGES", fun p -> string_of_int p.em3d_msgs);
-    ("CHECKSUM", fun p -> Printf.sprintf "%.6f" p.em3d_checksum);
+    column "RUNTIME" "runtime" string (fun p -> p.em3d_variant);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.em3d_time_s);
+    column "MESSAGES" "msgs" int (fun p -> p.em3d_msgs);
+    column "CHECKSUM" "checksum" (float (Printf.sprintf "%.6f")) (fun p ->
+        p.em3d_checksum);
   ]
 
 (* --------------------------------------------------------------------- A6 *)
@@ -521,10 +547,12 @@ let latency_sweep ?(scales = [ 0.5; 1.; 2.; 4.; 8. ]) (conf : Runconf.t) =
 
 let latency_columns : latency_point Table.column list =
   [
-    ("LATENCY x", fun p -> Printf.sprintf "%.1f" p.lat_scale);
-    ("DPA(s)", fun p -> Table.sec p.lat_dpa_s);
-    ("Blocking(s)", fun p -> Table.sec p.lat_blocking_s);
-    ("Blocking/DPA", fun p -> Printf.sprintf "%.1f" (p.lat_blocking_s /. p.lat_dpa_s));
+    column "LATENCY x" "latency_scale" (float one_decimal) (fun p ->
+        p.lat_scale);
+    column "DPA(s)" "dpa_s" (float sec) (fun p -> p.lat_dpa_s);
+    column "Blocking(s)" "blocking_s" (float sec) (fun p -> p.lat_blocking_s);
+    column "Blocking/DPA" "blocking_over_dpa" (float one_decimal) (fun p ->
+        p.lat_blocking_s /. p.lat_dpa_s);
   ]
 
 (* --------------------------------------------------------------------- A7 *)
@@ -572,10 +600,10 @@ let upward_sweep (conf : Runconf.t) =
 
 let upward_columns : upward_point Table.column list =
   [
-    ("RUNTIME", fun p -> p.up_variant);
-    ("TIME(s)", fun p -> Table.sec p.up_time_s);
-    ("MESSAGES", fun p -> string_of_int p.up_msgs);
-    ("UPDATES COMBINED", fun p -> string_of_int p.up_combined);
+    column "RUNTIME" "runtime" string (fun p -> p.up_variant);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.up_time_s);
+    column "MESSAGES" "msgs" int (fun p -> p.up_msgs);
+    column "UPDATES COMBINED" "updates_combined" int (fun p -> p.up_combined);
   ]
 
 (* --------------------------------------------------------------------- A8 *)
@@ -623,9 +651,9 @@ let afmm_sweep (conf : Runconf.t) =
 
 let afmm_columns : afmm_point Table.column list =
   [
-    ("CONFIGURATION", fun p -> p.af_variant);
-    ("TIME(s)", fun p -> Table.sec p.af_time_s);
-    ("MESSAGES", fun p -> string_of_int p.af_msgs);
+    column "CONFIGURATION" "configuration" string (fun p -> p.af_variant);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.af_time_s);
+    column "MESSAGES" "msgs" int (fun p -> p.af_msgs);
   ]
 
 (* --------------------------------------------------------------------- A9 *)
@@ -672,9 +700,11 @@ let cache_locality ?(lines = [ 128; 512; 2048 ]) (conf : Runconf.t) =
 
 let locality_columns : cache_locality_point Table.column list =
   [
-    ("CACHE LINES", fun p -> string_of_int p.cl_lines);
-    ("RANDOM ORDER MISS%", fun p -> pct 2 p.cl_random_miss);
-    ("TREE ORDER MISS%", fun p -> pct 2 p.cl_tree_miss);
+    column "CACHE LINES" "cache_lines" int (fun p -> p.cl_lines);
+    column "RANDOM ORDER MISS%" "random_miss_frac" (float (pct 2)) (fun p ->
+        p.cl_random_miss);
+    column "TREE ORDER MISS%" "tree_miss_frac" (float (pct 2)) (fun p ->
+        p.cl_tree_miss);
   ]
 
 (* -------------------------------------------------------------------- A10 *)
@@ -730,9 +760,9 @@ let hotspot (conf : Runconf.t) =
 
 let hotspot_columns : hotspot_point Table.column list =
   [
-    ("CONFIGURATION", fun p -> p.hs_config);
-    ("TIME(s)", fun p -> Table.sec p.hs_time_s);
-    ("MESSAGES", fun p -> string_of_int p.hs_msgs);
+    column "CONFIGURATION" "configuration" string (fun p -> p.hs_config);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.hs_time_s);
+    column "MESSAGES" "msgs" int (fun p -> p.hs_msgs);
   ]
 
 (* -------------------------------------------------------------------- A11 *)
@@ -852,13 +882,13 @@ let adaptive_strip_sweep ?(strips = [ 10; 25; 50; 100; 300 ])
 
 let adaptive_strip_columns : adaptive_strip_point Table.column list =
   [
-    ("STRIP", fun p -> p.as_mode);
-    ("TIME(s)", fun p -> Table.sec p.as_time_s);
-    ("FINAL", fun p -> string_of_int p.as_final_strip);
-    ("GROWS", fun p -> string_of_int p.as_grows);
-    ("SHRINKS", fun p -> string_of_int p.as_shrinks);
-    ("PEAK D", fun p -> string_of_int p.as_peak_d);
-    ("MAX OUT", fun p -> string_of_int p.as_max_out);
+    column "STRIP" "strip" string (fun p -> p.as_mode);
+    column "TIME(s)" "time_s" (float sec) (fun p -> p.as_time_s);
+    column "FINAL" "final_strip" int (fun p -> p.as_final_strip);
+    column "GROWS" "grows" int (fun p -> p.as_grows);
+    column "SHRINKS" "shrinks" int (fun p -> p.as_shrinks);
+    column "PEAK D" "align_peak" int (fun p -> p.as_peak_d);
+    column "MAX OUT" "max_outstanding" int (fun p -> p.as_max_out);
   ]
 
 (* Same phase, same fault plan and seed, with only the timeout policy
@@ -1491,24 +1521,28 @@ let scale_sweep (conf : Runconf.t) =
 
 let scale_gate_columns : scale_gate_row Table.column list =
   [
-    ("NODES", fun r -> string_of_int r.sg_nodes);
-    ("BODIES", fun r -> string_of_int r.sg_bodies);
-    ("STEPS", fun r -> string_of_int r.sg_steps);
-    ("WALL(s)", fun r -> Table.sec r.sg_wall_s);
-    ("WORDS/BODY-STEP", fun r -> Printf.sprintf "%.1f" r.sg_words);
-    ("BOXED", fun r -> Printf.sprintf "%.1f" r.sg_boxed_words);
-    ("REDUCTION", fun r -> Printf.sprintf "%.2fx" (sg_reduction r));
-    ("MAJOR-GCS", fun r -> string_of_int r.sg_majors);
+    column "NODES" "nodes" int (fun r -> r.sg_nodes);
+    column "BODIES" "bodies" int (fun r -> r.sg_bodies);
+    column "STEPS" "steps" int (fun r -> r.sg_steps);
+    column "WALL(s)" "wall_s" (float sec) (fun r -> r.sg_wall_s);
+    column "WORDS/BODY-STEP" "words_per_body_step" (float one_decimal)
+      (fun r -> r.sg_words);
+    column "BOXED" "boxed_words_per_body_step" (float one_decimal) (fun r ->
+        r.sg_boxed_words);
+    column "REDUCTION" "reduction_x" (float (Printf.sprintf "%.2fx"))
+      sg_reduction;
+    column "MAJOR-GCS" "major_collections" int (fun r -> r.sg_majors);
   ]
 
 let scale_columns : scale_row Table.column list =
   [
-    ("NODES", fun r -> string_of_int r.sc_nodes);
-    ("BODIES", fun r -> string_of_int r.sc_bodies);
-    ("WALL(s)", fun r -> Table.sec r.sc_wall_s);
-    ("WORDS/BODY", fun r -> Printf.sprintf "%.1f" r.sc_words_per_body);
-    ("MAJOR-GCS", fun r -> string_of_int r.sc_majors);
-    ("BYTES-MOVED", fun r -> string_of_int r.sc_bytes_moved);
+    column "NODES" "nodes" int (fun r -> r.sc_nodes);
+    column "BODIES" "bodies" int (fun r -> r.sc_bodies);
+    column "WALL(s)" "wall_s" (float sec) (fun r -> r.sc_wall_s);
+    column "WORDS/BODY" "words_per_body" (float one_decimal) (fun r ->
+        r.sc_words_per_body);
+    column "MAJOR-GCS" "major_collections" int (fun r -> r.sc_majors);
+    column "BYTES-MOVED" "bytes_moved" int (fun r -> r.sc_bytes_moved);
   ]
 
 let scale_failures gate =
@@ -1535,39 +1569,10 @@ let scale_summary gate rows =
     (List.fold_left (fun acc r -> max acc r.sc_bodies) 0 rows)
 
 let scale_json (gate, rows) =
-  let open Dpa_obs.Json in
-  Obj
+  Dpa_obs.Json.Obj
     [
       ("bench", Str "scale");
       ("gate_threshold_x", Float scale_gate_threshold);
-      ( "gate",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("nodes", Int r.sg_nodes);
-                   ("bodies", Int r.sg_bodies);
-                   ("steps", Int r.sg_steps);
-                   ("wall_s", Float r.sg_wall_s);
-                   ("words_per_body_step", Float r.sg_words);
-                   ("boxed_words_per_body_step", Float r.sg_boxed_words);
-                   ("reduction_x", Float (sg_reduction r));
-                   ("major_collections", Int r.sg_majors);
-                 ])
-             gate) );
-      ( "scale",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("nodes", Int r.sc_nodes);
-                   ("bodies", Int r.sc_bodies);
-                   ("wall_s", Float r.sc_wall_s);
-                   ("words_per_body", Float r.sc_words_per_body);
-                   ("major_collections", Int r.sc_majors);
-                   ("bytes_moved", Int r.sc_bytes_moved);
-                 ])
-             rows) );
+      ("gate", Table.json_rows scale_gate_columns gate);
+      ("scale", Table.json_rows scale_columns rows);
     ]

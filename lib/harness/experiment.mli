@@ -1,7 +1,7 @@
 (** Runners for every experiment in DESIGN.md §7 (one per table/figure of
     the paper, plus the ablations). Each returns structured data; its
-    [*_columns] list renders the rows as the paper-style table through
-    {!Table.print}. *)
+    [*_columns] list renders the rows as the paper-style table and as
+    JSON through {!Table.print}. *)
 
 type timing = {
   procs : int;
@@ -33,7 +33,8 @@ val bh_breakdown : Runconf.t -> breakdown_bar list
 val fmm_breakdown : Runconf.t -> breakdown_bar list
 (** F2 (the paper's FMM figure uses strip 300). *)
 
-val print_breakdown : title:string -> breakdown_bar list -> unit
+val print_breakdown : title:string -> breakdown_bar list -> Dpa_obs.Json.t
+(** Prints the bars under [title]; returns the rows as {!Table.json}. *)
 
 type strip_point = {
   strip : int;
@@ -298,12 +299,6 @@ type scale_row = {
   sc_bytes_moved : int;  (** total bytes injected on the simulated wire *)
 }
 
-val scale_gate_threshold : float
-(** The committed reduction floor (5x) BENCH_scale.json is gated on. *)
-
-val sg_reduction : scale_gate_row -> float
-(** [sg_boxed_words / sg_words]. *)
-
 val scale_gate : Runconf.t -> scale_gate_row list
 (** A16 part 1: full [Bh_run.simulate] on the three configurations the
     boxed baseline was measured on, reporting allocated words per
@@ -320,10 +315,12 @@ val scale_gate_columns : scale_gate_row Table.column list
 val scale_columns : scale_row Table.column list
 
 val scale_failures : scale_gate_row list -> string list
-(** One message per gate row below {!scale_gate_threshold}. *)
+(** One message per gate row whose boxed/flat words reduction is below
+    the committed 5x threshold BENCH_scale.json is gated on. *)
 
 val scale_summary : scale_gate_row list -> scale_row list -> string
 (** The ["a16 summary:"] line. *)
 
 val scale_json : scale_gate_row list * scale_row list -> Dpa_obs.Json.t
-(** The sweep as JSON (the [BENCH_scale.json] artifact). *)
+(** The sweep as JSON (the [BENCH_scale.json] artifact): the two tables'
+    rows under ["gate"] and ["scale"], after the threshold. *)

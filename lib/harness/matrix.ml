@@ -116,67 +116,25 @@ let counter c key =
   | Some v -> v
   | None -> invalid_arg ("Matrix.counter: no counter " ^ key)
 
-type column = {
-  header : string;
-  key : string;
-  text : cell -> string;
-  value : cell -> Dpa_obs.Json.t;
-}
-
-let config header =
-  {
-    header;
-    key = "config";
-    text = (fun c -> c.config);
-    value = (fun c -> Dpa_obs.Json.Str c.config);
-  }
+let config header = Table.(column header "config" string (fun c -> c.config))
 
 let schedule header =
-  {
-    header;
-    key = "schedule";
-    text = (fun c -> c.schedule);
-    value = (fun c -> Dpa_obs.Json.Str c.schedule);
-  }
+  Table.(column header "schedule" string (fun c -> c.schedule))
 
-let time =
-  {
-    header = "TIME(s)";
-    key = "time_s";
-    text = (fun c -> Table.sec c.time_s);
-    value = (fun c -> Dpa_obs.Json.Float c.time_s);
-  }
-
-let count header key =
-  {
-    header;
-    key;
-    text = (fun c -> string_of_int (counter c key));
-    value = (fun c -> Dpa_obs.Json.Int (counter c key));
-  }
-
-let metric header key show f =
-  {
-    header;
-    key;
-    text = (fun c -> show (f c));
-    value = (fun c -> Dpa_obs.Json.Float (f c));
-  }
+let time = Table.(column "TIME(s)" "time_s" (float sec) (fun c -> c.time_s))
+let count header key = Table.(column header key int (fun c -> counter c key))
+let metric header key show f = Table.(column header key (float show) f)
 
 let result header =
-  {
-    header;
-    key = "bit_identical";
-    text = (fun c -> if c.bit_identical then "bit-identical" else "DIVERGED");
-    value = (fun c -> Dpa_obs.Json.Bool c.bit_identical);
-  }
+  let kind = Table.bool ~yes:"bit-identical" ~no:"DIVERGED" in
+  Table.column header "bit_identical" kind (fun c -> c.bit_identical)
 
 type t = {
   name : string;
   title : string;
   seed : int;
   workloads : workload list;
-  columns : column list;
+  columns : cell Table.column list;
   summary : (cell list -> string) option;
   witnesses : (string * (cell list -> bool)) list;
 }
@@ -199,32 +157,22 @@ let print m cells =
   List.iter
     (fun (workload, cells) ->
       if List.length rows > 1 then print_endline workload;
-      let columns = List.map (fun col -> (col.header, col.text)) m.columns in
-      print_string (Table.render (Table.of_rows columns cells));
+      print_string (Table.render (Table.of_rows m.columns cells));
       print_newline ())
     rows;
   Option.iter (fun f -> Printf.printf "%s\n\n" (f cells)) m.summary
 
 let json m cells =
-  let open Dpa_obs.Json in
-  Obj
+  Dpa_obs.Json.Obj
     [
       ( "rows",
         List
           (List.map
              (fun (workload, cells) ->
-               Obj
+               Dpa_obs.Json.Obj
                  [
                    ("workload", Str workload);
-                   ( "cells",
-                     List
-                       (List.map
-                          (fun c ->
-                            Obj
-                              (List.map
-                                 (fun col -> (col.key, col.value c))
-                                 m.columns))
-                          cells) );
+                   ("cells", Table.json_rows m.columns cells);
                  ])
              (rows cells)) );
     ]

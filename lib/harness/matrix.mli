@@ -84,26 +84,30 @@ type cell = {
 val counter : cell -> string -> int
 (** [Invalid_argument] when the cell has no such counter. *)
 
-type column
-(** One table column, also one field of a cell's JSON object. *)
+(** The standard columns, each a {!Table.column} over cells. *)
 
-val config : string -> column
+val config : string -> cell Table.column
 (** [config header]: the configuration label (JSON ["config"]). *)
 
-val schedule : string -> column
+val schedule : string -> cell Table.column
 (** [schedule header]: the schedule label (JSON ["schedule"]). *)
 
-val time : column
+val time : cell Table.column
 (** ["TIME(s)"] (JSON ["time_s"]). *)
 
-val count : string -> string -> column
+val count : string -> string -> cell Table.column
 (** [count header key]: the counter [key]. *)
 
-val metric : string -> string -> (float -> string) -> (cell -> float) -> column
+val metric :
+  string ->
+  string ->
+  (float -> string) ->
+  (cell -> float) ->
+  cell Table.column
 (** [metric header key show f]: a value derived from the cell, printed
     with [show] and encoded as a JSON float under [key]. *)
 
-val result : string -> column
+val result : string -> cell Table.column
 (** [result header]: ["bit-identical"] or ["DIVERGED"] (JSON
     ["bit_identical"]). *)
 
@@ -113,7 +117,7 @@ type t = {
   seed : int;  (** fault-plan seed of every run *)
   workloads : workload list;
       (** one table each, headed by its name when there are several *)
-  columns : column list;
+  columns : cell Table.column list;
   summary : (cell list -> string) option;  (** a line after the tables *)
   witnesses : (string * (cell list -> bool)) list;
       (** properties that must hold for the faults to have been exercised

@@ -32,20 +32,47 @@ let render t =
   List.iter emit rows;
   Buffer.contents buf
 
-type 'r column = string * ('r -> string)
+type 'a kind = { text : 'a -> string; value : 'a -> Dpa_obs.Json.t }
+
+let kind text value = { text; value }
+let int = kind string_of_int (fun n -> Dpa_obs.Json.Int n)
+let float show = kind show (fun x -> Dpa_obs.Json.Float x)
+let string = kind Fun.id (fun s -> Dpa_obs.Json.Str s)
+
+let bool ~yes ~no =
+  kind (fun b -> if b then yes else no) (fun b -> Dpa_obs.Json.Bool b)
+
+let option k =
+  kind
+    (Option.fold ~none:"-" ~some:k.text)
+    (Option.fold ~none:Dpa_obs.Json.Null ~some:k.value)
+
+type 'r column = { header : string; key : string; cell : 'r kind }
+
+let column header key k f =
+  { header; key; cell = kind (fun r -> k.text (f r)) (fun r -> k.value (f r)) }
 
 let of_rows columns rows =
-  let t = make ~header:(List.map fst columns) in
-  List.iter (fun r -> add_row t (List.map (fun (_, cell) -> cell r) columns)) rows;
+  let t = make ~header:(List.map (fun c -> c.header) columns) in
+  List.iter (fun r -> add_row t (List.map (fun c -> c.cell.text r) columns)) rows;
   t
+
+let json_rows columns rows =
+  Dpa_obs.Json.List
+    (List.map
+       (fun r ->
+         Dpa_obs.Json.Obj (List.map (fun c -> (c.key, c.cell.value r)) columns))
+       rows)
+
+let json title columns rows =
+  Dpa_obs.Json.Obj [ ("title", Str title); ("rows", json_rows columns rows) ]
 
 let print ?footer title columns rows =
   print_endline title;
   print_string (render (of_rows columns rows));
   Option.iter print_endline footer;
-  print_newline ()
+  print_newline ();
+  json title columns rows
 
 let sec s = Printf.sprintf "%.2f" s
-let sec_ns ns = sec (float_of_int ns *. 1e-9)
 let speedup s = Printf.sprintf "%.1f" s
-let opt f = function Some x -> f x | None -> "-"

@@ -18,10 +18,6 @@ let block_owner ~nitems ~nnodes i =
   let cut = extra * (base + 1) in
   if i < cut then i / (base + 1) else extra + ((i - cut) / base)
 
-let round_robin_owner ~nnodes i =
-  if nnodes <= 0 then invalid_arg "Distribution: nnodes must be positive";
-  i mod nnodes
-
 let weighted_ranges ~weights ~nnodes =
   if nnodes <= 0 then invalid_arg "Distribution: nnodes must be positive";
   let n = Array.length weights in

@@ -9,8 +9,6 @@ val block_range : nitems:int -> nnodes:int -> int -> int * int
 (** [block_range ~nitems ~nnodes node] is the [(first, count)] of the items
     owned by [node]. The ranges partition [0 .. nitems-1]. *)
 
-val round_robin_owner : nnodes:int -> int -> int
-
 val weighted_ranges : weights:int array -> nnodes:int -> (int * int) array
 (** [weighted_ranges ~weights ~nnodes] cuts the item sequence into [nnodes]
     contiguous [(first, count)] ranges of roughly equal total weight. Each

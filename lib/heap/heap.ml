@@ -46,8 +46,6 @@ let cluster ~nnodes =
   if nnodes <= 0 then invalid_arg "Heap.cluster: nnodes must be positive";
   Array.init nnodes create_node
 
-let node_of c i = c.(i)
-
 let size t = t.nobjs
 
 (* --- pool growth -------------------------------------------------------- *)

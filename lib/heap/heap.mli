@@ -25,7 +25,6 @@ type view = Gptr.t
     fields with {!view_float} and friends. *)
 
 val cluster : nnodes:int -> cluster
-val node_of : cluster -> int -> t
 
 val alloc : t -> floats:float array -> ptrs:Gptr.t array -> Gptr.t
 (** Allocate on this node. The arrays are {e copied} into the node's

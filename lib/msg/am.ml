@@ -1,7 +1,5 @@
 open Dpa_sim
 
-let message_bytes (m : Machine.t) ~payload = m.msg_header_bytes + payload
-
 let request_bytes (m : Machine.t) ~nreqs =
   m.msg_header_bytes + (nreqs * m.req_entry_bytes)
 
@@ -132,7 +130,6 @@ type slab = {
   mutable bytes : int array;
   mutable fid : int array;  (* causal flight id, -1 untraced *)
   mutable handler : handler array;
-  mutable unary : (Node.t -> unit) array;  (* {!send}'s handler *)
   mutable a : int array;
   mutable b : int array;
   mutable payload : int array array;
@@ -217,7 +214,6 @@ type layer = { slab : slab; mutable reliable : state option }
 type Engine.ext += Layer of layer
 
 let no_handler : handler = fun _ _ _ _ -> ()
-let no_unary : Node.t -> unit = fun _ -> ()
 
 let widen col cap ncap fill =
   let c = Array.make ncap fill in
@@ -256,7 +252,6 @@ let layer engine =
             bytes = [||];
             fid = [||];
             handler = [||];
-            unary = [||];
             a = [||];
             b = [||];
             payload = [||];
@@ -319,19 +314,16 @@ let state engine =
 (* Vacate a slot. It keeps neither its handler's context nor its array. *)
 let release s i =
   s.handler.(i) <- no_handler;
-  s.unary.(i) <- no_unary;
   s.payload.(i) <- [||];
   s.free.(s.nfree) <- i;
   s.nfree <- s.nfree + 1
 
-(* Run a message's handler on [d]: {!send}'s unary handler when it has
-   one, the data handler otherwise, inside flight [fid] when tracing. *)
-let run_handler engine ~fid h u d a b payload =
+(* Run a message's handler on [d], inside flight [fid] when tracing. *)
+let run_handler engine ~fid h d a b payload =
   match causal engine with
   | Some c when fid >= 0 ->
-    Dpa_obs.Causal.with_current c fid (fun () ->
-        if u == no_unary then h d a b payload else u d)
-  | _ -> if u == no_unary then h d a b payload else u d
+    Dpa_obs.Causal.with_current c fid (fun () -> h d a b payload)
+  | _ -> h d a b payload
 
 (* A fault-free delivery. *)
 let deliver engine s i =
@@ -339,7 +331,6 @@ let deliver engine s i =
   and bytes = s.bytes.(i)
   and fid = s.fid.(i)
   and h = s.handler.(i)
-  and u = s.unary.(i)
   and a = s.a.(i)
   and b = s.b.(i)
   and payload = s.payload.(i) in
@@ -348,7 +339,7 @@ let deliver engine s i =
   Node.charge_comm d (Engine.machine engine).Machine.recv_overhead_ns;
   d.Node.msgs_recv <- d.Node.msgs_recv + 1;
   d.Node.bytes_recv <- d.Node.bytes_recv + bytes;
-  run_handler engine ~fid h u d a b payload
+  run_handler engine ~fid h d a b payload
 
 (* --- accounting and observation ------------------------------------------- *)
 
@@ -553,7 +544,6 @@ let rec take_slot engine l =
     s.bytes <- widen s.bytes cap ncap 0;
     s.fid <- widen s.fid cap ncap (-1);
     s.handler <- widen s.handler cap ncap no_handler;
-    s.unary <- widen s.unary cap ncap no_unary;
     s.a <- widen s.a cap ncap 0;
     s.b <- widen s.b cap ncap 0;
     s.payload <- widen s.payload cap ncap [||];
@@ -657,7 +647,6 @@ and transmit engine f l st (src : Node.t) e =
       s.bytes.(c) <- bytes;
       s.fid.(c) <- fid;
       s.handler.(c) <- s.handler.(e);
-      s.unary.(c) <- s.unary.(e);
       s.a.(c) <- s.a.(e);
       s.b.(c) <- s.b.(e);
       s.payload.(c) <- s.payload.(e);
@@ -703,7 +692,6 @@ and copy_arrives engine f l st c =
   else begin
     let seq = st.seq.(c) and e = st.env.(c) in
     let h = s.handler.(c)
-    and u = s.unary.(c)
     and a = s.a.(c)
     and b = s.b.(c)
     and payload = s.payload.(c) in
@@ -721,7 +709,7 @@ and copy_arrives engine f l st c =
     (* Ack every arriving copy — the sender may have missed an earlier
        ack — then run the handler exactly once. *)
     send_ack engine f l st ~at ~fid d ~sender:src_id ~seq ~e;
-    if not dup then run_handler engine ~fid h u d a b payload
+    if not dup then run_handler engine ~fid h d a b payload
   end
 
 (* NIC-level ack: generated at the wire the moment the copy arrives
@@ -887,7 +875,7 @@ and attempt engine f l st e =
 
 (* --- sending ----------------------------------------------------------------- *)
 
-let plain_send engine ~src ~dst ~bytes handler unary a b payload =
+let plain_send engine ~src ~dst ~bytes handler a b payload =
   let m = Engine.machine engine in
   let cau = causal engine in
   let cparent =
@@ -911,7 +899,6 @@ let plain_send engine ~src ~dst ~bytes handler unary a b payload =
   s.bytes.(i) <- bytes;
   s.fid.(i) <- fid;
   s.handler.(i) <- handler;
-  s.unary.(i) <- unary;
   s.a.(i) <- a;
   s.b.(i) <- b;
   s.payload.(i) <- payload;
@@ -919,8 +906,7 @@ let plain_send engine ~src ~dst ~bytes handler unary a b payload =
 
 (* A new envelope: its state goes into a slot, which then arms its own
    timeouts until the envelope is done. *)
-let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler unary a b
-    payload =
+let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler a b payload =
   let st = state engine in
   let l = layer engine in
   let m = Engine.machine engine in
@@ -934,7 +920,6 @@ let reliable_send engine f ~(src : Node.t) ~dst ~bytes handler unary a b
   s.bytes.(e) <- bytes;
   s.fid.(e) <- -1;
   s.handler.(e) <- handler;
-  s.unary.(e) <- unary;
   s.a.(e) <- a;
   s.b.(e) <- b;
   s.payload.(e) <- payload;
@@ -999,13 +984,8 @@ let check_header engine ~(src : Node.t) ~dst ~bytes =
 let send_data engine ~src ~dst ~bytes handler a b payload =
   check_header engine ~src ~dst ~bytes;
   match Engine.fault engine with
-  | None -> plain_send engine ~src ~dst ~bytes handler no_unary a b payload
-  | Some f ->
-    reliable_send engine f ~src ~dst ~bytes handler no_unary a b payload
+  | None -> plain_send engine ~src ~dst ~bytes handler a b payload
+  | Some f -> reliable_send engine f ~src ~dst ~bytes handler a b payload
 
 let send engine ~src ~dst ~bytes handler =
-  check_header engine ~src ~dst ~bytes;
-  match Engine.fault engine with
-  | None -> plain_send engine ~src ~dst ~bytes no_handler handler 0 0 [||]
-  | Some f ->
-    reliable_send engine f ~src ~dst ~bytes no_handler handler 0 0 [||]
+  send_data engine ~src ~dst ~bytes (fun d _ _ _ -> handler d) 0 0 [||]

@@ -87,12 +87,9 @@ val send_data :
 
 val send :
   Engine.t -> src:Node.t -> dst:int -> bytes:int -> (Node.t -> unit) -> unit
-(** [send engine ~src ~dst ~bytes handler]: {!send_data} with a closure
-    handler that ignores the ints and payload. The slab holds the closure
-    as it is; the send allocates nothing beyond it. *)
-
-val message_bytes : Machine.t -> payload:int -> int
-(** Header plus payload. *)
+(** [send engine ~src ~dst ~bytes handler]: {!send_data} with [handler]
+    wrapped in a closure that ignores the ints and payload. The wrapper is
+    one allocation per send; a hot path builds its {!handler} directly. *)
 
 val request_bytes : Machine.t -> nreqs:int -> int
 (** Size of an aggregated read-request message carrying [nreqs] entries. *)

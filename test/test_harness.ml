@@ -38,7 +38,83 @@ let test_table_bad_row () =
 let test_table_formats () =
   Alcotest.(check string) "sec" "118.02" (Table.sec 118.019);
   Alcotest.(check string) "speedup" "42.4" (Table.speedup 42.42);
-  Alcotest.(check string) "opt none" "-" (Table.opt Table.sec None)
+  let none = Table.(column "X" "x" (option (float sec)) Fun.id) in
+  Alcotest.(check string) "opt none" "X\n-\n-\n"
+    (Table.render (Table.of_rows [ none ] [ None ]))
+
+type cells = { n : int; x : float; s : string; ok : bool; o : int option }
+
+(* Every kind of cell: the text each prints and the JSON each encodes,
+   floats at full precision rather than as printed. *)
+let test_table_columns () =
+  let columns =
+    Table.
+      [
+        column "N" "n" int (fun r -> r.n);
+        column "X" "x" (float sec) (fun r -> r.x);
+        column "S" "s" string (fun r -> r.s);
+        column "OK" "ok" (bool ~yes:"yes" ~no:"no") (fun r -> r.ok);
+        column "O" "o" (option int) (fun r -> r.o);
+      ]
+  in
+  let rows =
+    [
+      { n = 7; x = 1.0 /. 3.0; s = "a b"; ok = true; o = None };
+      { n = -2; x = 118.019; s = ""; ok = false; o = Some 4 };
+    ]
+  in
+  Alcotest.(check string) "text"
+    (String.concat "\n"
+       [
+         "N   X       S    OK   O";
+         "--  ------  ---  ---  -";
+         "7   0.33    a b  yes  -";
+         "-2  118.02       no   4";
+         "";
+       ])
+    (Table.render (Table.of_rows columns rows));
+  let open Dpa_obs.Json in
+  Alcotest.(check bool) "json" true
+    (Table.json_rows columns rows
+    = List
+        [
+          Obj
+            [
+              ("n", Int 7);
+              ("x", Float (1.0 /. 3.0));
+              ("s", Str "a b");
+              ("ok", Bool true);
+              ("o", Null);
+            ];
+          Obj
+            [
+              ("n", Int (-2));
+              ("x", Float 118.019);
+              ("s", Str "");
+              ("ok", Bool false);
+              ("o", Int 4);
+            ];
+        ])
+
+(* [f ()]'s result and what it printed on stdout. *)
+let capture_stdout f =
+  let path = Filename.temp_file "dpa_harness" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  (v, text)
 
 let test_barchart_render () =
   let machine = Dpa_sim.Machine.t3d ~nodes:1 in
@@ -132,6 +208,31 @@ let test_agg_sweep_msgs_decrease () =
   let p1 = List.nth points 0 and p64 = List.nth points 1 in
   Alcotest.(check bool) "fewer messages with aggregation" true
     (p64.Experiment.msgs < p1.Experiment.msgs)
+
+(* A1 through [Table.print], as its command runs it: one JSON row per
+   printed row, and JSON that re-parses. *)
+let test_agg_sweep_json () =
+  let json, text =
+    capture_stdout (fun () ->
+        Table.print "A1" Experiment.agg_columns
+          (Experiment.agg_sweep ~aggs:[ 1; 16; 64 ] tiny))
+  in
+  (* Title, header and rule above the rows; blank lines dropped. *)
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  let printed = List.length lines - 3 in
+  Alcotest.(check int) "printed rows" 3 printed;
+  let rows j =
+    match Dpa_obs.Json.member "rows" j with
+    | Some (Dpa_obs.Json.List rows) -> List.length rows
+    | _ -> Alcotest.fail "no rows"
+  in
+  Alcotest.(check int) "json rows" printed (rows json);
+  match Dpa_obs.Json.parse (Dpa_obs.Json.to_string json) with
+  | Ok j ->
+    Alcotest.(check int) "re-parsed rows" printed (rows j);
+    Alcotest.(check bool) "title" true
+      (Dpa_obs.Json.member "title" j = Some (Dpa_obs.Json.Str "A1"))
+  | Error e -> Alcotest.fail e
 
 let test_cache_sweep_hits_increase () =
   let points = Experiment.cache_sweep ~capacities:[ 4; 4096 ] tiny in
@@ -265,6 +366,7 @@ let suites =
         Alcotest.test_case "render" `Quick test_table_render;
         Alcotest.test_case "bad row" `Quick test_table_bad_row;
         Alcotest.test_case "formats" `Quick test_table_formats;
+        Alcotest.test_case "typed columns" `Quick test_table_columns;
       ] );
     ( "harness.barchart",
       [ Alcotest.test_case "render" `Quick test_barchart_render ] );
@@ -282,6 +384,7 @@ let suites =
           test_speedups_match_times;
         Alcotest.test_case "thread stats rows" `Quick test_thread_stats_rows;
         Alcotest.test_case "agg sweep" `Quick test_agg_sweep_msgs_decrease;
+        Alcotest.test_case "agg sweep json" `Quick test_agg_sweep_json;
         Alcotest.test_case "cache sweep" `Quick test_cache_sweep_hits_increase;
         Alcotest.test_case "distribution sweep" `Quick test_distribution_sweep;
         Alcotest.test_case "partition sweep" `Quick test_partition_sweep;

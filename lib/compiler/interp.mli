@@ -3,17 +3,31 @@
     statically.
 
     [compile] decides once what does not depend on the data: every
-    variable of a function becomes a frame slot, every statement list a
-    chain of prebuilt continuation-passing code, every call its callee, and
-    every dereference site its hoisting companions — the other variables of
-    the same global alias class, in name order. Run-time errors
+    variable of a function becomes a register, every expression code that
+    writes its result into a register, every statement list a chain of
+    prebuilt continuation-passing code, every call its callee, and every
+    dereference site its hoisting companions — the other variables of the
+    same global alias class, in name order. Run-time errors
     ({!Value.Eval_error}) name the function and the site.
 
-    At run time each activation allocates one frame (values, fetched views,
-    join counters and the caller's continuation), and a dereference of an
-    unfetched pointer suspends into [A.read] together with those companions
-    that are unfetched, non-nil pointers, issued as one batch so they share
-    the runtime's aggregation. Everything else runs inline in the current
+    A frame holds typed registers: a tag per register (unbound, number,
+    boolean or pointer) and its value, unboxed in a [float array] for a
+    number or a boolean (as 0 or 1) and in an [int] column for a pointer.
+    Registers [0, nvars) are the function's variables; above them lie the
+    temporaries of expression evaluation, one per nesting depth of an
+    operand that is not a variable (a variable operand is read in place).
+    No expression allocates: each consumer checks its operand's tag, in
+    the order the operands run, and reads the value inline. The frame
+    also holds, per variable, the object fetched through it, one join
+    counter per sequential chain (the body and each [conc] arm), and the
+    caller's continuation.
+
+    At run time an activation allocates its frame (a record and five
+    small arrays), and each call it makes the callee's continuation. A dereference of
+    an unfetched pointer suspends into [A.read] together with those
+    companions that are unfetched, non-nil pointers, issued as one batch
+    so they share the runtime's aggregation; each read allocates its
+    continuation closure. Everything else runs inline in the current
     thread.
 
     Fetched objects are kept per activation ("availability"), so repeated

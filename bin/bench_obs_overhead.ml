@@ -27,7 +27,7 @@ let best f =
 
 let workloads =
   [
-    ("t2", fun () -> ignore (Experiment.bh_times conf));
+    ("t2", fun () -> ignore (Experiment.bh_times ~memo:false conf));
     ("f1", fun () -> ignore (Experiment.bh_breakdown conf));
   ]
 

@@ -40,29 +40,44 @@ let bh_seq_s (conf : Runconf.t) (r : Dpa_bh.Bh_run.sim_result) =
   *. 1e-9
 
 (* One T2/T3 row per processor count from a DPA and a caching [run] of a
-   workload, with the paper's numbers at the full scale. *)
-let times (conf : Runconf.t) ~run ~elapsed ~seq_s ~paper_dpa ~paper_caching =
+   workload, with the paper's numbers at the full scale. Unless [memo] is
+   false, rows are kept in [rows] for the life of the process, keyed by the
+   configuration (its processor list aside) and the processor count, so
+   T2, F4 and A2's footer share one run of each phase. *)
+let times ~memo ~rows (conf : Runconf.t) ~run ~elapsed ~seq_s ~paper_dpa
+    ~paper_caching =
   let full = conf.Runconf.name = "full" in
-  List.map
-    (fun procs ->
-      let dpa = run ~procs (dpa_variant conf ~strip:conf.Runconf.bh_strip) in
-      let caching =
-        run ~procs
-          (Dpa_baselines.Variant.Caching
-             { capacity = conf.Runconf.cache_capacity })
-      in
-      {
-        procs;
-        dpa_s = elapsed dpa;
-        caching_s = elapsed caching;
-        seq_s = seq_s dpa;
-        paper_dpa_s = (if full then paper_dpa procs else None);
-        paper_caching_s = (if full then paper_caching procs else None);
-      })
-    conf.Runconf.procs
+  let row procs =
+    let dpa = run ~procs (dpa_variant conf ~strip:conf.Runconf.bh_strip) in
+    let caching =
+      run ~procs
+        (Dpa_baselines.Variant.Caching
+           { capacity = conf.Runconf.cache_capacity })
+    in
+    {
+      procs;
+      dpa_s = elapsed dpa;
+      caching_s = elapsed caching;
+      seq_s = seq_s dpa;
+      paper_dpa_s = (if full then paper_dpa procs else None);
+      paper_caching_s = (if full then paper_caching procs else None);
+    }
+  in
+  let memoized procs =
+    let key = ({ conf with Runconf.procs = [] }, procs) in
+    match Hashtbl.find_opt rows key with
+    | Some r -> r
+    | None ->
+      let r = row procs in
+      Hashtbl.add rows key r;
+      r
+  in
+  List.map (if memo then memoized else row) conf.Runconf.procs
 
-let bh_times conf =
-  times conf ~run:(bh_run conf) ~seq_s:(bh_seq_s conf)
+let bh_rows = Hashtbl.create 8
+
+let bh_times ?(memo = true) conf =
+  times ~memo ~rows:bh_rows conf ~run:(bh_run conf) ~seq_s:(bh_seq_s conf)
     ~elapsed:(fun r -> Breakdown.elapsed_s r.Dpa_bh.Bh_run.total)
     ~paper_dpa:Paper.bh_dpa50_s ~paper_caching:Paper.bh_caching_s
 
@@ -79,8 +94,10 @@ let fmm_seq_s (conf : Runconf.t) (r : Dpa_fmm.Fmm_run.run_result) =
        r.Dpa_fmm.Fmm_run.seq_counts)
   *. 1e-9
 
-let fmm_times conf =
-  times conf ~run:(fmm_run conf) ~seq_s:(fmm_seq_s conf)
+let fmm_rows = Hashtbl.create 8
+
+let fmm_times ?(memo = true) conf =
+  times ~memo ~rows:fmm_rows conf ~run:(fmm_run conf) ~seq_s:(fmm_seq_s conf)
     ~elapsed:(fun r ->
       Breakdown.elapsed_s r.Dpa_fmm.Fmm_run.phase.Dpa_fmm.Fmm_run.breakdown)
     ~paper_dpa:Paper.fmm_dpa50_s ~paper_caching:Paper.fmm_caching_s

@@ -12,11 +12,17 @@ type timing = {
   paper_caching_s : float option;
 }
 
-val bh_times : Runconf.t -> timing list
-(** T2: Barnes-Hut, DPA(strip) vs software caching across processor counts. *)
+val bh_times : ?memo:bool -> Runconf.t -> timing list
+(** T2: Barnes-Hut, DPA(strip) vs software caching across processor counts.
+    Rows are memoized for the life of the process, keyed by the
+    configuration (its [procs] list aside) and the processor count, so a
+    later call for the same rows (F4, A2's reference footer) runs no phase
+    again. The key leaves out process-wide settings ({!Dpa_sim.Fault}'s
+    global plan, the default RTO mode), which one [dpa_bench] command sets
+    once. [~memo:false] runs every phase and leaves the memo alone. *)
 
-val fmm_times : Runconf.t -> timing list
-(** T3: FMM. *)
+val fmm_times : ?memo:bool -> Runconf.t -> timing list
+(** T3: FMM, memoized as {!bh_times}. *)
 
 val times_columns : timing Table.column list
 

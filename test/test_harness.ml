@@ -163,6 +163,19 @@ let test_fmm_times_monotone () =
   Alcotest.(check bool) "more procs is faster (dpa)" true
     (t4.Experiment.dpa_s < t1.Experiment.dpa_s)
 
+(* A second call for rows already computed returns them without running a
+   phase, also through a configuration listing fewer processor counts (as
+   A2's footer asks for T2's row); [~memo:false] recomputes the same rows. *)
+let test_times_memoized () =
+  let rows = Experiment.bh_times tiny in
+  let again = Experiment.bh_times { tiny with Runconf.procs = [ 4 ] } in
+  Alcotest.(check bool) "same row" true (List.nth rows 1 == List.hd again);
+  Alcotest.(check bool) "recomputed rows equal" true
+    (Experiment.bh_times ~memo:false tiny = rows);
+  Alcotest.(check bool) "fmm rows kept" true
+    (List.for_all2 ( == ) (Experiment.fmm_times tiny)
+       (Experiment.fmm_times tiny))
+
 let test_breakdown_ordering () =
   let bars = Experiment.bh_breakdown tiny in
   Alcotest.(check int) "five variants" 5 (List.length bars);
@@ -378,6 +391,7 @@ let suites =
       [
         Alcotest.test_case "bh times monotone" `Quick test_bh_times_monotone;
         Alcotest.test_case "fmm times monotone" `Quick test_fmm_times_monotone;
+        Alcotest.test_case "times memoized" `Quick test_times_memoized;
         Alcotest.test_case "breakdown ordering" `Quick test_breakdown_ordering;
         Alcotest.test_case "strip sweep bounds" `Quick test_strip_sweep_bounds;
         Alcotest.test_case "speedups match times" `Quick

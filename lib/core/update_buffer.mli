@@ -3,20 +3,56 @@
     into one message; with [combine] on, updates to the same (pointer,
     field) slot within the buffering window are summed locally before
     anything is sent — the reduction optimization the paper lists as an
-    extension enabled by more precise aliasing. *)
+    extension enabled by more precise aliasing.
+
+    Each destination's bucket is two flat columns, created on the
+    destination's first {!add}: the entries' targets as packed (pointer,
+    field) {!key}s, and their values. An {!Dpa_util.Index} maps each key
+    to the row holding that target's latest entry. Adding and flushing
+    allocate nothing once a bucket has grown to its largest batch. *)
 
 open Dpa_heap
 
 type t
 
-type entry = { ptr : Gptr.t; idx : int; value : float }
+type batch
+(** A flushed batch: a read-only view of one destination's entries, in
+    the order they were first added. It is valid only while the flush
+    callback runs. *)
+
+val batch_length : batch -> int
+
+val batch_key : batch -> int -> int
+(** [batch_key b i] is the target {!key} of entry [i], from [0]. Like
+    {!batch_value}, raises [Invalid_argument] outside
+    [0 .. batch_length b - 1], and on every index once the flush callback
+    has returned. *)
+
+val batch_value : batch -> int -> float
+
+val blit_batch : batch -> keys:int array -> vals:float array -> pos:int -> unit
+(** Copy every entry of the batch into the two columns from [pos] on. *)
+
+(** {2 Targets}
+
+    An update's target, a (pointer, field) pair, packed into one
+    non-negative int. *)
+
+val key : Gptr.t -> idx:int -> int
+(** Raises [Invalid_argument] unless [0 <= idx < 1024] and the pointer is
+    not nil and its node is below 4096. *)
+
+val key_ptr : int -> Gptr.t
+val key_node : int -> int
+val key_slot : int -> int
+val key_idx : int -> int
 
 val create :
   ?hold:(int -> bool) ->
   ndest:int ->
   combine:bool ->
   max_batch:int ->
-  flush:(dst:int -> entry list -> unit) ->
+  flush:(dst:int -> batch -> unit) ->
   unit ->
   t
 (** [hold dst] (default: never) marks destinations whose buckets are
@@ -24,17 +60,20 @@ val create :
     entries keep combining across strip boundaries until an explicit
     {!flush_all}. This is the whole-phase merge window of routed
     aggregation — with [combine] on, a held bucket is bounded by its
-    number of unique (pointer, field) targets, not by the update count. *)
+    number of unique (pointer, field) targets, not by the update count.
+
+    [flush ~dst b] receives each batch. It must read [b] before it
+    returns; it may not call {!add}, {!flush_all}, {!flush_if} or
+    {!clear} on the same buffer (each raises [Invalid_argument] from
+    inside a callback). *)
 
 val add : t -> dst:int -> Gptr.t -> idx:int -> float -> unit
-
-val add_entries : t -> dst:int -> entry list -> unit
-(** Bulk ingest — a relay node merging a routed batch into the bucket of
-    its final destination. Equivalent to {!add}ing each entry in order, so
-    {!combined} and {!pending} count en-route merged entries exactly like
-    locally-accumulated ones. *)
+(** Without [combine], a second entry for a buffered target flushes an
+    unheld bucket first, so no message repeats a target; a held bucket
+    keeps both entries. *)
 
 val flush_all : t -> unit
+(** Flush every non-empty destination, in ascending destination order. *)
 
 val flush_if : t -> (int -> bool) -> unit
 (** Flush only the destinations the predicate selects — the strip-boundary

@@ -24,6 +24,7 @@ type t = {
   mutable slot : Bytes.t;  (* doublewrite copy of the last appended record *)
   mutable slot_used : int;
   mutable count : int;  (* records in the live prefix *)
+  mutable opened : int;  (* offset of the record [reserve] opened, or -1 *)
 }
 
 let create () =
@@ -33,6 +34,7 @@ let create () =
     slot = Bytes.create 64;
     slot_used = 0;
     count = 0;
+    opened = -1;
   }
 
 let size t = t.used
@@ -41,25 +43,21 @@ let count t = t.count
 let reset t =
   t.used <- 0;
   t.slot_used <- 0;
-  t.count <- 0
+  t.count <- 0;
+  t.opened <- -1
 
 let put_u32 b ~pos v =
   for i = 0 to 3 do
     Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
   done
 
+(* Written out byte by byte: a local [byte] helper would be a closure
+   allocated on every call. *)
 let get_u32 b ~pos =
-  let byte i = Char.code (Bytes.get b (pos + i)) in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-
-(* One record's full image: length prefix, payload, payload CRC. *)
-let record_image payload =
-  let n = Bytes.length payload in
-  let img = Bytes.create (len_bytes + n + crc_bytes) in
-  put_u32 img ~pos:0 n;
-  Bytes.blit payload 0 img len_bytes n;
-  put_u32 img ~pos:(len_bytes + n) (Dpa_util.Crc.digest payload);
-  img
+  Char.code (Bytes.get b pos)
+  lor (Char.code (Bytes.get b (pos + 1)) lsl 8)
+  lor (Char.code (Bytes.get b (pos + 2)) lsl 16)
+  lor (Char.code (Bytes.get b (pos + 3)) lsl 24)
 
 let ensure b used extra =
   let cap = Bytes.length b in
@@ -70,18 +68,40 @@ let ensure b used extra =
     b'
   end
 
-let append t payload =
-  let img = record_image payload in
-  let n = Bytes.length img in
-  (* Doublewrite order: the slot is durable before the main image is
-     touched, so the torn main tail is always recoverable from it. *)
-  t.slot <- ensure t.slot 0 n;
-  Bytes.blit img 0 t.slot 0 n;
-  t.slot_used <- n;
-  t.data <- ensure t.data t.used n;
-  Bytes.blit img 0 t.data t.used n;
-  t.used <- t.used + n;
+(* A record is built in place past the live prefix: [reserve] writes its
+   length prefix and returns where its payload goes, the caller writes the
+   payload, and [commit] appends the CRC. *)
+let reserve t n =
+  if t.opened >= 0 then invalid_arg "Wal.reserve: a record is already open";
+  t.data <- ensure t.data t.used (len_bytes + n + crc_bytes);
+  put_u32 t.data ~pos:t.used n;
+  t.opened <- t.used;
+  t.used + len_bytes
+
+let image t = t.data
+
+(* Doublewrite order: the record is copied to the slot before the live
+   prefix grows over it, so the torn main tail is always recoverable from
+   the slot. *)
+let commit t =
+  let off = t.opened in
+  if off < 0 then invalid_arg "Wal.commit: no record is open";
+  t.opened <- -1;
+  let n = get_u32 t.data ~pos:off in
+  put_u32 t.data ~pos:(off + len_bytes + n)
+    (Dpa_util.Crc.digest_sub t.data ~pos:(off + len_bytes) ~len:n);
+  let len = len_bytes + n + crc_bytes in
+  t.slot <- ensure t.slot 0 len;
+  Bytes.blit t.data off t.slot 0 len;
+  t.slot_used <- len;
+  t.used <- off + len;
   t.count <- t.count + 1
+
+let append t payload =
+  let n = Bytes.length payload in
+  let pos = reserve t n in
+  Bytes.blit payload 0 t.data pos n;
+  commit t
 
 (* Offset of the last record in the live image, or None when empty.
    Walks the whole image — only called on the tear path, never in the
@@ -134,19 +154,32 @@ let tear t ~slot ~flip ~pos =
         true
       end
 
-(* Parse the record at [off]; [Some (payload, next_off)] iff the length
-   is sane and the checksum verifies. *)
-let parse t ~off =
-  if off + len_bytes + crc_bytes > t.used then None
+(* The offset past the record at [off] when its length is sane and its
+   checksum verifies, else -1. *)
+let next_valid t ~off =
+  if off + len_bytes + crc_bytes > t.used then -1
   else
     let n = get_u32 t.data ~pos:off in
     let next = off + len_bytes + n + crc_bytes in
-    if n < 0 || next > t.used then None
+    if n < 0 || next > t.used then -1
     else
       let stored = get_u32 t.data ~pos:(off + len_bytes + n) in
       if Dpa_util.Crc.digest_sub t.data ~pos:(off + len_bytes) ~len:n <> stored
-      then None
-      else Some (Bytes.sub t.data (off + len_bytes) n, next)
+      then -1
+      else next
+
+let fold t f acc =
+  let rec walk off acc =
+    let next = next_valid t ~off in
+    if next < 0 then acc
+    else
+      walk next
+        (f t.data (off + len_bytes) (next - off - len_bytes - crc_bytes) acc)
+  in
+  walk 0 acc
+
+let payload t ~off =
+  Bytes.sub t.data (off + len_bytes) (get_u32 t.data ~pos:off)
 
 (* Does the slot hold one complete, checksum-valid record? *)
 let slot_record t =
@@ -160,38 +193,24 @@ let slot_record t =
         None
       else Some (Bytes.sub t.slot len_bytes n)
 
-let records t =
-  let rec walk off acc =
-    match parse t ~off with
-    | Some (payload, next) -> walk next (payload :: acc)
-    | None -> List.rev acc
-  in
-  walk 0 []
-
-type scan_result = {
-  records : Bytes.t list;
-  truncated : int;
-  repaired : int;
-}
+type scan_result = { truncated : int; repaired : int }
 
 let scan t =
-  let rec walk off acc n =
-    match parse t ~off with
-    | Some (payload, next) -> walk next (payload :: acc) (n + 1)
-    | None -> (off, acc, n)
+  let rec walk off last n =
+    let next = next_valid t ~off in
+    if next < 0 then (off, last, n) else walk next off (n + 1)
   in
-  let good_end, rev_records, n = walk 0 [] 0 in
+  let good_end, last, n = walk 0 (-1) 0 in
   let truncated = if good_end < t.used then 1 else 0 in
   t.used <- good_end;
   t.count <- n;
-  let last = match rev_records with [] -> None | r :: _ -> Some r in
   let repaired =
     match slot_record t with
-    | Some payload when last <> Some payload ->
+    | Some p when last < 0 || not (Bytes.equal p (payload t ~off:last)) ->
       (* The slot's record never made it (or was torn back out): the
          doublewrite copy is the durable truth — re-append it. *)
-      append t payload;
+      append t p;
       1
     | _ -> 0
   in
-  { records = records t; truncated; repaired }
+  { truncated; repaired }

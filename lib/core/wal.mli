@@ -28,10 +28,31 @@ val create : unit -> t
 val append : t -> Bytes.t -> unit
 (** Durably append one record: slot first, then the main image. *)
 
-val records : t -> Bytes.t list
-(** The payloads of every checksum-valid record, front to back, stopping
-    at the first invalid one (without truncating — use {!scan} to
-    recover). *)
+(** {2 Records built in place}
+
+    A codec that writes its payload straight into the log image appends
+    without building the payload first: {!reserve}, write, {!commit}
+    leave the image and slot {!append} of the same payload leaves. *)
+
+val reserve : t -> int -> int
+(** [reserve t n] opens a record with an [n]-byte payload at the end of
+    the log and returns the payload's offset in {!image}. Raises
+    [Invalid_argument] while another record is open. *)
+
+val image : t -> Bytes.t
+(** The main log image. The bytes a {!reserve} returned are the caller's
+    to write until {!commit}; the image may be replaced by the next
+    {!reserve} or {!append}. *)
+
+val commit : t -> unit
+(** Checksum the open record and append it durably: slot first, then the
+    main image. *)
+
+val fold : t -> (Bytes.t -> int -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold t f acc] applies [f image pos len] to the payload of every
+    checksum-valid record — its offset in the image and its length —
+    front to back, stopping at the first invalid one (without truncating
+    — use {!scan} to recover). *)
 
 val count : t -> int
 (** Records in the live image. Not meaningful between a {!tear} and the
@@ -53,7 +74,6 @@ val tear : t -> slot:bool -> flip:bool -> pos:int -> bool
     (empty log or slot) — the tear is absorbed harmlessly. *)
 
 type scan_result = {
-  records : Bytes.t list;  (** every surviving payload, front to back *)
   truncated : int;  (** 1 if the scan cut a damaged tail, else 0 *)
   repaired : int;  (** 1 if the doublewrite slot restored the tail *)
 }
@@ -63,4 +83,5 @@ val scan : t -> scan_result
     truncate the image at the first bad one, then repair from the slot
     when it holds a valid record the log does not end with. Leaves the
     log consistent for further appends. Idempotent: a second scan finds
-    nothing to truncate or repair. *)
+    nothing to truncate or repair. {!fold} then reads the surviving
+    records. *)

@@ -1469,17 +1469,26 @@ type scale_row = {
   sc_bytes_moved : int;
 }
 
+(* Words allocated so far: minor words plus what went to the major heap
+   directly. OCaml 5.1's [Gc.allocated_bytes] reads the minor heap's
+   uncollected tail at an eighth of its size; [Gc.minor_words] is exact,
+   and [Gc.counters]' major minus promoted words is the direct major
+   allocation. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* Wall seconds, allocated words and major collections around [f ()]. *)
 let scale_measure f =
   Gc.compact ();
   let s0 = Gc.quick_stat () in
-  let w0 = Gc.allocated_bytes () in
+  let w0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let wall = Unix.gettimeofday () -. t0 in
-  let w1 = Gc.allocated_bytes () in
+  let w1 = allocated_words () in
   let s1 = Gc.quick_stat () in
-  (r, wall, (w1 -. w0) /. 8., s1.Gc.major_collections - s0.Gc.major_collections)
+  (r, wall, w1 -. w0, s1.Gc.major_collections - s0.Gc.major_collections)
 
 let scale_gate (conf : Runconf.t) =
   List.map

@@ -76,12 +76,16 @@ let wal_with n =
 
 let expected n = List.init n payload
 
+(* Every payload [Wal.fold] reads, front to back. *)
+let records w =
+  List.rev (Dpa.Wal.fold w (fun b pos len acc -> Bytes.sub b pos len :: acc) [])
+
 (* The tail record's full on-log image: length prefix + payload + CRC. *)
 let rec_len = 4 + Bytes.length (payload 0) + 4
 
 let check_lossless ~what w =
-  let r = Dpa.Wal.scan w in
-  if r.Dpa.Wal.records <> expected nrecords then
+  ignore (Dpa.Wal.scan w);
+  if records w <> expected nrecords then
     Alcotest.failf "%s: records lost or mangled after scan" what;
   Alcotest.(check int)
     (what ^ ": record count restored")
@@ -92,6 +96,36 @@ let check_lossless ~what w =
     r2.Dpa.Wal.truncated;
   Alcotest.(check int) (what ^ ": second scan repairs nothing") 0
     r2.Dpa.Wal.repaired
+
+(* A record written in place through [reserve] and [commit] leaves the
+   log image, and the doublewrite slot a torn tail is repaired from, that
+   [append] of the same payload leaves. *)
+let test_in_place_records () =
+  let appended = wal_with nrecords and built = Dpa.Wal.create () in
+  for i = 0 to nrecords - 1 do
+    let p = payload i in
+    let pos = Dpa.Wal.reserve built (Bytes.length p) in
+    Bytes.blit p 0 (Dpa.Wal.image built) pos (Bytes.length p);
+    Dpa.Wal.commit built
+  done;
+  let image w = Bytes.sub (Dpa.Wal.image w) 0 (Dpa.Wal.size w) in
+  Alcotest.(check string)
+    "same image"
+    (Bytes.to_string (image appended))
+    (Bytes.to_string (image built));
+  Alcotest.(check int) "same count" (Dpa.Wal.count appended) (Dpa.Wal.count built);
+  Alcotest.(check bool)
+    "a second reserve is refused" true
+    (ignore (Dpa.Wal.reserve built 1);
+     match Dpa.Wal.reserve built 1 with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  Dpa.Wal.reset built;
+  for i = 0 to nrecords - 1 do
+    Dpa.Wal.append built (payload i)
+  done;
+  ignore (Dpa.Wal.tear built ~slot:false ~flip:false ~pos:3);
+  check_lossless ~what:"in-place tail" built
 
 let test_torn_tail_every_truncation () =
   (* Truncate the tail record back by every possible byte count (1 byte up
@@ -438,6 +472,8 @@ let suites =
           test_torn_slot_every_position;
         Alcotest.test_case "tear on empty log absorbed" `Quick
           test_tear_on_empty_log_absorbed;
+        Alcotest.test_case "in-place records match append" `Quick
+          test_in_place_records;
       ] );
     ( "corruption fencing",
       [

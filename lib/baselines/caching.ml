@@ -275,10 +275,7 @@ let run_phase ~engine ~heaps ~capacity ?(hash = true) ~items () =
       if not (ctx.finished && ctx.work_len = 0 && not ctx.waiting) then
         quiescence_failure ctx)
     ctxs;
-  (* Same phase-barrier hygiene as [Dpa.Runtime]: with the transport
-     quiescent the receiver dedup tables are reclaimable. *)
-  if Engine.fault engine <> None && Dpa_msg.Am.in_flight engine = 0 then
-    ignore (Dpa_msg.Am.prune_seen engine);
+  Dpa_msg.Am.certify_barrier engine ~caller:"Caching.run_phase";
   Engine.barrier engine;
   let elapsed_ns = Engine.elapsed engine - start in
   let breakdown = Breakdown.of_nodes ~elapsed_ns nodes in

@@ -414,23 +414,19 @@ let tag_applied = 'J'
 let put_i64 b ~pos v = Bytes.set_int64_le b pos (Int64.of_int v)
 let get_i64 b ~pos = Int64.to_int (Bytes.get_int64_le b pos)
 
-(* Batch: id, final destination, entry count, then per entry the
-   pointer's node and slot, the field and the value. *)
+(* Batch: id, entry count, then per entry the packed
+   {!Update_buffer.key} and the value. *)
 let wal_batch wal ~id s sb =
   let first = bat_first s sb and n = bat_len s sb in
-  let pos = Wal.reserve wal (1 + (8 * 3) + (n * 8 * 4)) in
+  let pos = Wal.reserve wal (17 + (n * 16)) in
   let b = Wal.image wal in
   Bytes.set b pos tag_batch;
   put_i64 b ~pos:(pos + 1) id;
-  put_i64 b ~pos:(pos + 9) (bat_fdst s sb);
-  put_i64 b ~pos:(pos + 17) n;
+  put_i64 b ~pos:(pos + 9) n;
   for i = 0 to n - 1 do
-    let e = first + i and base = pos + 25 + (i * 32) in
-    let k = s.s_key.(e) in
-    put_i64 b ~pos:base (Update_buffer.key_node k);
-    put_i64 b ~pos:(base + 8) (Update_buffer.key_slot k);
-    put_i64 b ~pos:(base + 16) (Update_buffer.key_idx k);
-    Bytes.set_int64_le b (base + 24) (Int64.bits_of_float s.s_val.(e))
+    let e = first + i and base = pos + 17 + (i * 16) in
+    put_i64 b ~pos:base s.s_key.(e);
+    Bytes.set_int64_le b (base + 8) (Int64.bits_of_float s.s_val.(e))
   done;
   Wal.commit wal
 
@@ -470,15 +466,12 @@ let wal_live wal =
 (* Copy the Batch record at [pos] of [b] back into the store under origin
    [src]'s custody; returns its batch number. *)
 let decode_batch s ~src b pos =
-  let n = get_i64 b ~pos:(pos + 17) in
+  let n = get_i64 b ~pos:(pos + 9) in
   let first = store_entries s n in
   for i = 0 to n - 1 do
-    let base = pos + 25 + (i * 32) in
-    s.s_key.(first + i) <-
-      Update_buffer.key
-        (Gptr.make ~node:(get_i64 b ~pos:base) ~slot:(get_i64 b ~pos:(base + 8)))
-        ~idx:(get_i64 b ~pos:(base + 16));
-    s.s_val.(first + i) <- Int64.float_of_bits (Bytes.get_int64_le b (base + 24))
+    let base = pos + 17 + (i * 16) in
+    s.s_key.(first + i) <- get_i64 b ~pos:base;
+    s.s_val.(first + i) <- Int64.float_of_bits (Bytes.get_int64_le b (base + 8))
   done;
   store_cover s (cover ~src ~id:(get_i64 b ~pos:(pos + 1)));
   store_batch s ~len:n
@@ -1452,7 +1445,7 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
 
    - the node's incarnation is bumped, fencing every message copy stamped
      for the old one (Am checks at delivery);
-   - the transport forgets the node's unacked envelopes, dedup entries and
+   - the transport forgets the node's unacked envelopes, dedup flags and
      link RTT filters ([Am.on_crash]);
    - the alignment buffer D and the aggregator's unsent batches are
      discarded;
@@ -1711,21 +1704,11 @@ let run_phase_labeled ~label ~engine ~heaps ~config ~items =
         Align_buffer.size ctxs.(n.Node.id).buffer)
   | _ -> ());
   Engine.run engine;
-  (* Quiescence certificate before the barrier clears D and M: with a
-     fault plan active, no envelope may still await its ack — the event
-     queue draining with in-flight envelopes would mean a retransmit timer
-     was lost, i.e. a protocol bug, not bad luck. *)
-  (if Engine.fault engine <> None then
-     let infl = Dpa_msg.Am.in_flight engine in
-     if infl > 0 then
-       failwith
-         (Printf.sprintf
-            "Runtime.run_phase: %d unacknowledged messages at barrier" infl);
-     (* Quiescence certified: every delivered copy has run and nothing can
-        be retransmitted, so the receiver dedup tables are reclaimable.
-        Without this they grow by one entry per envelope for the life of
-        the engine. *)
-     ignore (Dpa_msg.Am.prune_seen engine));
+  (* Quiescence certificate before the barrier clears D and M: the event
+     queue draining with an envelope unacknowledged or still holding its
+     slot would mean a lost timer or a leaked slot, a protocol bug, not bad
+     luck. *)
+  Dpa_msg.Am.certify_barrier engine ~caller:"Runtime.run_phase";
   Array.iter
     (fun ctx ->
       if

@@ -52,9 +52,7 @@
     round-trip estimator when {!Dpa_sim.Machine.adaptive_rto} is set
     (see {!Dpa_msg.Am.e2e_rto}), falling back to a constant worst-case
     formula until samples exist. The phase barrier certifies transport
-    quiescence and then prunes the receiver dedup tables
-    ({!Dpa_msg.Am.prune_seen}), which would otherwise grow for the life
-    of the engine.
+    quiescence ({!Dpa_msg.Am.certify_barrier}).
 
     {2 Crash-restart}
 
@@ -66,7 +64,7 @@
     ready ring's remote renamed copies (their threads re-register in [M],
     a woken chain's undispatched waiters in registration order —
     {!Pointer_map.reclaim}), and the transport's per-node state
-    (unacked envelopes, dedup entries, link RTT filters —
+    (unacked envelopes, dedup flags, link RTT filters —
     {!Dpa_msg.Am.on_crash}). The node's incarnation number is bumped, so
     every message copy stamped for the old incarnation is fenced at
     delivery: counted, but no handler runs and no ack is sent.

@@ -15,7 +15,11 @@
     itself unprotected and charged to no node clock — a backlogged
     receiver must not make its acks look lost) and the handler runs only
     for the first copy of a sequence number, while the sender retransmits
-    on a timeout that backs off exponentially until the ack lands.
+    on a timeout that backs off exponentially until the ack lands. The
+    receiver's dedup state is one flag on the envelope itself, whose slot
+    is kept until the envelope is done and its last copy has landed, so
+    this module alone decides when that state may go: no caller prunes
+    anything.
     Handlers therefore run exactly once per [send] on any network the
     plan can express, and with no fault plan installed the protocol does
     not exist — no acks, no timers, no state — so fault-free runs are
@@ -48,7 +52,7 @@
     a corrupted copy is indistinguishable from a loss to the sender and
     the ordinary retransmission machinery recovers it. A corrupted ack
     leaves the envelope pending; a duplicate ack or one spurious
-    retransmit (absorbed by the dedup table) completes it. With
+    retransmit (absorbed by the dedup flag) completes it. With
     [corrupt = 0] no frame is ever built and the run replays
     bit-identically to a build without the integrity layer. *)
 
@@ -106,9 +110,11 @@ type stats = {
   retransmits : int;  (** timeout-driven re-sends *)
   retransmit_bytes : int;  (** payload bytes re-sent *)
   acks : int;  (** acknowledgements injected by receivers *)
-  dups_suppressed : int;  (** duplicate copies discarded by the dedup table *)
-  seen_entries : int;  (** live dedup entries across all receivers *)
-  pruned : int;  (** dedup entries reclaimed by {!prune_seen} so far *)
+  dups_suppressed : int;  (** duplicate copies discarded by the dedup flag *)
+  seen_entries : int;
+      (** envelope slots still holding dedup state: sent, and not yet both
+          done and clear of every copy *)
+  pruned : int;  (** dedup states freed with their envelopes so far *)
   fenced : int;  (** copies rejected because addressed to a dead incarnation *)
   crash_wiped : int;  (** unacked envelopes destroyed by their sender's crash *)
   corrupt_dropped : int;
@@ -127,24 +133,24 @@ val corrupt_dropped_per_node : Engine.t -> int array
     integrity table. Empty array without protocol state. *)
 
 val in_flight : Engine.t -> int
-(** Unacknowledged envelopes right now ([0] without protocol state). The
-    runtime's phase barrier certifies [in_flight = 0] before clearing its
-    alignment structures. *)
+(** Unacknowledged envelopes right now ([0] without protocol state). *)
+
+val certify_barrier : Engine.t -> caller:string -> unit
+(** The phase barrier's transport certificate, for a drained event queue:
+    fails naming [caller] and the count when an envelope is still
+    unacknowledged (a lost retransmit timer) or still holds its slot (a
+    leaked slot). No-op without protocol state. *)
 
 val prune_seen : Engine.t -> int
-(** Reclaim the receiver dedup sets, returning the number of entries
-    dropped. Only legal at a quiescent point — the engine's event queue
-    drained and no envelope unacknowledged (raises [Invalid_argument]
-    otherwise): then every delivered copy has already run and no pruned
-    sequence number can ever arrive again, so exactly-once execution is
-    preserved. The runtimes call this at their phase barrier; without it
-    the sets grow by one entry per envelope ever sent. They keep their
-    capacity for the next phase. No-op ([0]) without protocol state. *)
+(** Returns [0]. Dedup state is freed with its envelope, so there is
+    nothing to prune; this is kept only because the committed benchmark's
+    layer timings call it. *)
 
 val on_crash : Engine.t -> node:int -> int
 (** Destroy the volatile transport state of [node] at the instant it
     crashes: its unacknowledged envelopes (returned count) vanish from the
-    retransmit buffer, its receiver dedup table is forgotten, and the RTT
+    retransmit buffer, the dedup flags of the envelopes addressed to it are
+    cleared, and the RTT
     filters of every link touching it are {!Rtt.reset} so they re-converge
     against the restarted node. The caller ({!Dpa.Runtime}) is responsible
     for bumping the node's incarnation first and for re-issuing whatever

@@ -100,8 +100,6 @@ let post_background t ~time ~node action =
 
 let live_events t = t.live
 
-let idle t = Event_queue.is_empty t.queue
-
 let run t =
   let q = t.queue in
   while not (Event_queue.is_empty q) do

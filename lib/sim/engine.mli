@@ -16,7 +16,7 @@ type t
 type ext = ..
 (** Extension slot for higher layers: the reliable transport in
     {!Dpa_msg.Am} keeps its per-engine protocol state (sequence counters,
-    retransmit buffers, dedup tables) here, without the simulator depending
+    retransmit buffers, dedup flags) here, without the simulator depending
     on the message layer. *)
 
 val create : Machine.t -> t
@@ -67,11 +67,6 @@ val post_background : t -> time:int -> node:int -> (unit -> unit) -> unit
 
 val live_events : t -> int
 (** Pending events, excluding periodic-sampler ticks. *)
-
-val idle : t -> bool
-(** True when the event queue is completely drained (sampler ticks
-    included) — the precondition for phase-boundary cleanup such as
-    pruning the reliable-delivery dedup tables. *)
 
 val start_sampler : t -> period_ns:int -> name:string -> (Node.t -> int) -> unit
 (** Fixed-rate counter track: every [period_ns] of sim-time emit one

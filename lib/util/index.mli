@@ -1,8 +1,7 @@
 (** Open-addressed [int -> int] map over non-negative keys, shared by the
     pointer map [M] ([Dpa.Pointer_map]: token -> slot, pointer -> slot),
     the alignment buffer [D] ([Dpa.Align_buffer]: pointer membership) and
-    the transport's per-receiver dedup sets ([Dpa_msg.Am]: delivered
-    sequence numbers).
+    the write side's custody tables and journals ([Dpa.Runtime]).
     Lookups, inserts and removals allocate nothing once the table has
     grown to its working set; the capacity doubles on demand and is kept
     across {!clear}. *)

@@ -6,8 +6,9 @@
 # BASE side first in odd pairs and the NEW side first in even ones — and
 # prints each side's host_cpu_s per run, its median and quartiles, how
 # many pairs each side won (lower host_cpu_s; ties count for neither),
-# each side's median, minimum and maximum alloc_words_per_item (so a
-# count claim can show that it repeats), and both sides' medians of every
+# each side's median, minimum and maximum alloc_words_per_item and
+# peak_heap_mb (so a count claim can show that it repeats; peak_heap_mb is
+# the whole process's peak heap), and both sides' medians of every
 # end-to-end metric. A gain is claimed when NEW wins at least nine tenths
 # of the pairs and the medians differ by more than BASE's interquartile
 # range.
@@ -96,12 +97,13 @@ for s in sides:
     q1, med, q3 = quartiles(host[s])
     stats[s] = (q1, med, q3)
     ips = statistics.median(m["items_per_s"] for m in runs[s])
-    awis = [m["alloc_words_per_item"] for m in runs[s]]
     print(f"{s:4} host_cpu_s " + " ".join(f"{x:.4f}" for x in host[s]))
     print(f"{s:4} median {med:.4f}  q1 {q1:.4f}  q3 {q3:.4f}  iqr {q3 - q1:.4f}"
           f"  wins {wins[s]}/{n}  items_per_s {ips:.1f}")
-    print(f"{s:4} alloc_words_per_item median {statistics.median(awis):.2f}"
-          f"  min {min(awis):.2f}  max {max(awis):.2f}")
+    for k in ("alloc_words_per_item", "peak_heap_mb"):
+        xs = [m[k] for m in runs[s]]
+        print(f"{s:4} {k} median {statistics.median(xs):.2f}"
+              f"  min {min(xs):.2f}  max {max(xs):.2f}")
 (bq1, bmed, bq3), (_, nmed, _) = stats["base"], stats["new"]
 change = (nmed - bmed) / bmed * 100
 gain = wins["new"] * 10 >= 9 * n and bmed - nmed > bq3 - bq1

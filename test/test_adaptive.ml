@@ -262,33 +262,6 @@ let test_e2e_rto_fallback_without_state () =
   Alcotest.(check bool) "no link estimator" true
     (Dpa_msg.Am.link_rtt engine ~src:0 ~dst:1 = None)
 
-(* --- dedup-table pruning at the barrier --------------------------------- *)
-
-let test_prune_seen_at_barrier () =
-  let _, _, _, am = run_rto ~adaptive:true in
-  match am with
-  | None -> Alcotest.fail "expected protocol state under faults"
-  | Some s ->
-    Alcotest.(check int) "dedup tables empty after the phase barrier" 0
-      s.Dpa_msg.Am.seen_entries;
-    Alcotest.(check bool) "entries were reclaimed, not never created" true
-      (s.Dpa_msg.Am.pruned > 0)
-
-let test_prune_seen_rejects_live_traffic () =
-  let engine =
-    Engine.create (Machine.make ~nodes:2 ~faults:Fault.none ())
-  in
-  let src = Engine.node engine 0 in
-  Dpa_msg.Am.send engine ~src ~dst:1 ~bytes:64 (fun _ -> ());
-  (* The send and its ack are still queued: pruning now would break
-     exactly-once. *)
-  Alcotest.check_raises "prune refused mid-flight"
-    (Invalid_argument "Am.prune_seen: event queue not drained") (fun () ->
-      ignore (Dpa_msg.Am.prune_seen engine));
-  Engine.run engine;
-  let n = Dpa_msg.Am.prune_seen engine in
-  Alcotest.(check int) "one entry reclaimed at quiescence" 1 n
-
 (* --- accounting fixes --------------------------------------------------- *)
 
 let test_max_outstanding_counts_local_reads () =
@@ -351,10 +324,6 @@ let suites =
           `Quick test_adaptive_rto_deterministic;
         Alcotest.test_case "e2e RTO falls back without samples" `Quick
           test_e2e_rto_fallback_without_state;
-        Alcotest.test_case "dedup tables pruned at the phase barrier" `Quick
-          test_prune_seen_at_barrier;
-        Alcotest.test_case "prune refuses a non-quiescent engine" `Quick
-          test_prune_seen_rejects_live_traffic;
         Alcotest.test_case "max_outstanding counts every suspension" `Quick
           test_max_outstanding_counts_local_reads;
         Alcotest.test_case "counter tracks survive --trace-cats" `Quick

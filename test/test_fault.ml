@@ -732,7 +732,7 @@ let test_pinned_recovery () =
           ("am.in_flight", 0); ("am.retransmits", 46);
           ("am.retransmit_bytes", 2072); ("am.acks", 318);
           ("am.dups_suppressed", 26); ("am.seen_entries", 0);
-          ("am.pruned", 250); ("am.fenced", 1); ("am.crash_wiped", 14);
+          ("am.pruned", 299); ("am.fenced", 1); ("am.crash_wiped", 14);
           ("am.corrupt_dropped", 8); ("fault.drops", 37); ("fault.dups", 10);
           ("fault.delayed", 57); ("fault.outage_drops", 0);
           ("fault.crash_drops", 15); ("fault.corruptions", 8);
@@ -745,7 +745,7 @@ let test_pinned_recovery () =
           ("am.in_flight", 0); ("am.retransmits", 60);
           ("am.retransmit_bytes", 2840); ("am.acks", 331);
           ("am.dups_suppressed", 27); ("am.seen_entries", 0);
-          ("am.pruned", 272); ("am.fenced", 1); ("am.crash_wiped", 14);
+          ("am.pruned", 311); ("am.fenced", 1); ("am.crash_wiped", 14);
           ("am.corrupt_dropped", 19); ("fault.drops", 41); ("fault.dups", 19);
           ("fault.delayed", 71); ("fault.outage_drops", 0);
           ("fault.crash_drops", 18); ("fault.corruptions", 19);

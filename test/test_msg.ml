@@ -310,19 +310,47 @@ let test_am_ingress_serialization () =
 
 (* --- allocation ------------------------------------------------------------ *)
 
-(* Minor words per reliable envelope under drops, duplicates, delays and
-   corruption: node 0 streams [n] data messages round-robin to the other
-   three nodes, one every 2 µs of its clock, from one preallocated action,
-   with one handler and one payload built up front. Each batch runs on the
-   same engine after a warm-up batch at least as large, with the dedup
-   sets pruned in between, so the slab and the sets are already at their
-   working size; the difference between two batch sizes cancels what a
-   batch costs regardless of its size. The envelope, its copies, its acks
-   and its timeouts are slab data and the frames are built in one scratch
-   buffer; what is left is a corrupted copy's [Some] from the plan. Before
-   the transport kept them as data, an envelope here cost 384.5 words;
-   now it costs 0.3. *)
-let test_reliable_envelope_alloc () =
+(* A late copy: with no drops or delays every first copy is acknowledged
+   inside its timeout, while a duplicate trails its original by up to 50
+   timeouts, so most duplicates land after their envelope's last timeout
+   has popped and its slot would, without them, be free for the next
+   send. Each must still find its own envelope there: every message runs
+   exactly once, the duplicates are suppressed, and no slot is held once
+   the engine drains. *)
+let test_late_copy_after_envelope () =
+  let bytes = machine.Machine.msg_header_bytes + 16 in
+  let rto = Dpa_msg.Am.initial_rto machine ~bytes in
+  let faults = { Fault.none with Fault.dup = 0.5; jitter_ns = 50 * rto } in
+  let engine =
+    Engine.create
+      { machine with Machine.nodes = 2; faults = Some faults; fault_seed = 7 }
+  in
+  let n0 = Engine.node engine 0 in
+  let n = 400 in
+  let runs = Array.make n 0 in
+  let handler _ k _ _ = runs.(k) <- runs.(k) + 1 in
+  let rec tick k () =
+    if k < n then begin
+      Dpa_msg.Am.send_data engine ~src:n0 ~dst:1 ~bytes handler k 0 [||];
+      Engine.post engine ~time:(n0.Node.clock + (rto / 4)) ~node:0
+        (tick (k + 1))
+    end
+  in
+  Engine.post engine ~time:0 ~node:0 (tick 0);
+  Engine.run engine;
+  Alcotest.(check (array int)) "every message ran once" (Array.make n 1) runs;
+  let s = Option.get (Dpa_msg.Am.stats engine) in
+  Alcotest.(check bool) "duplicates suppressed" true
+    (s.Dpa_msg.Am.dups_suppressed > 0);
+  Alcotest.(check int) "no envelope slot held" 0 s.Dpa_msg.Am.seen_entries;
+  Alcotest.(check int) "every envelope freed" n s.Dpa_msg.Am.pruned
+
+(* Node 0 streams [n] data messages round-robin to the other three nodes
+   under drops, duplicates, delays and corruption, one every 2 µs of its
+   clock, from one preallocated action, with one handler and one payload
+   built up front. [batch n] runs one such stream on the same engine and
+   returns the words [count] saw it allocate. *)
+let faulted_stream count =
   let faults =
     { Fault.none with Fault.drop = 0.1; dup = 0.05; delay = 0.1; corrupt = 0.05 }
   in
@@ -346,20 +374,53 @@ let test_reliable_envelope_alloc () =
         Engine.post engine ~time:(n0.Node.clock + 2_000) ~node:0 tick
       end
     in
-    let w0 = Gc.minor_words () in
+    let w0 = count () in
     Engine.post engine ~time:n0.Node.clock ~node:0 tick;
     Engine.run engine;
-    let words = Gc.minor_words () -. w0 in
+    let words = count () -. w0 in
     Alcotest.(check int) "every message delivered once" n delivered.(0);
-    ignore (Dpa_msg.Am.prune_seen engine);
     words
   in
+  (engine, batch)
+
+(* Minor words per reliable envelope on the stream above. Each batch runs
+   on the same engine after a warm-up batch at least as large, so the slab
+   is already at its working size; the difference between two batch sizes
+   cancels what a batch costs regardless of its size. The envelope, its
+   copies, its acks and its timeouts are slab data and the frames are
+   built in one scratch buffer; what is left is a corrupted copy's [Some]
+   from the plan. Before the transport kept them as data, an envelope here
+   cost 384.5 words; now it costs 0.3. *)
+let test_reliable_envelope_alloc () =
+  let _, batch = faulted_stream Gc.minor_words in
   ignore (batch 4_000);
   let w1 = batch 1_000 in
   let w2 = batch 3_000 in
   let per_envelope = (w2 -. w1) /. 2_000. in
   if per_envelope > 10. then
     Alcotest.failf "%.2f minor words per reliable envelope (bound 10)"
+      per_envelope
+
+(* Dedup state does not outlive its envelopes: five batches of the stream
+   above on one engine, nothing called between them, and the last four
+   cost minor plus direct-major words per envelope as in [core.alloc].
+   With a per-receiver set of delivered sequence numbers, growing until a
+   barrier pruned it, these batches cost 9.49 words per envelope; with
+   the flag on the envelope they cost 0.27. *)
+let test_dedup_state_flat () =
+  let engine, batch = faulted_stream Test_runtime.allocated_words in
+  ignore (batch 4_000);
+  let words = ref 0. in
+  for _ = 1 to 4 do
+    words := !words +. batch 4_000
+  done;
+  let per_envelope = !words /. 16_000. in
+  (match Dpa_msg.Am.stats engine with
+  | Some s ->
+    Alcotest.(check int) "no envelope slot held" 0 s.Dpa_msg.Am.seen_entries
+  | None -> Alcotest.fail "expected protocol state under faults");
+  if per_envelope > 2. then
+    Alcotest.failf "%.2f words per reliable envelope across batches (bound 2)"
       per_envelope
 
 let suites =
@@ -371,11 +432,15 @@ let suites =
         Alcotest.test_case "message sizes" `Quick test_message_sizes;
         Alcotest.test_case "ingress serialization" `Quick
           test_am_ingress_serialization;
+        Alcotest.test_case "a copy lands after its envelope's last timeout"
+          `Quick test_late_copy_after_envelope;
       ] );
     ( "msg.alloc",
       [
         Alcotest.test_case "reliable envelope" `Quick
           test_reliable_envelope_alloc;
+        Alcotest.test_case "dedup state does not grow across phases" `Quick
+          test_dedup_state_flat;
       ] );
     ( "msg.aggregator",
       [

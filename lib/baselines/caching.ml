@@ -100,7 +100,8 @@ let accumulate ctx ptr ~idx value =
 let ensure_scheduled ctx =
   if not ctx.scheduled then begin
     ctx.scheduled <- true;
-    Engine.post_now ctx.engine ~node:ctx.node ctx.step_act
+    Engine.post ctx.engine ~kind:Engine.Work ~time:ctx.node.Node.clock
+      ~node:ctx.node.Node.id ctx.step_act
   end
 
 (* Resolve deferred reads, then start items, for at most one poll

@@ -12,8 +12,6 @@ let name = function
   | Blocking -> "Blocking"
   | Prefetch { strip_size } -> Printf.sprintf "Prefetch(%d)" strip_size
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 type stats = Dpa_stats of Dpa.Dpa_stats.t | Cache_stats of Caching.stats
 
 let dpa_stats = function Dpa_stats s -> Some s | Cache_stats _ -> None

@@ -20,7 +20,6 @@ type t =
 
 val dpa : ?strip_size:int -> ?agg_max:int -> unit -> t
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 type stats =
   | Dpa_stats of Dpa.Dpa_stats.t  (** from [Dpa] and [Prefetch] *)

@@ -19,7 +19,6 @@ type t = {
 }
 
 val kind_leaf : float
-val kind_internal : float
 
 val distribute : ?weights:int array -> Octree.t -> nnodes:int -> t
 (** [weights] (indexed by body id) switches the partition from equal counts

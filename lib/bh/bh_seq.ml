@@ -19,8 +19,7 @@ let add_counts a b =
    allocation-free (a [Vec3.t] per interaction would dominate the whole
    step's allocation at large N) while producing bit-identical
    accelerations. *)
-let force_on_counting ?(theta = 1.0) ?(eps = 0.05) ?(use_quad = false) tree
-    (b : Body.t) counts =
+let force_on_counting ?(theta = 1.0) ?(eps = 0.05) tree (b : Body.t) counts =
   let bodies = Octree.bodies tree in
   let px = b.Body.pos.Vec3.x
   and py = b.Body.pos.Vec3.y
@@ -42,35 +41,24 @@ let force_on_counting ?(theta = 1.0) ?(eps = 0.05) ?(use_quad = false) tree
     let d = sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz)) in
     if not (2. *. half >= theta *. d) then begin
       incr bc;
-      if use_quad then begin
-        let c =
-          Kernels.accel_with_quad ~eps ~pos:b.Body.pos ~src_pos:com
-            ~src_mass:(Octree.mass tree ci) ~quad:(Octree.quad tree ci)
-        in
-        acc.(0) <- acc.(0) +. c.Vec3.x;
-        acc.(1) <- acc.(1) +. c.Vec3.y;
-        acc.(2) <- acc.(2) +. c.Vec3.z
+      let rx = com.Vec3.x -. px
+      and ry = com.Vec3.y -. py
+      and rz = com.Vec3.z -. pz in
+      let d2 = (rx *. rx) +. (ry *. ry) +. (rz *. rz) in
+      if d2 = 0. then begin
+        (* [Kernels.accel] returns [Vec3.zero] here; adding it still
+           normalizes a negative zero in the accumulator. *)
+        acc.(0) <- acc.(0) +. 0.;
+        acc.(1) <- acc.(1) +. 0.;
+        acc.(2) <- acc.(2) +. 0.
       end
       else begin
-        let rx = com.Vec3.x -. px
-        and ry = com.Vec3.y -. py
-        and rz = com.Vec3.z -. pz in
-        let d2 = (rx *. rx) +. (ry *. ry) +. (rz *. rz) in
-        if d2 = 0. then begin
-          (* [Kernels.accel] returns [Vec3.zero] here; adding it still
-             normalizes a negative zero in the accumulator. *)
-          acc.(0) <- acc.(0) +. 0.;
-          acc.(1) <- acc.(1) +. 0.;
-          acc.(2) <- acc.(2) +. 0.
-        end
-        else begin
-          let d2 = d2 +. (eps *. eps) in
-          let inv = 1. /. (d2 *. sqrt d2) in
-          let s = Octree.mass tree ci *. inv in
-          acc.(0) <- acc.(0) +. (s *. rx);
-          acc.(1) <- acc.(1) +. (s *. ry);
-          acc.(2) <- acc.(2) +. (s *. rz)
-        end
+        let d2 = d2 +. (eps *. eps) in
+        let inv = 1. /. (d2 *. sqrt d2) in
+        let s = Octree.mass tree ci *. inv in
+        acc.(0) <- acc.(0) +. (s *. rx);
+        acc.(1) <- acc.(1) +. (s *. ry);
+        acc.(2) <- acc.(2) +. (s *. rz)
       end
     end
     else
@@ -111,14 +99,14 @@ let force_on_counting ?(theta = 1.0) ?(eps = 0.05) ?(use_quad = false) tree
       { cell_visits = !visits; body_cell = !bc; body_body = !bb };
   Vec3.make acc.(0) acc.(1) acc.(2)
 
-let force_on ?theta ?eps ?use_quad tree b =
+let force_on ?theta ?eps tree b =
   let c = ref zero_counts in
-  force_on_counting ?theta ?eps ?use_quad tree b c
+  force_on_counting ?theta ?eps tree b c
 
-let compute_forces ?theta ?eps ?use_quad tree =
+let compute_forces ?theta ?eps tree =
   let counts = ref zero_counts in
   Array.iter
-    (fun b -> b.Body.acc <- force_on_counting ?theta ?eps ?use_quad tree b counts)
+    (fun b -> b.Body.acc <- force_on_counting ?theta ?eps tree b counts)
     (Octree.bodies tree);
   !counts
 

@@ -8,19 +8,14 @@ type counts = {
   body_body : int;  (** near-field body–body interactions *)
 }
 
-val compute_forces :
-  ?theta:float -> ?eps:float -> ?use_quad:bool -> Octree.t -> counts
+val compute_forces : ?theta:float -> ?eps:float -> Octree.t -> counts
 (** Fill [body.acc] for every body by traversing the tree. [theta] defaults
-    to 1.0 (the SPLASH-2 timing setting), [eps] to 0.05. [use_quad] adds
-    the cells' quadrupole moments to far-field interactions (the SPLASH-2
-    accuracy refinement; default off, matching the distributed layout). *)
+    to 1.0 (the SPLASH-2 timing setting), [eps] to 0.05. *)
 
-val force_on :
-  ?theta:float -> ?eps:float -> ?use_quad:bool -> Octree.t -> Body.t -> Vec3.t
+val force_on : ?theta:float -> ?eps:float -> Octree.t -> Body.t -> Vec3.t
 (** Acceleration on one body, without mutating it. *)
 
 val zero_counts : counts
-val add_counts : counts -> counts -> counts
 
 val per_body_work :
   ?theta:float ->

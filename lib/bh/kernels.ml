@@ -11,30 +11,3 @@ let opened ~theta ~pos ~com ~half =
   let d = Vec3.dist pos com in
   let side = 2. *. half in
   side >= theta *. d
-
-let accel_with_quad ~eps ~pos ~src_pos ~src_mass ~quad =
-  let r = Vec3.sub src_pos pos in
-  let d2 = Vec3.norm2 r in
-  if d2 = 0. then Vec3.zero
-  else begin
-    let d2e = d2 +. (eps *. eps) in
-    let d = sqrt d2e in
-    let d3inv = 1. /. (d2e *. d) in
-    let mono = Vec3.scale (src_mass *. d3inv) r in
-    (* Field point relative to the source: rr = pos - src. *)
-    let rr = Vec3.scale (-1.) r in
-    let qr =
-      Vec3.make
-        ((quad.(0) *. rr.Vec3.x) +. (quad.(1) *. rr.Vec3.y) +. (quad.(2) *. rr.Vec3.z))
-        ((quad.(1) *. rr.Vec3.x) +. (quad.(3) *. rr.Vec3.y) +. (quad.(4) *. rr.Vec3.z))
-        ((quad.(2) *. rr.Vec3.x) +. (quad.(4) *. rr.Vec3.y) +. (quad.(5) *. rr.Vec3.z))
-    in
-    let rqr = Vec3.dot rr qr in
-    let d5inv = d3inv /. d2e in
-    let d7inv = d5inv /. d2e in
-    (* a_quad = (Q r)/d^5 - (5/2) (r.Q.r) r / d^7 *)
-    let quad_acc =
-      Vec3.axpy (-2.5 *. rqr *. d7inv) rr (Vec3.scale d5inv qr)
-    in
-    Vec3.add mono quad_acc
-  end

@@ -11,13 +11,3 @@ val accel :
 val opened : theta:float -> pos:Vec3.t -> com:Vec3.t -> half:float -> bool
 (** The Barnes-Hut multipole acceptance test: [true] when the cell must be
     opened, i.e. when [side / dist(pos, com) >= theta]. *)
-
-val accel_with_quad :
-  eps:float ->
-  pos:Vec3.t ->
-  src_pos:Vec3.t ->
-  src_mass:float ->
-  quad:float array ->
-  Vec3.t
-(** Monopole plus quadrupole acceleration from a cell's moments (packed as
-    in {!Octree.quad}): the SPLASH-2 accuracy refinement. *)

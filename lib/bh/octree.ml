@@ -15,9 +15,7 @@ and node = L of int list * int (* bodies (reversed), count *) | I of int array
 type t = {
   cells : cell Dynarray.t;
   root : int;
-  leaf_cap : int;
   bodies : Body.t array;
-  mutable quads : float array array;  (* lazily computed; [||] = not yet *)
 }
 
 let max_depth = 64
@@ -124,57 +122,11 @@ let build ?(leaf_cap = 8) bodies =
       c.com <- (if !m > 0. then Vec3.scale (1. /. !m) !acc else c.center)
   in
   summarize root;
-  { cells; root; leaf_cap; bodies; quads = [||] }
-
-(* Q += m * (3 d d^T - |d|^2 I), packed xx xy xz yy yz zz. *)
-let quad_add q m (d : Vec3.t) =
-  let d2 = Vec3.norm2 d in
-  q.(0) <- q.(0) +. (m *. ((3. *. d.Vec3.x *. d.Vec3.x) -. d2));
-  q.(1) <- q.(1) +. (m *. 3. *. d.Vec3.x *. d.Vec3.y);
-  q.(2) <- q.(2) +. (m *. 3. *. d.Vec3.x *. d.Vec3.z);
-  q.(3) <- q.(3) +. (m *. ((3. *. d.Vec3.y *. d.Vec3.y) -. d2));
-  q.(4) <- q.(4) +. (m *. 3. *. d.Vec3.y *. d.Vec3.z);
-  q.(5) <- q.(5) +. (m *. ((3. *. d.Vec3.z *. d.Vec3.z) -. d2))
-
-let compute_quads t =
-  let n = Dynarray.length t.cells in
-  let quads = Array.init n (fun _ -> Array.make 6 0.) in
-  let rec go ci =
-    let c = Dynarray.get t.cells ci in
-    let q = quads.(ci) in
-    (match c.node with
-    | L (ids, _) ->
-      List.iter
-        (fun bid ->
-          let b = t.bodies.(bid) in
-          quad_add q b.Body.mass (Vec3.sub b.Body.pos c.com))
-        ids
-    | I children ->
-      Array.iter
-        (fun ch ->
-          if ch >= 0 then begin
-            go ch;
-            let cc = Dynarray.get t.cells ch in
-            (* Parallel-axis shift of the child's quadrupole. *)
-            Array.blit
-              (Array.mapi (fun i v -> q.(i) +. v) quads.(ch))
-              0 q 0 6;
-            quad_add q cc.mass (Vec3.sub cc.com c.com)
-          end)
-        children);
-    ()
-  in
-  go t.root;
-  quads
-
-let quad t i =
-  if Array.length t.quads = 0 then t.quads <- compute_quads t;
-  t.quads.(i)
+  { cells; root; bodies }
 
 let bodies t = t.bodies
 let root t = t.root
 let ncells t = Dynarray.length t.cells
-let leaf_cap t = t.leaf_cap
 let center t i = (Dynarray.get t.cells i).center
 let half t i = (Dynarray.get t.cells i).half
 let mass t i = (Dynarray.get t.cells i).mass

@@ -15,7 +15,6 @@ val build : ?leaf_cap:int -> Body.t array -> t
 val bodies : t -> Body.t array
 val root : t -> int
 val ncells : t -> int
-val leaf_cap : t -> int
 
 val center : t -> int -> Vec3.t
 (** Geometric center of the cell's cube. *)
@@ -26,11 +25,6 @@ val half : t -> int -> float
 val mass : t -> int -> float
 val com : t -> int -> Vec3.t
 (** Total mass and center of mass of the subtree. *)
-
-val quad : t -> int -> float array
-(** Traceless quadrupole tensor of the subtree about its center of mass,
-    packed [xx; xy; xz; yy; yz; zz] — the moments the SPLASH-2 code carries
-    in each cell. Computed lazily on first access. *)
 
 val kind : t -> int -> kind
 val nbodies : t -> int -> int

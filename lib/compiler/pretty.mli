@@ -2,6 +2,5 @@
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_func : Format.formatter -> Ast.func -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val pp_info : Format.formatter -> Partition.info -> unit

@@ -84,21 +84,3 @@ let pipeline_aggregate ?(strip_size = 50) ?(agg_max = 64) () =
       auto = None;
       route = Off;
     }
-
-let pp_route ppf = function
-  | Off -> ()
-  | All_dsts -> Format.fprintf ppf "; route=all"
-  | Hot dsts ->
-    Format.fprintf ppf "; route=hot[%s]"
-      (String.concat "," (List.map string_of_int dsts))
-
-let pp ppf t =
-  match t.auto with
-  | None ->
-    Format.fprintf ppf "%s{strip=%d; agg=%d; reuse=%b%a}" t.name t.strip_size
-      t.agg_max t.reuse pp_route t.route
-  | Some a ->
-    Format.fprintf ppf
-      "%s{strip=auto(%d..%d, init %d, D<=%d); agg=%d; reuse=%b%a}" t.name
-      a.min_strip a.max_strip t.strip_size a.d_target t.agg_max t.reuse
-      pp_route t.route

@@ -76,5 +76,3 @@ val pipeline_only : ?strip_size:int -> unit -> t
 
 val pipeline_aggregate : ?strip_size:int -> ?agg_max:int -> unit -> t
 (** Pipelining plus aggregation, still no reuse. *)
-
-val pp : Format.formatter -> t -> unit

@@ -593,7 +593,8 @@ let relay_covers ctx =
 let rec ensure_scheduled ctx =
   if not ctx.scheduled then begin
     ctx.scheduled <- true;
-    Engine.post_now ctx.engine ~node:ctx.node ctx.quantum
+    Engine.post ctx.engine ~kind:Engine.Work ~time:ctx.node.Node.clock
+      ~node:ctx.node.Node.id ctx.quantum
   end
 
 (* Run ready threads for at most one poll quantum, then decide: keep going
@@ -1645,11 +1646,12 @@ let post_crash_events ~engine ~plan ctxs =
       List.iter
         (fun (crash_at, restart_at) ->
           if crash_at >= phase_start then
-            Engine.post_background engine ~time:crash_at ~node:id (fun () ->
+            Engine.post engine ~kind:Engine.Background ~time:crash_at ~node:id
+              (fun () ->
                 if Engine.live_events engine > 0 then begin
                   crash_node ctx ~plan ~restart_at;
-                  Engine.post_background engine ~time:restart_at ~node:id
-                    (fun () -> restart_node ctx ~restart_at)
+                  Engine.post engine ~kind:Engine.Background ~time:restart_at
+                    ~node:id (fun () -> restart_node ctx ~restart_at)
                 end))
         (Fault.crash_windows plan ~node:id))
     ctxs

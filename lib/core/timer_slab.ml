@@ -98,7 +98,8 @@ let arm t ?at kind ~id ~dst ~rto msg =
   t.rto.(i) <- rto;
   t.deadline.(i) <- deadline;
   t.msg.(i) <- msg;
-  Engine.post_soft t.engine ~time:deadline ~node:t.node.Node.id t.action.(i)
+  Engine.post t.engine ~kind:Engine.Soft ~time:deadline ~node:t.node.Node.id
+    t.action.(i)
 
 let backoff ~rto ~cap = min (2 * rto) cap
 let capacity t = Array.length t.id

@@ -9,7 +9,7 @@
     posts one action built with the slot, so arming allocates nothing; the
     slot is freed when its timer pops.
 
-    Timers are soft events ({!Dpa_sim.Engine.post_soft}), and fenced: one
+    Timers are [Soft] events ({!Dpa_sim.Engine.kind}), and fenced: one
     that pops after its node crashed since arming it never reaches the
     handler. *)
 

@@ -44,7 +44,6 @@ val key : Gptr.t -> idx:int -> int
 
 val key_ptr : int -> Gptr.t
 val key_node : int -> int
-val key_slot : int -> int
 val key_idx : int -> int
 
 val create :

@@ -14,13 +14,6 @@ module Make (A : Dpa.Access.S) : sig
     (A.ctx -> unit) array
 end
 
-val force_phase :
-  engine:Dpa_sim.Engine.t ->
-  global:Afmm_global.t ->
-  params:Fmm_force.params ->
-  Dpa_baselines.Variant.t ->
-  Dpa_sim.Breakdown.t * Fmm_seq.result * Dpa.Dpa_stats.t option
-
 val run :
   ?machine:Dpa_sim.Machine.t ->
   ?params:Fmm_force.params ->

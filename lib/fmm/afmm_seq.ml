@@ -1,7 +1,5 @@
 type counts = { m2l : int; p2p : int; visits : int }
 
-let zero_counts = { m2l = 0; p2p = 0; visits = 0 }
-
 let upward ~p tree =
   let parts = Aquadtree.particles tree in
   let mp = Array.make (Aquadtree.ncells tree) [||] in
@@ -81,10 +79,3 @@ let compute ~p tree =
       | Aquadtree.Leaf _ -> ())
     (Aquadtree.leaves_in_dfs_order tree);
   ({ Fmm_seq.potential; field }, { m2l = !m2l; p2p = !p2p; visits = !visits })
-
-let sequential_ns ~(params : Fmm_force.params) ~nleafavg c =
-  (c.m2l
-  * (Fmm_force.m2l_cost_ns params
-    + int_of_float (nleafavg *. float_of_int (Fmm_force.eval_cost_ns params))))
-  + (c.p2p * params.Fmm_force.p2p_ns)
-  + (c.visits * params.Fmm_force.visit_ns)

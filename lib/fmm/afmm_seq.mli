@@ -13,8 +13,3 @@ val upward : p:int -> Aquadtree.t -> Expansion.t array
 (** Multipole of every cell: P2M at leaves, M2M up. *)
 
 val compute : p:int -> Aquadtree.t -> Fmm_seq.result * counts
-
-val zero_counts : counts
-val sequential_ns : params:Fmm_force.params -> nleafavg:float -> counts -> int
-(** Modelled sequential time; [nleafavg] is the mean particles per leaf
-    (evaluation cost of an M2L is per particle). *)

@@ -11,7 +11,6 @@
 
 type t = Complex.t array
 
-val order : t -> int
 val zero : p:int -> t
 val add_inplace : t -> t -> unit
 

@@ -18,7 +18,6 @@ type t = {
   owner_leaves : int array array;  (** node -> owned leaf cell indices *)
 }
 
-val owner_of_leaf : Quadtree.t -> nnodes:int -> int -> int
 val owner_of_cell : Quadtree.t -> nnodes:int -> int -> int
 val distribute : p:int -> Quadtree.t -> nnodes:int -> t
 

@@ -3,9 +3,6 @@ type counts = { m2l : int; p2p : int; evals : int }
 
 let zero_counts = { m2l = 0; p2p = 0; evals = 0 }
 
-let add_counts a b =
-  { m2l = a.m2l + b.m2l; p2p = a.p2p + b.p2p; evals = a.evals + b.evals }
-
 let upward ~p tree =
   let parts = Quadtree.particles tree in
   let n = Quadtree.ncells tree in

@@ -23,4 +23,3 @@ val upward : p:int -> Quadtree.t -> Expansion.t array
 val compute : p:int -> Quadtree.t -> result * counts
 
 val zero_counts : counts
-val add_counts : counts -> counts -> counts

@@ -3,8 +3,6 @@
 
 type t = { id : int; q : float; z : Complex.t }
 
-val make : id:int -> q:float -> z:Complex.t -> t
-
 val uniform : n:int -> seed:int -> t array
 (** [n] particles uniform in the unit square, charges uniform in [\[0.5, 1.5)]
     scaled so the total charge is 1. Deterministic given [seed]. *)

@@ -31,7 +31,6 @@ let node t = t asr slot_bits
 let slot t = if t < 0 then -1 else t land slot_mask
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 
 let pp ppf t =
   if is_nil t then Format.fprintf ppf "nil"

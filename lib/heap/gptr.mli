@@ -20,11 +20,7 @@ val slot : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-(** Lexicographic on (node, slot); {!nil} sorts first. *)
-
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 val show : t -> string
 
 val bytes : int

@@ -81,20 +81,6 @@ let ensure_ptrs t extra =
     t.ppool <- p
   end
 
-let reserve t ~objs ~floats ~ptrs =
-  if objs < 0 || floats < 0 || ptrs < 0 then
-    invalid_arg "Heap.reserve: negative size";
-  if objs > 0 then begin
-    let need = (t.nobjs + objs) * meta_stride in
-    if need > Array.length t.meta then begin
-      let m = Array.make (grow_cap (Array.length t.meta) need) 0 in
-      Array.blit t.meta 0 m 0 (t.nobjs * meta_stride);
-      t.meta <- m
-    end
-  end;
-  if floats > 0 then ensure_floats t floats;
-  if ptrs > 0 then ensure_ptrs t ptrs
-
 (* --- allocation --------------------------------------------------------- *)
 
 let alloc_raw t ~nfloats ~nptrs =

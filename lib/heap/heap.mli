@@ -37,11 +37,6 @@ val alloc_raw : t -> nfloats:int -> nptrs:int -> Gptr.t
     without staging caller arrays — the allocation-free path for bulk
     builders, which then fill fields with {!set_float}/{!set_ptr}. *)
 
-val reserve : t -> objs:int -> floats:int -> ptrs:int -> unit
-(** Pre-size the node's pools for [objs] more objects, [floats] more
-    float fields and [ptrs] more pointer fields, so a bulk build does not
-    pay doubling copies. *)
-
 val size : t -> int
 (** Number of objects allocated on this node. *)
 

@@ -6,7 +6,6 @@
 type t = { floats : float array; ptrs : Gptr.t array }
 
 val make : floats:float array -> ptrs:Gptr.t array -> t
-val empty : t
 
 val bytes : t -> int
 (** Serialized size: header + 8 bytes per float + {!Gptr.bytes} per
@@ -17,5 +16,3 @@ val header_bytes : int
 val copy : t -> t
 (** Deep copy, as performed when an object is renamed into the alignment
     buffer of a remote node. *)
-
-val pp : Format.formatter -> t -> unit

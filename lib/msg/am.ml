@@ -659,7 +659,7 @@ and transmit engine f l st (src : Node.t) e =
       st.inc.(c) <- dst_inc;
       st.corrupt.(c) <- corrupted;
       st.copies.(e) <- st.copies.(e) + 1;
-      Engine.post engine ~time:at ~node:dst s.action.(c)
+      Engine.post engine ~kind:Engine.Work ~time:at ~node:dst s.action.(c)
     done
 
 (* A copy reaches its receiver's NIC. Whatever its fate, it is off the
@@ -775,7 +775,7 @@ and send_ack engine f l st ~at ~fid (d : Node.t) ~sender ~seq ~e =
       st.env.(c) <- e;
       st.at.(c) <- t;
       st.corrupt.(c) <- corrupted;
-      Engine.post_soft engine ~time:t ~node:sender s.action.(c)
+      Engine.post engine ~kind:Engine.Soft ~time:t ~node:sender s.action.(c)
     done
 
 (* An ack copy reaches the sender's NIC. The envelope it names is still
@@ -880,7 +880,8 @@ and attempt engine f l st e =
   let deadline = src.Node.clock + st.rto.(e) in
   st.rto.(e) <- min (2 * st.rto.(e)) (rto_cap m ~bytes);
   st.at.(e) <- deadline;
-  Engine.post_soft engine ~time:deadline ~node:src_id s.action.(e)
+  Engine.post engine ~kind:Engine.Soft ~time:deadline ~node:src_id
+    s.action.(e)
 
 (* --- sending ----------------------------------------------------------------- *)
 
@@ -911,7 +912,7 @@ let plain_send engine ~src ~dst ~bytes handler a b payload =
   s.a.(i) <- a;
   s.b.(i) <- b;
   s.payload.(i) <- payload;
-  Engine.post engine ~time:arrival ~node:dst s.action.(i)
+  Engine.post engine ~kind:Engine.Work ~time:arrival ~node:dst s.action.(i)
 
 (* A new envelope: its state goes into a slot, which then arms its own
    timeouts until the envelope is done. *)

@@ -23,8 +23,6 @@ val ratio : actual:int -> bound:int -> float
 (** Communication-overhead ratio; [1.0] when both are zero, [infinity]
     when only the bound is. *)
 
-val instance_json : Causal.instance -> Json.t
-
 val report_json : Causal.t -> Json.t
 (** The [--critical-path] artifact: every analyzed instance under
     ["phases"], per-label aggregates under ["summary"], and ["nphases"]. *)

@@ -123,7 +123,6 @@ let create ?(capacity = default_capacity) () =
   }
 
 let metrics t = t.metrics
-let capacity t = t.capacity
 
 let set_categories t cats = t.categories <- cats
 let set_spans_only t b = t.spans_only <- b

@@ -25,7 +25,7 @@
     {b Retention.} Spans are kept unbounded — there are O(strips x nodes)
     of them and the exporters' phase structure depends on every one —
     while instants and counter samples live in a ring window of the last
-    {!capacity} rows (flight-recorder behaviour: older rows are
+    [capacity] rows ({!create}; flight-recorder behaviour: older rows are
     overwritten, and the overwrite count is reported by {!dropped} and in
     the exported artifacts). A ring chunk goes back to its column's pool
     once every row in it is both outside the window and streamed to the
@@ -78,8 +78,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the instant/counter ring (default [1 lsl 18]). *)
 
 val default_capacity : int
-
-val capacity : t -> int
 
 val metrics : t -> Metrics.t
 

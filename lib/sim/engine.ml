@@ -1,12 +1,21 @@
 (* An event is its action plus one tag word stored beside it in the queue:
-   the target node in the high bits, then the advance flag (advance the
-   node clock to the event time on pop) and the sampler flag (periodic
-   sampler or background tick, excluded from the live count). Packing the
-   three there instead of in a record is what keeps posting and
-   dispatching free of per-event allocation beyond the action itself. *)
+   the target node in the high bits, then the kind's code in the low two
+   (see [code]). Packing both there instead of in a record is what keeps
+   posting and dispatching free of per-event allocation beyond the action
+   itself. *)
 let advance_bit = 2
-let sampler_bit = 1
+let background_bit = 1
 let node_shift = 2
+
+type kind = Work | Soft | Background
+
+(* A kind's code is its two tag bits: [advance_bit] advances the node clock
+   to the event time on pop, [background_bit] keeps the event out of the
+   live count. No kind sets both. *)
+let code = function
+  | Work -> advance_bit
+  | Soft -> 0
+  | Background -> background_bit
 
 type ext = ..
 
@@ -18,7 +27,7 @@ type t = {
   mutable sink : Dpa_obs.Sink.t option;
   mutable fault : Fault.t option;
   mutable ext : ext option;
-  mutable live : int;  (* pending non-sampler events *)
+  mutable live : int;  (* pending non-background events *)
 }
 
 let create machine =
@@ -67,36 +76,16 @@ let nodes t = t.nodes
 
 let node t i = t.nodes.(i)
 
-let enqueue t ~time ~node ~advance ~sampler action =
+let post ?(kind = Work) t ~time ~node action =
   let nnodes = Array.length t.nodes in
   if node < 0 || node >= nnodes then
     invalid_arg
       (Printf.sprintf "Engine.post: bad node id %d (machine has %d nodes)" node
          nnodes);
-  let tag =
-    (node lsl node_shift)
-    lor (if advance then advance_bit else 0)
-    lor if sampler then sampler_bit else 0
-  in
-  Event_queue.add_tagged t.queue ~time ~tag action;
-  if not sampler then t.live <- t.live + 1
-
-let post t ~time ~node action =
-  enqueue t ~time ~node ~advance:true ~sampler:false action
-
-let post_soft t ~time ~node action =
-  enqueue t ~time ~node ~advance:false ~sampler:false action
-
-let post_now t ~node action =
-  enqueue t ~time:node.Node.clock ~node:node.Node.id ~advance:true
-    ~sampler:false action
-
-(* Background events never advance a clock and are excluded from the live
-   count: they neither keep the phase alive nor keep samplers ticking.
-   The fault layer's crash/restart instants use them — a crash scheduled
-   past the end of the phase's real work must not stretch the phase. *)
-let post_background t ~time ~node action =
-  enqueue t ~time ~node ~advance:false ~sampler:true action
+  let code = code kind in
+  Event_queue.add_tagged t.queue ~time ~tag:((node lsl node_shift) lor code)
+    action;
+  if code land background_bit = 0 then t.live <- t.live + 1
 
 let live_events t = t.live
 
@@ -109,7 +98,7 @@ let run t =
     Event_queue.drop_min q;
     if tag land advance_bit <> 0 then
       Node.wait_until t.nodes.(tag lsr node_shift) time;
-    if tag land sampler_bit = 0 then t.live <- t.live - 1;
+    if tag land background_bit = 0 then t.live <- t.live - 1;
     t.events_processed <- t.events_processed + 1;
     action ()
   done
@@ -124,11 +113,11 @@ let start_sampler t ~period_ns ~name f =
   match t.sink with
   | None -> ()
   | Some sink ->
-    (* A self-rescheduling soft tick: it never advances a node clock (so a
-       sampled run stays bit-identical to an unsampled one) and stops as
-       soon as no real event is pending — the phase has drained. *)
+    (* A self-rescheduling background tick: it never advances a node clock
+       (so a sampled run stays bit-identical to an unsampled one) and stops
+       as soon as no real event is pending — the phase has drained. *)
     let rec tick time =
-      enqueue t ~time ~node:0 ~advance:false ~sampler:true (fun () ->
+      post t ~kind:Background ~time ~node:0 (fun () ->
           (* Checked before emitting: once the phase has drained, a sample
              at this tick's time would be stamped past the phase end —
              fabricated, and out of order with the next phase's events in

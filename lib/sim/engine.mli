@@ -1,10 +1,10 @@
 (** Discrete-event simulation engine.
 
     The engine owns one {!Node.t} per machine node and a global event queue.
-    An event targets a node; when it is popped, the node's clock is advanced
-    to the event timestamp (the gap accounted as idle — the node had nothing
-    runnable, otherwise it would have scheduled work) and the action runs
-    with the node clock as "now". Actions advance the clock through
+    An event targets a node; when a [Work] event is popped, the node's
+    clock is advanced to the event timestamp (the gap accounted as idle —
+    the node had nothing runnable, otherwise it would have scheduled work)
+    and the action runs with the node clock as "now". Actions advance the clock through
     {!Node.charge_local} / {!Node.charge_comm} and may post further events.
 
     A busy node therefore serializes naturally: an event whose timestamp is
@@ -45,37 +45,38 @@ val set_fault : t -> Fault.t option -> unit
 val ext : t -> ext option
 val set_ext : t -> ext option -> unit
 
-val post : t -> time:int -> node:int -> (unit -> unit) -> unit
-(** Schedule an action on [node] no earlier than [time]. *)
+type kind =
+  | Work
+      (** Popping the event advances the node clock to the event time (the
+          gap accounted as idle) before the action runs. *)
+  | Soft
+      (** The action runs at the node's current clock, wherever the node
+          left it, and must call {!Node.wait_until} itself if it does real
+          work. This is what timeout wheels are built from: a timer that
+          finds its message already acknowledged is a pure no-op and leaves
+          the simulation untouched. *)
+  | Background
+      (** Like [Soft], and not counted by {!live_events}: the event neither
+          keeps the phase alive nor keeps samplers ticking. Crash and
+          restart instants are background events, so a crash drawn past the
+          end of the phase's real work checks [live_events > 0] and no-ops
+          instead of stretching the phase. *)
 
-val post_soft : t -> time:int -> node:int -> (unit -> unit) -> unit
-(** Like {!post}, but popping the event does NOT advance the node clock:
-    the action runs with the clock wherever the node left it, and must
-    call {!Node.wait_until} itself if it does real work. This is what
-    timeout wheels are built from — a timer that finds its message already
-    acknowledged is a pure no-op and leaves the simulation untouched. *)
-
-val post_now : t -> node:Node.t -> (unit -> unit) -> unit
-(** Schedule an action on [node] at the node's current clock. *)
-
-val post_background : t -> time:int -> node:int -> (unit -> unit) -> unit
-(** Like {!post_soft}, but additionally excluded from {!live_events} — the
-    event neither keeps the phase alive nor keeps samplers ticking. The
-    runtime schedules crash/restart instants with it: a crash drawn past
-    the end of the phase's real work must not stretch the phase, so the
-    crash action checks [live_events > 0] and no-ops on a drained run. *)
+val post : ?kind:kind -> t -> time:int -> node:int -> (unit -> unit) -> unit
+(** Schedule an action on [node] no earlier than [time], as a [kind] event
+    (default [Work]). Raises [Invalid_argument] on a node id outside the
+    machine. *)
 
 val live_events : t -> int
-(** Pending events, excluding periodic-sampler ticks. *)
+(** Pending events that are not [Background]. *)
 
 val start_sampler : t -> period_ns:int -> name:string -> (Node.t -> int) -> unit
 (** Fixed-rate counter track: every [period_ns] of sim-time emit one
     counter sample per node valued [f node] into the engine's sink (no-op
-    without one). Ticks are soft events that never advance node clocks, so
-    a sampled run is bit-identical to an unsampled one; sampling starts one
-    period after the current {!elapsed} and stops at the first tick that
-    finds no live (non-sampler) event pending — i.e. when the phase has
-    drained. *)
+    without one). Ticks are [Background] events, so a sampled run is
+    bit-identical to an unsampled one; sampling starts one period after the
+    current {!elapsed} and stops at the first tick that finds no live event
+    pending — i.e. when the phase has drained. *)
 
 val run : t -> unit
 (** Process events until the queue is empty. *)

@@ -178,5 +178,3 @@ let pop t =
     drop_min t;
     Some (time, payload)
   end
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)

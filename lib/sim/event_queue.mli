@@ -31,8 +31,6 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the event with the smallest [(time, insertion-order)]
     key, or [None] when empty. *)
 
-val peek_time : 'a t -> int option
-
 (** {2 Allocation-free pop}
 
     [min_time]/[min_tag]/[min_payload] then [drop_min] is {!pop} split so

@@ -215,7 +215,6 @@ let pp_spec ppf s =
 
 type t = {
   spec : spec;
-  seed : int;
   rng : Dpa_util.Rng.t;
   (* The corruption and tear streams are seeded independently of [rng]
      (plain xor-derived seeds, no [Rng.split] — a split consumes a parent
@@ -268,7 +267,6 @@ let make ?(seed = 0x5EED) spec ~nodes =
   Array.iter (fun w -> Array.sort compare w) crash_windows;
   {
     spec;
-    seed;
     rng;
     corrupt_rng = Dpa_util.Rng.create ~seed:(seed lxor 0x51C6C0DE);
     torn_rng = Dpa_util.Rng.create ~seed:(seed lxor 0x7EA410C5);
@@ -286,7 +284,6 @@ let make ?(seed = 0x5EED) spec ~nodes =
     extra1 = 0;
   }
 
-let seed t = t.seed
 let spec t = t.spec
 
 (* Closure-free scans: the transport asks four of these per judged

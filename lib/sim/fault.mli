@@ -109,7 +109,6 @@ val make : ?seed:int -> spec -> nodes:int -> t
     same per-node streams, so adding [crashes = 0] to an existing spec
     changes nothing. *)
 
-val seed : t -> int
 val spec : t -> spec
 
 type verdict =
@@ -139,14 +138,8 @@ val extra : t -> int -> int
     verdict, [0 <= i < copies t]; the second copy always trails the
     first. *)
 
-val in_outage : t -> node:int -> time:int -> bool
-
 val outage_windows : t -> node:int -> (int * int) list
 (** The [(start, end)] outage windows drawn for [node] at {!make} time. *)
-
-val in_crash : t -> node:int -> time:int -> bool
-(** Whether [node] is inside one of its crash windows (down, volatile
-    state lost at the window's start) at simulated [time]. *)
 
 val crash_windows : t -> node:int -> (int * int) list
 (** The [(crash, restart)] instants drawn for [node] at {!make} time,

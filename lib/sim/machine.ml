@@ -66,20 +66,3 @@ let t3d ~nodes = make ~nodes ()
 
 let transfer_ns t ~bytes =
   t.wire_latency_ns + int_of_float (ceil (float_of_int bytes *. t.ns_per_byte))
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>machine: %d nodes@ send/recv overhead: %d/%d ns@ wire latency: %d \
-     ns@ bandwidth: %.1f ns/byte@ request service: %d + %d/obj ns@ hash \
-     probe: %d ns@ spawn/dispatch overhead: %d/%d ns@ poll quantum: %d ns@ \
-     header/request/update entry: %d/%d/%d bytes@ update apply: %d ns@ \
-     ingress serialized: %b@ faults: %a (seed %d)@ adaptive rto: %b@]"
-    t.nodes t.send_overhead_ns t.recv_overhead_ns t.wire_latency_ns
-    t.ns_per_byte t.request_service_ns t.request_service_per_obj_ns
-    t.hash_probe_ns t.spawn_overhead_ns t.dispatch_overhead_ns
-    t.poll_quantum_ns t.msg_header_bytes t.req_entry_bytes
-    t.update_entry_bytes t.update_apply_ns t.ingress_serialized
-    (Format.pp_print_option
-       ~none:(fun ppf () -> Format.pp_print_string ppf "off")
-       Fault.pp_spec)
-    t.faults t.fault_seed t.adaptive_rto

@@ -78,5 +78,3 @@ val set_default_adaptive_rto : bool -> unit
 val transfer_ns : t -> bytes:int -> int
 (** Time for [bytes] to cross the wire after injection: latency plus
     serialization. *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,20 +29,3 @@ let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0
-
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-  loop (t.len - 1) []
-
-let sort cmp t =
-  if t.len < Array.length t.data then t.data <- Array.sub t.data 0 t.len;
-  Array.stable_sort cmp t.data

@@ -10,10 +10,3 @@ val add : 'a t -> 'a -> int
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val clear : 'a t -> unit
-val to_list : 'a t -> 'a list
-
-val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** Stable sort of the elements, in place (capacity shrinks to the
-    length). *)

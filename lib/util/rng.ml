@@ -43,8 +43,6 @@ let uniform t = unit_float t
 
 let chance t p = unit_float t < p
 
-let float t bound = unit_float t *. bound
-
 let gaussian t =
   let rec draw () =
     let u = uniform t in

@@ -3,7 +3,7 @@
     Every experiment in this repository must be reproducible bit-for-bit, so
     all stochastic inputs (particle positions, masses, velocities) are drawn
     from this generator rather than [Stdlib.Random]. A draw allocates
-    nothing beyond its boxed result ({!int64}, {!uniform}, {!float});
+    nothing beyond its boxed result ({!int64}, {!uniform}, {!gaussian});
     {!int} and {!chance} allocate nothing at all. *)
 
 type t
@@ -20,9 +20,6 @@ val int64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
 
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)

@@ -115,70 +115,6 @@ let test_bh_theta_zero_is_direct () =
         (Vec3.approx_equal ~tol:1e-9 a bodies.(i).Body.acc))
     approx
 
-let test_quadrupole_of_symmetric_pair () =
-  (* Two unit masses at (+-1, 0, 0): com at origin; Q = diag(2m, -m, -m)
-     with m summed over both bodies: xx = 2*(3*1-1)=4, yy = zz = -2. *)
-  let bodies =
-    [|
-      Body.make ~id:0 ~mass:1. ~pos:(Vec3.make 1. 0. 0.) ~vel:Vec3.zero;
-      Body.make ~id:1 ~mass:1. ~pos:(Vec3.make (-1.) 0. 0.) ~vel:Vec3.zero;
-    |]
-  in
-  let tree = Octree.build ~leaf_cap:2 bodies in
-  let q = Octree.quad tree (Octree.root tree) in
-  Alcotest.(check (float 1e-12)) "xx" 4. q.(0);
-  Alcotest.(check (float 1e-12)) "yy" (-2.) q.(3);
-  Alcotest.(check (float 1e-12)) "zz" (-2.) q.(5);
-  Alcotest.(check (float 1e-12)) "xy" 0. q.(1);
-  (* Traceless. *)
-  Alcotest.(check (float 1e-12)) "trace" 0. (q.(0) +. q.(3) +. q.(5))
-
-let test_quad_shift_consistent () =
-  (* The parallel-axis accumulation must equal a direct computation about
-     the root's center of mass. *)
-  let bodies = Plummer.generate ~n:200 ~seed:41 in
-  let tree = Octree.build ~leaf_cap:4 bodies in
-  let root = Octree.root tree in
-  let com = Octree.com tree root in
-  let want = Array.make 6 0. in
-  Array.iter
-    (fun b ->
-      let d = Vec3.sub b.Body.pos com in
-      let d2 = Vec3.norm2 d in
-      want.(0) <- want.(0) +. (b.Body.mass *. ((3. *. d.Vec3.x *. d.Vec3.x) -. d2));
-      want.(1) <- want.(1) +. (b.Body.mass *. 3. *. d.Vec3.x *. d.Vec3.y);
-      want.(2) <- want.(2) +. (b.Body.mass *. 3. *. d.Vec3.x *. d.Vec3.z);
-      want.(3) <- want.(3) +. (b.Body.mass *. ((3. *. d.Vec3.y *. d.Vec3.y) -. d2));
-      want.(4) <- want.(4) +. (b.Body.mass *. 3. *. d.Vec3.y *. d.Vec3.z);
-      want.(5) <- want.(5) +. (b.Body.mass *. ((3. *. d.Vec3.z *. d.Vec3.z) -. d2)))
-    bodies;
-  let got = Octree.quad tree root in
-  Array.iteri
-    (fun i w ->
-      if Float.abs (w -. got.(i)) > 1e-9 then
-        Alcotest.failf "component %d: %g vs %g" i got.(i) w)
-    want
-
-let test_quadrupole_improves_accuracy () =
-  let bodies = Plummer.generate ~n:300 ~seed:43 in
-  let tree = Octree.build bodies in
-  Bh_direct.compute_forces ~eps:0.05 bodies;
-  let exact = Array.map (fun b -> b.Body.acc) bodies in
-  let err use_quad =
-    let worst = ref 0. in
-    Array.iteri
-      (fun i b ->
-        let a = Bh_seq.force_on ~theta:1.0 ~use_quad tree b in
-        let n = Vec3.norm exact.(i) in
-        if n > 0. then worst := Float.max !worst (Vec3.dist a exact.(i) /. n))
-      bodies;
-    !worst
-  in
-  let mono = err false and quad = err true in
-  Alcotest.(check bool)
-    (Printf.sprintf "quad %.4f < mono %.4f" quad mono)
-    true (quad < mono)
-
 let test_distribute_preserves_tree () =
   let bodies = Plummer.generate ~n:200 ~seed:29 in
   let octree = Octree.build bodies in
@@ -351,14 +287,6 @@ let suites =
           test_bh_accuracy_vs_direct;
         Alcotest.test_case "theta=0 equals direct" `Quick
           test_bh_theta_zero_is_direct;
-      ] );
-    ( "bh.quadrupole",
-      [
-        Alcotest.test_case "symmetric pair" `Quick
-          test_quadrupole_of_symmetric_pair;
-        Alcotest.test_case "shift consistent" `Quick test_quad_shift_consistent;
-        Alcotest.test_case "improves accuracy" `Quick
-          test_quadrupole_improves_accuracy;
       ] );
     ( "bh.distribute",
       [ Alcotest.test_case "preserves tree" `Quick test_distribute_preserves_tree ] );

@@ -64,8 +64,7 @@ let event_queue_matches_model ops =
         | Some ((time, i) as key) ->
           model := Keys.remove key !model;
           decr size;
-          Event_queue.peek_time q = Some time
-          && Event_queue.min_time q = time
+          Event_queue.min_time q = time
           && Event_queue.min_tag q = 3 * i
           && Event_queue.min_payload q = string_of_int i
           && Event_queue.pop q = Some (time, string_of_int i)))
@@ -199,12 +198,101 @@ let test_engine_barrier_pending () =
   let engine = Engine.create (Machine.t3d ~nodes:3) in
   Engine.post engine ~time:900 ~node:0 (fun () -> ());
   Engine.post engine ~time:700 ~node:2 (fun () -> ());
-  Engine.post_background engine ~time:800 ~node:1 (fun () -> ());
+  Engine.post engine ~kind:Engine.Background ~time:800 ~node:1 (fun () -> ());
   Alcotest.check_raises "names counts, time and node"
     (Invalid_argument
        "Engine.barrier: 3 events still pending (2 live), the earliest at \
         t=700 ns on node 2")
     (fun () -> Engine.barrier engine)
+
+(* Random events of every kind over three nodes, some posted from inside
+   actions; each action records its node's clock on entry and
+   [live_events], then charges some local work so that later events can
+   find their node busy past their time. A model replays the same events
+   in (time, post order): a [Work] pop sets the clock to [max clock time],
+   a [Soft] or [Background] pop leaves it where it was, and [live_events]
+   is the number of pending events that are not [Background]. *)
+type ev = {
+  time : int;
+  node : int;
+  kind : Engine.kind;
+  work : int;
+  children : ev list;
+}
+
+let ev_gen =
+  let open QCheck.Gen in
+  let kind = oneofl [ Engine.Work; Engine.Soft; Engine.Background ] in
+  sized_size (int_bound 2)
+    (fix (fun self depth ->
+         map
+           (fun ((time, node, kind), (work, children)) ->
+             { time; node; kind; work; children })
+           (pair
+              (triple (int_bound 2_000) (int_bound 2) kind)
+              (pair
+                 (oneof [ return 0; int_bound 500 ])
+                 (if depth = 0 then return []
+                  else list_size (int_bound 3) (self (depth - 1)))))))
+
+let rec print_ev e =
+  Printf.sprintf "{t=%d n=%d %s w=%d [%s]}" e.time e.node
+    (match e.kind with
+    | Engine.Work -> "work"
+    | Engine.Soft -> "soft"
+    | Engine.Background -> "bg")
+    e.work
+    (String.concat " " (List.map print_ev e.children))
+
+let engine_kinds_match_model evs =
+  let nnodes = 3 in
+  let engine = Engine.create (Machine.t3d ~nodes:nnodes) in
+  let seen = ref [] in
+  let rec post e =
+    Engine.post engine ~kind:e.kind ~time:e.time ~node:e.node (fun () ->
+        let n = Engine.node engine e.node in
+        seen := (n.Node.clock, Engine.live_events engine) :: !seen;
+        List.iter post e.children;
+        Node.charge_local n e.work)
+  in
+  List.iter post evs;
+  Engine.run engine;
+  let clocks = Array.make nnodes 0 in
+  let pending = ref Keys.empty and posted = Hashtbl.create 64 in
+  let add e =
+    let i = Hashtbl.length posted in
+    Hashtbl.add posted i e;
+    pending := Keys.add (e.time, i) !pending
+  in
+  List.iter add evs;
+  let want = ref [] in
+  while not (Keys.is_empty !pending) do
+    let ((time, i) as key) = Keys.min_elt !pending in
+    pending := Keys.remove key !pending;
+    let e = Hashtbl.find posted i in
+    (match e.kind with
+    | Engine.Work -> clocks.(e.node) <- max clocks.(e.node) time
+    | Engine.Soft | Engine.Background -> ());
+    let live =
+      Keys.fold
+        (fun (_, j) n ->
+          if (Hashtbl.find posted j).kind = Engine.Background then n else n + 1)
+        !pending 0
+    in
+    want := (clocks.(e.node), live) :: !want;
+    List.iter add e.children;
+    clocks.(e.node) <- clocks.(e.node) + e.work
+  done;
+  !seen = !want
+
+let qcheck_engine_kinds =
+  QCheck.Test.make
+    ~name:"event kinds move the node clock and the live count by their rules"
+    ~count:300
+    (QCheck.make
+       ~print:(fun evs -> String.concat "\n" (List.map print_ev evs))
+       QCheck.Gen.(list_size (int_range 1 20) ev_gen))
+    engine_kinds_match_model
 
 (* --- allocation ------------------------------------------------------------ *)
 
@@ -308,6 +396,7 @@ let suites =
         Alcotest.test_case "barrier" `Quick test_engine_barrier;
         Alcotest.test_case "barrier names pending events" `Quick
           test_engine_barrier_pending;
+        QCheck_alcotest.to_alcotest qcheck_engine_kinds;
       ] );
     ( "sim.alloc",
       [

@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke usage-smoke identity bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke usage-smoke identity identity-bless bench-obs-overhead clean
 
 all: build
 
@@ -148,15 +148,19 @@ usage-smoke: build
 	  cat /tmp/dpa_usage.err; exit 1; \
 	fi; echo "usage-smoke: unwritable --json path rejected before the run"
 
-# Byte-identity check against another build, usually the parent commit's:
-# every command in scripts/identity.cmds runs through BASE and through this
-# tree's dpa_bench, and their stdout (plus any --json artifact) must be
-# cmp-identical. Exits 1 naming the first command that differs.
-#   make identity BASE=/path/to/parent/_build/default/bin/dpa_bench.exe
+# Byte-identity check of every command in scripts/identity.cmds: their
+# stdout (plus any --json/--events/... artifact) must hash to the lines of
+# scripts/identity.golden, or, with BASE set, be cmp-identical between BASE
+# (usually the parent commit's dpa_bench) and this tree's. Exits 1 naming
+# the commands that differ. `dune runtest` checks the "# runtest" slice
+# against the golden file; identity-bless rewrites it after a deliberate
+# output change.
+#   make identity [BASE=/path/to/parent/_build/default/bin/dpa_bench.exe]
 identity: build
-	@test -n "$(BASE)" \
-	  || { echo "usage: make identity BASE=<parent dpa_bench.exe>"; exit 2; }
-	scripts/identity.sh $(BASE) _build/default/$(BENCH)
+	scripts/identity.sh $(if $(BASE),$(BASE),--check) _build/default/$(BENCH)
+
+identity-bless: build
+	scripts/identity.sh --bless _build/default/$(BENCH)
 
 # Observability-overhead benchmark: wall-clock time of t2 and f1 with
 # observability off, with event streaming only, and with causal tracing +

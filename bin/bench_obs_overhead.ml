@@ -27,8 +27,8 @@ let best f =
 
 let workloads =
   [
-    ("t2", fun () -> ignore (Experiment.bh_times ~memo:false conf));
-    ("f1", fun () -> ignore (Experiment.bh_breakdown conf));
+    ("t2", fun () -> ignore (Experiment.rows ~memo:false Experiment.t2 conf));
+    ("f1", fun () -> ignore (Experiment.rows ~memo:false Experiment.f1 conf));
   ]
 
 (* Each tier installs (or not) a process-global sink around the workload,

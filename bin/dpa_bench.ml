@@ -395,9 +395,11 @@ let with_json what f json conf =
   let v = f conf in
   finish what (fun () -> Dpa_obs.Json.to_string v ^ "\n") out
 
-(* An experiment of one table; its JSON lists the table. *)
-let table ?footer title columns rows conf =
-  Dpa_obs.Json.List [ Table.print ?footer title columns (rows conf) ]
+(* A table experiment: its command, its doc, what the [--json] log line
+   calls its results (its command), and a run that prints the table and
+   returns it as a one-table list. *)
+let sweep (s : _ Experiment.sweep) =
+  (s.name, s.doc, s.name, fun conf -> Dpa_obs.Json.List [ Experiment.print s conf ])
 
 (* Run, print and check one fault matrix; returns its JSON. *)
 let run_matrix m =
@@ -412,167 +414,61 @@ let run_matrix m =
    JSON. *)
 let experiments =
   let open Experiment in
-  List.map
-    (fun (name, doc, run) -> (name, doc, name, run))
-    [
-      ( "t1",
-        "Static/dynamic thread statistics table",
-        table "T1: static and dynamic thread statistics (DPA)" stats_columns
-          thread_stats );
-      ( "t2",
-        "Barnes-Hut execution-time table",
-        fun conf ->
-          table
-            (Printf.sprintf
-               "T2: Barnes-Hut force-phase times (%d bodies, %d step(s), \
-                strip %d)"
-               conf.Runconf.bh_bodies conf.Runconf.bh_steps
-               conf.Runconf.bh_strip)
-            times_columns bh_times conf );
-      ( "t3",
-        "FMM execution-time table",
-        fun conf ->
-          table
-            (Printf.sprintf "T3: FMM force-phase times (%d particles, p=%d)"
-               conf.Runconf.fmm_particles conf.Runconf.fmm_p)
-            times_columns fmm_times conf );
-      ( "f1",
-        "Barnes-Hut breakdown figure",
-        fun conf ->
-          let title =
-            Printf.sprintf "F1: Barnes-Hut breakdown on %d nodes"
-              conf.Runconf.breakdown_procs
-          in
-          Dpa_obs.Json.List [ print_breakdown ~title (bh_breakdown conf) ] );
-      ( "f2",
-        "FMM breakdown figure",
-        fun conf ->
-          let title =
-            Printf.sprintf "F2: FMM breakdown on %d nodes (strip %d)"
-              conf.Runconf.breakdown_procs conf.Runconf.fmm_strip
-          in
-          Dpa_obs.Json.List [ print_breakdown ~title (fmm_breakdown conf) ] );
-      ( "f3",
-        "Strip-size sensitivity figure",
-        table "F3: strip-size sensitivity (DPA, breakdown node count)"
-          strip_columns strip_sweep );
-      ( "f4",
-        "Speedup curves",
-        table "F4: DPA speedups over modelled sequential time" speedup_columns
-          (fun conf ->
-            let bh = bh_times conf and fmm = fmm_times conf in
-            speedups ~bh ~fmm) );
-      ( "a1",
-        "Aggregation-bound ablation",
-        table "A1: aggregation-bound ablation (Barnes-Hut, DPA)" agg_columns
-          agg_sweep );
-      ( "a2",
-        "Caching cache-size ablation",
-        fun conf ->
-          let dpa =
-            List.find
-              (fun (t : timing) -> t.procs = conf.Runconf.breakdown_procs)
-              (bh_times
-                 { conf with Runconf.procs = [ conf.Runconf.breakdown_procs ] })
-          in
-          let footer =
-            Printf.sprintf "(DPA reference time: %s s)" (Table.sec dpa.dpa_s)
-          in
-          table ~footer "A2: software-caching cache-size ablation (Barnes-Hut)"
-            cache_columns cache_sweep conf );
-      ( "a3",
-        "FMM input-distribution ablation",
-        table "A3: FMM input-distribution ablation (DPA)" dist_columns
-          distribution_sweep );
-      ( "a4",
-        "Barnes-Hut partitioning ablation",
-        table "A4: Barnes-Hut partitioning ablation (DPA)" partition_columns
-          partition_sweep );
-      ( "a5",
-        "EM3D irregular-graph kernel",
-        table "A5: EM3D irregular-graph kernel (degree 20, 25% remote)"
-          em3d_columns em3d_sweep );
-      ( "a6",
-        "Network-latency sensitivity",
-        table "A6: network-latency sensitivity (Barnes-Hut, 1 step)"
-          latency_columns latency_sweep );
-      ( "a7",
-        "Parallel FMM upward pass (reductions)",
-        table
-          "A7: parallel FMM upward pass via remote reductions (P2M + \
-           per-level M2M)"
-          upward_columns upward_sweep );
-      ( "a8",
-        "Adaptive FMM on clustered input",
-        table "A8: adaptive FMM on a clustered input (8 Gaussian clusters)"
-          afmm_columns afmm_sweep );
-      ( "a9",
-        "Cache locality of iteration order",
-        table
-          "A9: single-node cache locality of iteration order (BH cell \
-           accesses)"
-          locality_columns cache_locality );
-      ( "a10",
-        "Hot-spot with link serialization",
-        table
-          "A10: hot spot (all nodes read node 0) with/without link \
-           serialization"
-          hotspot_columns hotspot );
-    ]
-  @ [
-      ( "a11",
-        "Chaos sweep: faults vs goodput and correctness",
-        "chaos sweep",
-        fun conf -> run_matrix (chaos_sweep conf) );
-      ( "a12",
-        "Adaptive strip size and adaptive RTO vs static",
-        "adaptive RTO matrix",
-        fun conf ->
-          ignore
-            (Table.print
-               (Printf.sprintf
-                  "A12a: static vs adaptive strip size — BH force phase (%d \
-                   nodes)"
-                  conf.Runconf.breakdown_procs)
-               adaptive_strip_columns
-               (adaptive_strip_sweep conf));
-          run_matrix (adaptive_rto_sweep conf) );
-      ( "a13",
-        "Crash-restart chaos matrix across workloads",
-        "crash matrix",
-        fun conf -> run_matrix (crash_matrix conf) );
-      ( "a14",
-        "End-to-end integrity matrix: wire corruption and torn WAL writes \
-         across workloads",
-        "integrity matrix",
-        fun conf -> run_matrix (integrity_matrix conf) );
-      ( "a15",
-        "Communication-optimality matrix: tree-routed aggregation and Morton \
-         repartitioning vs the flat/static baseline",
-        "optimality matrix",
-        fun conf -> run_matrix (optimality_matrix conf) );
-      ( "a16",
-        "Flat-heap scale sweep: the allocation gate against the boxed-heap \
-         baseline, then distributed BH force phases up to a million bodies \
-         on 256 nodes (--scale full)",
-        "scale sweep",
-        fun conf ->
-          let rows = scale_sweep conf in
-          let gate = scale_gate conf in
-          ignore
-            (Table.print
-               "A16: flat-heap allocation gate — full BH simulate vs the \
-                boxed-heap baseline (allocated words per body-step)"
-               scale_gate_columns gate);
-          ignore
-            (Table.print
-               "A16: scale sweep — one distributed BH force phase per row \
-                (flat heap)"
-               scale_columns rows);
-          print_endline (scale_summary gate rows);
-          fail (scale_failures gate);
-          scale_json (gate, rows) );
-    ]
+  [
+    sweep t1;
+    sweep t2;
+    sweep t3;
+    sweep f1;
+    sweep f2;
+    sweep f3;
+    sweep f4;
+    sweep a1;
+    sweep a2;
+    sweep a3;
+    sweep a4;
+    sweep a5;
+    sweep a6;
+    sweep a7;
+    sweep a8;
+    sweep a9;
+    sweep a10;
+    ( "a11",
+      "Chaos sweep: faults vs goodput and correctness",
+      "chaos sweep",
+      fun conf -> run_matrix (chaos_sweep conf) );
+    ( "a12",
+      a12a.doc,
+      "adaptive RTO matrix",
+      fun conf ->
+        ignore (print a12a conf);
+        run_matrix (adaptive_rto_sweep conf) );
+    ( "a13",
+      "Crash-restart chaos matrix across workloads",
+      "crash matrix",
+      fun conf -> run_matrix (crash_matrix conf) );
+    ( "a14",
+      "End-to-end integrity matrix: wire corruption and torn WAL writes \
+       across workloads",
+      "integrity matrix",
+      fun conf -> run_matrix (integrity_matrix conf) );
+    ( "a15",
+      "Communication-optimality matrix: tree-routed aggregation and Morton \
+       repartitioning vs the flat/static baseline",
+      "optimality matrix",
+      fun conf -> run_matrix (optimality_matrix conf) );
+    ( "a16",
+      "Flat-heap scale sweep: the allocation gate against the boxed-heap \
+       baseline, then distributed BH force phases up to a million bodies \
+       on 256 nodes (--scale full)",
+      "scale sweep",
+      fun conf ->
+        let rows = scale_sweep conf in
+        let gate = scale_gate conf in
+        scale_print gate rows;
+
+        fail (scale_failures gate);
+        scale_json (gate, rows) );
+  ]
 
 let run_timeline csv conf =
   let nnodes = conf.Runconf.breakdown_procs in

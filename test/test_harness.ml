@@ -148,41 +148,75 @@ let test_paper_numbers () =
     (Paper.bh_caching_s 1);
   Alcotest.(check (option (float 1e-9))) "unknown" None (Paper.fmm_caching_s 16)
 
+(* Run [i]'s modelled time, messages and DPA counters of a row. *)
+let time i (r : _ Experiment.row) =
+  Dpa_sim.Breakdown.elapsed_s r.Experiment.runs.(i).Experiment.breakdown
+
+let msgs i (r : _ Experiment.row) =
+  r.Experiment.runs.(i).Experiment.breakdown.Dpa_sim.Breakdown.msgs
+
+let dpa i (r : _ Experiment.row) =
+  Option.get r.Experiment.runs.(i).Experiment.dpa
+
+(* The row labelled [name] of a sweep whose points are labelled pairs. *)
+let find name rows = List.find (fun r -> fst r.Experiment.at = name) rows
+
+(* Row [r]'s [key] cell as the table's JSON encodes it: the value a
+   derived column prints. *)
+let cell (s : _ Experiment.sweep) r key =
+  match Table.json_rows s.Experiment.columns [ r ] with
+  | Dpa_obs.Json.List [ row ] -> (
+    match Dpa_obs.Json.member key row with
+    | Some (Dpa_obs.Json.Float x) -> x
+    | Some (Dpa_obs.Json.Int n) -> float_of_int n
+    | _ -> Alcotest.fail ("no numeric cell " ^ key))
+  | _ -> Alcotest.fail "one row"
+
 let test_bh_times_monotone () =
-  let rows = Experiment.bh_times tiny in
+  let rows = Experiment.(rows t2) tiny in
   Alcotest.(check int) "rows" 2 (List.length rows);
   let t1 = List.nth rows 0 and t4 = List.nth rows 1 in
-  Alcotest.(check bool) "more procs is faster (dpa)" true
-    (t4.Experiment.dpa_s < t1.Experiment.dpa_s);
+  Alcotest.(check bool) "more procs is faster (dpa)" true (time 0 t4 < time 0 t1);
+  let seq (r : _ Experiment.row) = r.Experiment.runs.(0).Experiment.seq_s in
   Alcotest.(check bool) "seq consistent" true
-    (Float.abs (t1.Experiment.seq_s -. t4.Experiment.seq_s) < 1e-9)
+    (Float.abs (seq t1 -. seq t4) < 1e-9)
 
 let test_fmm_times_monotone () =
-  let rows = Experiment.fmm_times tiny in
+  let rows = Experiment.(rows t3) tiny in
   let t1 = List.nth rows 0 and t4 = List.nth rows 1 in
-  Alcotest.(check bool) "more procs is faster (dpa)" true
-    (t4.Experiment.dpa_s < t1.Experiment.dpa_s)
+  Alcotest.(check bool) "more procs is faster (dpa)" true (time 0 t4 < time 0 t1)
 
-(* A second call for rows already computed returns them without running a
-   phase, also through a configuration listing fewer processor counts (as
-   A2's footer asks for T2's row); [~memo:false] recomputes the same rows. *)
+(* A phase already run is not run again: a second table that needs it
+   (F4's BH run is T2's DPA run) gets the same value, also through a
+   configuration listing fewer processor counts (as A2's footer asks for
+   T2's phase); [~memo:false] recomputes equal runs. *)
 let test_times_memoized () =
-  let rows = Experiment.bh_times tiny in
-  let again = Experiment.bh_times { tiny with Runconf.procs = [ 4 ] } in
-  Alcotest.(check bool) "same row" true (List.nth rows 1 == List.hd again);
-  Alcotest.(check bool) "recomputed rows equal" true
-    (Experiment.bh_times ~memo:false tiny = rows);
-  Alcotest.(check bool) "fmm rows kept" true
-    (List.for_all2 ( == ) (Experiment.fmm_times tiny)
-       (Experiment.fmm_times tiny))
+  let runs (r : _ Experiment.row) = r.Experiment.runs in
+  let rows = Experiment.(rows t2) tiny in
+  let again = Experiment.(rows t2) { tiny with Runconf.procs = [ 4 ] } in
+  Alcotest.(check bool) "same run" true
+    ((runs (List.nth rows 1)).(0) == (runs (List.hd again)).(0));
+  List.iter2
+    (fun t f ->
+      Alcotest.(check bool) "f4's BH run is t2's DPA run" true
+        ((runs f).(0) == (runs t).(0)))
+    rows
+    (Experiment.(rows f4) tiny);
+  let fresh = Experiment.(rows ~memo:false t2) tiny in
+  Alcotest.(check bool) "recomputed runs equal" true
+    (List.for_all2 (fun a b -> runs a = runs b) fresh rows);
+  Alcotest.(check bool) "recomputed runs are new" true
+    (List.for_all2 (fun a b -> (runs a).(0) != (runs b).(0)) fresh rows);
+  Alcotest.(check bool) "fmm runs kept" true
+    (List.for_all2
+       (fun a b -> Array.for_all2 ( == ) (runs a) (runs b))
+       (Experiment.(rows t3) tiny)
+       (Experiment.(rows t3) tiny))
 
 let test_breakdown_ordering () =
-  let bars = Experiment.bh_breakdown tiny in
+  let bars = Experiment.(rows f1) tiny in
   Alcotest.(check int) "five variants" 5 (List.length bars);
-  let time name =
-    let b = List.find (fun b -> b.Experiment.variant = name) bars in
-    Dpa_sim.Breakdown.elapsed_s b.Experiment.breakdown
-  in
+  let time name = time 0 (find name bars) in
   (* The paper's headline ordering. *)
   Alcotest.(check bool) "dpa beats blocking" true
     (time "DPA(50)" < time "Blocking (base)");
@@ -190,45 +224,50 @@ let test_breakdown_ordering () =
     (time "Pipeline+agg" <= time "Pipeline")
 
 let test_strip_sweep_bounds () =
-  let points = Experiment.strip_sweep ~strips:[ 4; 64 ] tiny in
+  let points = Experiment.(rows ~points:[ 4; 64 ] f3) tiny in
   let p4 = List.nth points 0 and p64 = List.nth points 1 in
   Alcotest.(check bool) "outstanding grows with strip" true
-    (p4.Experiment.bh_outstanding <= p64.Experiment.bh_outstanding)
+    ((dpa 0 p4).Dpa.Dpa_stats.max_outstanding
+    <= (dpa 0 p64).Dpa.Dpa_stats.max_outstanding)
 
 let test_speedups_match_times () =
-  let bh = Experiment.bh_times tiny and fmm = Experiment.fmm_times tiny in
-  let rows = Experiment.speedups ~bh ~fmm in
+  let bh = Experiment.(rows t2) tiny in
   List.iter2
-    (fun (r : Experiment.speedup_row) (t : Experiment.timing) ->
-      Alcotest.(check (float 1e-9)) "bh speedup" (t.Experiment.seq_s /. t.Experiment.dpa_s)
-        r.Experiment.bh_speedup)
-    rows bh
+    (fun r (t : _ Experiment.row) ->
+      Alcotest.(check (float 1e-9)) "bh speedup"
+        (t.Experiment.runs.(0).Experiment.seq_s /. time 0 t)
+        (cell Experiment.f4 r "bh_speedup"))
+    (Experiment.(rows f4) tiny)
+    bh
 
 let test_thread_stats_rows () =
-  let rows = Experiment.thread_stats tiny in
+  let rows = Experiment.(rows t1) tiny in
   Alcotest.(check int) "five programs" 5 (List.length rows);
   let bh = List.hd rows in
-  Alcotest.(check string) "first is BH" "Barnes-Hut" bh.Experiment.name;
-  Alcotest.(check bool) "dynamic threads counted" true
-    (bh.Experiment.dynamic_threads > 0);
-  let ir =
-    List.find (fun r -> r.Experiment.name = "pair_sum (IR)") rows
+  let name (r : _ Experiment.row) =
+    let n, _, _ = r.Experiment.at in
+    n
   in
-  Alcotest.(check int) "pair_sum static sites" 1 ir.Experiment.static_sites
+  Alcotest.(check string) "first is BH" "Barnes-Hut" (name bh);
+  Alcotest.(check bool) "dynamic threads counted" true
+    (cell Experiment.t1 bh "dynamic_threads" > 0.);
+  let ir = List.find (fun r -> name r = "pair_sum (IR)") rows in
+  let _, sites, _ = ir.Experiment.at in
+  Alcotest.(check int) "pair_sum static sites" 1 sites
 
 let test_agg_sweep_msgs_decrease () =
-  let points = Experiment.agg_sweep ~aggs:[ 1; 64 ] tiny in
+  let points = Experiment.(rows ~points:[ 1; 64 ] a1) tiny in
   let p1 = List.nth points 0 and p64 = List.nth points 1 in
   Alcotest.(check bool) "fewer messages with aggregation" true
-    (p64.Experiment.msgs < p1.Experiment.msgs)
+    (msgs 0 p64 < msgs 0 p1)
 
 (* A1 through [Table.print], as its command runs it: one JSON row per
    printed row, and JSON that re-parses. *)
 let test_agg_sweep_json () =
   let json, text =
     capture_stdout (fun () ->
-        Table.print "A1" Experiment.agg_columns
-          (Experiment.agg_sweep ~aggs:[ 1; 16; 64 ] tiny))
+        Table.print "A1" Experiment.a1.Experiment.columns
+          Experiment.(rows ~points:[ 1; 16; 64 ] a1 tiny))
   in
   (* Title, header and rule above the rows; blank lines dropped. *)
   let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
@@ -248,37 +287,47 @@ let test_agg_sweep_json () =
   | Error e -> Alcotest.fail e
 
 let test_cache_sweep_hits_increase () =
-  let points = Experiment.cache_sweep ~capacities:[ 4; 4096 ] tiny in
+  let points = Experiment.(rows ~points:[ 4; 4096 ] a2) tiny in
   let small = List.nth points 0 and big = List.nth points 1 in
+  let cache (r : _ Experiment.row) =
+    Option.get r.Experiment.runs.(0).Experiment.cache
+  in
   Alcotest.(check bool) "bigger cache, more hits" true
-    (big.Experiment.hits >= small.Experiment.hits);
+    ((cache big).Dpa_baselines.Caching.hits
+    >= (cache small).Dpa_baselines.Caching.hits);
   Alcotest.(check bool) "bigger cache, fewer misses" true
-    (big.Experiment.misses <= small.Experiment.misses);
+    ((cache big).Dpa_baselines.Caching.misses
+    <= (cache small).Dpa_baselines.Caching.misses);
   Alcotest.(check bool) "bigger cache not slower" true
-    (big.Experiment.time_s <= small.Experiment.time_s +. 1e-9)
+    (time 0 big <= time 0 small +. 1e-9)
+
+let idle_frac (r : _ Experiment.row) =
+  Dpa_sim.Breakdown.idle_frac r.Experiment.runs.(0).Experiment.breakdown
 
 let test_distribution_sweep () =
-  let points = Experiment.distribution_sweep tiny in
+  let points = Experiment.(rows a3) tiny in
   Alcotest.(check int) "two distributions" 2 (List.length points);
   let uniform = List.nth points 0 and clustered = List.nth points 1 in
-  Alcotest.(check string) "uniform first" "uniform" uniform.Experiment.dist_name;
+  Alcotest.(check string) "uniform first" "uniform" (fst uniform.Experiment.at);
   Alcotest.(check bool) "clustered idles more (imbalance)" true
-    (clustered.Experiment.dist_idle_frac >= uniform.Experiment.dist_idle_frac)
+    (idle_frac clustered >= idle_frac uniform)
 
 let test_partition_sweep () =
-  let points = Experiment.partition_sweep tiny in
+  let points = Experiment.(rows a4) tiny in
   Alcotest.(check int) "two partitions" 2 (List.length points);
   let block = List.nth points 0 and cz = List.nth points 1 in
   Alcotest.(check string) "block first" "equal-count blocks"
-    block.Experiment.part_name;
+    (fst block.Experiment.at);
   (* Costzones balances work: it must not be meaningfully slower. *)
   Alcotest.(check bool) "costzones competitive" true
-    (cz.Experiment.part_time_s <= block.Experiment.part_time_s *. 1.05)
+    (time 0 cz <= time 0 block *. 1.05)
 
 let test_em3d_sweep () =
-  let points = Experiment.em3d_sweep tiny in
+  let points = Experiment.(rows a5) tiny in
   Alcotest.(check int) "three runtimes" 3 (List.length points);
-  let sums = List.map (fun p -> p.Experiment.em3d_checksum) points in
+  let sums =
+    List.map (fun p -> p.Experiment.runs.(0).Experiment.value) points
+  in
   List.iter
     (fun s ->
       Alcotest.(check bool) "checksums agree" true
@@ -286,37 +335,31 @@ let test_em3d_sweep () =
     sums
 
 let test_latency_sweep_dpa_robust () =
-  let points = Experiment.latency_sweep ~scales:[ 1.; 8. ] tiny in
+  let points = Experiment.(rows ~points:[ 1.; 8. ] a6) tiny in
   let low = List.nth points 0 and high = List.nth points 1 in
-  let gap p = p.Experiment.lat_blocking_s /. p.Experiment.lat_dpa_s in
+  let gap p = time 1 p /. time 0 p in
   Alcotest.(check bool) "dpa advantage grows with latency" true
     (gap high > gap low)
 
 let test_upward_sweep () =
-  let points = Experiment.upward_sweep tiny in
+  let points = Experiment.(rows a7) tiny in
   Alcotest.(check int) "four runtimes" 4 (List.length points);
   let dpa = List.hd points in
   let blocking = List.nth points 3 in
   Alcotest.(check bool) "combining uses fewer messages" true
-    (dpa.Experiment.up_msgs <= blocking.Experiment.up_msgs)
+    (msgs 0 dpa <= msgs 0 blocking)
 
 let test_afmm_sweep () =
-  let points = Experiment.afmm_sweep tiny in
+  let points = Experiment.(rows a8) tiny in
   Alcotest.(check int) "four rows" 4 (List.length points);
-  let t name =
-    (List.find (fun p -> p.Experiment.af_variant = name) points)
-      .Experiment.af_time_s
-  in
+  let t name = time 0 (find name points) in
   Alcotest.(check bool) "adaptive dpa beats adaptive blocking" true
     (t "adaptive + DPA" <= t "adaptive + Blocking")
 
 let test_hotspot () =
-  let points = Experiment.hotspot tiny in
+  let points = Experiment.(rows a10) tiny in
   Alcotest.(check int) "four configs" 4 (List.length points);
-  let t name =
-    (List.find (fun p -> p.Experiment.hs_config = name) points)
-      .Experiment.hs_time_s
-  in
+  let t name = time 0 (find name points) in
   Alcotest.(check bool) "serialization hurts pipeline more than dpa" true
     (t "DPA, serialized ingress" <= t "Pipeline, serialized ingress" +. 1e-9)
 

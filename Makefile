@@ -2,7 +2,7 @@
 
 BENCH := bin/dpa_bench.exe
 
-.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke usage-smoke identity identity-bless bench-obs-overhead clean
+.PHONY: all build test fmt fmt-check smoke obs-smoke chaos-smoke adaptive-smoke critpath-smoke integrity-smoke optimality-smoke scale-smoke usage-smoke identity identity-bless deadcode bench-obs-overhead clean
 
 all: build
 
@@ -161,6 +161,14 @@ identity: build
 
 identity-bless: build
 	scripts/identity.sh --bless _build/default/$(BENCH)
+
+# The reference index (tools/deadcode): every export and record field of
+# lib/ that no code in lib/, bin/ or examples/ reads, with who does read
+# it; exits 1 on one without a line in scripts/exports.allow. `dune
+# runtest` runs the same check.
+deadcode:
+	dune build @check ./tools/deadcode/deadcode.exe
+	_build/default/tools/deadcode/deadcode.exe -allow scripts/exports.allow _build/default
 
 # Observability-overhead benchmark: wall-clock time of t2 and f1 with
 # observability off, with event streaming only, and with causal tracing +

@@ -4,7 +4,6 @@ type t = {
   heaps : Heap.cluster;
   root : Gptr.t;
   owner_bodies : int array array;
-  cell_ptrs : Gptr.t array;
 }
 
 let kind_leaf = 0.
@@ -93,29 +92,4 @@ let distribute ?weights tree ~nnodes =
     heaps;
     root = cell_ptrs.(Octree.root tree);
     owner_bodies;
-    cell_ptrs;
   }
-
-module View = struct
-  let is_leaf h (v : Heap.view) = Heap.view_float h v 0 = kind_leaf
-
-  let com h (v : Heap.view) =
-    Vec3.make (Heap.view_float h v 1) (Heap.view_float h v 2)
-      (Heap.view_float h v 3)
-
-  let mass h (v : Heap.view) = Heap.view_float h v 4
-  let half h (v : Heap.view) = Heap.view_float h v 5
-  let nbodies h (v : Heap.view) = int_of_float (Heap.view_float h v 6)
-
-  let body h (v : Heap.view) k =
-    let base = 7 + (5 * k) in
-    ( int_of_float (Heap.view_float h v base),
-      Vec3.make
-        (Heap.view_float h v (base + 1))
-        (Heap.view_float h v (base + 2))
-        (Heap.view_float h v (base + 3)),
-      Heap.view_float h v (base + 4) )
-
-  let children h (v : Heap.view) =
-    Array.init (Heap.view_nptrs h v) (fun i -> Heap.view_ptr h v i)
-end

@@ -15,7 +15,6 @@ type t = {
   heaps : Heap.cluster;
   root : Gptr.t;
   owner_bodies : int array array;  (** node -> owned body ids, tree order *)
-  cell_ptrs : Gptr.t array;  (** octree cell index -> heap pointer *)
 }
 
 val kind_leaf : float
@@ -24,22 +23,3 @@ val distribute : ?weights:int array -> Octree.t -> nnodes:int -> t
 (** [weights] (indexed by body id) switches the partition from equal counts
     to equal total weight — the SPLASH-2 "costzones" scheme, using each
     body's previous-step work as its weight. *)
-
-(** Accessors over a cell object view, resolved through the cluster
-    ({!Heap.view} is a handle, not a record). Convenience layer for
-    reference code and tests; the force kernel reads the float pool
-    directly ({!Heap.float_base}) to keep its inner loop
-    allocation-free. *)
-module View : sig
-  val is_leaf : Heap.cluster -> Heap.view -> bool
-  val com : Heap.cluster -> Heap.view -> Vec3.t
-  val mass : Heap.cluster -> Heap.view -> float
-  val half : Heap.cluster -> Heap.view -> float
-  val nbodies : Heap.cluster -> Heap.view -> int
-
-  val body : Heap.cluster -> Heap.view -> int -> int * Vec3.t * float
-  (** [body heaps view k] is the [k]-th inline body: (id, position,
-      mass). *)
-
-  val children : Heap.cluster -> Heap.view -> Gptr.t array
-end

@@ -52,7 +52,6 @@ module Make (A : Dpa.Access.S) = struct
     Hashtbl.fold (fun k a acc -> (k, a.sum) :: acc) c.accums []
     |> List.sort compare
 
-  let reset c = Hashtbl.reset c.accums
 
   (* Adds number register [r]; taking the frame keeps the float unboxed. *)
   let bump c name fr r =

@@ -57,5 +57,4 @@ module Make (A : Dpa.Access.S) : sig
   (** Current value of a global accumulator (0 if never touched). *)
 
   val accumulators : compiled -> (string * float) list
-  val reset : compiled -> unit
 end

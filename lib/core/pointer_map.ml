@@ -28,7 +28,7 @@ type 'k t = {
   mutable s_count : int array;
   mutable s_keyed : bool array;  (* the slot is [by_ptr]'s entry *)
   mutable s_free : int;
-  mutable s_used : int;  (* slots ever handed out since the last clear *)
+  mutable s_used : int;  (* slots ever handed out *)
   mutable w_k : 'k array;
   mutable w_next : int array;  (* next waiter of the slot, or next free *)
   mutable w_free : int;
@@ -202,14 +202,3 @@ let fold_outstanding t f acc =
 let outstanding t = Index.size t.by_token
 let waiters t = t.waiters
 let is_empty t = Index.size t.by_token = 0
-
-let clear t =
-  Index.clear t.by_token;
-  Index.clear t.by_ptr;
-  Array.fill t.w_k 0 t.w_used t.dummy;
-  Array.fill t.s_ptr 0 t.s_used Gptr.nil;
-  t.w_used <- 0;
-  t.w_free <- -1;
-  t.s_used <- 0;
-  t.s_free <- -1;
-  t.waiters <- 0

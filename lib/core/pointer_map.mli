@@ -84,9 +84,3 @@ val waiters : 'k t -> int
 (** Threads currently suspended. *)
 
 val is_empty : 'k t -> bool
-
-val clear : 'k t -> unit
-(** Drop every outstanding token and waiter, and every woken chain not yet
-    dispatched: chain entries pushed before the clear must be discarded
-    with it. Tokens issued later continue the sequence, so a token from
-    before the clear stays unknown. *)

@@ -4,16 +4,6 @@
     multipole in one object, as the paper's inline allocation merges them)
     are the threads DPA aligns. *)
 
-module Make (A : Dpa.Access.S) : sig
-  val items :
-    params:Fmm_force.params ->
-    global:Afmm_global.t ->
-    potential:float array ->
-    field:Complex.t array ->
-    int ->
-    (A.ctx -> unit) array
-end
-
 val run :
   ?machine:Dpa_sim.Machine.t ->
   ?params:Fmm_force.params ->

@@ -5,7 +5,6 @@ type t = {
   tree : Aquadtree.t;
   p : int;
   root : Gptr.t;
-  cell_ptrs : Gptr.t array;
   owner_leaves : int array array;
 }
 
@@ -90,7 +89,6 @@ let distribute ~p tree ~nnodes =
     tree;
     p;
     root = cell_ptrs.(Aquadtree.root tree);
-    cell_ptrs;
     owner_leaves;
   }
 

@@ -18,7 +18,6 @@ type t = {
   tree : Aquadtree.t;
   p : int;
   root : Gptr.t;
-  cell_ptrs : Gptr.t array;
   owner_leaves : int array array;  (** node -> owned leaf cell indices *)
 }
 
@@ -27,7 +26,6 @@ val distribute : p:int -> Aquadtree.t -> nnodes:int -> t
 module View : sig
   val is_leaf : Heap.cluster -> Heap.view -> bool
   val center : Heap.cluster -> Heap.view -> Complex.t
-  val width : Heap.cluster -> Heap.view -> float
   val expansion : p:int -> Heap.cluster -> Heap.view -> Expansion.t
   val nparticles : p:int -> Heap.cluster -> Heap.view -> int
   val particle : p:int -> Heap.cluster -> Heap.view -> int -> int * float * Complex.t

@@ -1,5 +1,3 @@
-type counts = { m2l : int; p2p : int; visits : int }
-
 let upward ~p tree =
   let parts = Aquadtree.particles tree in
   let mp = Array.make (Aquadtree.ncells tree) [||] in
@@ -30,7 +28,7 @@ let compute ~p tree =
   let n = Array.length parts in
   let mp = upward ~p tree in
   let potential = Array.make n 0. and field = Array.make n Complex.zero in
-  let m2l = ref 0 and p2p = ref 0 and visits = ref 0 in
+  let p2p = ref 0 in
   Array.iter
     (fun leaf ->
       match Aquadtree.kind tree leaf with
@@ -38,9 +36,7 @@ let compute ~p tree =
       | Aquadtree.Leaf mine when Array.length mine > 0 ->
         let lc = Aquadtree.center tree leaf in
         let rec walk ci =
-          incr visits;
           if Aquadtree.well_separated tree ~leaf ci then begin
-            incr m2l;
             let local =
               Expansion.m2l mp.(ci)
                 ~from_center:(Aquadtree.center tree ci)
@@ -78,4 +74,4 @@ let compute ~p tree =
         walk (Aquadtree.root tree)
       | Aquadtree.Leaf _ -> ())
     (Aquadtree.leaves_in_dfs_order tree);
-  ({ Fmm_seq.potential; field }, { m2l = !m2l; p2p = !p2p; visits = !visits })
+  ({ Fmm_seq.potential; field }, !p2p)

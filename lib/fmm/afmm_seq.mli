@@ -7,9 +7,8 @@
     treecode/FMM hybrid, and it is the decomposition the distributed
     adaptive phase ({!Afmm_force}) runs under the runtimes. *)
 
-type counts = { m2l : int; p2p : int; visits : int }
-
 val upward : p:int -> Aquadtree.t -> Expansion.t array
 (** Multipole of every cell: P2M at leaves, M2M up. *)
 
-val compute : p:int -> Aquadtree.t -> Fmm_seq.result * counts
+val compute : p:int -> Aquadtree.t -> Fmm_seq.result * int
+(** The result, and the number of particle pairs summed directly. *)

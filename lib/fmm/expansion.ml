@@ -97,25 +97,6 @@ let m2l a ~from_center ~to_center =
   done;
   b
 
-let l2l a ~from_center ~to_center =
-  let p = order a in
-  let s = sub from_center to_center in
-  let b = zero ~p in
-  (* (-s)^j powers *)
-  let ms = neg s in
-  let msp = Array.make (p + 1) one in
-  for i = 1 to p do
-    msp.(i) <- mul msp.(i - 1) ms
-  done;
-  for l = 0 to p do
-    let acc = ref Complex.zero in
-    for k = l to p do
-      acc := add !acc (cscale (binomial k l) (mul a.(k) msp.(k - l)))
-    done;
-    b.(l) <- !acc
-  done;
-  b
-
 let eval_multipole a ~center z =
   let p = order a in
   let w = sub z center in

@@ -24,9 +24,6 @@ val m2l : t -> from_center:Complex.t -> to_center:Complex.t -> t
 (** Convert a multipole about a well-separated center into a local
     expansion. *)
 
-val l2l : t -> from_center:Complex.t -> to_center:Complex.t -> t
-(** Shift a local expansion (parent to child). *)
-
 val eval_multipole : t -> center:Complex.t -> Complex.t -> Complex.t * Complex.t
 (** [(Phi(z), Phi'(z))] of a multipole expansion, for [z] outside the
     convergence disk. *)

@@ -3,7 +3,6 @@ open Dpa_heap
 type t = {
   heaps : Heap.cluster;
   tree : Quadtree.t;
-  p : int;
   mp_ptrs : Gptr.t array;
   leaf_ptrs : Gptr.t array;
   owner_leaves : int array array;
@@ -28,7 +27,7 @@ let expansion_floats e =
       let c = e.(i / 2) in
       if i land 1 = 0 then c.Complex.re else c.Complex.im)
 
-let distribute_with ~p ~mp tree ~nnodes =
+let distribute_with ~mp tree ~nnodes =
   let parts = Quadtree.particles tree in
   let heaps = Heap.cluster ~nnodes in
   let ncells = Quadtree.ncells tree in
@@ -67,7 +66,6 @@ let distribute_with ~p ~mp tree ~nnodes =
   {
     heaps;
     tree;
-    p;
     mp_ptrs;
     leaf_ptrs;
     owner_leaves = Array.map (fun l -> Array.of_list (List.rev l)) owner_leaves;
@@ -75,11 +73,11 @@ let distribute_with ~p ~mp tree ~nnodes =
 
 let distribute ~p tree ~nnodes =
   let mp = Fmm_seq.upward ~p tree in
-  distribute_with ~p ~mp:(fun ci -> mp.(ci)) tree ~nnodes
+  distribute_with ~mp:(fun ci -> mp.(ci)) tree ~nnodes
 
 let distribute_empty ~p tree ~nnodes =
   let zero = Expansion.zero ~p in
-  distribute_with ~p ~mp:(fun _ -> zero) tree ~nnodes
+  distribute_with ~mp:(fun _ -> zero) tree ~nnodes
 
 module View = struct
   let expansion h (v : Heap.view) =

@@ -12,7 +12,6 @@ open Dpa_heap
 type t = {
   heaps : Heap.cluster;
   tree : Quadtree.t;
-  p : int;
   mp_ptrs : Gptr.t array;  (** cell index -> multipole object; nil below level 2 *)
   leaf_ptrs : Gptr.t array;  (** cell index -> particle-list object (leaves) *)
   owner_leaves : int array array;  (** node -> owned leaf cell indices *)

@@ -2,7 +2,6 @@ type bar = {
   label : string;
   local : float;
   comm : float;
-  idle : float;
   elapsed_s : float;
   speedup : float option;
 }
@@ -12,7 +11,6 @@ let of_breakdown ~label ?speedup b =
     label;
     local = Dpa_sim.Breakdown.local_frac b;
     comm = Dpa_sim.Breakdown.comm_frac b;
-    idle = Dpa_sim.Breakdown.idle_frac b;
     elapsed_s = Dpa_sim.Breakdown.elapsed_s b;
     speedup;
   }
@@ -48,5 +46,3 @@ let render ?(width = 50) bars =
   Buffer.add_string buf
     (Printf.sprintf "%-*s  # local   + communication overhead   . idle\n" lw "");
   Buffer.contents buf
-
-let print ?width bars = print_string (render ?width bars)

@@ -5,9 +5,8 @@
 
 type bar = {
   label : string;
-  local : float;  (** fractions, summing to <= 1 *)
+  local : float;  (** fractions of node-time; idle is the remainder *)
   comm : float;
-  idle : float;
   elapsed_s : float;
   speedup : float option;
 }
@@ -19,4 +18,3 @@ val of_breakdown :
   bar
 
 val render : ?width:int -> bar list -> string
-val print : ?width:int -> bar list -> unit

@@ -79,12 +79,13 @@ let print s conf =
   | None -> Table.print ?footer title s.columns rows
   | Some label ->
     print_endline title;
-    Barchart.print
-      (List.map
-         (fun r ->
-           Barchart.of_breakdown ~label:(label r.at) ~speedup:(speedup_of 0 r)
-             r.runs.(0).breakdown)
-         rows);
+    print_string
+      (Barchart.render
+         (List.map
+            (fun r ->
+              Barchart.of_breakdown ~label:(label r.at)
+                ~speedup:(speedup_of 0 r) r.runs.(0).breakdown)
+            rows));
     print_newline ();
     Table.json title s.columns rows
 

@@ -44,7 +44,7 @@ type cell = {
   bit_identical : bool;
 }
 
-type workload = { name : string; cells : seed:int -> cell list }
+type workload = seed:int -> cell list
 
 let counters o =
   let am f = match Dpa_msg.Am.stats o.engine with None -> 0 | Some s -> f s in
@@ -77,39 +77,36 @@ let counters o =
   ]
   @ o.extra
 
-let workload name grid run =
-  let cells ~seed =
-    let config0 = fst (List.hd grid) in
-    let reference = run ~config:config0 { faults = None; seed } in
-    let elapsed = Engine.elapsed reference.engine in
-    List.concat_map
-      (fun (config, schedules) ->
-        List.map
-          (fun sch ->
-            let faults =
-              match sch.spec elapsed with
-              | "off" -> None
-              | spec -> (
-                match Fault.spec_of_string spec with
-                | Ok s -> Some s
-                | Error msg -> invalid_arg (Printf.sprintf "%s: %s" name msg))
-            in
-            let o =
-              if config = config0 && faults = None then reference
-              else run ~config { faults; seed }
-            in
-            {
-              workload = name;
-              config;
-              schedule = sch.label;
-              time_s = o.time_s;
-              counters = counters o;
-              bit_identical = o.result = reference.result;
-            })
-          schedules)
-      grid
-  in
-  { name; cells }
+let workload name grid run ~seed =
+  let config0 = fst (List.hd grid) in
+  let reference = run ~config:config0 { faults = None; seed } in
+  let elapsed = Engine.elapsed reference.engine in
+  List.concat_map
+    (fun (config, schedules) ->
+      List.map
+        (fun sch ->
+          let faults =
+            match sch.spec elapsed with
+            | "off" -> None
+            | spec -> (
+              match Fault.spec_of_string spec with
+              | Ok s -> Some s
+              | Error msg -> invalid_arg (Printf.sprintf "%s: %s" name msg))
+          in
+          let o =
+            if config = config0 && faults = None then reference
+            else run ~config { faults; seed }
+          in
+          {
+            workload = name;
+            config;
+            schedule = sch.label;
+            time_s = o.time_s;
+            counters = counters o;
+            bit_identical = o.result = reference.result;
+          })
+        schedules)
+    grid
 
 let counter c key =
   match List.assoc_opt key c.counters with
@@ -140,7 +137,7 @@ type t = {
 }
 
 let run m =
-  List.concat_map (fun (w : workload) -> w.cells ~seed:m.seed) m.workloads
+  List.concat_map (fun (w : workload) -> w ~seed:m.seed) m.workloads
 
 (* Cells grouped by workload, in run order. *)
 let rows cells =

@@ -1,6 +1,5 @@
 let bh_seq_s = 97.84
 let fmm_seq_s = 14.46
-let procs = [ 1; 2; 4; 8; 16; 32; 64 ]
 
 let find tbl p = List.assoc_opt p tbl
 
@@ -22,7 +21,5 @@ let bh_dpa50_s p = find bh_dpa50 p
 let bh_caching_s p = find bh_caching p
 let fmm_dpa50_s p = find fmm_dpa50 p
 let fmm_caching_s p = find fmm_caching p
-let bh_speedup_64 = 42.
-let fmm_speedup_64 = 54.
 let bh_input = (16384, 4)
 let fmm_input = (32768, 29)

@@ -9,21 +9,12 @@ val bh_seq_s : float
 val fmm_seq_s : float
 (** Sequential FMM, 32,768 particles, 29 terms, 1 step: 14.46 s. *)
 
-val procs : int list
-(** 1, 2, 4, …, 64. *)
-
 val bh_dpa50_s : int -> float option
 (** Barnes-Hut execution time of DPA (strip 50) on [p] processors. *)
 
 val bh_caching_s : int -> float option
 val fmm_dpa50_s : int -> float option
 val fmm_caching_s : int -> float option
-
-val bh_speedup_64 : float
-(** "over 42" on 64 nodes. *)
-
-val fmm_speedup_64 : float
-(** "54-fold" on 64 nodes. *)
 
 val bh_input : int * int
 (** (particles, steps) = (16384, 4). *)

@@ -34,10 +34,10 @@ let small =
 let full =
   {
     name = "full";
-    bh_bodies = 16384;
-    bh_steps = 4;
-    fmm_particles = 32768;
-    fmm_p = 29;
+    bh_bodies = fst Paper.bh_input;
+    bh_steps = snd Paper.bh_input;
+    fmm_particles = fst Paper.fmm_input;
+    fmm_p = snd Paper.fmm_input;
     procs = [ 1; 2; 4; 8; 16; 32; 64 ];
     breakdown_procs = 16;
     bh_strip = 50;
@@ -47,8 +47,3 @@ let full =
     repartition = false;
     route_all = false;
   }
-
-let of_name = function
-  | "small" -> small
-  | "full" -> full
-  | s -> invalid_arg ("Runconf.of_name: unknown scale " ^ s)

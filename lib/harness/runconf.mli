@@ -29,5 +29,3 @@ type t = {
 
 val small : t
 val full : t
-val of_name : string -> t
-(** "small" or "full". *)

@@ -4,8 +4,6 @@
 
 type t
 
-val make : header:string list -> t
-val add_row : t -> string list -> unit
 val render : t -> string
 
 type 'a kind

@@ -1,6 +1,5 @@
 let arg_json = function
   | Sink.Int i -> Json.Int i
-  | Sink.Float f -> Json.Float f
   | Sink.Str s -> Json.Str s
 
 let args_json args = Json.Obj (List.map (fun (k, v) -> (k, arg_json v)) args)
@@ -181,24 +180,9 @@ let jsonl_to buf r row =
     Buffer.add_string buf (key r j);
     match Sink.Cursor.arg_tag c j with
     | `Int -> Json.int_to buf (Sink.Cursor.arg_int c j)
-    | `Float -> Json.float_to buf (Sink.Cursor.arg_float c j)
     | `Str -> Sink.Cursor.arg_str_to c j buf
   done;
   Buffer.add_string buf "}}"
-
-let jsonl sink =
-  let buf = Buffer.create 65536 and r = renderer sink in
-  Array.iter
-    (fun row ->
-      jsonl_to buf r row;
-      Buffer.add_char buf '\n')
-    (Sink.live_rows sink);
-  Buffer.contents buf
-
-let jsonl_row sink row =
-  let buf = Buffer.create 256 in
-  jsonl_to buf (renderer sink) row;
-  Buffer.contents buf
 
 (* The writer renders into one 64 KiB buffer and hands it to the channel
    once 60 KiB are used, so lines under 4 KiB never make it grow. Its

@@ -3,10 +3,10 @@
     - {!chrome_trace}: Chrome [trace_event] JSON, loadable in
       [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}. One track
       (tid) per simulated node, timestamps in microseconds of sim-time.
-    - {!jsonl}: one JSON object per event per line, for ad-hoc analysis.
-    - {!jsonl_writer}: the streaming flavour of {!jsonl} — a
-      {!Sink.writer} over an [out_channel] for {!Sink.attach_writer}, so
-      the ring capacity stops bounding what an [--events] file can see.
+    - {!jsonl_writer}: one JSON object per event per line, for ad-hoc
+      analysis — a {!Sink.writer} over an [out_channel] for
+      {!Sink.attach_writer}, so the ring capacity stops bounding what an
+      [--events] file can see.
     - {!metrics_json}: the metrics registry, attached meta documents
       (per-phase [Dpa_stats]) and the per-phase profile as one JSON
       document.
@@ -20,10 +20,10 @@ val chrome_trace : Sink.t -> string
     id = the flight's [src/dst/seq/incarnation]), so Perfetto draws
     message arrows between the node tracks. *)
 
-val jsonl : Sink.t -> string
-(** Every live event ({!Sink.live_rows}), one line each. [jsonl],
-    {!jsonl_row} and {!jsonl_writer} share one serializer over sink rows,
-    so a stream and a snapshot of the same events are byte-identical.
+val jsonl_writer : out_channel -> Sink.writer
+(** Line-buffered JSONL writer: one compact JSON line per row, with the
+    fields [kind], [name], [cat], [node], [ts], [dur], [args], in that
+    order.
 
     The serializer reads each row once through a {!Sink.Cursor}. The
     part of a line that depends only on the row's (label, kind) —
@@ -31,15 +31,9 @@ val jsonl : Sink.t -> string
     prefix are rendered once and cached by interned id, so a label is
     escape-scanned once per run rather than once per event; integers are
     written with {!Json.int_to} and [Str] payloads escaped from their
-    packed form. Interned ids belong to one sink, and so does a cache. *)
+    packed form. Interned ids belong to one sink, and so does a cache.
 
-val jsonl_row : Sink.t -> Sink.row -> string
-(** One row as a single compact JSON line (no trailing newline): the
-    fields [kind], [name], [cat], [node], [ts], [dur], [args], in that
-    order. *)
-
-val jsonl_writer : out_channel -> Sink.writer
-(** Line-buffered JSONL writer: events are rendered into one reused
+    Events are rendered into one reused
     64 KiB buffer, which goes to the channel when it is nearly full;
     [flush] drains it and pushes the channel buffer to the OS, [close]
     drains it and closes the channel. Attach with {!Sink.attach_writer}.

@@ -20,7 +20,7 @@ val to_buffer : Buffer.t -> t -> unit
 
     The leaves of {!to_buffer}, for writers that stream a fixed shape
     without building a tree ({!Export.jsonl_writer}). None of them
-    allocates except {!float_to}. *)
+    allocates. *)
 
 val int_to : Buffer.t -> int -> unit
 (** Decimal digits, as [string_of_int] renders them, copied into the
@@ -33,10 +33,6 @@ val escape_to : Buffer.t -> string -> unit
 val escape_char_to : Buffer.t -> char -> unit
 (** One byte of {!escape_to}'s output, without the quotes: for strings
     stored in another form (packed sink payloads). *)
-
-val float_to : Buffer.t -> float -> unit
-(** [%.12g], with [.0] appended to whole numbers; non-finite floats render
-    as [null]. *)
 
 val parse : string -> (t, string) result
 (** Strict recursive-descent parser for the values {!to_string} produces

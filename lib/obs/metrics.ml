@@ -1,7 +1,5 @@
 type counter = { mutable c : int }
 
-type gauge = { mutable last : int; mutable gmax : int }
-
 (* Bucket 0 holds value 0; bucket b >= 1 holds [2^(b-1), 2^b). 63 buckets
    cover the whole non-negative int range. *)
 let nbuckets = 63
@@ -14,7 +12,7 @@ type histogram = {
   mutable hmax : int;
 }
 
-type instrument = C of counter | G of gauge | H of histogram
+type instrument = C of counter | H of histogram
 
 type t = { table : (string, instrument) Hashtbl.t }
 
@@ -39,21 +37,8 @@ let counter t name =
     ~make:(fun () -> C { c = 0 })
     ~cast:(function C c -> Some c | _ -> None)
 
-let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let counter_value c = c.c
-
-let gauge t name =
-  lookup t name ~kind:"gauge"
-    ~make:(fun () -> G { last = 0; gmax = 0 })
-    ~cast:(function G g -> Some g | _ -> None)
-
-let set_gauge g v =
-  g.last <- v;
-  if v > g.gmax then g.gmax <- v
-
-let gauge_value g = g.last
-let gauge_max g = g.gmax
 
 let histogram t name =
   lookup t name ~kind:"histogram"
@@ -184,15 +169,8 @@ let to_json t =
           (pick (function
             | name, C c -> Some (name, Json.Int c.c)
             | _ -> None)) );
-      ( "gauges",
-        Json.Obj
-          (pick (function
-            | name, G g ->
-              Some
-                ( name,
-                  Json.Obj
-                    [ ("last", Json.Int g.last); ("max", Json.Int g.gmax) ] )
-            | _ -> None)) );
+      (* Kept, empty, for readers of the --metrics document. *)
+      ("gauges", Json.Obj []);
       ( "histograms",
         Json.Obj
           (pick (function
@@ -205,8 +183,6 @@ let report t =
   let bindings = sorted_bindings t in
   let counters =
     List.filter_map (function n, C c -> Some (n, c) | _ -> None) bindings
-  and gauges =
-    List.filter_map (function n, G g -> Some (n, g) | _ -> None) bindings
   and histograms =
     List.filter_map (function n, H h -> Some (n, h) | _ -> None) bindings
   in
@@ -215,14 +191,6 @@ let report t =
     List.iter
       (fun (n, c) -> Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" n c.c))
       counters
-  end;
-  if gauges <> [] then begin
-    Buffer.add_string buf "gauges (last/max):\n";
-    List.iter
-      (fun (n, g) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-40s %d / %d\n" n g.last g.gmax))
-      gauges
   end;
   if histograms <> [] then begin
     Buffer.add_string buf

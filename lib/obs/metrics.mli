@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges and log-scale histograms.
+(** Metrics registry: named counters and log-scale histograms.
 
     Instruments are created (or retrieved) by name, so contexts on different
     simulated nodes that ask for the same name share one instrument — phase
@@ -18,19 +18,8 @@ val counter : t -> string -> counter
 (** Get or create. Raises [Invalid_argument] if the name is already bound to
     a different instrument kind. *)
 
-val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-
-type gauge
-
-val gauge : t -> string -> gauge
-
-val set_gauge : gauge -> int -> unit
-(** Records the latest value and tracks the maximum seen. *)
-
-val gauge_value : gauge -> int
-val gauge_max : gauge -> int
 
 type histogram
 
@@ -58,7 +47,7 @@ val percentile : histogram -> float -> float
     observed min/max. *)
 
 val to_json : t -> Json.t
-(** [{"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
+(** [{"counters": {...}, "gauges": {}, "histograms": {name: {count, sum,
     min, max, p50, p90, p99, buckets: [{lo, hi, count}]}}}], names sorted. *)
 
 val report : t -> string

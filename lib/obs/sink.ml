@@ -1,4 +1,4 @@
-type arg = Int of int | Float of float | Str of string
+type arg = Int of int | Str of string
 
 type kind = Span | Instant | Counter
 
@@ -20,9 +20,8 @@ module Stbl = Hashtbl.Make (String)
    packs the sequence number, the interned (cat, name) label and the kind;
    the row's arguments are the slots from [arg0] up to the next row's.
    An argument slot packs the interned key and a tag in [akey]; [aval]
-   holds an [Int] itself, or the position in [boxed] of a [Str] payload
-   or a [Float]'s bit pattern, stored as its length and then seven bytes
-   to an int. *)
+   holds an [Int] itself, or the position in [boxed] of a [Str] payload,
+   stored as its length and then seven bytes to an int. *)
 type log = {
   meta : Chunked.t;
   node : Chunked.t;
@@ -241,7 +240,6 @@ let instant t ~cat ~name ~node ~ts =
   else reject t
 
 let tag_int = 0
-let tag_float = 1
 let tag_str = 2
 
 let push_arg t k tag v =
@@ -268,14 +266,6 @@ let push_boxed t k tag s =
 
 let int t k v = push_arg t k tag_int v
 let str t k s = push_boxed t k tag_str s
-
-let arg t k = function
-  | Int i -> int t k i
-  | Str s -> str t k s
-  | Float f ->
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.bits_of_float f);
-    push_boxed t k tag_float (Bytes.unsafe_to_string b)
 
 (* Counter samples bypass the category filter: their "counter" category is
    synthetic (no producer chooses it), so a [--trace-cats] list naming only
@@ -347,7 +337,7 @@ module Cursor = struct
 
   let[@inline] arg_tag c j =
     let tag = akey c j land 3 in
-    if tag = tag_int then `Int else if tag = tag_str then `Str else `Float
+    if tag = tag_int then `Int else `Str
 
   let[@inline] arg_int c j = Chunked.get c.log.aval (c.arg0 + j)
 
@@ -360,15 +350,6 @@ module Cursor = struct
     let b = c.log.boxed and p = arg_int c j in
     String.init (Chunked.get b p) (fun i ->
         Char.unsafe_chr (payload_byte b p i))
-
-  let arg_float c j =
-    let b = c.log.boxed and p = arg_int c j in
-    let bits = ref 0L in
-    for i = 7 downto 0 do
-      bits :=
-        Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (payload_byte b p i))
-    done;
-    Int64.float_of_bits !bits
 
   let arg_str_to c j buf =
     let b = c.log.boxed and p = arg_int c j in
@@ -386,7 +367,6 @@ module Cursor = struct
     match arg_tag c j with
     | `Int -> Int (arg_int c j)
     | `Str -> Str (arg_str c j)
-    | `Float -> Float (arg_float c j)
 
   let event c r =
     seek c r;

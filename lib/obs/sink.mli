@@ -11,7 +11,7 @@
     two stores of one layout: the span store and the ring. A row packs its
     sequence number, interned (cat, name) label and kind into one int,
     beside its node, [ts], [dur] and first argument slot; an argument is
-    an interned key with a tag and an int value; a [Str] or [Float]
+    an interned key with a tag and an int value; a [Str]
     payload is packed into another int column, seven bytes to an int.
     Records ({!event}) are built only when read; the serializer reads
     rows in place through a {!Cursor}.
@@ -39,7 +39,7 @@
     mutable field — no closure is allocated and no timing or statistic
     changes. *)
 
-type arg = Int of int | Float of float | Str of string
+type arg = Int of int | Str of string
 
 type kind = Span | Instant | Counter
 
@@ -95,7 +95,6 @@ val int : t -> string -> int -> unit
     handed it to the writer. *)
 
 val str : t -> string -> string -> unit
-val arg : t -> string -> arg -> unit
 
 val set_categories : t -> string list option -> unit
 (** [set_categories t (Some cats)] keeps only spans and instants whose
@@ -151,8 +150,7 @@ val event : t -> row -> event
 
     The serializer reads rows through a {!Cursor}, which resolves a row's
     store, position and argument slots once; labels and argument keys are
-    interned ids, named by the functions below. Only the [Float] reader
-    allocates. *)
+    interned ids, named by the functions below. *)
 
 val label_cat : t -> int -> string
 val label_name : t -> int -> string
@@ -186,9 +184,8 @@ module Cursor : sig
       order. *)
 
   val arg_key : t -> int -> int
-  val arg_tag : t -> int -> [ `Int | `Float | `Str ]
+  val arg_tag : t -> int -> [ `Int | `Str ]
   val arg_int : t -> int -> int
-  val arg_float : t -> int -> float (** boxes its result *)
 
   val arg_str_to : t -> int -> Buffer.t -> unit
   (** A [Str] argument as a quoted, escaped JSON string

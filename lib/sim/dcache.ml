@@ -50,8 +50,3 @@ let misses t = t.misses
 let miss_rate t =
   let total = t.hits + t.misses in
   if total = 0 then 0. else float_of_int t.misses /. float_of_int total
-
-let reset t =
-  Array.iter (fun set -> Array.fill set 0 t.assoc (-1)) t.sets;
-  t.hits <- 0;
-  t.misses <- 0

@@ -17,4 +17,3 @@ val access : t -> int -> bool
 val hits : t -> int
 val misses : t -> int
 val miss_rate : t -> float
-val reset : t -> unit

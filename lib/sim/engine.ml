@@ -33,7 +33,7 @@ type t = {
 let create machine =
   {
     machine;
-    nodes = Array.init machine.Machine.nodes (fun id -> Node.create ~machine ~id);
+    nodes = Array.init machine.Machine.nodes (fun id -> Node.create ~id);
     queue = Event_queue.create ();
     events_processed = 0;
     (* Observability is opt-in: engines observe the process-global sink at

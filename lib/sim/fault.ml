@@ -70,50 +70,6 @@ let check spec =
       (Printf.sprintf "Fault: torn-wal must be in [0,1], got %g" spec.torn_wal);
   spec
 
-(* [%g] unless its six digits lose the value, then the shortest of 15, 16
-   or 17 digits that parses back to it: a printed spec replays exactly. *)
-let float_str x =
-  let rec go = function
-    | [] -> Printf.sprintf "%.17g" x
-    | p :: rest ->
-      let s = Printf.sprintf "%.*g" p x in
-      if float_of_string s = x then s else go rest
-  in
-  go [ 6; 15; 16 ]
-
-let spec_to_string s =
-  let knob name x = Printf.sprintf "%s=%s" name (float_str x) in
-  String.concat ","
-    (List.filter_map
-       (fun x -> x)
-       [
-         (if s.drop > 0. then Some (knob "drop" s.drop) else None);
-         (if s.dup > 0. then Some (knob "dup" s.dup) else None);
-         (if s.delay > 0. then Some (knob "delay" s.delay) else None);
-         (* A duplicate's trailing copy draws its lag from the jitter too. *)
-         (if s.delay > 0. || s.dup > 0. then
-            Some (Printf.sprintf "jitter=%d" s.jitter_ns)
-          else None);
-         (if s.outages > 0 then
-            Some
-              (Printf.sprintf "outages=%d,outage-ns=%d" s.outages s.outage_ns)
-          else None);
-         (if s.crashes > 0 then
-            Some
-              (Printf.sprintf "crashes=%d,crash-ns=%d" s.crashes s.crash_ns)
-          else None);
-         (if s.outages > 0 || s.crashes > 0 then
-            Some (Printf.sprintf "horizon-ns=%d" s.outage_horizon_ns)
-          else None);
-         (if s.slow_node >= 0 then
-            Some
-              (Printf.sprintf "slow-node=%d,%s" s.slow_node
-                 (knob "slow-factor" s.slow_factor))
-          else None);
-         (if s.corrupt > 0. then Some (knob "corrupt" s.corrupt) else None);
-         (if s.torn_wal > 0. then Some (knob "torn-wal" s.torn_wal) else None);
-       ])
-
 let valid_keys =
   "drop, dup, delay, jitter-ns, outages, outage-ns, crashes, crash-ns, \
    horizon-ns, slow-node, slow-factor, corrupt, torn-wal"
@@ -209,10 +165,6 @@ let spec_of_string str =
     | Error _ as e -> e
     | Ok spec -> ( try Ok (check spec) with Invalid_argument m -> Error m)
 
-let pp_spec ppf s =
-  let str = spec_to_string s in
-  Format.pp_print_string ppf (if str = "" then "none" else str)
-
 type t = {
   spec : spec;
   rng : Dpa_util.Rng.t;
@@ -283,8 +235,6 @@ let make ?(seed = 0x5EED) spec ~nodes =
     extra0 = 0;
     extra1 = 0;
   }
-
-let spec t = t.spec
 
 (* Closure-free scans: the transport asks four of these per judged
    transmission. *)

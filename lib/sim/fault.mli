@@ -70,14 +70,10 @@ val none : spec
     protocol (useful for measuring pure protocol overhead); leaving the
     machine's fault field [None] disables both. *)
 
-val light : spec
-(** 1% drop, 0.5% duplication, 5% delayed. *)
-
-val heavy : spec
-(** 10% drop, 2% duplication, 10% delayed, one outage window per node. *)
-
 val spec_of_string : string -> (spec, string) result
-(** Parse ["none"], ["light"], ["heavy"], or a comma-separated
+(** Parse ["none"], ["light"] (1% drop, 0.5% duplication, 5% delayed),
+    ["heavy"] (10% drop, 2% duplication, 10% delayed, one outage window
+    per node), or a comma-separated
     [key=value] list over the knobs [drop], [dup], [delay], [jitter-ns],
     [outages], [outage-ns], [crashes], [crash-ns], [horizon-ns],
     [slow-node], [slow-factor], [corrupt], [torn-wal]
@@ -86,18 +82,6 @@ val spec_of_string : string -> (spec, string) result
     override, e.g. ["heavy,crashes=1"]. Unset knobs default to {!none}'s
     values. Errors name the offending field {e and} enumerate the accepted
     keys. *)
-
-val spec_to_string : spec -> string
-(** Inverse of {!spec_of_string} up to defaulted knobs; [""] for {!none}.
-    [spec_to_string] and [spec_of_string] form a round trip: parsing a
-    printed spec yields a spec that prints identically and behaves
-    identically — every knob a plan reads is printed, exactly (floats with
-    [%g] when six digits hold them, with up to 17 otherwise), and only
-    knobs no draw reads are elided (property-tested in
-    [test/test_fault.ml]). *)
-
-val pp_spec : Format.formatter -> spec -> unit
-(** Like {!spec_to_string} but prints ["none"] for the empty spec. *)
 
 type t
 (** An instantiated plan: spec + seeded RNG + injection counters. *)
@@ -108,8 +92,6 @@ val make : ?seed:int -> spec -> nodes:int -> t
     equal plans; crash windows are drawn after the outage windows on the
     same per-node streams, so adding [crashes = 0] to an existing spec
     changes nothing. *)
-
-val spec : t -> spec
 
 type verdict =
   | Deliver

@@ -2,7 +2,6 @@ type segment_kind = Local | Comm | Idle
 
 type t = {
   id : int;
-  machine : Machine.t;
   mutable tracer : (segment_kind -> start:int -> dur:int -> unit) option;
   mutable clock : int;
   mutable link_free_at : int;
@@ -17,10 +16,9 @@ type t = {
   mutable incarnation : int;
 }
 
-let create ~machine ~id =
+let create ~id =
   {
     id;
-    machine;
     tracer = None;
     clock = 0;
     link_free_at = 0;

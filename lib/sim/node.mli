@@ -6,7 +6,6 @@ type segment_kind = Local | Comm | Idle
 
 type t = {
   id : int;
-  machine : Machine.t;
   mutable tracer : (segment_kind -> start:int -> dur:int -> unit) option;
       (** segment observer installed by {!set_tracer} *)
   mutable clock : int;  (** local virtual time, ns *)
@@ -29,7 +28,7 @@ type t = {
           changed by delivery — see {!Dpa_msg.Am} and DESIGN.md §13. *)
 }
 
-val create : machine:Machine.t -> id:int -> t
+val create : id:int -> t
 
 val charge_local : t -> int -> unit
 (** Advance the clock by [ns] of application work. *)

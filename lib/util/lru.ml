@@ -24,7 +24,6 @@ module Make (H : Hashtbl.S) = struct
       evictions = 0;
     }
 
-  let capacity t = t.capacity
   let size t = H.length t.table
 
   let unlink t e =

@@ -9,7 +9,6 @@ module Make (H : Hashtbl.S) : sig
   type 'a t
 
   val create : capacity:int -> 'a t
-  val capacity : 'a t -> int
   val size : 'a t -> int
 
   val find : 'a t -> H.key -> 'a option

@@ -97,7 +97,7 @@ let test_caching_retries_idempotent () =
   let retries =
     List.fold_left
       (fun acc fault_seed ->
-        let sums, s = run ~faults:Fault.heavy ~fault_seed () in
+        let sums, s = run ~faults:Workload.heavy_faults ~fault_seed () in
         check_sums w sums ~nitems ~reads;
         Alcotest.(check int) "misses" clean.Dpa_baselines.Caching.misses
           s.Dpa_baselines.Caching.misses;

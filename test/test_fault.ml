@@ -103,94 +103,6 @@ let test_spec_errors_enumerate_keys () =
     (contains preset_err "presets: none, light, heavy"
     && lists_keys preset_err)
 
-let test_spec_roundtrip () =
-  List.iter
-    (fun spec ->
-      match Fault.spec_of_string (Fault.spec_to_string spec) with
-      | Ok s -> Alcotest.(check bool) "roundtrip" true (s = spec)
-      | Error e -> Alcotest.fail e)
-    [
-      Fault.light;
-      Fault.heavy;
-      { Fault.light with Fault.slow_node = 2; slow_factor = 3. };
-      { Fault.heavy with Fault.crashes = 2; crash_ns = 123_456 };
-      { Fault.none with Fault.crashes = 1 };
-      { Fault.none with Fault.corrupt = 0.25 };
-      { Fault.heavy with Fault.crashes = 1; corrupt = 0.1; torn_wal = 1. };
-      (* A duplicate's trailing copy draws its lag from the jitter, so the
-         jitter is printed with duplication on even when delay is off. *)
-      { Fault.none with Fault.dup = 0.3; jitter_ns = 5 };
-    ];
-  Alcotest.(check string)
-    "pp none" "none"
-    (Format.asprintf "%a" Fault.pp_spec Fault.none)
-
-let full_spec_gen =
-  QCheck.Gen.(
-    let* drop = float_range 0. 0.5 in
-    let* dup = float_range 0. 0.3 in
-    let* delay = float_range 0. 0.5 in
-    let* jitter_ns = int_range 1 100_000 in
-    let* outages = int_range 0 3 in
-    let* outage_ns = int_range 1 1_000_000 in
-    let* horizon = int_range 1 10_000_000 in
-    let* crashes = int_range 0 3 in
-    let* crash_ns = int_range 1 1_000_000 in
-    let* slow_node = int_range (-1) 3 in
-    let* slow_factor = float_range 1. 5. in
-    let* corrupt = float_range 0. 0.5 in
-    let* torn_wal = float_range 0. 1. in
-    return
-      {
-        Fault.drop;
-        dup;
-        delay;
-        jitter_ns;
-        outages;
-        outage_ns;
-        outage_horizon_ns = horizon;
-        crashes;
-        crash_ns;
-        slow_node;
-        slow_factor;
-        corrupt;
-        torn_wal;
-      })
-
-(* The knobs a plan built from [s] reads, with the rest at their
-   defaults: jitter only feeds delays and duplicates' lags, window lengths
-   only their windows, the horizon only window starts, and the slow
-   factor only a slow node. *)
-let behaviour (s : Fault.spec) =
-  let d = Fault.none in
-  let windows = s.Fault.outages > 0 || s.Fault.crashes > 0 in
-  {
-    s with
-    Fault.jitter_ns =
-      (if s.Fault.delay > 0. || s.Fault.dup > 0. then s.Fault.jitter_ns
-       else d.Fault.jitter_ns);
-    outage_ns = (if s.Fault.outages > 0 then s.Fault.outage_ns else d.Fault.outage_ns);
-    crash_ns = (if s.Fault.crashes > 0 then s.Fault.crash_ns else d.Fault.crash_ns);
-    outage_horizon_ns =
-      (if windows then s.Fault.outage_horizon_ns else d.Fault.outage_horizon_ns);
-    slow_factor =
-      (if s.Fault.slow_node >= 0 then s.Fault.slow_factor else d.Fault.slow_factor);
-  }
-
-let qcheck_spec_pp_parse_roundtrip =
-  (* [pp_spec] output must re-parse into a spec that behaves exactly like
-     the printed one — every knob a plan reads comes back bit for bit —
-     and printing the re-parse must be a fixed point: the printed form is
-     a faithful CLI-ready name for any plan. *)
-  QCheck.Test.make ~name:"pp/parse round-trips every spec" ~count:200
-    (QCheck.make full_spec_gen) (fun spec ->
-      let printed = Format.asprintf "%a" Fault.pp_spec spec in
-      match Fault.spec_of_string printed with
-      | Error _ -> false
-      | Ok re ->
-        behaviour re = behaviour spec
-        && Format.asprintf "%a" Fault.pp_spec re = printed)
-
 (* --- plan determinism --------------------------------------------------- *)
 
 (* 200 verdicts, each with its copies' delays. *)
@@ -211,7 +123,7 @@ let judge_stream t =
 let test_judge_allocates_nothing () =
   let t =
     Fault.make ~seed:5
-      { Fault.heavy with Fault.crashes = 2; slow_node = 1; slow_factor = 2. }
+      { Workload.heavy_faults with Fault.crashes = 2; slow_node = 1; slow_factor = 2. }
       ~nodes:4
   in
   let copies = ref 0 in
@@ -237,7 +149,7 @@ let test_judge_allocates_nothing () =
     Alcotest.failf "%.0f minor words over 10000 verdicts (bound 16)" words
 
 let test_plan_determinism () =
-  let spec = { Fault.heavy with Fault.outages = 3 } in
+  let spec = { Workload.heavy_faults with Fault.outages = 3 } in
   let a = Fault.make ~seed:99 spec ~nodes:4 in
   let b = Fault.make ~seed:99 spec ~nodes:4 in
   for node = 0 to 3 do
@@ -830,14 +742,12 @@ let suites =
         Alcotest.test_case "spec presets" `Quick test_spec_presets;
         Alcotest.test_case "spec key=value parsing" `Quick test_spec_key_values;
         Alcotest.test_case "spec rejects bad input" `Quick test_spec_errors;
-        Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrip;
         Alcotest.test_case "plan is deterministic" `Quick test_plan_determinism;
         Alcotest.test_case "plan validation" `Quick test_plan_validation;
         Alcotest.test_case "preset prefix with knob overrides" `Quick
           test_spec_preset_override;
         Alcotest.test_case "errors enumerate valid keys" `Quick
           test_spec_errors_enumerate_keys;
-        QCheck_alcotest.to_alcotest qcheck_spec_pp_parse_roundtrip;
         Alcotest.test_case "judge allocates nothing" `Quick
           test_judge_allocates_nothing;
       ] );

@@ -53,19 +53,6 @@ let test_m2l () =
         (Expansion.direct sources z))
     [ c 2.1 1.4; c 1.9 1.6; lc ]
 
-let test_l2l () =
-  let a = Expansion.p2m ~p:25 ~center:src_center sources in
-  let lc = c 2.0 1.5 in
-  let b = Expansion.m2l a ~from_center:src_center ~to_center:lc in
-  let lc' = c 2.15 1.45 in
-  let b' = Expansion.l2l b ~from_center:lc ~to_center:lc' in
-  List.iter
-    (fun z ->
-      check_phi "shifted local"
-        (Expansion.eval_local b' ~center:lc' z)
-        (Expansion.eval_local b ~center:lc z))
-    [ c 2.1 1.5; c 2.2 1.4 ]
-
 let qcheck_m2l_converges =
   QCheck.Test.make ~name:"m2l error shrinks with order" ~count:30
     QCheck.(pair (float_range 0.2 0.45) (float_range 0.2 0.45))
@@ -269,7 +256,6 @@ let suites =
         Alcotest.test_case "p2m/eval" `Quick test_p2m_eval;
         Alcotest.test_case "m2m" `Quick test_m2m;
         Alcotest.test_case "m2l" `Quick test_m2l;
-        Alcotest.test_case "l2l" `Quick test_l2l;
         QCheck_alcotest.to_alcotest qcheck_m2l_converges;
       ] );
     ( "fmm.quadtree",

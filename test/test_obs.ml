@@ -79,22 +79,34 @@ let test_json_member () =
   Alcotest.(check bool) "miss" true (Json.member "b" v = None);
   Alcotest.(check bool) "non-object" true (Json.member "a" (Json.Int 3) = None)
 
+(* [rows] of [sink] (default: every live row) as the [--events] writer
+   prints them, one line each. *)
+let jsonl ?rows sink =
+  let rows = Option.value rows ~default:(Sink.live_rows sink) in
+  let path = Filename.temp_file "test_obs" ".jsonl" in
+  let w = Export.jsonl_writer (open_out_bin path) in
+  Array.iter (w.Sink.write sink) rows;
+  w.Sink.close ();
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+(* Attach [v] under [k] to the newest event of [s]. *)
+let attach s k = function
+  | Sink.Int i -> Sink.int s k i
+  | Sink.Str v -> Sink.str s k v
+
 (* --- Metrics ----------------------------------------------------------- *)
 
-let test_metrics_counter_gauge () =
+let test_metrics_counter () =
   let r = Metrics.create () in
   let c = Metrics.counter r "c" in
-  Metrics.incr c;
+  Metrics.add c 1;
   Metrics.add (Metrics.counter r "c") 9 (* same name -> same instrument *);
   Alcotest.(check int) "counter" 10 (Metrics.counter_value c);
-  let g = Metrics.gauge r "g" in
-  Metrics.set_gauge g 7;
-  Metrics.set_gauge g 3;
-  Alcotest.(check int) "gauge last" 3 (Metrics.gauge_value g);
-  Alcotest.(check int) "gauge max" 7 (Metrics.gauge_max g);
   Alcotest.check_raises "kind clash"
-    (Invalid_argument "Metrics.gauge: \"c\" is registered as another kind")
-    (fun () -> ignore (Metrics.gauge r "c"))
+    (Invalid_argument "Metrics.histogram: \"c\" is registered as another kind")
+    (fun () -> ignore (Metrics.histogram r "c"))
 
 let test_metrics_histogram () =
   let r = Metrics.create () in
@@ -353,7 +365,7 @@ let test_metrics_export_valid () =
 let test_jsonl_and_profile () =
   let sink, _ = Lazy.force observed_bh in
   let lines =
-    Export.jsonl sink |> String.split_on_char '\n'
+    jsonl sink |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
   Alcotest.(check bool) "has lines" true (lines <> []);
@@ -371,7 +383,6 @@ let test_jsonl_roundtrip_kinds () =
   let s = Sink.create () in
   Sink.span s ~cat:"phase" ~name:"sp" ~node:1 ~ts:5 ~dur:7;
   Sink.int s "i" (-3);
-  Sink.arg s "f" (Sink.Float 2.5);
   Sink.str s "s" "x\"y";
   Sink.instant s ~cat:"fault" ~name:"drop" ~node:0 ~ts:9;
   Sink.str s "sev" "hi";
@@ -381,7 +392,7 @@ let test_jsonl_roundtrip_kinds () =
   Array.iter
     (fun row ->
       let ev = Sink.event s row in
-      let j = parse_ok (Export.jsonl_row s row) in
+      let j = parse_ok (jsonl ~rows:[| row |] s) in
       let kind =
         match ev.Sink.kind with
         | Sink.Span -> "span"
@@ -404,7 +415,6 @@ let test_jsonl_roundtrip_kinds () =
           let expected =
             match v with
             | Sink.Int i -> Json.Int i
-            | Sink.Float f -> Json.Float f
             | Sink.Str str -> Json.Str str
           in
           Alcotest.(check bool) (kind ^ " arg " ^ k) true
@@ -472,14 +482,14 @@ let test_profile_strip_only_rows () =
 
 (* The metrics profile must agree exactly with the event stream it was
    built from: each phase's wall_ns is the sum of dur over its
-   cat:"phase" spans in [Export.jsonl], and its strips are the cat:"strip"
+   cat:"phase" spans in its JSONL, and its strips are the cat:"strip"
    spans labelled with it. *)
 let test_profile_json_matches_stream () =
   let sink, _ = Lazy.force observed_bh in
   let lines =
     List.filter_map
       (fun l -> if l = "" then None else Some (parse_ok l))
-      (String.split_on_char '\n' (Export.jsonl sink))
+      (String.split_on_char '\n' (jsonl sink))
   in
   let field k j = Option.get (Json.member k j) in
   let spans cat =
@@ -522,32 +532,25 @@ let test_writer_matches_snapshot_export () =
      engine's barriers plus the final close) must produce exactly the
      lines the one-shot snapshot exporter renders at the end. *)
   let sink = Sink.create () in
-  let buf = Buffer.create 65536 in
-  Sink.attach_writer sink
-    {
-      Sink.write =
-        (fun sink row ->
-          Buffer.add_string buf (Export.jsonl_row sink row);
-          Buffer.add_char buf '\n');
-      Sink.flush = (fun () -> ());
-      Sink.close = (fun () -> ());
-    };
+  let path = Filename.temp_file "test_obs" ".jsonl" in
+  Sink.attach_writer sink (Export.jsonl_writer (open_out_bin path));
   let (_ : Dpa_bh.Bh_run.phase_result) = run_bh ~sink:(Some sink) () in
   Sink.close_writer sink;
+  let stream = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
   Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
   Alcotest.(check int) "streamed everything emitted" (Sink.emitted sink)
     (Sink.streamed sink);
   Alcotest.(check bool) "nonempty" true (Sink.streamed sink > 0);
   Alcotest.(check bool) "stream equals snapshot export" true
-    (Buffer.contents buf = Export.jsonl sink)
+    (stream = jsonl sink)
 
 (* The serializer's oracle: the [Json.t] tree the JSONL lines were once
-   rendered from, kept here only. [Export.jsonl_row] must print exactly
+   rendered from, kept here only. [Export.jsonl_writer] must print exactly
    what [Json.to_string] prints for the row's event. *)
 let tree_of_event (ev : Sink.event) =
   let arg = function
     | Sink.Int i -> Json.Int i
-    | Sink.Float f -> Json.Float f
     | Sink.Str s -> Json.Str s
   in
   Json.Obj
@@ -604,19 +607,10 @@ let gen_int =
 
 let gen_event =
   let open QCheck.Gen in
-  let float =
-    oneof
-      [
-        QCheck.Gen.float;
-        map float_of_int (int_range (-1000) 1000);
-        oneofl [ nan; infinity; neg_infinity; -0.; 0.; 1e15; 1e22; -1e-300 ];
-      ]
-  in
   let arg =
     oneof
       [
         map (fun i -> Sink.Int i) gen_int;
-        map (fun f -> Sink.Float f) float;
         map (fun s -> Sink.Str s) gen_str;
       ]
   in
@@ -645,13 +639,13 @@ let emit_events evs =
         (match (ev.Sink.kind, ev.Sink.args) with
         | Sink.Span, args ->
           Sink.span s ~cat ~name ~node ~ts ~dur;
-          List.iter (fun (k, v) -> Sink.arg s k v) args
+          List.iter (fun (k, v) -> attach s k v) args
         | Sink.Instant, args ->
           Sink.instant s ~cat ~name ~node ~ts;
-          List.iter (fun (k, v) -> Sink.arg s k v) args
+          List.iter (fun (k, v) -> attach s k v) args
         | Sink.Counter, (_, Sink.Int value) :: args ->
           Sink.counter s ~name ~node ~ts value;
-          List.iter (fun (k, v) -> Sink.arg s k v) args
+          List.iter (fun (k, v) -> attach s k v) args
         | Sink.Counter, _ ->
           invalid_arg "emit_events: a counter's value comes first");
         { ev with Sink.seq })
@@ -672,27 +666,25 @@ let qcheck_jsonl_matches_tree =
       let expect =
         List.stable_sort (fun a b -> compare a.Sink.ts b.Sink.ts) evs
       in
+      let rows = Array.to_list (Sink.live_rows s) in
+      (* A JSON string escapes its newlines, so lines split cleanly. *)
       let lines =
-        List.map2
-          (fun row ev ->
-            (* [compare], not [=]: a nan argument must equal itself. *)
-            if compare (Sink.event s row) ev <> 0 then
-              QCheck.Test.fail_report "a row does not read back as its event";
-            let line = Export.jsonl_row s row in
-            let expected = Json.to_string (tree_of_event ev) in
-            if line <> expected then
-              QCheck.Test.fail_reportf "serializer gave %S, tree %S" line
-                expected;
-            (match Json.parse line with
-            | Ok _ -> ()
-            | Error e ->
-              QCheck.Test.fail_reportf "%S does not parse: %s" line e);
-            line ^ "\n")
-          (Array.to_list (Sink.live_rows s))
-          expect
+        List.filter (( <> ) "") (String.split_on_char '\n' (jsonl s))
       in
-      if Export.jsonl s <> String.concat "" lines then
-        QCheck.Test.fail_report "the snapshot differs from its rows' lines";
+      if List.length lines <> List.length rows then
+        QCheck.Test.fail_report "one line per row";
+      List.iter2
+        (fun (row, ev) line ->
+          if Sink.event s row <> ev then
+            QCheck.Test.fail_report "a row does not read back as its event";
+          let expected = Json.to_string (tree_of_event ev) in
+          if line <> expected then
+            QCheck.Test.fail_reportf "serializer gave %S, tree %S" line
+              expected;
+          match Json.parse line with
+          | Ok _ -> ()
+          | Error e -> QCheck.Test.fail_reportf "%S does not parse: %s" line e)
+        (List.combine rows expect) lines;
       true)
 
 (* The tree oracle above prints through the same scalar writers, so those
@@ -853,7 +845,7 @@ let test_jsonl_writer_streams_snapshot () =
   Alcotest.(check int) "streamed everything emitted" (Sink.emitted sink)
     (Sink.streamed sink);
   Alcotest.(check bool) "stream equals snapshot export" true
-    (stream = Export.jsonl sink);
+    (stream = jsonl sink);
   Alcotest.(check string) "stream digest" "a28aaeacd62d660d48bbf10a6477d1d0"
     (Digest.to_hex (Digest.string stream))
 
@@ -930,7 +922,6 @@ let show_args args =
          ^
          match v with
          | Sink.Int i -> string_of_int i
-         | Sink.Float f -> string_of_float f
          | Sink.Str s -> Printf.sprintf "%S" s)
        args)
 
@@ -958,7 +949,6 @@ let gen_sink_case =
     oneof
       [
         map (fun i -> Sink.Int i) (int_range (-5) 5);
-        map (fun f -> Sink.Float f) (oneofl [ 0.5; -2.; 1e9 ]);
         map (fun s -> Sink.Str s) (oneofl [ ""; "s"; "q\"t" ]);
       ]
   in
@@ -1049,7 +1039,7 @@ let model_flush m =
 let burst_instant i = ("a", "x", i land 3, i mod 7, [ ("k0", Sink.Int i) ])
 
 let apply_sink_op s m got op =
-  let emit_args = List.iter (fun (k, v) -> Sink.arg s k v) in
+  let emit_args = List.iter (fun (k, v) -> attach s k v) in
   match op with
   | Emit_span (cat, name, node, ts, dur, a) ->
     Sink.span s ~cat ~name ~node ~ts ~dur;
@@ -1250,7 +1240,7 @@ let qcheck_flush_order =
       let stream = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Sys.remove path;
-      if stream <> Export.jsonl s then
+      if stream <> jsonl s then
         QCheck.Test.fail_report "the stream differs from the snapshot export";
       true)
 
@@ -1358,7 +1348,7 @@ let suites =
       ] );
     ( "obs.metrics",
       [
-        Alcotest.test_case "counter and gauge" `Quick test_metrics_counter_gauge;
+        Alcotest.test_case "counter" `Quick test_metrics_counter;
         Alcotest.test_case "histogram percentiles" `Quick test_metrics_histogram;
         Alcotest.test_case "histogram edges" `Quick test_metrics_histogram_edges;
         Alcotest.test_case "json shape" `Quick test_metrics_json_shape;

@@ -175,22 +175,6 @@ let qcheck_m2m_preserves_field =
       let _, vb = Dpa_fmm.Expansion.eval_multipole b ~center:c' z in
       Complex.norm (Complex.sub va vb) < 1e-7)
 
-let qcheck_l2l_exact =
-  QCheck.Test.make ~name:"l2l shift is exact for polynomials" ~count:100
-    (QCheck.make
-       QCheck.Gen.(list_size (int_range 1 8) (float_range (-1.) 1.)))
-    (fun coeffs ->
-      (* A local expansion IS a polynomial; shifting its center must not
-         change its values anywhere. *)
-      let b = Array.of_list (List.map (fun re -> { Complex.re; im = 0. }) coeffs) in
-      let c = { Complex.re = 0.6; im = -0.3 } in
-      let b' = Dpa_fmm.Expansion.l2l b ~from_center:Complex.zero ~to_center:c in
-      let z = { Complex.re = 0.9; im = 0.4 } in
-      let va, da = Dpa_fmm.Expansion.eval_local b ~center:Complex.zero z in
-      let vb, db = Dpa_fmm.Expansion.eval_local b' ~center:c z in
-      Complex.norm (Complex.sub va vb) < 1e-9
-      && Complex.norm (Complex.sub da db) < 1e-9)
-
 (* --- BH physics properties ---------------------------------------------- *)
 
 let qcheck_forces_antisymmetric_two_bodies =
@@ -231,7 +215,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_engine_conservation;
         QCheck_alcotest.to_alcotest qcheck_multipole_matches_direct;
         QCheck_alcotest.to_alcotest qcheck_m2m_preserves_field;
-        QCheck_alcotest.to_alcotest qcheck_l2l_exact;
         QCheck_alcotest.to_alcotest qcheck_forces_antisymmetric_two_bodies;
         Alcotest.test_case "momentum conserved" `Quick
           test_bh_momentum_conserved;

@@ -506,12 +506,12 @@ let test_routed_under_faults_exact_and_replayable () =
      stays exact, and the seeded schedule replays bit-identically. *)
   let reference, _ = run_fanin ~route:Dpa.Config.All_dsts () in
   let faulted, stats =
-    run_fanin ~faults:Fault.heavy ~fault_seed:41 ~route:Dpa.Config.All_dsts ()
+    run_fanin ~faults:Workload.heavy_faults ~fault_seed:41 ~route:Dpa.Config.All_dsts ()
   in
   Alcotest.(check bool) "routed reduction exact under heavy faults" true
     (reference = faulted);
   let faulted2, stats2 =
-    run_fanin ~faults:Fault.heavy ~fault_seed:41 ~route:Dpa.Config.All_dsts ()
+    run_fanin ~faults:Workload.heavy_faults ~fault_seed:41 ~route:Dpa.Config.All_dsts ()
   in
   Alcotest.(check bool) "routed fault schedule replays" true
     (faulted = faulted2 && stats = stats2)

@@ -108,7 +108,7 @@ let test_ack_loss_and_straightline_dedup () =
      replays that the owner's journal must absorb without double-applying
      against the copies that survived the tree. *)
   let reference, elapsed = Lazy.force reference in
-  let spec = crash_spec ~base:Fault.heavy ~elapsed ~crashes:1 () in
+  let spec = crash_spec ~base:Workload.heavy_faults ~elapsed ~crashes:1 () in
   for seed = 1 to 8 do
     let vals, _, _ = run_fanin ~faults:spec ~fault_seed:seed () in
     if vals <> reference then
@@ -117,7 +117,7 @@ let test_ack_loss_and_straightline_dedup () =
 
 let test_replay_determinism () =
   let _, elapsed = Lazy.force reference in
-  let spec = crash_spec ~base:Fault.heavy ~elapsed ~crashes:1 () in
+  let spec = crash_spec ~base:Workload.heavy_faults ~elapsed ~crashes:1 () in
   let v1, s1, e1 = run_fanin ~faults:spec ~fault_seed:7 () in
   let v2, s2, e2 = run_fanin ~faults:spec ~fault_seed:7 () in
   Alcotest.(check bool) "values replay bit-for-bit" true (v1 = v2);

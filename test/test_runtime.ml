@@ -281,21 +281,15 @@ module Model = struct
 
   let outstanding_list t =
     List.sort compare (Hashtbl.fold (fun tok slot acc -> (tok, slot.ptr) :: acc) t.tokens [])
-
-  let clear t =
-    Hashtbl.reset t.tokens;
-    Gptr.Tbl.reset t.by_ptr;
-    t.waiters <- 0
 end
 
-type pm_op = Register of int * bool | Take of int | Find of int | Fold | Clear
+type pm_op = Register of int * bool | Take of int | Find of int | Fold
 
 let pm_op_print = function
   | Register (p, r) -> Printf.sprintf "Register(%d,%b)" p r
   | Take t -> Printf.sprintf "Take %d" t
   | Find t -> Printf.sprintf "Find %d" t
   | Fold -> "Fold"
-  | Clear -> "Clear"
 
 let pm_op_gen =
   QCheck.Gen.(
@@ -305,7 +299,6 @@ let pm_op_gen =
         (4, map (fun t -> Take t) (int_range 0 40));
         (2, map (fun t -> Find t) (int_range 0 40));
         (1, return Fold);
-        (1, return Clear);
       ])
 
 (* [mode]: 0 = every registration reuses, 1 = none does, 2 = each
@@ -353,10 +346,6 @@ let qcheck_pointer_map_model =
                    (fun tok p acc -> (tok, p) :: acc)
                    [])
               = Model.outstanding_list model
-            | Clear ->
-              Dpa.Pointer_map.clear m;
-              Model.clear model;
-              true
           in
           agree
           && Dpa.Pointer_map.waiters m = model.Model.waiters

@@ -141,8 +141,7 @@ let test_event_queue_releases_popped () =
   Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
 
 let test_node_accounting () =
-  let machine = Machine.t3d ~nodes:1 in
-  let n = Node.create ~machine ~id:0 in
+  let n = Node.create ~id:0 in
   Node.charge_local n 100;
   Node.charge_comm n 50;
   Node.wait_until n 200;
@@ -361,8 +360,7 @@ let test_machine_transfer () =
   Alcotest.(check int) "latency+bytes" (1000 + 100) (Machine.transfer_ns m ~bytes:10)
 
 let test_breakdown_fractions () =
-  let machine = Machine.t3d ~nodes:2 in
-  let nodes = [| Node.create ~machine ~id:0; Node.create ~machine ~id:1 |] in
+  let nodes = [| Node.create ~id:0; Node.create ~id:1 |] in
   Node.charge_local nodes.(0) 300;
   Node.charge_comm nodes.(1) 100;
   Node.wait_until nodes.(1) 300;

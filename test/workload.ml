@@ -12,6 +12,9 @@ type t = {
   nobjs : int;
 }
 
+(* The "heavy" fault preset, as [--faults heavy] names it. *)
+let heavy_faults = Result.get_ok (Dpa_sim.Fault.spec_of_string "heavy")
+
 let value ~node ~slot = float_of_int ((node * 1000) + slot)
 
 let make ~nnodes ~nobjs =

@@ -15,4 +15,3 @@ let approx_equal ?(tol = 1e-9) a b =
   let scale = max 1. (max (norm a) (norm b)) in
   norm (sub a b) <= tol *. scale
 
-let pp ppf a = Format.fprintf ppf "(%g, %g, %g)" a.x a.y a.z

@@ -7,7 +7,6 @@ val make : float -> float -> float -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
-val dot : t -> t -> float
 val norm2 : t -> float
 val norm : t -> float
 val dist : t -> t -> float
@@ -15,4 +14,3 @@ val axpy : float -> t -> t -> t
 (** [axpy a x y] is [a*x + y]. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -84,5 +84,3 @@ let flip_bit_prefix b ~len k =
 
 let seal b = seal_prefix b ~len:(Bytes.length b)
 let verify b = verify_prefix b ~len:(Bytes.length b)
-let bits b = 8 * Bytes.length b
-let flip_bit b k = flip_bit_prefix b ~len:(Bytes.length b) k

@@ -24,13 +24,6 @@ val seal : Bytes.t -> unit
 val verify : Bytes.t -> bool
 (** Recompute and compare the trailer checksum. *)
 
-val bits : Bytes.t -> int
-(** Total bits in the frame (header + image + trailer), the range
-    corruption draws index into. *)
-
-val flip_bit : Bytes.t -> int -> unit
-(** Flip bit [k mod bits] of the frame — the injected wire corruption. *)
-
 (** {2 Framing into a reused buffer}
 
     The transport frames every copy and ack into one scratch buffer per

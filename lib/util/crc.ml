@@ -76,8 +76,6 @@ let digest_sub bytes ~pos ~len =
   done;
   bytewise t !crc bytes ~pos:stop8 ~stop:(pos + len) lxor 0xFFFFFFFF
 
-let digest bytes = digest_sub bytes ~pos:0 ~len:(Bytes.length bytes)
-
 let digest_sub_bytewise bytes ~pos ~len =
   check_range bytes ~pos ~len;
   bytewise (Lazy.force tables) 0xFFFFFFFF bytes ~pos ~stop:(pos + len)

@@ -7,12 +7,9 @@
     deterministic corruption fault class needs: an injected bit-flip is
     never silently accepted. *)
 
-val digest : Bytes.t -> int
-(** Digest of the whole buffer, as a non-negative 32-bit value. *)
-
 val digest_sub : Bytes.t -> pos:int -> len:int -> int
-(** Digest of [len] bytes starting at [pos]. [Invalid_argument] when the
-    range falls outside the buffer. *)
+(** Digest of [len] bytes starting at [pos], as a non-negative 32-bit
+    value. [Invalid_argument] when the range falls outside the buffer. *)
 
 val digest_sub_bytewise : Bytes.t -> pos:int -> len:int -> int
 (** {!digest_sub} computed one byte per table lookup, the textbook loop:

@@ -23,7 +23,6 @@ let check t i =
 
 let get t i = check t i; t.data.(i)
 
-let set t i x = check t i; t.data.(i) <- x
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -8,5 +8,4 @@ val add : 'a t -> 'a -> int
 (** [add t x] appends [x] and returns its index. *)
 
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit

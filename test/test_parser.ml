@@ -26,9 +26,13 @@ let test_parse_list_sum_source () =
       (Partition.analyze p f).Partition.static_threads
   | _ -> Alcotest.fail "expected one function");
   (* Identical partition to the programmatic version. *)
-  Alcotest.(check int) "same threads as builder"
-    (Partition.total_static_threads Programs.list_sum)
-    (Partition.total_static_threads p)
+  let threads p =
+    List.fold_left
+      (fun a i -> a + i.Partition.static_threads)
+      0 (Partition.analyze_program p)
+  in
+  Alcotest.(check int) "same threads as builder" (threads Programs.list_sum)
+    (threads p)
 
 let test_parse_expr_precedence () =
   let e = Parser.expr "1 + 2 * 3 < 4 && is_nil(x) || !y" in

@@ -36,8 +36,8 @@ let obs_term =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Write a JSON metrics dump (counters, gauges, per-phase \
-             histograms with p50/p90/p99, Dpa_stats).")
+            "Write a JSON metrics dump (counters, per-phase histograms \
+             with p50/p90/p99, Dpa_stats).")
   in
   let events =
     Arg.(

@@ -29,7 +29,7 @@ let create ~dummy =
   }
 
 let length t = t.len
-let is_empty t = t.len = 0
+let[@inline] is_empty t = t.len = 0
 
 let grow t =
   let cap = Array.length t.ptrs in
@@ -50,41 +50,41 @@ let grow t =
 
 (* The tail slot, grown into if full. Vacant slots hold [nil], the dummy
    and [-1]. *)
-let tail t =
+let[@inline] tail t =
   if t.len = Array.length t.ptrs then grow t;
   let i = (t.head + t.len) land (Array.length t.ptrs - 1) in
   t.len <- t.len + 1;
   i
 
-let push t ptr k =
+let[@inline] push t ptr k =
   let i = tail t in
   t.ptrs.(i) <- ptr;
   t.ks.(i) <- k
 
-let push_chain t ptr cell =
+let[@inline] push_chain t ptr cell =
   let i = tail t in
   t.ptrs.(i) <- ptr;
   t.cells.(i) <- cell
 
-let check t what = if t.len = 0 then invalid_arg ("Ready_ring." ^ what ^ ": empty")
+let[@inline] check t what = if t.len = 0 then invalid_arg ("Ready_ring." ^ what ^ ": empty")
 
-let head_ptr t =
+let[@inline] head_ptr t =
   check t "head_ptr";
   t.ptrs.(t.head)
 
-let head_k t =
+let[@inline] head_k t =
   check t "head_k";
   t.ks.(t.head)
 
-let head_cell t =
+let[@inline] head_cell t =
   check t "head_cell";
   t.cells.(t.head)
 
-let set_head_cell t cell =
+let[@inline] set_head_cell t cell =
   check t "set_head_cell";
   t.cells.(t.head) <- cell
 
-let drop t =
+let[@inline] drop t =
   check t "drop";
   (* A chain entry's slot already holds the dummy: skip the barrier. *)
   if t.ks.(t.head) != t.dummy then t.ks.(t.head) <- t.dummy;

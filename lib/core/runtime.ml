@@ -180,7 +180,7 @@ and k = ctx -> Heap.view -> unit
 
 let node_id ctx = ctx.node.Node.id
 let heaps ctx = ctx.heaps
-let charge ctx ns = Node.charge_local ctx.node ns
+let[@inline] charge ctx ns = Node.charge_local ctx.node ns
 
 (* --- observability emission helpers ------------------------------------ *)
 
@@ -1241,6 +1241,18 @@ let read ctx ptr k =
     Ready_ring.push ctx.ready ptr k;
     ensure_scheduled ctx
   end
+  (* M before D: at the default strip nearly every remote read merges onto
+     an in-flight fetch, so one by-pointer lookup settles it. The order
+     does not change the classification, since no pointer is in both: a
+     reply moves its pointer from M to D, and D is cleared only when M is
+     empty (strip boundaries) or at a crash. *)
+  else if ctx.cfg.Config.reuse && Pointer_map.merge ctx.map ptr k then begin
+    note_outstanding ctx;
+    ctx.stats.Dpa_stats.merge_hits <- ctx.stats.Dpa_stats.merge_hits + 1;
+    match ctx.obs with
+    | None -> ()
+    | Some o -> obs_instant o ctx.node ~name:"merge_hit"
+  end
   else if ctx.cfg.Config.reuse && Align_buffer.mem ctx.buffer ptr then begin
     ctx.stats.Dpa_stats.align_hits <- ctx.stats.Dpa_stats.align_hits + 1;
     (match ctx.obs with
@@ -1255,26 +1267,18 @@ let read ctx ptr k =
   else begin
     note_outstanding ctx;
     let token =
-      Pointer_map.register ctx.map ~reuse:ctx.cfg.Config.reuse ptr k
+      Pointer_map.issue ctx.map ~reuse:ctx.cfg.Config.reuse ptr k
     in
-    if token < 0 then begin
-      ctx.stats.Dpa_stats.merge_hits <- ctx.stats.Dpa_stats.merge_hits + 1;
-      match ctx.obs with
-      | None -> ()
-      | Some o -> obs_instant o ctx.node ~name:"merge_hit"
-    end
-    else begin
-      ctx.stats.Dpa_stats.spawns <- ctx.stats.Dpa_stats.spawns + 1;
-      (match ctx.obs with
-      | None -> ()
-      | Some o ->
-        Dpa_util.Index.add o.issued token ctx.node.Node.clock;
-        Dpa_obs.Metrics.observe o.h_out ctx.pending;
-        obs_instant o ctx.node ~name:"spawn";
-        obs_int o "dst" (Gptr.node ptr);
-        obs_outstanding o ctx.node ctx.pending);
-      Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) token
-    end
+    ctx.stats.Dpa_stats.spawns <- ctx.stats.Dpa_stats.spawns + 1;
+    (match ctx.obs with
+    | None -> ()
+    | Some o ->
+      Dpa_util.Index.add o.issued token ctx.node.Node.clock;
+      Dpa_obs.Metrics.observe o.h_out ctx.pending;
+      obs_instant o ctx.node ~name:"spawn";
+      obs_int o "dst" (Gptr.node ptr);
+      obs_outstanding o ctx.node ctx.pending);
+    Dpa_msg.Aggregator.add ctx.agg ~dst:(Gptr.node ptr) token
   end
 
 let accumulate ctx ptr ~idx value =

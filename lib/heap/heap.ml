@@ -123,7 +123,7 @@ let alloc t ~floats ~ptrs =
 
 (* --- handle resolution -------------------------------------------------- *)
 
-let check t (p : Gptr.t) name =
+let[@inline] check t (p : Gptr.t) name =
   if Gptr.is_nil p then invalid_arg (name ^ ": nil pointer");
   if Gptr.node p <> t.node then
     invalid_arg (name ^ ": pointer owned by another node");
@@ -132,7 +132,7 @@ let check t (p : Gptr.t) name =
   slot * meta_stride
 
 let nfloats t p = t.meta.(check t p "Heap.nfloats" + 2)
-let nptrs t p = t.meta.(check t p "Heap.nptrs" + 3)
+let[@inline] nptrs t p = t.meta.(check t p "Heap.nptrs" + 3)
 
 let get_float t p i =
   let m = check t p "Heap.get_float" in
@@ -146,7 +146,7 @@ let set_float t p i v =
     invalid_arg "Heap.set_float: field out of range";
   Bigarray.Array1.set t.fpool (t.meta.(m) + i) v
 
-let get_ptr t p i =
+let[@inline] get_ptr t p i =
   let m = check t p "Heap.get_ptr" in
   if i < 0 || i >= t.meta.(m + 3) then
     invalid_arg "Heap.get_ptr: field out of range";
@@ -169,8 +169,8 @@ let bump_float t p ~idx v =
    compiler does not inline boxes its result; handing the loop the pool
    and the object's base index keeps every field read an unboxed Bigarray
    load. The handle is validated once here, not per field. *)
-let float_pool t = t.fpool
-let float_base t p = t.meta.(check t p "Heap.float_base")
+let[@inline] float_pool t = t.fpool
+let[@inline] float_base t p = t.meta.(check t p "Heap.float_base")
 
 let obj_bytes t p =
   let m = check t p "Heap.obj_bytes" in
@@ -184,9 +184,9 @@ let obj_bytes t p =
    node's pools — pure arithmetic, no allocation. *)
 
 let view_nfloats c (v : view) = nfloats c.(Gptr.node v) v
-let view_nptrs c (v : view) = nptrs c.(Gptr.node v) v
+let[@inline] view_nptrs c (v : view) = nptrs c.(Gptr.node v) v
 let view_float c (v : view) i = get_float c.(Gptr.node v) v i
-let view_ptr c (v : view) i = get_ptr c.(Gptr.node v) v i
+let[@inline] view_ptr c (v : view) i = get_ptr c.(Gptr.node v) v i
 let view_bytes c (v : view) = obj_bytes c.(Gptr.node v) v
 
 (* --- copy-out views ------------------------------------------------------ *)

@@ -33,18 +33,18 @@ let create ~id =
     incarnation = 0;
   }
 
-let emit t kind ~start ~dur =
+let[@inline] emit t kind ~start ~dur =
   match t.tracer with
   | Some f when dur > 0 -> f kind ~start ~dur
   | Some _ | None -> ()
 
-let charge_local t ns =
+let[@inline] charge_local t ns =
   assert (ns >= 0);
   emit t Local ~start:t.clock ~dur:ns;
   t.clock <- t.clock + ns;
   t.local_ns <- t.local_ns + ns
 
-let charge_comm t ns =
+let[@inline] charge_comm t ns =
   assert (ns >= 0);
   emit t Comm ~start:t.clock ~dur:ns;
   t.clock <- t.clock + ns;

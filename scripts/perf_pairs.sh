@@ -6,6 +6,9 @@
 # BASE side first in odd pairs and the NEW side first in even ones — and
 # prints each side's host_cpu_s per run, its median and quartiles, how
 # many pairs each side won (lower host_cpu_s; ties count for neither),
+# each pair's NEW / BASE host_cpu_s ratio and the median of those ratios
+# (the two runs of a pair are adjacent, so they share the host's state and
+# the ratio cancels drift that spreads either side's own runs),
 # each side's median, minimum and maximum alloc_words_per_item and
 # peak_heap_mb (so a count claim can show that it repeats; peak_heap_mb is
 # the whole process's peak heap), and both sides' medians of every
@@ -104,6 +107,9 @@ for s in sides:
         xs = [m[k] for m in runs[s]]
         print(f"{s:4} {k} median {statistics.median(xs):.2f}"
               f"  min {min(xs):.2f}  max {max(xs):.2f}")
+ratios = [c / b for b, c in zip(host["base"], host["new"])]
+print("new/base host_cpu_s per pair " + " ".join(f"{r:.3f}" for r in ratios))
+print(f"new/base host_cpu_s median ratio {statistics.median(ratios):.3f}")
 (bq1, bmed, bq3), (_, nmed, _) = stats["base"], stats["new"]
 change = (nmed - bmed) / bmed * 100
 gain = wins["new"] * 10 >= 9 * n and bmed - nmed > bq3 - bq1

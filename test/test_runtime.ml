@@ -113,12 +113,18 @@ let test_dpa_rejects_nil () =
    with Invalid_argument _ -> raised := true);
   Alcotest.(check bool) "nil read rejected" true !raised
 
+(* A read's use of M as [Runtime.read] makes it while D misses: merge
+   onto an in-flight fetch, else issue a fresh token; [-1] for a merge. *)
+let register m ~reuse p k =
+  if reuse && Dpa.Pointer_map.merge m p k then -1
+  else Dpa.Pointer_map.issue m ~reuse p k
+
 let test_pointer_map_reuse_merges () =
   let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:0 in
-  if Dpa.Pointer_map.register m ~reuse:true p "a" < 0 then
+  if register m ~reuse:true p "a" < 0 then
     Alcotest.fail "first should request";
-  if Dpa.Pointer_map.register m ~reuse:true p "b" >= 0 then
+  if register m ~reuse:true p "b" >= 0 then
     Alcotest.fail "second should merge";
   Alcotest.(check int) "one token" 1 (Dpa.Pointer_map.outstanding m);
   Alcotest.(check int) "two waiters" 2 (Dpa.Pointer_map.waiters m)
@@ -151,7 +157,7 @@ let drain_ring m ring =
   go []
 
 let request m p k =
-  let token = Dpa.Pointer_map.register m ~reuse:true p k in
+  let token = register m ~reuse:true p k in
   if token < 0 then Alcotest.fail "unexpected merge";
   token
 
@@ -160,8 +166,8 @@ let test_pointer_map_take_order () =
   let ring = Dpa.Ready_ring.create ~dummy:"" in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:1 in
   let token = request m p "a" in
-  ignore (Dpa.Pointer_map.register m ~reuse:true p "b");
-  ignore (Dpa.Pointer_map.register m ~reuse:true p "c");
+  ignore (register m ~reuse:true p "b");
+  ignore (register m ~reuse:true p "c");
   let ptr = Dpa.Pointer_map.take m token ring in
   Alcotest.(check bool) "ptr matches" true (Dpa_heap.Gptr.equal p ptr);
   Alcotest.(check int) "one ring entry per token" 1
@@ -173,14 +179,14 @@ let test_pointer_map_take_order () =
     (List.for_all (fun (q, _) -> Dpa_heap.Gptr.equal p q) woken);
   Alcotest.(check bool) "empty after take" true (Dpa.Pointer_map.is_empty m);
   (* A new registration after take must issue a fresh request. *)
-  if Dpa.Pointer_map.register m ~reuse:true p "d" < 0 then
+  if register m ~reuse:true p "d" < 0 then
     Alcotest.fail "should re-request after take"
 
 let test_pointer_map_no_reuse_never_merges () =
   let m = Dpa.Pointer_map.create ~node:0 ~dummy:() in
   let p = Dpa_heap.Gptr.make ~node:0 ~slot:2 in
   for _ = 1 to 5 do
-    if Dpa.Pointer_map.register m ~reuse:false p () < 0 then
+    if register m ~reuse:false p () < 0 then
       Alcotest.fail "must not merge without reuse"
   done;
   Alcotest.(check int) "five tokens" 5 (Dpa.Pointer_map.outstanding m)
@@ -215,7 +221,7 @@ let qcheck_pointer_map_one_request_per_pointer =
       List.iter
         (fun (node, slot) ->
           let p = Dpa_heap.Gptr.make ~node ~slot in
-          if Dpa.Pointer_map.register m ~reuse:true p () >= 0 then
+          if register m ~reuse:true p () >= 0 then
             if Hashtbl.mem requests (node, slot) then
               failwith "duplicate request"
             else Hashtbl.replace requests (node, slot) ()
@@ -325,7 +331,7 @@ let qcheck_pointer_map_model =
               let reuse = match mode with 0 -> true | 1 -> false | _ -> r in
               let k = !next_k in
               incr next_k;
-              Dpa.Pointer_map.register m ~reuse (ptr_of p) k
+              register m ~reuse (ptr_of p) k
               = Model.register model ~reuse (ptr_of p) k
             | Take token -> (
               let got = Dpa.Pointer_map.take_or_nil m token ring in
@@ -488,7 +494,7 @@ let test_message_timer_walk () =
   let msg = Array.make 8 0 in
   for i = 0 to 3 do
     let ptr = Dpa_heap.Gptr.make ~node:1 ~slot:(10 + i) in
-    msg.(2 * i) <- Dpa.Pointer_map.register m ~reuse:true ptr i;
+    msg.(2 * i) <- register m ~reuse:true ptr i;
     msg.((2 * i) + 1) <- 10 + i
   done;
   let reissued = ref [] in
@@ -521,7 +527,7 @@ let test_pointer_map_reclaim_mid_chain () =
   and r = Dpa_heap.Gptr.make ~node:1 ~slot:5
   and l = Dpa_heap.Gptr.make ~node:0 ~slot:3 in
   let tp = request m p "a" in
-  List.iter (fun k -> ignore (Dpa.Pointer_map.register m ~reuse:true p k))
+  List.iter (fun k -> ignore (register m ~reuse:true p k))
     [ "b"; "c" ];
   let tq = request m q "x" in
   ignore (Dpa.Pointer_map.take m tp ring);
@@ -718,6 +724,107 @@ let test_chain_cut_by_quantum () =
           (Printf.sprintf "thread %d opens a quantum" i)
           (i mod per_quantum = 0) (e <> e_prev))
     seen
+
+(* The read classification of a Barnes-Hut force phase: 512 Plummer
+   bodies on 4 nodes, strip 50, the machine's fault seed 7. Each remote
+   read tries M's by-pointer merge before D: D and M never hold the same
+   pointer, so the order cannot move a read between the two, and these
+   counts are pinned as they were while D was probed first. Under
+   [heavy,crashes=1] delayed replies land before the reads that would
+   have merged onto them, which turns 118 merges into D hits. *)
+let bh_inputs =
+  lazy
+    (let bodies = Dpa_bh.Plummer.generate ~n:512 ~seed:17 in
+     let octree = Dpa_bh.Octree.build ~leaf_cap:8 bodies in
+     (bodies, Dpa_bh.Bh_global.distribute octree ~nnodes:4))
+
+let bh_phase ?faults () =
+  let bodies, tree = Lazy.force bh_inputs in
+  let engine =
+    Engine.create { (machine 4) with Machine.faults; fault_seed = 7 }
+  in
+  Dpa_bh.Bh_run.force_phase ~engine ~tree ~bodies
+    ~params:Dpa_bh.Bh_force.default_params
+    (Dpa_baselines.Variant.dpa ~strip_size:50 ())
+
+let check_bh_classification ?faults want () =
+  let s = Option.get (bh_phase ?faults ()).Dpa_bh.Bh_run.dpa_stats in
+  let open Dpa.Dpa_stats in
+  Alcotest.(check (list (pair string int)))
+    "read classification" want
+    [
+      ("inline_local", s.inline_local);
+      ("align_hits", s.align_hits);
+      ("merge_hits", s.merge_hits);
+      ("spawns", s.spawns);
+      ("max_outstanding", s.max_outstanding);
+      ("align_peak", s.align_peak);
+      ("crashes", s.crashes);
+    ]
+
+let test_bh_classification =
+  check_bh_classification
+    [
+      ("inline_local", 16081);
+      ("align_hits", 0);
+      ("merge_hits", 35974);
+      ("spawns", 1565);
+      ("max_outstanding", 2468);
+      ("align_peak", 169);
+      ("crashes", 0);
+    ]
+
+let test_bh_classification_crashes =
+  check_bh_classification
+    ~faults:
+      (Result.get_ok (Dpa_sim.Fault.spec_of_string "heavy,crashes=1"))
+    [
+      ("inline_local", 16081);
+      ("align_hits", 118);
+      ("merge_hits", 35856);
+      ("spawns", 1565);
+      ("max_outstanding", 2276);
+      ("align_peak", 169);
+      ("crashes", 4);
+    ]
+
+(* Once a token's reply is delivered its pointer is in D and no longer in
+   M. In M alone: a merge on a consumed token's pointer fails. In the
+   runtime: a thread woken by the reply reads the same pointer again, and
+   that read is a D hit, neither a merge nor a second fetch. *)
+let test_delivered_pointer_leaves_m () =
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:0 in
+  let token = register m ~reuse:true p "a" in
+  Alcotest.(check bool) "merge while in flight" true
+    (Dpa.Pointer_map.merge m p "b");
+  ignore (Dpa.Pointer_map.take m token ring);
+  Alcotest.(check bool) "merge after the reply" false
+    (Dpa.Pointer_map.merge m p "c");
+  let w = Workload.make ~nnodes:2 ~nobjs:1 in
+  let p = w.Workload.ptrs.(1).(0) in
+  let _, stats =
+    Dpa.Runtime.run_phase ~engine:(Engine.create (machine 2))
+      ~heaps:w.Workload.heaps ~config:(Dpa.Config.dpa ())
+      ~items:(fun node ->
+        if node = 0 then
+          [|
+            (fun ctx ->
+              Dpa.Runtime.read ctx p (fun ctx _ ->
+                  Dpa.Runtime.read ctx p (fun _ _ -> ())));
+          |]
+        else [||])
+  in
+  let open Dpa.Dpa_stats in
+  Alcotest.(check (list (pair string int)))
+    "the second read hits D"
+    [ ("spawns", 1); ("merge_hits", 0); ("align_hits", 1) ]
+    [
+      ("spawns", stats.spawns);
+      ("merge_hits", stats.merge_hits);
+      ("align_hits", stats.align_hits);
+    ]
 
 (* The hot-path allocation contract (docs/PERFORMANCE.md §4): a
    strip-mined phase of local reads (cheap threads, and threads that each
@@ -1014,6 +1121,20 @@ let test_accumulate_alloc ?faults ~bound () =
     Alcotest.failf "%.2f minor words per remote accumulate (bound %.1f)"
       per_update bound
 
+(* The Barnes-Hut force phase of [bh_inputs], faults off: the kernel's
+   field reads through the inlined heap accessors, the
+   read/merge/wake/dispatch cycle and the phase set-up together. Words
+   per body of the second of two runs: 181.8 in a dev build, 175.7 in a
+   release build, both before and after the cycle's accessors were
+   inlined. A float boxed per read would add about 200. *)
+let test_bh_force_alloc () =
+  let per_body =
+    words_per_read ~reads:512 (fun () -> bh_phase ())
+  in
+  if per_body > 184. then
+    Alcotest.failf "%.2f words per body in a BH force phase (bound 184)"
+      per_body
+
 (* Buffers sized by destination cost a few words per destination until a
    destination is used: a phase creates them for every (node, destination)
    pair. *)
@@ -1083,6 +1204,12 @@ let suites =
         Alcotest.test_case "rejects nil" `Quick test_dpa_rejects_nil;
         Alcotest.test_case "chain cut by the quantum" `Quick
           test_chain_cut_by_quantum;
+        Alcotest.test_case "bh read classification" `Quick
+          test_bh_classification;
+        Alcotest.test_case "bh read classification under crashes" `Quick
+          test_bh_classification_crashes;
+        Alcotest.test_case "delivered pointer leaves M for D" `Quick
+          test_delivered_pointer_leaves_m;
       ] );
     ( "core.alloc",
       [
@@ -1117,5 +1244,6 @@ let suites =
                  corrupt = 0.02;
                }
              ~bound:8.);
+        Alcotest.test_case "bh force phase" `Quick test_bh_force_alloc;
       ] );
   ]

@@ -170,9 +170,10 @@ deadcode:
 	dune build @check ./tools/deadcode/deadcode.exe
 	_build/default/tools/deadcode/deadcode.exe -allow scripts/exports.allow _build/default
 
-# In-process sampling profile of one DPA Barnes-Hut force phase
-# (tools/hostprof): the phase's CPU time against the sequential
-# traversal's, and each function's inclusive share of the SIGPROF samples.
+# In-process sampling profile of a DPA Barnes-Hut force phase
+# (tools/hostprof): the median and range of its CPU time against the
+# sequential traversal's over five alternating pairs, and each function's
+# inclusive share of the SIGPROF samples.
 # Release profile, as perfbench runs, since the dev profile inlines
 # nothing across modules.
 #   make hostprof [NODES=16]

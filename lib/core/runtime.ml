@@ -840,7 +840,7 @@ and on_timer ctx kind ~id ~dst ~rto ~deadline msg =
        tree). The origin may itself be down: it re-issues once it is back. *)
     let sb = unacked ctx id in
     if sb >= 0 then begin
-      Node.wait_until ctx.node (max deadline ctx.down_until);
+      Node.wait_until ctx.node (Int.max deadline ctx.down_until);
       ctx.stats.Dpa_stats.routed_reissues <-
         ctx.stats.Dpa_stats.routed_reissues + 1;
       resend_update ctx ~id ~rto:0 sb

@@ -101,6 +101,6 @@ let arm t ?at kind ~id ~dst ~rto msg =
   Engine.post t.engine ~kind:Engine.Soft ~time:deadline ~node:t.node.Node.id
     t.action.(i)
 
-let backoff ~rto ~cap = min (2 * rto) cap
+let backoff ~rto ~cap = Int.min (2 * rto) cap
 let capacity t = Array.length t.id
 let armed t = capacity t - t.nfree

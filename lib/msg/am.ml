@@ -24,11 +24,11 @@ let injected_arrival engine (m : Machine.t) ~(src : Node.t) ~dst ~bytes =
        through the sender's egress link, crosses the wire, then drains
        through the destination's ingress link. *)
     let ser = int_of_float (ceil (float_of_int bytes *. m.Machine.ns_per_byte)) in
-    let out_start = max src.Node.clock src.Node.out_link_free_at in
+    let out_start = Int.max src.Node.clock src.Node.out_link_free_at in
     let out_done = out_start + ser in
     src.Node.out_link_free_at <- out_done;
     let d = Engine.node engine dst in
-    let in_start = max (out_done + m.Machine.wire_latency_ns) d.Node.link_free_at in
+    let in_start = Int.max (out_done + m.Machine.wire_latency_ns) d.Node.link_free_at in
     let finish = in_start + ser in
     d.Node.link_free_at <- finish;
     finish
@@ -152,7 +152,7 @@ type state = {
       (* engine-wide first-send -> acknowledged latency, retransmission
          recovery included — the signal the runtime's end-to-end timeout
          wheel scales itself by *)
-  frame : Bytes.t;  (* every copy's and ack's frame is built here *)
+  frame : Bytes.t;  (* each corrupted copy's and ack's frame is built here *)
   mutable retransmits : int;
   mutable retransmit_bytes : int;
   mutable acks : int;
@@ -416,7 +416,7 @@ let link_rtt engine ~src ~dst =
 let e2e_rto engine ~fallback =
   match reliable engine with
   | Some s when Rtt.samples s.e2e > 0 ->
-    max fallback (2 * Rtt.estimate_ns s.e2e)
+    Int.max fallback (2 * Rtt.estimate_ns s.e2e)
   | _ -> fallback
 
 (* Retransmission policy. The initial timeout covers a fault-free round
@@ -454,26 +454,26 @@ let rto_for (st : state) (m : Machine.t) ~src ~dst ~bytes =
    many attempts is a configuration error, not bad luck. *)
 let max_attempts = 64
 
-(* Checksum fencing (DESIGN.md §13): frame one copy into the scratch
-   buffer, seal it at wire-out, and let the fault plan flip a bit; [true]
-   iff the frame then fails CRC verification — the NIC's cue to count and
-   drop the copy with no ack and no handler. With the corruption class off
-   no frame is ever built, so those runs replay bit-identically to a build
-   without the integrity layer. CRC-32 catches every single-bit flip, so a
-   drawn corruption is always detected (the test suite holds this
-   exhaustively); the [verify] of a clean copy models the always-on NIC
-   check. *)
+(* Checksum fencing (DESIGN.md §13): draw the plan's corruption verdict
+   for one copy; [true] iff its frame fails CRC verification — the NIC's
+   cue to count and drop the copy with no ack and no handler. Only a drawn
+   copy is framed into the scratch buffer, sealed at wire-out, flipped and
+   verified: a clean copy's sealed frame always verifies (the test suite
+   holds this for random headers), so its verdict is [false] without
+   building one. With the corruption class off nothing is drawn and no
+   frame is ever built, so those runs replay bit-identically to a build
+   without the integrity layer. CRC-32 catches every single-bit flip, so
+   a drawn corruption is always detected (the test suite holds this
+   exhaustively). *)
 let copy_corrupted f (st : state) ~src ~dst ~seq ~inc ~bytes =
-  Fault.corruption_enabled f
-  && begin
-       let fr = st.frame in
-       let len = Wire.frame_into fr ~src ~dst ~seq ~inc ~bytes in
-       Wire.seal_prefix fr ~len;
-       (match Fault.corrupt_copy f with
-       | None -> ()
-       | Some r -> Wire.flip_bit_prefix fr ~len r);
-       not (Wire.verify_prefix fr ~len)
-     end
+  match Fault.corrupt_copy f with
+  | None -> false
+  | Some r ->
+    let fr = st.frame in
+    let len = Wire.frame_into fr ~src ~dst ~seq ~inc ~bytes in
+    Wire.seal_prefix fr ~len;
+    Wire.flip_bit_prefix fr ~len r;
+    not (Wire.verify_prefix fr ~len)
 
 (* An instant, then its int args with [obs_int]: each a no-op without a
    sink. *)
@@ -878,7 +878,7 @@ and attempt engine f l st e =
   transmit engine f l st src e;
   obs_observe engine "am.rto_ns" st.rto.(e);
   let deadline = src.Node.clock + st.rto.(e) in
-  st.rto.(e) <- min (2 * st.rto.(e)) (rto_cap m ~bytes);
+  st.rto.(e) <- Int.min (2 * st.rto.(e)) (rto_cap m ~bytes);
   st.at.(e) <- deadline;
   Engine.post engine ~kind:Engine.Soft ~time:deadline ~node:src_id
     s.action.(e)

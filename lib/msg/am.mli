@@ -84,10 +84,11 @@ val send_data :
     rides the reliable envelope described above, which is slab data too:
     the envelope's state, each copy on the wire, each ack and the armed
     retransmit timeout are slots of the same slab (docs/FAULTS.md lays
-    them out), each copy and ack is framed in one per-engine scratch
-    buffer, so such a send allocates nothing either. [bytes] must include the
-    header; a message smaller than the header raises [Invalid_argument]
-    naming both nodes, its size and the header's. *)
+    them out), a copy or ack the plan corrupts is framed in one
+    per-engine scratch buffer, so such a send allocates nothing either.
+    [bytes] must include the header; a message smaller than the header
+    raises [Invalid_argument] naming both nodes, its size and the
+    header's. *)
 
 val send :
   Engine.t -> src:Node.t -> dst:int -> bytes:int -> (Node.t -> unit) -> unit

@@ -33,7 +33,7 @@ let min_ns t = t.min_ns
 let observe t r =
   (* Clamp at 1 ns: a zero sample would let srtt decay to 0 and arm
      degenerate timeouts. *)
-  let r = max r 1 in
+  let r = Int.max r 1 in
   if r < t.min_ns then t.min_ns <- r;
   if r > t.max_ns then t.max_ns <- r;
   if t.samples = 0 then begin
@@ -48,7 +48,7 @@ let observe t r =
   end;
   t.samples <- t.samples + 1
 
-let estimate_ns t = t.srtt_ns + (4 * max 1 t.rttvar_ns)
+let estimate_ns t = t.srtt_ns + (4 * Int.max 1 t.rttvar_ns)
 
 let rto_ns t ~fallback =
-  if t.samples = 0 then fallback else max t.min_ns (estimate_ns t)
+  if t.samples = 0 then fallback else Int.max t.min_ns (estimate_ns t)

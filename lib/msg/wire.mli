@@ -26,9 +26,9 @@ val verify : Bytes.t -> bool
 
 (** {2 Framing into a reused buffer}
 
-    The transport frames every copy and ack into one scratch buffer per
-    engine: the same bytes as {!frame}, sealed, flipped and verified in
-    place, so a transmission allocates no frame. *)
+    The transport frames each copy and ack the fault plan corrupts into
+    one scratch buffer per engine: the same bytes as {!frame}, sealed,
+    flipped and verified in place, so a transmission allocates no frame. *)
 
 val max_frame_len : int
 (** The longest frame: a buffer this long holds any envelope's frame. *)

@@ -271,7 +271,7 @@ type verdict = Deliver | Drop | Outage
 let jitter t =
   if t.spec.delay > 0. && Dpa_util.Rng.chance t.rng t.spec.delay then begin
     t.delayed <- t.delayed + 1;
-    1 + Dpa_util.Rng.int t.rng (max 1 t.spec.jitter_ns)
+    1 + Dpa_util.Rng.int t.rng (Int.max 1 t.spec.jitter_ns)
   end
   else 0
 
@@ -307,7 +307,7 @@ let judge t ~now ~arrival ~src ~dst ~transfer_ns =
       t.dups <- t.dups + 1;
       (* The duplicate trails the original by its own positive jitter, so
          the two copies never race on an identical timestamp. *)
-      t.extra1 <- first + 1 + Dpa_util.Rng.int t.rng (max 1 t.spec.jitter_ns);
+      t.extra1 <- first + 1 + Dpa_util.Rng.int t.rng (Int.max 1 t.spec.jitter_ns);
       t.copies <- 2
     end
     else t.copies <- 1;
@@ -329,8 +329,6 @@ let corruptions t = t.corruptions
 let tears t = t.tears
 
 (* --- integrity fault classes ------------------------------------------- *)
-
-let corruption_enabled t = t.spec.corrupt > 0.
 
 (* One draw per delivered copy (the transport calls this at transmit time,
    inside the engine's deterministic event order). [None] without a single

@@ -151,10 +151,6 @@ val crash_drops : t -> int
     drop/dup/delay/outage/crash schedule bit-identical, and a spec with
     the knob at zero replays exactly as one without it. *)
 
-val corruption_enabled : t -> bool
-(** Whether the spec carries a positive [corrupt] rate — the transport's
-    cue to materialize and verify checksum frames at all. *)
-
 val corrupt_copy : t -> int option
 (** Per delivered copy: [Some r] when this copy is corrupted, where [r]
     seeds the bit position to flip in its frame; [None] (with no stream

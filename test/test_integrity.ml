@@ -44,20 +44,27 @@ let frame_gen =
 
 (* The transport frames into one reused buffer: there the frame must be
    the same bytes, whatever the buffer held before, and be sealed, flipped
-   and rejected the same way. *)
+   and rejected the same way. A sealed frame with no flip must verify on
+   both paths: the transport relies on that to judge a copy the plan did
+   not corrupt clean without framing it. *)
 let scratch = Bytes.make Dpa_msg.Wire.max_frame_len '\xA5'
 
 let qcheck_frame_rejects_any_flip =
-  QCheck.Test.make ~name:"any single-bit flip fails frame verification"
+  QCheck.Test.make
+    ~name:
+      "any single-bit flip fails frame verification, and no flip passes"
     ~count:300 (QCheck.make frame_gen) (fun (src, dst, seq, inc, bytes, bit) ->
       let fr = Dpa_msg.Wire.frame ~src ~dst ~seq ~inc ~bytes in
       let len = Dpa_msg.Wire.frame_into scratch ~src ~dst ~seq ~inc ~bytes in
       let same = Bytes.sub scratch 0 len = fr in
       Dpa_msg.Wire.seal fr;
-      Dpa_msg.Wire.flip_bit_prefix fr ~len:(Bytes.length fr) bit;
       Dpa_msg.Wire.seal_prefix scratch ~len;
+      let clean_verifies =
+        Dpa_msg.Wire.verify fr && Dpa_msg.Wire.verify_prefix scratch ~len
+      in
+      Dpa_msg.Wire.flip_bit_prefix fr ~len:(Bytes.length fr) bit;
       Dpa_msg.Wire.flip_bit_prefix scratch ~len bit;
-      same
+      same && clean_verifies
       && Bytes.sub scratch 0 len = fr
       && (not (Dpa_msg.Wire.verify fr))
       && not (Dpa_msg.Wire.verify_prefix scratch ~len))
@@ -229,10 +236,19 @@ let test_corrupt_draws_independent () =
 
 (* --- transport: exactly-once under corruption ----------------------------- *)
 
+(* Copies and acks the engine's fault plan chose to corrupt; 0 without a
+   plan. *)
+let drawn_corruptions engine =
+  match Engine.fault engine with
+  | Some f -> Fault.corruptions f
+  | None -> 0
+
 let test_exactly_once_under_corruption () =
   (* Corrupted copies are fenced wire-silently (no handler, no ack); the
      retransmission machinery must still deliver every message exactly
-     once, and the per-node drop attribution must sum to the total. *)
+     once, the per-node drop attribution must sum to the total, and the
+     fenced copies must be exactly the ones the plan drew: every drawn
+     corruption detected, no clean copy dropped. *)
   let spec =
     { Fault.none with Fault.drop = 0.2; dup = 0.2; corrupt = 0.25 }
   in
@@ -263,7 +279,9 @@ let test_exactly_once_under_corruption () =
       (s.Dpa_msg.Am.retransmits > 0);
     Alcotest.(check int) "per-node attribution sums to the total"
       s.Dpa_msg.Am.corrupt_dropped
-      (Array.fold_left ( + ) 0 (Dpa_msg.Am.corrupt_dropped_per_node engine))
+      (Array.fold_left ( + ) 0 (Dpa_msg.Am.corrupt_dropped_per_node engine));
+    Alcotest.(check int) "fenced copies are the drawn corruptions"
+      (drawn_corruptions engine) s.Dpa_msg.Am.corrupt_dropped
 
 (* --- whole phases under the integrity fault classes ----------------------- *)
 
@@ -295,7 +313,11 @@ let run_dpa ?faults ?(fault_seed = 0x5EED) spec =
       ~config:(Dpa.Config.dpa ~strip_size:3 ~agg_max:4 ())
       ~items
   in
-  (sums, stats, Engine.elapsed engine, Dpa_msg.Am.stats engine)
+  ( sums,
+    stats,
+    Engine.elapsed engine,
+    Dpa_msg.Am.stats engine,
+    drawn_corruptions engine )
 
 let corrupt_phase_gen =
   QCheck.Gen.(
@@ -307,11 +329,15 @@ let qcheck_corruption_preserves_sums =
     ~name:"DPA phase under wire corruption computes fault-free sums" ~count:25
     (QCheck.make corrupt_phase_gen)
     (fun (phase, (corrupt, seed)) ->
-      let reference, _, _, _ = run_dpa phase in
+      let reference, _, _, _, _ = run_dpa phase in
       let spec = { Fault.none with Fault.corrupt; drop = 0.05 } in
-      let sums, _, _, am = run_dpa ~faults:spec ~fault_seed:seed phase in
+      let sums, _, _, am, drawn = run_dpa ~faults:spec ~fault_seed:seed phase in
       reference = sums
-      && match am with Some s -> s.Dpa_msg.Am.in_flight = 0 | None -> true)
+      &&
+      match am with
+      | Some s ->
+        s.Dpa_msg.Am.in_flight = 0 && s.Dpa_msg.Am.corrupt_dropped = drawn
+      | None -> true)
 
 let corrupt_replay_phase =
   (4, 8, 10, List.init 30 (fun i -> ((i * 7) mod 4, (i * 3) mod 8)))
@@ -321,8 +347,12 @@ let test_fixed_seed_corruption_replay () =
      replay the identical run — same sums, same stats, same clock, same
      protocol counters (corrupt_dropped included). *)
   let spec = { Workload.heavy_faults with Fault.corrupt = 0.2 } in
-  let s1, st1, e1, am1 = run_dpa ~faults:spec ~fault_seed:9 corrupt_replay_phase in
-  let s2, st2, e2, am2 = run_dpa ~faults:spec ~fault_seed:9 corrupt_replay_phase in
+  let s1, st1, e1, am1, drawn =
+    run_dpa ~faults:spec ~fault_seed:9 corrupt_replay_phase
+  in
+  let s2, st2, e2, am2, _ =
+    run_dpa ~faults:spec ~fault_seed:9 corrupt_replay_phase
+  in
   Alcotest.(check bool) "sums replay" true (s1 = s2);
   Alcotest.(check bool) "stats replay" true (st1 = st2);
   Alcotest.(check int) "clock replays" e1 e2;
@@ -331,8 +361,10 @@ let test_fixed_seed_corruption_replay () =
   | None -> Alcotest.fail "protocol state missing"
   | Some s ->
     Alcotest.(check bool) "corruption actually fired" true
-      (s.Dpa_msg.Am.corrupt_dropped > 0));
-  let reference, _, _, _ = run_dpa corrupt_replay_phase in
+      (s.Dpa_msg.Am.corrupt_dropped > 0);
+    Alcotest.(check int) "fenced copies are the drawn corruptions" drawn
+      s.Dpa_msg.Am.corrupt_dropped);
+  let reference, _, _, _, _ = run_dpa corrupt_replay_phase in
   Alcotest.(check bool) "corrupted run matches fault-free sums" true
     (reference = s1)
 

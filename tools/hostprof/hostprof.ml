@@ -4,15 +4,18 @@
 
    Builds the phase perfbench's bh-dpa runs (Plummer bodies, leaf cap 8,
    strip 50, faults off), on the 16,384 seed-17 bodies of
-   docs/PERFORMANCE.md's tables, at [--nodes] nodes. It times the
-   sequential traversal [Bh_seq.compute_forces] over the same tree, then
-   runs the DPA phase under a profiling timer; each is run once untimed
-   first. Each SIGPROF (ITIMER_PROF, so CPU time; the kernel delivers it
-   at its tick, 4 ms on a 250 Hz host) stores the handler's
-   [Printexc.get_callstack] in a ring preallocated before the phase. After the phase the timer stops and the
-   tool prints the phase's CPU time against the sequential traversal's,
-   then each function's inclusive share: the fraction of samples whose
-   stack holds a frame of it, inlined frames included.
+   docs/PERFORMANCE.md's tables, at [--nodes] nodes. Each side is run
+   once untimed, then [reps] times each, alternating: the sequential
+   traversal [Bh_seq.compute_forces] over the same tree, then the DPA
+   phase under a profiling timer. Each SIGPROF (ITIMER_PROF, so CPU time;
+   the kernel delivers it at its tick, 4 ms on a 250 Hz host) stores the
+   handler's [Printexc.get_callstack] in a ring preallocated before the
+   runs; the timer runs only during the timed DPA phases, so every one of
+   them is sampled. The tool then prints each pair's DPA ÷ sequential CPU
+   time as a median and range (one run of either side swings with host
+   noise; the two runs of a pair are adjacent and share the host's
+   state), then each function's inclusive share: the fraction of samples
+   whose stack holds a frame of it, inlined frames included.
 
    Only the inclusive shares mean anything. OCaml runs a signal handler
    at the next poll point (an allocation, a loop back-edge or a self tail
@@ -31,6 +34,7 @@ let nodes = ref 16
 let nbodies = 16384
 let strip = 50
 let top = 30
+let reps = 5
 let capacity = 1 lsl 16
 
 let () =
@@ -43,7 +47,7 @@ let () =
     exit 2
   end
 
-(* The sample ring: filled slot by slot while the phase runs; past its
+(* The sample ring: filled slot by slot while the phases run; past its
    capacity further samples are counted, not kept. *)
 let ring = Array.make capacity (Printexc.get_callstack 0)
 let taken = ref 0
@@ -120,21 +124,40 @@ let () =
       (Dpa_baselines.Variant.dpa ~strip_size:strip ())
   in
   ignore (seq ());
-  let _, seq_s = cpu seq in
   ignore (dpa ());
   Sys.set_signal Sys.sigprof (Sys.Signal_handle sample);
-  set_timer 0.001;
-  let r, dpa_s = cpu dpa in
-  set_timer 0.;
+  (* A loop of the tool's own, so no library frame encloses the samples. *)
+  let rec pairs k acc =
+    if k = 0 then acc
+    else begin
+      let _, seq_s = cpu seq in
+      set_timer 0.001;
+      let r, dpa_s = cpu dpa in
+      set_timer 0.;
+      pairs (k - 1) ((seq_s, dpa_s, r) :: acc)
+    end
+  in
+  let timed = pairs reps [] in
   Sys.set_signal Sys.sigprof Sys.Signal_default;
+  let _, _, r = List.hd timed in
   let s = Option.get r.Bh_run.dpa_stats in
+  let sorted f = List.sort compare (List.map f timed) in
+  let median xs = List.nth xs (reps / 2) in
+  let lo = List.hd and hi xs = List.nth xs (reps - 1) in
+  let seqs = sorted (fun (q, _, _) -> q) in
+  let dpas = sorted (fun (_, d, _) -> d) in
+  let ratios = sorted (fun (q, d, _) -> d /. q) in
   let n = min !taken capacity in
   Printf.printf
     "hostprof: DPA force phase, %d Plummer bodies (seed 17), %d nodes, \
      strip %d\n"
     nbodies !nodes strip;
-  Printf.printf "sequential traversal %.3f s cpu; DPA phase %.3f s cpu (%.2fx)\n"
-    seq_s dpa_s (dpa_s /. seq_s);
+  Printf.printf
+    "%d alternating pairs, median (range): sequential traversal %.3f s cpu \
+     (%.3f-%.3f); DPA phase %.3f s cpu (%.3f-%.3f)\n"
+    reps (median seqs) (lo seqs) (hi seqs) (median dpas) (lo dpas) (hi dpas);
+  Printf.printf "DPA / seq per pair: %.2fx (%.2f-%.2fx)\n" (median ratios)
+    (lo ratios) (hi ratios);
   Printf.printf
     "per body: %.1f remote reads (%.1f merged, %.1f fetched), %.2f request \
      messages\n"
@@ -145,7 +168,8 @@ let () =
     (float_of_int s.Dpa.Dpa_stats.merge_hits /. float_of_int nbodies)
     (float_of_int s.Dpa.Dpa_stats.spawns /. float_of_int nbodies)
     (float_of_int s.Dpa.Dpa_stats.request_msgs /. float_of_int nbodies);
-  Printf.printf "%d samples%s; inclusive share of samples:\n" !taken
+  Printf.printf "%d samples over the %d DPA phases%s; inclusive share of \
+     samples:\n" !taken reps
     (if !taken > capacity then Printf.sprintf " (%d kept)" capacity else "");
   List.iteri
     (fun i (name, c) ->

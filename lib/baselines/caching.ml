@@ -16,7 +16,8 @@ type ctx = {
   req_bytes : int;
   rto0 : int;  (* first end-to-end fetch timeout *)
   (* The work list: a flat LIFO of deferred reads (depth-first, program
-     order), grown on demand. *)
+     order), grown on demand. A pop leaves its continuation in place (no
+     write barrier); the list lives for one phase. *)
   mutable work_ptrs : Gptr.t array;
   mutable work_ks : k array;
   mutable work_len : int;
@@ -57,7 +58,7 @@ type stats = {
 
 let node_id ctx = ctx.node.Node.id
 let heaps ctx = ctx.heaps
-let charge ctx ns = Node.charge_local ctx.node ns
+let node ctx = ctx.node
 let no_k : k = fun _ _ -> ()
 
 (* Reads are deferred onto the work list; the step loop resolves them one
@@ -112,7 +113,6 @@ let rec step ctx start quantum =
   else if ctx.work_len > 0 then begin
     let n = ctx.work_len - 1 in
     let ptr = ctx.work_ptrs.(n) and k = ctx.work_ks.(n) in
-    ctx.work_ks.(n) <- no_k;
     ctx.work_len <- n;
     resolve ctx ptr k;
     step ctx start quantum

@@ -22,21 +22,22 @@ let default_params =
    agreement with the sequential reference. See Dpa_util.Det. *)
 let det_grid = Dpa_util.Det.grid ~bits:42
 
+(* [spend] charges simulated time to [node] and, when [work] is given,
+   records it against the body. The traversal — hence the recorded total —
+   is a pure function of the tree geometry, so the measured weights are
+   independent of the partition and of any fault schedule: the same step
+   always yields the same weights, which is what keeps repartitioned runs
+   deterministic. It sits outside the functor so that it and
+   [Node.charge_local] inline at every interaction. *)
+let[@inline] spend work bid node ns =
+  Dpa_sim.Node.charge_local node ns;
+  match work with None -> () | Some w -> w.(bid) <- w.(bid) + ns
+
 module Make (A : Dpa.Access.S) = struct
   let items ?work ~params ~tree ~bodies ~(accs : float array) node =
     let root = tree.Bh_global.root in
     let theta = params.theta and eps = params.eps in
     let grid = det_grid in
-    (* [spend] charges simulated time and, when [work] is given, records it
-       against the body. The traversal — hence the recorded total — is a
-       pure function of the tree geometry, so the measured weights are
-       independent of the partition and of any fault schedule: the same
-       step always yields the same weights, which is what keeps
-       repartitioned runs deterministic. *)
-    let spend bid ctx ns =
-      A.charge ctx ns;
-      match work with None -> () | Some w -> w.(bid) <- w.(bid) + ns
-    in
     Array.map
       (fun bid ->
         let b = bodies.(bid) in
@@ -51,8 +52,10 @@ module Make (A : Dpa.Access.S) = struct
            order), which keeps the summed forces bit-identical to the
            boxed implementation and to {!Bh_seq}. *)
         let rec visit ctx (view : Heap.view) =
-          spend bid ctx params.visit_ns;
-          let h = (A.heaps ctx).(Gptr.node view) in
+          (* One read of the running node and of the stores per visit. *)
+          let here = A.node ctx and heaps = A.heaps ctx in
+          spend work bid here params.visit_ns;
+          let h = heaps.(Gptr.node view) in
           let fp = Heap.float_pool h in
           let fb = Heap.float_base h view in
           let cx = Bigarray.Array1.get fp (fb + 1)
@@ -63,7 +66,7 @@ module Make (A : Dpa.Access.S) = struct
           let d = sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz)) in
           let half = Bigarray.Array1.get fp (fb + 5) in
           if not (2. *. half >= theta *. d) then begin
-            spend bid ctx params.body_cell_ns;
+            spend work bid here params.body_cell_ns;
             (* Kernels.accel against the cell's center of mass. *)
             let rx = cx -. px and ry = cy -. py and rz = cz -. pz in
             let d2 = (rx *. rx) +. (ry *. ry) +. (rz *. rz) in
@@ -91,7 +94,7 @@ module Make (A : Dpa.Access.S) = struct
               let bb = fb + 7 + (5 * k) in
               let sid = int_of_float (Bigarray.Array1.get fp bb) in
               if sid <> bid then begin
-                spend bid ctx params.body_body_ns;
+                spend work bid here params.body_body_ns;
                 let rx = Bigarray.Array1.get fp (bb + 1) -. px
                 and ry = Bigarray.Array1.get fp (bb + 2) -. py
                 and rz = Bigarray.Array1.get fp (bb + 3) -. pz in
@@ -116,7 +119,6 @@ module Make (A : Dpa.Access.S) = struct
             done
           end
           else begin
-            let heaps = A.heaps ctx in
             let np = Heap.view_nptrs heaps view in
             for i = 0 to np - 1 do
               let child = Heap.view_ptr heaps view i in

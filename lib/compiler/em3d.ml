@@ -107,7 +107,7 @@ let items (type c) (module A : Dpa.Access.S with type ctx = c) t ~accum node =
             for k = 0 to Heap.view_nptrs heaps view - 1 do
               let dep = Heap.view_ptr heaps view k in
               A.read ctx dep (fun ctx dview ->
-                  A.charge ctx 150;
+                  Dpa_sim.Node.charge_local (A.node ctx) 150;
                   let heaps = A.heaps ctx in
                   v :=
                     !v

@@ -323,7 +323,7 @@ module Make (A : Dpa.Access.S) = struct
       | s :: rest ->
         let run = stmt j s (block j rest next) in
         fun fr ctx ->
-          A.charge ctx c.stmt_cost_ns;
+          Dpa_sim.Node.charge_local (A.node ctx) c.stmt_cost_ns;
           run fr ctx
     and stmt j s next =
       match s with
@@ -352,7 +352,7 @@ module Make (A : Dpa.Access.S) = struct
         let body = block j body (fun fr ctx -> !loop fr ctx) in
         (loop :=
            fun fr ctx ->
-             A.charge ctx c.stmt_cost_ns;
+             Dpa_sim.Node.charge_local (A.node ctx) c.stmt_cost_ns;
              test fr;
              if truth fr x then body fr ctx else next fr ctx);
         !loop

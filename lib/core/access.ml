@@ -16,8 +16,11 @@ module type S = sig
       ctx) view 0]). Reading objects other than delivered views must go
       through {!read}, which models the communication. *)
 
-  val charge : ctx -> int -> unit
-  (** Account [ns] of local application computation. *)
+  val node : ctx -> Dpa_sim.Node.t
+  (** The node the context runs on. Account [ns] of local application
+      computation with [Dpa_sim.Node.charge_local (A.node ctx) ns]: an
+      inlined clock update, where a call through the functor argument
+      would not inline. Read it once per continuation, like {!heaps}. *)
 
   val read :
     ctx ->

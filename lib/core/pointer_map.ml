@@ -18,7 +18,10 @@ module Index = Dpa_util.Index
    A wake frees the slot at once but hands the waiter chain to the ready
    ring as one entry (the tiling of the paper: threads using the same
    object run together); the scheduler walks it with {!waiter} and
-   {!pop_waiter}, which free each cell as it is dispatched. *)
+   {!pop_waiter}, which free each cell as it is dispatched. A freed cell
+   keeps its stale continuation: writing the dummy back would cost a
+   write barrier per dispatch, and the map lives for one phase, so the
+   closure is retained only until the cell is reused or the phase ends. *)
 
 type 'k t = {
   node : int;  (* owning node, named in protocol errors *)
@@ -35,7 +38,7 @@ type 'k t = {
   mutable w_next : int array;  (* next waiter of the slot, or next free *)
   mutable w_free : int;
   mutable w_used : int;
-  dummy : 'k;  (* fills vacated waiter cells so woken closures are not retained *)
+  dummy : 'k;  (* fills waiter cells never handed out *)
   mutable next_token : int;
   mutable waiters : int;
 }
@@ -151,7 +154,6 @@ let[@inline] waiter t cell = t.w_k.(cell)
 
 let[@inline] pop_waiter t cell =
   let next = t.w_next.(cell) in
-  t.w_k.(cell) <- t.dummy;
   t.w_next.(cell) <- t.w_free;
   t.w_free <- cell;
   next

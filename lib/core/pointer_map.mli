@@ -16,14 +16,15 @@
     {!Ready_ring} chain entry per token, naming the first waiter cell of
     the token's chain. The scheduler walks the chain with {!waiter} and
     {!pop_waiter}, in registration order, freeing each cell as it
-    dispatches it. *)
+    dispatches it. A freed cell keeps its continuation until the next
+    registration reuses it: the map lives for one phase, so clearing it
+    would buy nothing but a write barrier per dispatch. *)
 
 type 'k t
 
 val create : node:int -> dummy:'k -> 'k t
 (** [node] is the owning node, named in {!take}'s error. [dummy] fills
-    vacated waiter cells so woken continuations are not retained by the
-    map. *)
+    waiter cells not yet handed out. *)
 
 val merge : 'k t -> Dpa_heap.Gptr.t -> 'k -> bool
 (** Record a thread waiting on a pointer that a fetch issued with [reuse]
@@ -56,7 +57,8 @@ val waiter : 'k t -> int -> 'k
 val pop_waiter : 'k t -> int -> int
 (** Free a woken waiter cell and return the next cell of its chain, or
     [-1] at the end. Read the cell's {!waiter} first: the cell may be
-    reused by the next registration. *)
+    reused by the next registration. The freed cell's continuation is
+    left in place (no write barrier); a reuse overwrites it. *)
 
 val reclaim : 'k t -> reuse:bool -> 'k Ready_ring.t -> unit
 (** Crash recovery of the ready ring: the renamed copies of remote objects

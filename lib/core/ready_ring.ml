@@ -4,10 +4,13 @@ open Dpa_heap
    (pointer, continuation, chain cursor) arrays. Pushing a ready thread
    writes pre-sized slots — no queue cell, no tuple — which keeps the
    per-access dispatch path of {!Runtime} allocation-free. A chain entry
-   writes only its pointer and cursor: its continuation slot keeps the
-   dummy every vacant slot holds, so a wake stores no closure here.
-   Capacity doubles on demand and is retained across strips (the working
-   set bounds it). *)
+   writes only its pointer and cursor, so a wake stores no closure here.
+   Popping resets only the cursor, which tells the two kinds apart: a
+   vacated slot keeps its stale pointer and continuation, so neither a
+   push nor a pop pays a write barrier to clear one. The ring lives for
+   one phase, so a stale closure is retained at most until its slot is
+   reused or the phase ends. Capacity doubles on demand and is retained
+   across strips (the working set bounds it). *)
 
 type 'k t = {
   mutable ptrs : Gptr.t array;
@@ -15,7 +18,7 @@ type 'k t = {
   mutable cells : int array;  (* first undispatched waiter cell, or -1 *)
   mutable head : int;  (* index of the next entry to pop *)
   mutable len : int;
-  dummy : 'k;  (* fills vacated slots so popped closures are not retained *)
+  dummy : 'k;  (* fills slots never written *)
 }
 
 let create ~dummy =
@@ -48,8 +51,8 @@ let grow t =
   t.cells <- cells;
   t.head <- 0
 
-(* The tail slot, grown into if full. Vacant slots hold [nil], the dummy
-   and [-1]. *)
+(* The tail slot, grown into if full. A vacant slot's cursor is [-1]; its
+   pointer and continuation may be stale. *)
 let[@inline] tail t =
   if t.len = Array.length t.ptrs then grow t;
   let i = (t.head + t.len) land (Array.length t.ptrs - 1) in
@@ -86,9 +89,6 @@ let[@inline] set_head_cell t cell =
 
 let[@inline] drop t =
   check t "drop";
-  (* A chain entry's slot already holds the dummy: skip the barrier. *)
-  if t.ks.(t.head) != t.dummy then t.ks.(t.head) <- t.dummy;
-  t.ptrs.(t.head) <- Gptr.nil;
   t.cells.(t.head) <- -1;
   t.head <- (t.head + 1) land (Array.length t.ptrs - 1);
   t.len <- t.len - 1

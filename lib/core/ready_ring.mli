@@ -19,8 +19,9 @@
 type 'k t
 
 val create : dummy:'k -> 'k t
-(** [dummy] fills vacated continuation slots so popped closures are not
-    retained by the buffer. *)
+(** [dummy] fills continuation slots that were never written. A popped
+    entry's continuation is not cleared: the ring lives for one phase, so
+    it is retained only until its slot is reused or the phase ends. *)
 
 val length : 'k t -> int
 val is_empty : 'k t -> bool
@@ -37,7 +38,9 @@ val head_ptr : 'k t -> Dpa_heap.Gptr.t
     do the other [head] accessors, {!set_head_cell} and {!drop}. *)
 
 val head_k : 'k t -> 'k
-(** Continuation of the oldest entry; the dummy for a chain entry. *)
+(** Continuation of the oldest entry when it is a single entry. For a
+    chain entry it is whatever closure the slot last held: check
+    {!head_cell} first. *)
 
 val head_cell : 'k t -> int
 (** Chain cursor of the oldest entry, or [-1] for a single entry. *)

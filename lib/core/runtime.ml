@@ -180,6 +180,7 @@ and k = ctx -> Heap.view -> unit
 
 let node_id ctx = ctx.node.Node.id
 let heaps ctx = ctx.heaps
+let node ctx = ctx.node
 let[@inline] charge ctx ns = Node.charge_local ctx.node ns
 
 (* --- observability emission helpers ------------------------------------ *)

@@ -110,6 +110,11 @@ type ctx
 
 include Access.S with type ctx := ctx
 
+val charge : ctx -> int -> unit
+(** [charge ctx ns] = [Dpa_sim.Node.charge_local (node ctx) ns]: account
+    [ns] of local application computation, for item code written against
+    this runtime directly rather than a functor over {!Access.S}. *)
+
 val run_phase :
   engine:Dpa_sim.Engine.t ->
   heaps:Dpa_heap.Heap.cluster ->

@@ -16,13 +16,13 @@ module Make (A : Dpa.Access.S) = struct
         let lc = Aquadtree.center tree leaf in
         let lw = Aquadtree.width tree leaf in
         let rec walk ctx (view : Heap.view) =
-          let heaps = A.heaps ctx in
-          A.charge ctx params.Fmm_force.visit_ns;
+          let heaps = A.heaps ctx and node = A.node ctx in
+          Dpa_sim.Node.charge_local node params.Fmm_force.visit_ns;
           if
             Afmm_global.View.well_separated ~leaf_center:lc ~leaf_width:lw heaps
               view
           then begin
-            A.charge ctx
+            Dpa_sim.Node.charge_local node
               (Fmm_force.m2l_cost_ns params
               + (Array.length mine * Fmm_force.eval_cost_ns params));
             let local =
@@ -41,7 +41,8 @@ module Make (A : Dpa.Access.S) = struct
           end
           else if Afmm_global.View.is_leaf heaps view then begin
             let nsrc = Afmm_global.View.nparticles ~p heaps view in
-            A.charge ctx (Array.length mine * nsrc * params.Fmm_force.p2p_ns);
+            Dpa_sim.Node.charge_local node
+              (Array.length mine * nsrc * params.Fmm_force.p2p_ns);
             let srcs =
               List.init nsrc (fun k ->
                   let _, q, z = Afmm_global.View.particle ~p heaps view k in

@@ -29,7 +29,7 @@ module Make (A : Dpa.Access.S) = struct
                 (fun v ->
                   let vc = Quadtree.center tree v in
                   A.read ctx global.Fmm_global.mp_ptrs.(v) (fun ctx view ->
-                      A.charge ctx
+                      Dpa_sim.Node.charge_local (A.node ctx)
                         (params.visit_ns + m2l_cost_ns params
                         + (Array.length mine * eval_cost_ns params));
                       let local =
@@ -53,7 +53,7 @@ module Make (A : Dpa.Access.S) = struct
                 A.read ctx global.Fmm_global.leaf_ptrs.(u) (fun ctx view ->
                     let heaps = A.heaps ctx in
                     let nsrc = Fmm_global.View.nparticles heaps view in
-                    A.charge ctx
+                    Dpa_sim.Node.charge_local (A.node ctx)
                       (params.visit_ns
                       + (Array.length mine * nsrc * params.p2p_ns));
                     let srcs =

@@ -48,7 +48,7 @@ module Items (A : Dpa.Access.S) = struct
         let center = Quadtree.center tree leaf in
         let ptr = global.Fmm_global.mp_ptrs.(leaf) in
         fun (ctx : A.ctx) ->
-          A.charge ctx
+          Node.charge_local (A.node ctx)
             (Array.length ids * Fmm_force.eval_cost_ns params);
           let charges =
             Array.to_list ids
@@ -74,7 +74,8 @@ module Items (A : Dpa.Access.S) = struct
         fun (ctx : A.ctx) ->
           (* Our own multipole is local: the owner of a cell owns its first
              descendant leaf, which is also this item's owner. *)
-          A.charge ctx (Fmm_force.m2l_cost_ns params / 2);
+          Node.charge_local (A.node ctx)
+            (Fmm_force.m2l_cost_ns params / 2);
           let shifted =
             Expansion.m2m
               (Fmm_global.View.expansion global.Fmm_global.heaps my_ptr)

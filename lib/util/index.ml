@@ -27,11 +27,29 @@ let rec probe keys mask k i =
 
 let[@inline] bucket t k = probe t.keys (Array.length t.keys - 1) k (home t k)
 
-let find t k =
-  let i = bucket t k in
-  if t.keys.(i) = k then t.vals.(i) else -1
+(* The home bucket is probed inline: most lookups settle there (a hit or
+   an empty bucket), so only a collision pays the call into [probe]. *)
+let[@inline] find t k =
+  let keys = t.keys in
+  let i = home t k in
+  let x = keys.(i) in
+  if x = k then t.vals.(i)
+  else if x < 0 then -1
+  else begin
+    let mask = Array.length keys - 1 in
+    let i = probe keys mask k ((i + 1) land mask) in
+    if keys.(i) = k then t.vals.(i) else -1
+  end
 
-let mem t k = t.keys.(bucket t k) = k
+let[@inline] mem t k =
+  let keys = t.keys in
+  let i = home t k in
+  let x = keys.(i) in
+  x = k
+  || x >= 0
+     &&
+     let mask = Array.length keys - 1 in
+     keys.(probe keys mask k ((i + 1) land mask)) = k
 
 (* A present key is overwritten in place: [size] counts keys, not adds. *)
 let rec add t k v =

@@ -47,7 +47,7 @@ let run_variant (type c) (module A : Dpa.Access.S with type ctx = c)
           List.iter
             (fun p ->
               A.read ctx p (fun ctx view ->
-                  A.charge ctx 100;
+                  Node.charge_local (A.node ctx) 100;
                   sums.(A.node_id ctx) <-
                     sums.(A.node_id ctx)
                     +. Dpa_heap.Heap.view_float (A.heaps ctx) view 0))

@@ -566,6 +566,123 @@ let test_pointer_map_reclaim_mid_chain () =
   Alcotest.(check (list string)) "remote single entry" [ "r" ] (woken 4);
   Alcotest.(check int) "nothing left" 0 (Dpa.Pointer_map.waiters m)
 
+(* Vacated waiter cells and ring slots keep the continuation they last
+   held (no write barrier to clear them). [stale_map] returns a map whose
+   first [n] cells, and [stale_ring] a ring whose every slot, still hold
+   the continuation "stale" of a thread long dispatched, so every later
+   registration or push lands on a stale cell or slot. *)
+let stale_map n =
+  let m = Dpa.Pointer_map.create ~node:0 ~dummy:"" in
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:99 in
+  let token = request m p "stale" in
+  for _ = 2 to n do
+    ignore (register m ~reuse:true p "stale")
+  done;
+  ignore (Dpa.Pointer_map.take m token ring);
+  ignore (drain_ring m ring);
+  m
+
+let stale_ring m =
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
+  let l = Dpa_heap.Gptr.make ~node:0 ~slot:99 in
+  (* 64 pushes and pops go once round the ring's initial 64 slots. *)
+  for _ = 1 to 64 do
+    Dpa.Ready_ring.push ring l "stale";
+    ignore (pop_thread m ring)
+  done;
+  ring
+
+(* A woken chain's cells are freed as it is dispatched; registrations
+   that reuse them, even while the rest of the chain still waits at the
+   ring head, must each dispatch their own continuation. *)
+let test_recycled_waiter_cells () =
+  let m = stale_map 4 in
+  let ring = Dpa.Ready_ring.create ~dummy:"" in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:0
+  and q = Dpa_heap.Gptr.make ~node:2 ~slot:0 in
+  let tp = request m p "a" in
+  List.iter (fun k -> ignore (register m ~reuse:true p k)) [ "b"; "c" ];
+  ignore (Dpa.Pointer_map.take m tp ring);
+  Alcotest.(check string) "first of the chain" "a" (snd (pop_thread m ring));
+  (* a's cell is free again: q's first waiter reuses it. *)
+  let tq = request m q "d" in
+  List.iter (fun k -> ignore (register m ~reuse:true q k)) [ "e"; "f"; "g" ];
+  ignore (Dpa.Pointer_map.take m tq ring);
+  Alcotest.(check (list string)) "rest of p's chain, then q's"
+    [ "b"; "c"; "d"; "e"; "f"; "g" ]
+    (List.map snd (drain_ring m ring));
+  let tp = request m p "h" in
+  ignore (register m ~reuse:true p "i");
+  ignore (Dpa.Pointer_map.take m tp ring);
+  Alcotest.(check (list string)) "cells reused a second time" [ "h"; "i" ]
+    (List.map snd (drain_ring m ring));
+  Alcotest.(check int) "nothing waits" 0 (Dpa.Pointer_map.waiters m)
+
+(* A ring slot vacated by a single entry keeps its continuation; a chain
+   entry pushed into it must dispatch its waiters, not that closure. The
+   converse too: a single entry in a slot a chain vacated is single. *)
+let test_recycled_ring_slots () =
+  let m = stale_map 4 in
+  let ring = stale_ring m in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:0
+  and l = Dpa_heap.Gptr.make ~node:0 ~slot:1 in
+  for i = 1 to 64 do
+    let tp = request m p (Printf.sprintf "c%d" i) in
+    ignore (register m ~reuse:true p (Printf.sprintf "c%d'" i));
+    ignore (Dpa.Pointer_map.take m tp ring);
+    Alcotest.(check (list string))
+      (Printf.sprintf "chain %d in a slot a single entry left" i)
+      [ Printf.sprintf "c%d" i; Printf.sprintf "c%d'" i ]
+      (List.map snd (drain_ring m ring))
+  done;
+  for i = 1 to 64 do
+    Dpa.Ready_ring.push ring l (Printf.sprintf "s%d" i);
+    Alcotest.(check int) "single entry has no cursor" (-1)
+      (Dpa.Ready_ring.head_cell ring);
+    Alcotest.(check (list string))
+      (Printf.sprintf "single %d in a slot a chain left" i)
+      [ Printf.sprintf "s%d" i ]
+      (List.map snd (drain_ring m ring))
+  done
+
+(* Crash recovery over stale cells and slots: [reclaim] reads each
+   entry's kind from its cursor, so every re-registered thread keeps its
+   own continuation, and a stale one is never re-registered. *)
+let test_reclaim_recycled () =
+  let m = stale_map 8 in
+  let ring = stale_ring m in
+  let p = Dpa_heap.Gptr.make ~node:1 ~slot:0
+  and q = Dpa_heap.Gptr.make ~node:2 ~slot:0
+  and r = Dpa_heap.Gptr.make ~node:1 ~slot:5
+  and l = Dpa_heap.Gptr.make ~node:0 ~slot:3 in
+  let tp = request m p "a" in
+  List.iter (fun k -> ignore (register m ~reuse:true p k)) [ "b"; "c" ];
+  let tq = request m q "x" in
+  ignore (register m ~reuse:true q "y");
+  ignore (Dpa.Pointer_map.take m tp ring);
+  ignore (pop_thread m ring);
+  Dpa.Ready_ring.push ring r "r";
+  ignore (Dpa.Pointer_map.take m tq ring);
+  Dpa.Ready_ring.push ring l "L";
+  (* Ready: b and c (p's chain, cut after a), r, x and y (q's chain), L. *)
+  Dpa.Pointer_map.reclaim m ~reuse:true ring;
+  Alcotest.(check int) "three fetches re-registered" 3
+    (Dpa.Pointer_map.outstanding m);
+  Alcotest.(check (list string)) "local entry stays ready" [ "L" ]
+    (List.map snd (drain_ring m ring));
+  let woken =
+    List.sort compare
+      (Dpa.Pointer_map.fold_outstanding m (fun tok _ acc -> tok :: acc) [])
+    |> List.map (fun tok ->
+           ignore (Dpa.Pointer_map.take m tok ring);
+           List.map snd (drain_ring m ring))
+  in
+  Alcotest.(check (list (list string))) "each thread's own continuation"
+    [ [ "b"; "c" ]; [ "r" ]; [ "x"; "y" ] ]
+    woken;
+  Alcotest.(check int) "nothing left" 0 (Dpa.Pointer_map.waiters m)
+
 (* Rebinding a present key must not count it twice. *)
 let test_index_present_key () =
   let t = Dpa_util.Index.create ~log2:1 in
@@ -579,6 +696,78 @@ let test_index_present_key () =
   Alcotest.(check int) "size after remove" 1 (Dpa_util.Index.size t);
   Alcotest.(check bool) "removed" false (Dpa_util.Index.mem t 5);
   Alcotest.(check int) "other key kept" 1 (Dpa_util.Index.find t 9)
+
+type ix_op = Ix_add of int * int | Ix_remove of int | Ix_clear
+
+(* Keys that collide in a small table. [Index] hashes by the top bits of
+   [k * 0x4F1BBCDCBFA53E0B], so a key whose top four bits are 14 or 15
+   has the last bucket as its home at 4, 8 and 16 buckets alike, and one
+   whose top four bits are 0 the first bucket: probe runs of the first
+   kind wrap the end of the table into those of the second, and removing
+   any of them makes backward-shift deletion move entries across the
+   wrap. The model test holds at most these ten keys, so the table stays
+   at 16 buckets or fewer. *)
+let ix_keys =
+  let top4 k = (k * 0x4F1BBCDCBFA53E0B) lsr 59 in
+  let rec pick want n k acc =
+    if n = 0 then List.rev acc
+    else if want (top4 k) then pick want (n - 1) (k + 1) (k :: acc)
+    else pick want n (k + 1) acc
+  in
+  Array.of_list (pick (fun h -> h >= 14) 7 0 [] @ pick (fun h -> h = 0) 3 0 [])
+
+let ix_op_print = function
+  | Ix_add (k, v) -> Printf.sprintf "Add(%d,%d)" k v
+  | Ix_remove k -> Printf.sprintf "Remove %d" k
+  | Ix_clear -> "Clear"
+
+let ix_op_gen =
+  QCheck.Gen.(
+    let key = map (Array.get ix_keys) (int_bound (Array.length ix_keys - 1)) in
+    frequency
+      [
+        (6, map2 (fun k v -> Ix_add (k, v)) key (int_range 0 99));
+        (4, map (fun k -> Ix_remove k) key);
+        (1, return Ix_clear);
+      ])
+
+(* [Index] against a Hashtbl on colliding keys, from a table of 4 or 8
+   buckets: after every operation, [find] and [mem] of every key, [size]
+   and the bindings [fold] visits agree with the model. *)
+let qcheck_index_model =
+  QCheck.Test.make ~name:"Index matches a Hashtbl on colliding keys"
+    ~count:500
+    QCheck.(
+      pair (int_range 2 3)
+        (make
+           ~print:(fun l -> String.concat "; " (List.map ix_op_print l))
+           Gen.(list_size (int_range 0 80) ix_op_gen)))
+    (fun (log2, ops) ->
+      let t = Dpa_util.Index.create ~log2 in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ix_add (k, v) ->
+            Dpa_util.Index.add t k v;
+            Hashtbl.replace model k v
+          | Ix_remove k ->
+            Dpa_util.Index.remove t k;
+            Hashtbl.remove model k
+          | Ix_clear ->
+            Dpa_util.Index.clear t;
+            Hashtbl.reset model);
+          let sorted l = List.sort compare l in
+          Array.for_all
+            (fun k ->
+              let want = Option.value ~default:(-1) (Hashtbl.find_opt model k) in
+              Dpa_util.Index.find t k = want
+              && Dpa_util.Index.mem t k = Hashtbl.mem model k)
+            ix_keys
+          && Dpa_util.Index.size t = Hashtbl.length model
+          && sorted (Dpa_util.Index.fold t (fun k v acc -> (k, v) :: acc) [])
+             = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+        ops)
 
 type d_op = Add of int | Mem of int | Clear_d
 
@@ -862,7 +1051,7 @@ let alloc_phase (type c) (module A : Dpa.Access.S with type ctx = c) ?faults
     ~run ~work ~nnodes ~nitems ~reads ~target =
   let acc = Array.make 1 0. in
   let k ctx view =
-    A.charge ctx work;
+    Node.charge_local (A.node ctx) work;
     let h = (A.heaps ctx).(Dpa_heap.Gptr.node view) in
     acc.(0) <-
       acc.(0)
@@ -1184,7 +1373,10 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_bounded_align_buffer_model;
       ] );
     ( "core.index",
-      [ Alcotest.test_case "present key keeps size" `Quick test_index_present_key ] );
+      [
+        Alcotest.test_case "present key keeps size" `Quick test_index_present_key;
+        QCheck_alcotest.to_alcotest qcheck_index_model;
+      ] );
     ( "core.runtime",
       [
         Alcotest.test_case "correct sums" `Quick test_dpa_correct_sums;
@@ -1210,6 +1402,11 @@ let suites =
           test_bh_classification_crashes;
         Alcotest.test_case "delivered pointer leaves M for D" `Quick
           test_delivered_pointer_leaves_m;
+        Alcotest.test_case "recycled waiter cells" `Quick
+          test_recycled_waiter_cells;
+        Alcotest.test_case "recycled ring slots" `Quick test_recycled_ring_slots;
+        Alcotest.test_case "reclaim over recycled cells and slots" `Quick
+          test_reclaim_recycled;
       ] );
     ( "core.alloc",
       [

@@ -57,7 +57,7 @@ let items (type c) (module A : Dpa.Access.S with type ctx = c) t ~nitems ~reads
         Array.iter
           (fun p ->
             A.read ctx p (fun ctx view ->
-                A.charge ctx work_ns;
+                Dpa_sim.Node.charge_local (A.node ctx) work_ns;
                 sums.(A.node_id ctx) <-
                   sums.(A.node_id ctx)
                   +. Heap.view_float (A.heaps ctx) view 0))

@@ -14,8 +14,13 @@
    them is sampled. The tool then prints each pair's DPA ÷ sequential CPU
    time as a median and range (one run of either side swings with host
    noise; the two runs of a pair are adjacent and share the host's
-   state), then each function's inclusive share: the fraction of samples
-   whose stack holds a frame of it, inlined frames included.
+   state), then the medians per unit of work: host ns per kernel
+   interaction on both sides (body-cell and body-body, counted by
+   [Bh_seq.per_body_work] with unit weights) and, for the DPA phase, ns
+   per thread (every read creates one: the phase's local, merged,
+   D-hit and fetched reads), then each function's inclusive share: the
+   fraction of samples whose stack holds a frame of it, inlined frames
+   included.
 
    Only the inclusive shares mean anything. OCaml runs a signal handler
    at the next poll point (an allocation, a loop back-edge or a self tail
@@ -147,6 +152,16 @@ let () =
   let seqs = sorted (fun (q, _, _) -> q) in
   let dpas = sorted (fun (_, d, _) -> d) in
   let ratios = sorted (fun (q, d, _) -> d /. q) in
+  let interactions =
+    Array.fold_left ( + ) 0
+      (Bh_seq.per_body_work ~theta:params.Bh_force.theta ~visit_w:0
+         ~body_cell_w:1 ~body_body_w:1 octree)
+  in
+  let threads =
+    s.Dpa.Dpa_stats.inline_local + s.Dpa.Dpa_stats.merge_hits
+    + s.Dpa.Dpa_stats.align_hits + s.Dpa.Dpa_stats.spawns
+  in
+  let ns secs count = 1e9 *. secs /. float_of_int count in
   let n = min !taken capacity in
   Printf.printf
     "hostprof: DPA force phase, %d Plummer bodies (seed 17), %d nodes, \
@@ -158,6 +173,12 @@ let () =
     reps (median seqs) (lo seqs) (hi seqs) (median dpas) (lo dpas) (hi dpas);
   Printf.printf "DPA / seq per pair: %.2fx (%.2f-%.2fx)\n" (median ratios)
     (lo ratios) (hi ratios);
+  Printf.printf
+    "per unit, medians: sequential %.1f ns per interaction; DPA %.1f ns per \
+     interaction, %.1f ns per thread (%d interactions, %d threads)\n"
+    (ns (median seqs) interactions)
+    (ns (median dpas) interactions)
+    (ns (median dpas) threads) interactions threads;
   Printf.printf
     "per body: %.1f remote reads (%.1f merged, %.1f fetched), %.2f request \
      messages\n"

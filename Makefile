@@ -170,17 +170,21 @@ deadcode:
 	dune build @check ./tools/deadcode/deadcode.exe
 	_build/default/tools/deadcode/deadcode.exe -allow scripts/exports.allow _build/default
 
-# In-process sampling profile of a DPA Barnes-Hut force phase
-# (tools/hostprof): the median and range of its CPU time against the
-# sequential traversal's over five alternating pairs, and each function's
-# inclusive share of the SIGPROF samples.
+# In-process sampling profile of a DPA phase (tools/hostprof): the
+# Barnes-Hut force phase against the sequential traversal (KERNEL=bh), or
+# the interpreted EM3D gather of perfbench's chaos workload against the
+# sequential update (KERNEL=em3d). Prints the median and range of the
+# phase's CPU time against the sequential side's over five alternating
+# pairs, costs per unit of work, and each function's inclusive share of
+# the SIGPROF samples.
 # Release profile, as perfbench runs, since the dev profile inlines
 # nothing across modules.
-#   make hostprof [NODES=16]
+#   make hostprof [NODES=16] [KERNEL=bh|em3d]
 NODES ?= 16
+KERNEL ?= bh
 hostprof:
 	dune build --profile release ./tools/hostprof/hostprof.exe
-	_build/default/tools/hostprof/hostprof.exe --nodes $(NODES)
+	_build/default/tools/hostprof/hostprof.exe --nodes $(NODES) --kernel $(KERNEL)
 
 # Observability-overhead benchmark: wall-clock time of t2 and f1 with
 # observability off, with event streaming only, and with causal tracing +

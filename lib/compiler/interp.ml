@@ -11,29 +11,44 @@ module Make (A : Dpa.Access.S) = struct
      number or a boolean (0. or 1.), in [ptr] for a pointer. Registers
      [0, nvars) are the variables, the rest expression temporaries. Per
      variable, the object fetched through it ([Gptr.nil] if none: reads of
-     nil fail). A join counter per sequential chain, counter 0 for the body
-     and one per [Conc] arm: the chain's acquire sites and [Conc] joins
-     use it one after another, as each completes before the chain goes on
-     and [While] bodies hold no touch or call. The continuation. *)
+     nil fail), its read continuation (built on its first read, then kept
+     with the frame) and the acquire site that continuation's read in
+     flight belongs to (-1 if none). A join counter per sequential chain,
+     counter 0 for the body and one per [Conc] arm: the chain's acquire
+     sites and [Conc] joins use it one after another, as each completes
+     before the chain goes on and [While] bodies hold no touch or call.
+     The caller's frame and the code it goes on with. *)
   type frame = {
     tag : Bytes.t;
     num : float array;
     ptr : Gptr.t array;
     views : Heap.view array;
+    wait : int array;
+    kslot : (A.ctx -> Heap.view -> unit) array;
     counts : int array;
-    k : A.ctx -> unit;
+    mutable caller : frame;
+    mutable ret : code;
   }
 
-  type code = frame -> A.ctx -> unit
+  and code = frame -> A.ctx -> unit
+
+  (* An acquire site: the counter its reads join on and the code that
+     runs once they all have. *)
+  type site = { j : int; after : code }
+
+  (* A function's frames not in use. *)
+  type pool = { mutable free : frame array; mutable top : int }
 
   (* A compiled function: the register of each parameter, the frame's
-     shape and the body, which ends by running [frame.k]. *)
+     shape, the body, which ends by returning its frame to [pool] and
+     running the caller's code. *)
   type fn = {
     params : int array;
     nvars : int;
     nregs : int;
     ncounts : int;
     body : code;
+    pool : pool;
   }
 
   type accum = { mutable sum : float }
@@ -67,15 +82,61 @@ module Make (A : Dpa.Access.S) = struct
 
   let count n what = Printf.sprintf "%d %s%s" n what (if n = 1 then "" else "s")
 
-  let frame f k =
+  let stop _ _ = ()
+  let no_k _ _ = ()
+
+  (* The caller of an item's frame. *)
+  let rec root =
     {
-      tag = Bytes.make f.nregs k_unbound;
-      num = Array.make f.nregs 0.;
-      ptr = Array.make f.nregs Gptr.nil;
-      views = Array.make f.nvars Gptr.nil;
-      counts = Array.make f.ncounts 0;
-      k;
+      tag = Bytes.empty;
+      num = [||];
+      ptr = [||];
+      views = [||];
+      wait = [||];
+      kslot = [||];
+      counts = [||];
+      caller = root;
+      ret = stop;
     }
+
+  (* A frame for a call of [f] that goes on with [ret caller]: a free one
+     of [f]'s, its registers unbound and nothing fetched, or a new one. *)
+  let enter f caller ret =
+    let p = f.pool in
+    if p.top = 0 then
+      {
+        tag = Bytes.make f.nregs k_unbound;
+        num = Array.make f.nregs 0.;
+        ptr = Array.make f.nregs Gptr.nil;
+        views = Array.make f.nvars Gptr.nil;
+        wait = Array.make f.nvars (-1);
+        kslot = Array.make f.nvars no_k;
+        counts = Array.make f.ncounts 0;
+        caller;
+        ret;
+      }
+    else begin
+      p.top <- p.top - 1;
+      let fr = p.free.(p.top) in
+      Bytes.fill fr.tag 0 f.nregs k_unbound;
+      for s = 0 to f.nvars - 1 do
+        fr.views.(s) <- Gptr.nil
+      done;
+      fr.caller <- caller;
+      fr.ret <- ret;
+      fr
+    end
+
+  (* Every read and arm of [fr] has joined: no continuation of it is left
+     to run. *)
+  let release p fr =
+    if p.top = Array.length p.free then begin
+      let free = Array.make (max 8 (2 * p.top)) root in
+      Array.blit p.free 0 free 0 p.top;
+      p.free <- free
+    end;
+    p.free.(p.top) <- fr;
+    p.top <- p.top + 1
 
   let copy src r dst d =
     Bytes.set dst.tag d (Bytes.get src.tag r);
@@ -124,9 +185,29 @@ module Make (A : Dpa.Access.S) = struct
     fr.counts.(j) <- fr.counts.(j) - 1;
     if fr.counts.(j) = 0 then next fr ctx
 
+  (* Variable [s]'s read has delivered [view] for the site [fr.wait]
+     names. *)
+  let deliver sites fr s ctx view =
+    fr.views.(s) <- view;
+    let site = sites.(fr.wait.(s)) in
+    fr.wait.(s) <- -1;
+    countdown site.j site.after fr ctx
+
+  let kslot sites fr s =
+    let k = fr.kslot.(s) in
+    if k != no_k then k
+    else begin
+      let sites = !sites in
+      let k ctx view = deliver sites fr s ctx view in
+      fr.kslot.(s) <- k;
+      k
+    end
+
   let compile_fn c program (f : Ast.func) : fn =
     let name = f.Ast.fname and classes = Alias.infer program f in
     let slots = Hashtbl.create 8 and ncounts = ref 1 in
+    (* The function's acquire sites, in the order [wait] numbers them. *)
+    let sites = ref [||] and nsites = ref [] in
     let slot v =
       if not (Hashtbl.mem slots v) then
         Hashtbl.add slots v (Hashtbl.length slots);
@@ -263,11 +344,22 @@ module Make (A : Dpa.Access.S) = struct
           |> List.sort compare |> List.map slot |> Array.of_list
         | _ -> [||]
       in
+      let site = List.length !nsites in
+      nsites := { j; after } :: !nsites;
+      (* A variable whose continuation is still in flight (a [Conc] arm
+         re-reading a companion another arm hoisted) reads through a
+         continuation of its own. *)
       let got s fr ctx view =
         fr.views.(s) <- view;
         countdown j after fr ctx
       in
-      let got_p = got s in
+      let issue fr ctx s =
+        if fr.wait.(s) < 0 then begin
+          fr.wait.(s) <- site;
+          A.read ctx fr.ptr.(s) (kslot sites fr s)
+        end
+        else A.read ctx fr.ptr.(s) (fun ctx view -> got s fr ctx view)
+      in
       fun fr ctx ->
         if not (Gptr.is_nil fr.views.(s)) then after fr ctx
         else begin
@@ -277,14 +369,14 @@ module Make (A : Dpa.Access.S) = struct
             if joins fr mates.(i) then incr n
           done;
           fr.counts.(j) <- 1 + !n;
-          A.read ctx fr.ptr.(s) (fun ctx view -> got_p fr ctx view);
+          issue fr ctx s;
           let i = ref 0 in
           while !n > 0 do
             let m = mates.(!i) in
             incr i;
             if joins fr m then begin
               decr n;
-              A.read ctx fr.ptr.(m) (fun ctx view -> got m fr ctx view)
+              issue fr ctx m
             end
           done
         end
@@ -361,7 +453,7 @@ module Make (A : Dpa.Access.S) = struct
         let args = Array.of_list (List.map (fun e -> operand Any e 0) args) in
         fun fr ctx ->
           let f = !callee in
-          let callee_fr = frame f (fun ctx -> next fr ctx) in
+          let callee_fr = enter f fr next in
           for a = 0 to Array.length args - 1 do
             let r, arg, _ = args.(a) in
             arg fr;
@@ -381,15 +473,29 @@ module Make (A : Dpa.Access.S) = struct
             arms.(a) fr ctx
           done
     in
-    let body = block 0 f.Ast.body (fun fr ctx -> fr.k ctx) in
-    { params; nvars; nregs = !nregs; ncounts = !ncounts; body }
+    let pool = { free = [||]; top = 0 } in
+    let body =
+      block 0 f.Ast.body (fun fr ctx ->
+          let caller = fr.caller and ret = fr.ret in
+          release pool fr;
+          ret caller ctx)
+    in
+    sites := Array.of_list (List.rev !nsites);
+    { params; nvars; nregs = !nregs; ncounts = !ncounts; body; pool }
 
   let compile ?(stmt_cost_ns = 40) ?accum_grid program =
     Alias.check program;
     let fns = Hashtbl.create 8 in
     let c = { fns; accums = Hashtbl.create 8; stmt_cost_ns; accum_grid } in
     let unset =
-      { params = [||]; nvars = 0; nregs = 0; ncounts = 0; body = (fun _ _ -> ()) }
+      {
+        params = [||];
+        nvars = 0;
+        nregs = 0;
+        ncounts = 0;
+        body = stop;
+        pool = { free = [||]; top = 0 };
+      }
     in
     let entries = List.map (fun f -> (f, ref unset)) program.Ast.funcs in
     List.iter (fun (f, e) -> Hashtbl.replace fns f.Ast.fname e) entries;
@@ -411,16 +517,16 @@ module Make (A : Dpa.Access.S) = struct
       bind fr params (a + 1) rest
 
   let item c ~entry ~args ctx =
-    match Hashtbl.find_opt c.fns entry with
-    | Some f ->
+    match Hashtbl.find c.fns entry with
+    | f ->
       let f = !f in
       let n = List.length args and arity = Array.length f.params in
       if n <> arity then
         Printf.ksprintf (fun m -> raise (Value.Eval_error m))
           "arity mismatch calling %s: %s for %s" entry (count n "argument")
           (count arity "parameter");
-      let fr = frame f ignore in
+      let fr = enter f root stop in
       bind fr f.params 0 args;
       f.body fr ctx
-    | None -> Ast.illegal "unknown function %s" entry
+    | exception Not_found -> Ast.illegal "unknown function %s" entry
 end

@@ -18,17 +18,23 @@
     operand that is not a variable (a variable operand is read in place).
     No expression allocates: each consumer checks its operand's tag, in
     the order the operands run, and reads the value inline. The frame
-    also holds, per variable, the object fetched through it, one join
-    counter per sequential chain (the body and each [conc] arm), and the
-    caller's continuation.
+    also holds, per variable, the object fetched through it, its read
+    continuation and the acquire site its read in flight belongs to; one
+    join counter per sequential chain (the body and each [conc] arm); and
+    the caller's frame and the code the caller goes on with.
 
-    At run time an activation allocates its frame (a record and five
-    small arrays), and each call it makes the callee's continuation. A dereference of
-    an unfetched pointer suspends into [A.read] together with those
-    companions that are unfetched, non-nil pointers, issued as one batch
-    so they share the runtime's aggregation; each read allocates its
-    continuation closure. Everything else runs inline in the current
-    thread.
+    At run time nothing allocates once a function's frames exist. A
+    dereference of an unfetched pointer suspends into [A.read] together
+    with those companions that are unfetched, non-nil pointers, issued as
+    one batch so they share the runtime's aggregation. Each read passes
+    its variable's continuation, built on the variable's first read in
+    the frame and kept with it; only a variable whose continuation is
+    still in flight (a [conc] arm re-reading a companion another arm
+    hoisted) reads through a closure of its own. When a body finishes,
+    every read and arm of its frame has joined, so the frame returns to
+    its function's free list and a later call reuses it, its registers
+    unbound and nothing fetched. Everything else runs inline in the
+    current thread.
 
     Fetched objects are kept per activation ("availability"), so repeated
     accesses through the same pointer in one activation cost nothing extra

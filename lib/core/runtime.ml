@@ -121,6 +121,7 @@ type ctx = {
          reaches the relay state of the receiving node. Set once by
          [run_phase_labeled]; empty while routing is off. *)
   mutable pending : int;  (* threads suspended in M or queued in [ready] *)
+  label : string;  (* the phase's label, for the scheduler's failures *)
   mutable scheduled : bool;
   mutable quantum : unit -> unit;
       (* the poll-quantum event action, built once by [make_ctx]: posting
@@ -179,6 +180,15 @@ type ctx = {
 and k = ctx -> Heap.view -> unit
 
 let node_id ctx = ctx.node.Node.id
+
+(* Out of line, so [drain]'s loop carries no formatting code. *)
+let[@inline never] dispatch_underflow ~node ~label =
+  failwith
+    (Printf.sprintf
+       "Runtime.drain: node %d dispatched a thread with none pending \
+        (phase %s)"
+       node label)
+
 let heaps ctx = ctx.heaps
 let node ctx = ctx.node
 let[@inline] charge ctx ns = Node.charge_local ctx.node ns
@@ -676,6 +686,8 @@ and drain ctx start quantum =
       end
     in
     Node.charge_comm ctx.node ctx.machine.Machine.dispatch_overhead_ns;
+    if ctx.pending <= 0 then
+      dispatch_underflow ~node:ctx.node.Node.id ~label:ctx.label;
     ctx.pending <- ctx.pending - 1;
     k ctx ptr;
     drain ctx start quantum
@@ -1188,10 +1200,14 @@ and owner_apply ctx sb owner =
       Dpa_util.Index.add journal s.s_cov.(c) 0
     done;
     let owner_heap = ctx.heaps.(fdst) in
+    let pool = Heap.float_pool owner_heap in
     for e = first to first + n - 1 do
       let k = s.s_key.(e) in
-      Heap.bump_float owner_heap (Update_buffer.key_ptr k)
-        ~idx:(Update_buffer.key_idx k) s.s_val.(e)
+      let o =
+        Heap.float_index owner_heap (Update_buffer.key_ptr k)
+          ~idx:(Update_buffer.key_idx k)
+      in
+      Bigarray.Array1.set pool o (Bigarray.Array1.get pool o +. s.s_val.(e))
     done
   end;
   (* Every journaled pair is acked: all of them after a fresh apply, the
@@ -1374,6 +1390,7 @@ let make_ctx ~engine ~heaps ~config ~items ~label ~journals ~jwals node =
       routing_done = false;
       peers = [||];
       pending = 0;
+      label;
       scheduled = false;
       quantum = ignore;
       on_request = Dpa_msg.Am.no_handler;

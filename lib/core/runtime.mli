@@ -115,6 +115,12 @@ val charge : ctx -> int -> unit
     [ns] of local application computation, for item code written against
     this runtime directly rather than a functor over {!Access.S}. *)
 
+val dispatch_underflow : node:int -> label:string -> 'a
+(** Raises [Failure] naming [node] and the phase [label]: what the
+    scheduler raises when it is about to dispatch a thread while none is
+    pending on the node, which only a corrupted ready ring or pointer map
+    can bring about. *)
+
 val run_phase :
   engine:Dpa_sim.Engine.t ->
   heaps:Dpa_heap.Heap.cluster ->

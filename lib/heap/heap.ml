@@ -158,11 +158,18 @@ let set_ptr t p i v =
     invalid_arg "Heap.set_ptr: field out of range";
   t.ppool.(t.meta.(m + 1) + i) <- v
 
-let bump_float t p ~idx v =
-  let m = check t p "Heap.bump_float" in
+let[@inline] field_index t p ~idx name =
+  let m = check t p name in
   if idx < 0 || idx >= t.meta.(m + 2) then
-    invalid_arg "Heap.bump_float: field out of range";
-  let o = t.meta.(m) + idx in
+    invalid_arg (name ^ ": field out of range");
+  t.meta.(m) + idx
+
+let float_index t p ~idx = field_index t p ~idx "Heap.float_index"
+
+(* Inlined where the build inlines across modules, so a float the caller
+   holds unboxed reaches the pool unboxed. *)
+let[@inline] bump_float t p ~idx v =
+  let o = field_index t p ~idx "Heap.bump_float" in
   Bigarray.Array1.set t.fpool o (Bigarray.Array1.get t.fpool o +. v)
 
 (* Raw pool access for innermost loops. A float-returning call that the

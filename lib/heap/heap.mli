@@ -73,6 +73,12 @@ type fpool = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 val float_pool : t -> fpool
 val float_base : t -> Gptr.t -> int
 
+val float_index : t -> Gptr.t -> idx:int -> int
+(** The index into [float_pool] of float field [idx] of a local object,
+    validated as {!bump_float} validates it. A loop that adds a float it
+    reads from an array through this index passes no float across a call,
+    so nothing boxes it where {!bump_float} is not inlined. *)
+
 (** {2 Cluster-level view accessors (any owner; no allocation)} *)
 
 val view_nfloats : cluster -> view -> int

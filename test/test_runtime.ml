@@ -683,6 +683,15 @@ let test_reclaim_recycled () =
     woken;
   Alcotest.(check int) "nothing left" 0 (Dpa.Pointer_map.waiters m)
 
+(* A dispatch with no thread pending (a corrupted ring or map) fails at
+   once, naming the node and the phase, instead of running on. *)
+let test_dispatch_underflow () =
+  Alcotest.check_raises "message"
+    (Failure
+       "Runtime.drain: node 3 dispatched a thread with none pending (phase \
+        em3d-gather)")
+    (fun () -> Dpa.Runtime.dispatch_underflow ~node:3 ~label:"em3d-gather")
+
 (* Rebinding a present key must not count it twice. *)
 let test_index_present_key () =
   let t = Dpa_util.Index.create ~log2:1 in
@@ -1277,8 +1286,11 @@ let test_blocking_misses_faults_alloc () =
    — buffered, copied once into the sender's batch store, sent and applied
    — and, under [faults], WAL-journaled at both ends, timed and acked. The
    value is a literal, so the harness allocates only each item's closure.
-   Minor words of the second of two runs, per accumulate: 4.4 fault-free
-   and 5.2 under faults. *)
+   The owner adds each entry's value into its heap's float pool without
+   boxing it. Minor words of the second of two runs, per accumulate: 2.4
+   fault-free and 3.3 under faults (4.4 and 5.3 while the owner passed
+   each value to a non-inlined [Heap.bump_float]); the bounds are 1.5
+   times those. *)
 let accumulate_words ?faults () =
   let nnodes = 2 and nitems = 1024 and reads = 4 in
   let heaps = Dpa_heap.Heap.cluster ~nnodes in
@@ -1407,6 +1419,8 @@ let suites =
         Alcotest.test_case "recycled ring slots" `Quick test_recycled_ring_slots;
         Alcotest.test_case "reclaim over recycled cells and slots" `Quick
           test_reclaim_recycled;
+        Alcotest.test_case "dispatch with none pending" `Quick
+          test_dispatch_underflow;
       ] );
     ( "core.alloc",
       [
@@ -1429,7 +1443,7 @@ let suites =
         Alcotest.test_case "blocking misses under faults" `Quick
           test_blocking_misses_faults_alloc;
         Alcotest.test_case "remote accumulates" `Quick
-          (test_accumulate_alloc ~bound:6.);
+          (test_accumulate_alloc ~bound:3.6);
         Alcotest.test_case "remote accumulates under faults" `Quick
           (test_accumulate_alloc
              ~faults:
@@ -1440,7 +1454,7 @@ let suites =
                  delay = 0.1;
                  corrupt = 0.02;
                }
-             ~bound:8.);
+             ~bound:5.);
         Alcotest.test_case "bh force phase" `Quick test_bh_force_alloc;
       ] );
   ]
